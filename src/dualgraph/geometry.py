@@ -38,7 +38,11 @@ _ORTHO_TOL = 1e-9
 
 @dataclass
 class Frame:
-    """Oriented placement: origin plus orthogonal axes (rows), lengths = half-extents."""
+    """Oriented placement: origin plus orthogonal axes (rows), lengths = half-extents.
+
+    `origin` and `axes` are never mutated in place after construction: the
+    axis lengths are cached here, so code that moves a frame builds a new one.
+    """
 
     origin: np.ndarray
     axes: np.ndarray
@@ -51,18 +55,20 @@ class Frame:
         dim = self.origin.size
         if self.axes.shape != (dim, dim):
             raise DegenerateFrameError(f"axes must be {dim}x{dim}, got {self.axes.shape}")
-        if not (np.isfinite(self.origin).all() and np.isfinite(self.axes).all()):
+        if not (all(map(math.isfinite, self.origin.tolist()))
+                and all(map(math.isfinite, self.axes.ravel().tolist()))):
             raise DegenerateFrameError("non-finite frame")
         axes = self.axes
-        lengths = np.empty(dim)
-        for i in range(dim):
-            lengths[i] = math.sqrt(float(axes[i] @ axes[i]))
+        lengths = tuple([math.sqrt(float(row @ row)) for row in axes])
         for i in range(dim):
             for j in range(i + 1, dim):
                 dot = abs(float(axes[i] @ axes[j]))
                 if dot > _ORTHO_TOL * max(lengths[i] * lengths[j], 1.0):
                     raise DegenerateFrameError(f"axes {i} and {j} are not orthogonal")
-        self._lengths = lengths
+        self._lengths = np.array(lengths)
+        # plain-float copies for the scalar kernels
+        self._length_tuple = lengths
+        self._primary = max(lengths)
 
     @property
     def dim(self) -> int:
@@ -75,7 +81,7 @@ class Frame:
 
     @property
     def primary_length(self) -> float:
-        return float(self._lengths.max())
+        return self._primary
 
     @property
     def primary_axis(self) -> np.ndarray:
@@ -192,12 +198,10 @@ def canonical_scale(f: Frame, sym: str) -> float:
     """
     if sym not in SYMMETRY_CLASSES:
         raise ValueError(f"unknown symmetry class: {sym}")
-    lengths = f.lengths
     count = 0
     total = 0.0
     longest = 0.0
-    for k in range(lengths.size):
-        lv = float(lengths[k])
+    for lv in f._length_tuple:
         if lv > 0:
             count += 1
             total += lv
@@ -311,20 +315,6 @@ def _eye(n: int) -> np.ndarray:
     return e
 
 
-def near_primary_axes(f: Frame) -> list:
-    """The axes whose length is within 10% of the longest.
-
-    When several tie (squares, cubes, circles), the frame's primary
-    direction is an artifact of axis ordering rather than geometry, and all
-    tied axes are equally valid direction candidates.
-    """
-    lengths = f.lengths
-    p = float(lengths.max())
-    if p <= 0:
-        raise DegenerateFrameError("frame has no nonzero axis")
-    return [f.axes[i] for i in range(lengths.size) if lengths[i] >= _TIE_RATIO * p]
-
-
 def unambiguous_axes(f: Frame, top: int = 1) -> list[int]:
     """Indices of the longest axes that tie no other axis within 10%.
 
@@ -347,21 +337,6 @@ def unambiguous_axes(f: Frame, top: int = 1) -> list[int]:
     return out
 
 
-def _axis_angle(pa: np.ndarray, pb: np.ndarray) -> float:
-    # atan2 of the rejection norm stays accurate near 0 where arccos loses
-    # half the significant digits
-    scale = math.sqrt(float(pa @ pa)) * math.sqrt(float(pb @ pb))
-    dot = float(pa @ pb) / scale
-    if pa.size == 2:
-        cross = abs(float(pa[0] * pb[1] - pa[1] * pb[0])) / scale
-    else:
-        cx = float(pa[1] * pb[2] - pa[2] * pb[1])
-        cy = float(pa[2] * pb[0] - pa[0] * pb[2])
-        cz = float(pa[0] * pb[1] - pa[1] * pb[0])
-        cross = math.sqrt(cx * cx + cy * cy + cz * cz) / scale
-    return math.atan2(cross, abs(dot))
-
-
 def angle_between(a: Frame, b: Frame) -> float:
     """Unsigned angle in [0, pi/2] between primary directions.
 
@@ -370,18 +345,18 @@ def angle_between(a: Frame, b: Frame) -> float:
     arbitrary axis labeling. Unrolled scalar arithmetic: this sits inside
     every placement test a recognition run makes.
     """
-    la = a.lengths
-    lb = b.lengths
-    pa = float(la.max())
-    pb = float(lb.max())
+    la = a._length_tuple
+    lb = b._length_tuple
+    pa = a._primary
+    pb = b._primary
     if pa <= 0 or pb <= 0:
         raise DegenerateFrameError("frame has no nonzero axis")
     ta = _TIE_RATIO * pa
     tb = _TIE_RATIO * pb
-    dim = la.size
+    dim = len(la)
     best = None
     for i in range(dim):
-        na = float(la[i])
+        na = la[i]
         if na < ta:
             continue
         va = a.axes[i]
@@ -389,7 +364,7 @@ def angle_between(a: Frame, b: Frame) -> float:
         a1 = float(va[1])
         a2 = float(va[2]) if dim == 3 else 0.0
         for j in range(dim):
-            nb = float(lb[j])
+            nb = lb[j]
             if nb < tb:
                 continue
             vb = b.axes[j]
@@ -424,12 +399,83 @@ def pose_vector(a: Frame, b: Frame) -> np.ndarray:
 def boundary_distance(a: Frame, b: Frame) -> float:
     """Euclidean distance between the two solid extents (0 when they overlap).
 
+    Two segments (one nonzero axis each) take the closed form for the
+    closest points of two segments; every other pair goes to the active-set
+    sweep of `_extent_distance`.
+    """
+    ia = _single_axis(a)
+    ib = _single_axis(b) if ia is not None else None
+    if ib is None:
+        return _extent_distance(a, b)
+    return _segment_distance(a.origin.tolist(), a.axes[ia].tolist(),
+                            b.origin.tolist(), b.axes[ib].tolist())
+
+
+def _single_axis(f: Frame) -> int | None:
+    """Index of the only nonzero axis, or None when there are more or none."""
+    found = None
+    for i, length in enumerate(f._length_tuple):
+        if length > 0:
+            if found is not None:
+                return None
+            found = i
+    return found
+
+
+def _segment_distance(ca, ha, cb, hb) -> float:
+    """Distance between the segments ca +/- ha and cb +/- hb (2- or 3-vectors).
+
+    Closed form for the closest points of two segments (Ericson, Real-Time
+    Collision Detection, 2004, 5.1.9) on the parameters s, t in [-1, 1]:
+    the closest points of the two lines, with s clamped, then t clamped and
+    s recomputed when t left its range. The line solution's denominator is
+    |ha x hb|^2 and its numerator ((ha x hb) x hb) . r, both formed from
+    cross products so near-parallel segments lose no precision to
+    cancellation; exactly parallel ones start from s = 0. Plain floats.
+    """
+    if len(ca) == 2:
+        ca, ha, cb, hb = (*ca, 0.0), (*ha, 0.0), (*cb, 0.0), (*hb, 0.0)
+    ax, ay, az = ha
+    bx, by, bz = hb
+    rx, ry, rz = ca[0] - cb[0], ca[1] - cb[1], ca[2] - cb[2]
+    a = ax * ax + ay * ay + az * az
+    e = bx * bx + by * by + bz * bz
+    b = ax * bx + ay * by + az * bz
+    c = ax * rx + ay * ry + az * rz
+    f = bx * rx + by * ry + bz * rz
+    nx = ay * bz - az * by
+    ny = az * bx - ax * bz
+    nz = ax * by - ay * bx
+    denom = nx * nx + ny * ny + nz * nz
+    s = 0.0
+    if denom > 0.0:
+        # (n x hb) . r
+        num = ((ny * bz - nz * by) * rx + (nz * bx - nx * bz) * ry
+               + (nx * by - ny * bx) * rz)
+        s = min(1.0, max(-1.0, num / denom))
+    t = (b * s + f) / e
+    if t < -1.0:
+        t = -1.0
+        s = min(1.0, max(-1.0, (-b - c) / a))
+    elif t > 1.0:
+        t = 1.0
+        s = min(1.0, max(-1.0, (b - c) / a))
+    dx = rx + s * ax - t * bx
+    dy = ry + s * ay - t * by
+    dz = rz + s * az - t * bz
+    return math.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+def _extent_distance(a: Frame, b: Frame) -> float:
+    """Distance between two solid extents by a primal active-set sweep.
+
     Each extent is the affine image of the unit cube, so the nearest pair of
-    points solves a small bound-constrained least-squares problem. A primal
-    active-set sweep solves it exactly: walk toward the free-coordinate
-    minimizer until a bound blocks, fix that coordinate, and release a bound
-    only when its multiplier says the optimum lies inward. At most a handful
-    of tiny linear solves, machine-precision result.
+    points solves a small bound-constrained least-squares problem. The sweep
+    solves it exactly: walk toward the free-coordinate minimizer until a
+    bound blocks, fix that coordinate, and release a bound only when its
+    multiplier says the optimum lies inward. At most a handful of tiny
+    linear solves, machine-precision result. Any rank, so it is also the
+    reference for `_segment_distance`.
     """
     # point in a: origin_a + axes_a^T u, u in [-1,1]^dim; likewise for b
     mat = np.hstack([a.axes.T, -b.axes.T])

@@ -206,34 +206,121 @@ def _aligned_projection(camera, template: Frame) -> Frame:
     return Frame(f.origin, out)
 
 
+# -- candidate index ----------------------------------------------------------------
+
+# Relative slack of the vectorized prefilters; survivors then face the exact
+# scalar gate, so rounding differences never change a decision.
+_PREFILTER_SLACK = 1e-6
+
+
+class CandidateIndex:
+    """Per-wave snapshot of the candidate nodes, for cheap radius queries.
+
+    Holds the non-spec, non-pruned nodes in key order with their origins in
+    one contiguous array, taken once the graph has settled (after relax and
+    prune). Frames and statuses only change between waves, and nodes are
+    never removed from `ig.nodes`, so within a wave the snapshot stays valid
+    and nodes inserted after it are exactly the tail of `ig.nodes`. `fits`
+    is the per-run table of `ModelGraph.abstract_types` by type name.
+    """
+
+    def __init__(self, ig: ImageGraph, fits: dict):
+        self.ig = ig
+        self.fits = fits
+        self.nodes = [n for n in ig.sorted_nodes()
+                      if n.spec_slot is None and n.status != "pruned"]
+        self._seen = len(ig.nodes)
+        self.origins = np.array([n.frame.origin for n in self.nodes])
+        self.lengths = np.array([n.frame.primary_length for n in self.nodes])
+
+    def fresh(self) -> list:
+        """Nodes inserted since the snapshot, in insertion order."""
+        return list(itertools.islice(self.ig.nodes.values(), self._seen, None))
+
+    def near(self, points, radii) -> list:
+        """Per query point, the snapshot nodes within its radius (plus a small
+        slack) followed by every node inserted since the snapshot.
+
+        A superset of the exact answer: callers re-check status, spec slot
+        and the exact distance on what comes back.
+        """
+        fresh = self.fresh()
+        if not self.nodes:
+            return [list(fresh) for _ in radii]
+        diff = self.origins[None, :, :] - np.asarray(points)[:, None, :]
+        d2 = np.einsum("knd,knd->kn", diff, diff)
+        reach = np.asarray(radii) * (1.0 + _PREFILTER_SLACK)
+        hits = d2 <= (reach * reach)[:, None]
+        nodes = self.nodes
+        return [[nodes[i] for i in np.flatnonzero(row)] + fresh for row in hits]
+
+
+def _distance(p, q) -> float:
+    """Euclidean distance, bit for bit what np.linalg.norm(p - q) returns
+    (sqrt of the dot product) without its dispatch overhead."""
+    diff = p - q
+    return math.sqrt(float(diff.dot(diff)))
+
+
+def abstract_table(model: ModelGraph) -> dict:
+    """`abstract_types` of every model type, built once per recognition run."""
+    return {name: model.abstract_types(name) for name in model.nodes}
+
+
 # -- hypothesis generation ----------------------------------------------------------
 
 
+def _clue_pairs(index: CandidateIndex, frontier, gate_radius: float) -> list:
+    """Node pairs (a, b), both verified, at least one in the frontier, whose
+    origins lie within gate_radius times the larger primary length; in the
+    order of a combinations walk over index.nodes."""
+    nodes = index.nodes
+    if not nodes:
+        return []
+    frontier_keys = {n.key for n in frontier}
+    verified = np.array([n.status == "verified" for n in nodes])
+    pairs = set()
+    for i, node in enumerate(nodes):
+        if node.key not in frontier_keys or not verified[i]:
+            continue
+        diff = index.origins - index.origins[i]
+        d2 = np.einsum("nd,nd->n", diff, diff)
+        reach = (gate_radius * (1.0 + _PREFILTER_SLACK)
+                 * np.maximum(index.lengths, index.lengths[i]))
+        for j in np.flatnonzero((d2 <= reach * reach) & verified):
+            if j != i:
+                pairs.add((i, int(j)) if i < j else (int(j), i))
+    out = []
+    for i, j in sorted(pairs):
+        a, b = nodes[i], nodes[j]
+        reach = gate_radius * max(a.frame.primary_length, b.frame.primary_length)
+        if _distance(a.frame.origin, b.frame.origin) <= reach:
+            out.append((a, b))
+    return out
+
+
 def generate_hypotheses(ig: ImageGraph, model: ModelGraph, midx: dict,
-                        frontier, cfg: Config | None = None) -> list:
+                        frontier, cfg: Config | None = None,
+                        index: CandidateIndex | None = None) -> list:
     """Pairs with a frontier member and close origins suggest groups.
 
     Keeps, per (group type, clue pair), the best-screening slot assignment
     with its fitted transform; a screening score is the product of the
-    screening-relation conditionals and must reach cfg.screen_min.
+    screening-relation conditionals and must reach cfg.screen_min. `index`
+    must be a snapshot of the graph as it is now; one is taken when absent.
     """
     cfg = cfg or Config()
     projected = getattr(ig, "projected", False)
-    frontier_keys = {n.key for n in frontier}
-    pool = [n for n in ig.sorted_nodes()
-            if n.status == "verified" and n.spec_slot is None]
+    if index is None:
+        index = CandidateIndex(ig, abstract_table(model))
+    fits = index.fits
     best: dict = {}
-    for a, b in itertools.combinations(pool, 2):
-        if a.key not in frontier_keys and b.key not in frontier_keys:
-            continue
-        reach = cfg.gate_radius * max(a.frame.primary_length, b.frame.primary_length)
-        if float(np.linalg.norm(a.frame.origin - b.frame.origin)) > reach:
-            continue
+    for a, b in _clue_pairs(index, frontier, cfg.gate_radius):
         for entry in midx_lookup(midx, a.model_type, b.model_type):
             mnode = model.node(entry.hypothesis)
             s1, s2 = entry.slots
-            fits1 = model.abstract_types(mnode.part(s1).type_name)
-            fits2 = model.abstract_types(mnode.part(s2).type_name)
+            fits1 = fits.get(mnode.part(s1).type_name, frozenset())
+            fits2 = fits.get(mnode.part(s2).type_name, frozenset())
             for ca, cb in ((a, b), (b, a)):
                 if ca.model_type not in fits1 or cb.model_type not in fits2:
                     continue
@@ -268,7 +355,7 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, midx: dict,
 # -- verification -------------------------------------------------------------------
 
 
-def _match_slots(ig, model, mnode, transform, cfg, projected, strain_gate=True):
+def _match_slots(index, model, mnode, transform, cfg, projected, strain_gate=True):
     """Predict every slot and greedily bind the closest unclaimed instances.
 
     With the strain gate on, candidates must sit within s_fail of their
@@ -283,19 +370,20 @@ def _match_slots(ig, model, mnode, transform, cfg, projected, strain_gate=True):
             predictions[slot.name] = _predict(transform, slot.frame, projected)
         except DegenerateFrameError:
             return None, {}
+    live = [(slot, predictions[slot.name]) for slot in mnode.parts
+            if predictions[slot.name].primary_length > 0]
+    near = index.near([pred.origin for _, pred in live],
+                      [cfg.gate_radius * pred.primary_length for _, pred in live])
     candidates = []
-    for slot in mnode.parts:
-        pred = predictions[slot.name]
+    for (slot, pred), hits in zip(live, near):
         scale = pred.primary_length
-        if scale <= 0:
-            continue
-        fits = model.abstract_types(slot.type_name)
-        for node in ig.sorted_nodes():
+        fits = index.fits.get(slot.type_name, frozenset())
+        for node in hits:
             if node.status == "pruned" or node.spec_slot is not None:
                 continue
             if node.model_type not in fits:
                 continue
-            d = float(np.linalg.norm(node.frame.origin - pred.origin))
+            d = _distance(node.frame.origin, pred.origin)
             if d > cfg.gate_radius * scale:
                 continue
             sym = model.node(node.model_type).symmetry_class
@@ -388,25 +476,28 @@ def _drop_relation_offenders(ig, model, mnode, matched, cfg, projected,
 
 
 def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph,
-           cfg: Config | None = None):
+           cfg: Config | None = None, index: CandidateIndex | None = None):
     """Top-down confirmation of one hypothesis.
 
     Success creates the group node, its member bundles, and any passing
     specialization instances, and returns the list of created nodes.
-    Failure creates nothing and returns None.
+    Failure creates nothing and returns None. `index` is a snapshot taken
+    earlier in the same wave; one is taken when absent.
     """
     cfg = cfg or Config()
     projected = getattr(ig, "projected", False)
     mnode = model.node(h.group_type)
+    if index is None:
+        index = CandidateIndex(ig, abstract_table(model))
 
-    matched, strains = _match_slots(ig, model, mnode, h.transform, cfg,
+    matched, strains = _match_slots(index, model, mnode, h.transform, cfg,
                                     projected, strain_gate=True)
     transform = h.transform
-    rough, _ = _match_slots(ig, model, mnode, h.transform, cfg, projected,
+    rough, _ = _match_slots(index, model, mnode, h.transform, cfg, projected,
                             strain_gate=False)
     if rough:
         refit = _refit(mnode, rough, ig, h.transform, projected)
-        re_matched, re_strains = _match_slots(ig, model, mnode, refit, cfg,
+        re_matched, re_strains = _match_slots(index, model, mnode, refit, cfg,
                                               projected, strain_gate=True)
         if _match_score(re_matched, re_strains) < _match_score(matched, strains):
             matched, strains, transform = re_matched, re_strains, refit
@@ -496,12 +587,14 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None,
         raise SceneFormatError("cannot explain a 3D scene with a flat model")
     ig = seed_image_graph(scene, model, cfg)
     midx = build_midx(model)
+    fits = abstract_table(model)
     frontier = list(ig.sorted_nodes())
     attempted: set = set()
     for _ in range(cfg.max_waves):
         if not frontier:
             break
-        hypotheses = generate_hypotheses(ig, model, midx, frontier, cfg)
+        index = CandidateIndex(ig, fits)
+        hypotheses = generate_hypotheses(ig, model, midx, frontier, cfg, index)
         fresh = []
         for h in hypotheses:
             key = (h.group_type, frozenset((h.clue_a, h.clue_b)))
@@ -511,7 +604,7 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None,
             if (ig.nodes[h.clue_a].status == "pruned"
                     or ig.nodes[h.clue_b].status == "pruned"):
                 continue
-            created = verify(h, ig, model, cfg)
+            created = verify(h, ig, model, cfg, index)
             if created:
                 fresh.extend(created)
         if not fresh:

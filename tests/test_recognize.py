@@ -1,0 +1,113 @@
+import hashlib
+import itertools
+
+import numpy as np
+import pytest
+
+from dualgraph.config import Config
+from dualgraph.generate import GeneratorSpec, generate_scenes
+from dualgraph.geometry import Frame
+from dualgraph.model import fixture_path, load_model_file
+from dualgraph.recognize import (
+    CandidateIndex,
+    _clue_pairs,
+    abstract_table,
+    recognize,
+    seed_image_graph,
+)
+
+
+def _scene(fixture, target, jitter, seed, distractors=32):
+    model = load_model_file(fixture_path(fixture))
+    spec = GeneratorSpec(model, target, jitter=jitter, n_distractors=distractors, seed=seed)
+    (scene,) = generate_scenes(spec)
+    return scene, model
+
+
+# sha256 of to_bytes() before the candidate index and the closed-form segment
+# distance went in; both were meant to leave every output byte unchanged
+GOLDEN = [
+    ("face.json", "face", 0.0, "7bfacfce0a4acb60dbea6ac76e5196e8d12928b1cd950e65881a6dde4befe5b7"),
+    ("truck_flat.json", "truck1", 0.03, "bb542ee9627c98f6491fdcbe29e1e13ea5de430422dbc27764b7351c5c013f15"),
+]
+
+
+@pytest.mark.parametrize("fixture, target, jitter, digest", GOLDEN)
+def test_recognize_output_is_byte_identical(fixture, target, jitter, digest):
+    scene, model = _scene(fixture, target, jitter, seed=5)
+    ig = recognize(scene, model)
+    assert hashlib.sha256(ig.to_bytes()).hexdigest() == digest
+    found = [n for n in ig.nodes.values()
+             if n.model_type == target and n.status != "pruned" and n.probability >= 0.5]
+    assert found
+
+
+@pytest.fixture
+def seeded():
+    scene, model = _scene("face.json", "face", 0.0, seed=5)
+    ig = seed_image_graph(scene, model)
+    return ig, model
+
+
+def test_clue_pairs_match_combinations_walk(seeded):
+    ig, model = seeded
+    cfg = Config()
+    nodes = ig.sorted_nodes()
+    frontier = nodes[::3]
+    keys = {n.key for n in frontier}
+    expected = []
+    for a, b in itertools.combinations(nodes, 2):
+        if a.key not in keys and b.key not in keys:
+            continue
+        reach = cfg.gate_radius * max(a.frame.primary_length, b.frame.primary_length)
+        if float(np.linalg.norm(a.frame.origin - b.frame.origin)) <= reach:
+            expected.append((a.key, b.key))
+    index = CandidateIndex(ig, abstract_table(model))
+    got = [(a.key, b.key) for a, b in _clue_pairs(index, frontier, cfg.gate_radius)]
+    assert got == expected
+    assert len(expected) > len(frontier)
+
+
+def test_near_returns_every_node_within_radius(seeded):
+    ig, model = seeded
+    index = CandidateIndex(ig, abstract_table(model))
+    rng = np.random.default_rng(3)
+    points = rng.uniform(index.origins.min(axis=0), index.origins.max(axis=0), size=(20, 2))
+    radii = rng.uniform(0.05, 1.0, size=20) * index.lengths.max()
+    for p, r, hits in zip(points, radii, index.near(points, radii)):
+        scan = {n.key for n in ig.sorted_nodes()
+                if float(np.linalg.norm(n.frame.origin - p)) <= r}
+        assert scan <= {n.key for n in hits}
+
+
+def _keys_near(index, point, radius):
+    (hits,) = index.near([point], [radius])
+    return {n.key for n in hits
+            if n.status != "pruned" and float(np.linalg.norm(n.frame.origin - point)) <= radius}
+
+
+def test_index_sees_added_pruned_and_moved_nodes(seeded):
+    ig, model = seeded
+    fits = abstract_table(model)
+    index = CandidateIndex(ig, fits)
+    far = np.array([1e3, 1e3])
+
+    # a node inserted after the snapshot is still a candidate in this wave
+    added = ig.add_node("linseg", frame=Frame(far, np.diag([0.5, 0.0])), status="verified")
+    assert added.key in _keys_near(index, far, 1.0)
+
+    # next wave: a pruned node is gone from the snapshot
+    victim = ig.sorted_nodes()[0]
+    victim.status = "pruned"
+    index = CandidateIndex(ig, fits)
+    assert victim.key not in {n.key for n in index.nodes}
+    assert victim.key not in _keys_near(index, victim.frame.origin, 1e-6)
+
+    # relaxation replaces a frame; the next wave finds it at the new origin only
+    mover = ig.sorted_nodes()[1]
+    old = mover.frame.origin.copy()
+    moved = old + np.array([50.0, -50.0])
+    mover.frame = Frame(moved, mover.frame.axes.copy())
+    index = CandidateIndex(ig, fits)
+    assert mover.key in _keys_near(index, moved, 1e-6)
+    assert mover.key not in _keys_near(index, old, 1e-6)
