@@ -185,6 +185,32 @@ def contextual_relation_strain(rel: RelationSpec, mnode, frames,
     return relation_strain_projected(rel, mnode, frames, s_fail, group_frame)
 
 
+def relation_strains(mnode, rels, frames, s_fail: float, projected: bool,
+                     group_frame=None):
+    """Yield (rel, strain) for each relation of `rels` that can be scored.
+
+    A relation is scored when `relation_usable` accepts it for the viewing
+    mode and every operand has a frame in `frames` (a map from slot name to
+    frame); the others are skipped. A degenerate evaluation is charged as
+    infinite strain. Relations come out in the order of `rels`, so sums
+    over them keep their float order, and lazily, so a caller may stop at
+    the first failure without evaluating the rest.
+    """
+    for rel in rels:
+        if not relation_usable(rel, mnode, projected):
+            continue
+        try:
+            operand_frames = [frames[op] for op in rel.operands]
+        except KeyError:
+            continue
+        try:
+            s = contextual_relation_strain(rel, mnode, operand_frames, s_fail,
+                                           projected, group_frame)
+        except DegenerateFrameError:
+            s = math.inf
+        yield rel, s
+
+
 def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str) -> float:
     """How badly an observed frame sits in a predicted slot.
 
@@ -237,7 +263,7 @@ def _slot_predictor(ig, mnode, group_frame):
     3D; planar templates flatten to the view plane, which is exact for the
     planar substructures whose ratios survive affine projection.
     """
-    if getattr(ig, "projected", False) and group_frame.dim < mnode.frame_template.dim:
+    if ig.projected and group_frame.dim < mnode.frame_template.dim:
         T = frame_onto(_flatten_frame(mnode.frame_template), group_frame, _template_pinv(mnode, True))
         return lambda slot_frame: T.apply_frame(_flatten_frame(slot_frame))
     T = frame_onto(mnode.frame_template, group_frame, _template_pinv(mnode, False))
@@ -247,11 +273,11 @@ def _slot_predictor(ig, mnode, group_frame):
 def _group_slot_strains(ig, group, cfg, want_share=True):
     """Per-slot placement strain and relation-strain share for one group instance.
 
-    Returns (s_slot, share, matched) where both dicts are keyed by slot name
-    and matched maps slot name to the member image node. The share pass
-    walks every group relation; callers that only need placements (the
-    relaxation objective: member relations do not involve the group's own
-    frame) skip it with want_share=False.
+    Returns (s_slot, share, frames), all keyed by slot name, where frames
+    holds each realized slot's member frame. The share pass walks every
+    group relation; callers that only need placements (the relaxation
+    objective: member relations do not involve the group's own frame) skip
+    it with want_share=False.
     """
     model = ig.model
     mnode = model.node(group.model_type)
@@ -259,11 +285,12 @@ def _group_slot_strains(ig, group, cfg, want_share=True):
     for gm in ig.links_to(group.key, "group-member"):
         if gm.slot is not None and gm.slot not in matched:
             matched[gm.slot] = ig.nodes[gm.source]
+    frames = {name: member.frame for name, member in matched.items()}
     s_slot = {}
     try:
         predict = _slot_predictor(ig, mnode, group.frame)
     except DegenerateFrameError:
-        return {name: math.inf for name in matched}, {name: 0.0 for name in matched}, matched
+        return {name: math.inf for name in matched}, {name: 0.0 for name in matched}, frames
     for name, member in matched.items():
         slot = mnode.part(name)
         member_sym = model.node(member.model_type).symmetry_class
@@ -274,21 +301,12 @@ def _group_slot_strains(ig, group, cfg, want_share=True):
             s_slot[name] = math.inf
     share = {name: 0.0 for name in matched}
     if not want_share:
-        return s_slot, share, matched
-    projected = getattr(ig, "projected", False)
-    for rel in mnode.relations:
-        if not relation_usable(rel, mnode, projected):
-            continue
-        if all(op in matched for op in rel.operands):
-            frames = [matched[op].frame for op in rel.operands]
-            try:
-                s = contextual_relation_strain(rel, mnode, frames, cfg.s_fail,
-                                               projected, group.frame)
-            except DegenerateFrameError:
-                s = math.inf
-            for op in rel.operands:
-                share[op] += s / 2.0
-    return s_slot, share, matched
+        return s_slot, share, frames
+    for rel, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail,
+                                   ig.projected, group.frame):
+        for op in rel.operands:
+            share[op] += s / 2.0
+    return s_slot, share, frames
 
 
 def refresh_conditionals(ig, cfg: Config | None = None):
@@ -301,14 +319,14 @@ def refresh_conditionals(ig, cfg: Config | None = None):
         mnode = model.nodes.get(group.model_type)
         if mnode is None or not mnode.parts:
             continue
-        s_slot, share, matched = _group_slot_strains(ig, group, cfg)
+        s_slot, share, frames = _group_slot_strains(ig, group, cfg)
         for gm in ig.links_to(group.key, "group-member"):
-            if gm.slot not in matched:
+            if gm.slot not in frames:
                 continue
             gm.conditional = cond_probability(s_slot[gm.slot] + share[gm.slot])
             gm.residuals = {"placement": s_slot[gm.slot], "relations": share[gm.slot]}
         for po in ig.links_to(group.key, "part-of"):
-            if po.slot not in matched:
+            if po.slot not in frames:
                 continue
             po.conditional = cond_probability(share[po.slot])
             po.residuals = {"relations": share[po.slot]}
@@ -329,19 +347,8 @@ def refresh_conditionals(ig, cfg: Config | None = None):
                 continue
             total = 0.0
             residuals = {}
-            for rel in screens:
-                projected = getattr(ig, "projected", False)
-                if not relation_usable(rel, mnode, projected):
-                    continue
-                if not all(op in matched for op in rel.operands):
-                    continue
-                frames = [matched[op].frame for op in rel.operands]
-                try:
-                    s = contextual_relation_strain(rel, mnode, frames,
-                                                   cfg.s_fail, projected,
-                                                   group.frame)
-                except DegenerateFrameError:
-                    s = math.inf
+            for rel, s in relation_strains(mnode, screens, frames, cfg.s_fail,
+                                           ig.projected, group.frame):
                 total += s
                 residuals["{}({})".format(rel.function, ",".join(rel.operands))] = s
             sl.conditional = cond_probability(total)
@@ -750,24 +757,16 @@ def _local_strain(ig, node, cfg, smooth_only: bool = False) -> float:
             total += placement_strain(pred, node.frame, slot.elasticity, member_sym)
         except DegenerateFrameError:
             return math.inf
-        matched = {}
+        frames = {}
         for l in ig.links_to(group.key, "group-member"):
-            if l.slot is not None and l.slot not in matched:
-                matched[l.slot] = ig.nodes[l.source]
-        for rel in gnode.relations:
-            if smooth_only and rel.function not in _SMOOTH_RELATIONS:
-                continue
-            projected = getattr(ig, "projected", False)
-            if not relation_usable(rel, gnode, projected):
-                continue
-            if gm.slot in rel.operands and all(op in matched for op in rel.operands):
-                frames = [matched[op].frame for op in rel.operands]
-                try:
-                    total += contextual_relation_strain(rel, gnode, frames,
-                                                        cfg.s_fail, projected,
-                                                        group.frame)
-                except DegenerateFrameError:
-                    return math.inf
+            if l.slot is not None and l.slot not in frames:
+                frames[l.slot] = ig.nodes[l.source].frame
+        rels = [rel for rel in gnode.relations
+                if gm.slot in rel.operands
+                and not (smooth_only and rel.function not in _SMOOTH_RELATIONS)]
+        for _, s in relation_strains(gnode, rels, frames, cfg.s_fail,
+                                     ig.projected, group.frame):
+            total += s
     return total
 
 
@@ -780,20 +779,11 @@ def total_strain(ig, cfg: Config | None = None) -> float:
         mnode = model.nodes.get(group.model_type)
         if mnode is None or not mnode.parts:
             continue
-        s_slot, share, matched = _group_slot_strains(ig, group, cfg)
+        s_slot, _, frames = _group_slot_strains(ig, group, cfg, want_share=False)
         total += sum(s_slot.values())
-        for rel in mnode.relations:
-            projected = getattr(ig, "projected", False)
-            if not relation_usable(rel, mnode, projected):
-                continue
-            if all(op in matched for op in rel.operands):
-                frames = [matched[op].frame for op in rel.operands]
-                try:
-                    total += contextual_relation_strain(rel, mnode, frames,
-                                                        cfg.s_fail, projected,
-                                                        group.frame)
-                except DegenerateFrameError:
-                    total += math.inf
+        for _, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail,
+                                     ig.projected, group.frame):
+            total += s
     return total
 
 

@@ -1,23 +1,19 @@
-"""Runtime configuration: tunables, file loading, CLI override merging."""
+"""Runtime configuration: the recognizer's tunables and their validation."""
 
 from __future__ import annotations
 
 import dataclasses
-import json
-import os
 from dataclasses import dataclass
 
 from .errors import ConfigError
-
-ENV_VAR = "DUALGRAPH_CONFIG"
 
 
 @dataclass
 class Config:
     """All tunables in one flat namespace.
 
-    Every field has a working default; files and CLI flags override them
-    (flag > file > default).
+    Every field has a working default; `make_config` builds a validated
+    instance with overrides.
     """
 
     # belief
@@ -37,18 +33,6 @@ class Config:
     max_waves: int = 10             # hypothesis wave cap
     relax: bool = True              # run frame relaxation each wave
 
-    # learner
-    z_min: float = 3.0              # histogram significance threshold
-    f_min: float = 0.6              # scene fraction required to accept a candidate
-    n_min: int = 5                  # minimum cluster size for a specialization split
-    sep_min: float = 2.0            # required separation, in pooled stds
-    sigma_floor: float = 0.01       # elasticity floor, relative to the mean
-    max_rounds: int = 5             # learning round cap
-    bins: int = 20                  # histogram bin count
-
-    def copy(self, **overrides) -> "Config":
-        return dataclasses.replace(self, **overrides)
-
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 
@@ -66,13 +50,6 @@ _BOUNDS = {
     "screen_min": (0.0, 1.0, False, False),
     "gate_radius": (0.0, None, True, False),
     "max_waves": (1, None, False, False),
-    "z_min": (0.0, None, True, False),
-    "f_min": (0.0, 1.0, False, False),
-    "n_min": (2, None, False, False),
-    "sep_min": (0.0, None, True, False),
-    "sigma_floor": (0.0, None, True, False),
-    "max_rounds": (1, None, False, False),
-    "bins": (2, None, False, False),
 }
 
 
@@ -124,28 +101,3 @@ def make_config(base: Config | None = None, **overrides) -> Config:
     for key, value in values.items():
         _check_bounds(key, value)
     return Config(**values)
-
-
-def load_config_file(path: str) -> Config:
-    """Read a flat JSON object of config keys. Unknown keys are rejected."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config file {path} must hold a JSON object")
-    return make_config(**raw)
-
-
-def resolve_config(file_flag: str | None = None, **flag_overrides) -> Config:
-    """Apply the precedence chain: CLI flag > config file > built-in default.
-
-    The config file comes from `file_flag` if given, else from the
-    DUALGRAPH_CONFIG environment variable if set.
-    """
-    path = file_flag or os.environ.get(ENV_VAR)
-    cfg = load_config_file(path) if path else Config()
-    return make_config(cfg, **flag_overrides)

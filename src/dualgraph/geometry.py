@@ -575,9 +575,6 @@ class AffineMap:
         """The composition applying `other` first, then self."""
         return AffineMap(self.linear @ other.linear, self.linear @ other.offset + self.offset)
 
-    def apply_point(self, p) -> np.ndarray:
-        return self.linear @ np.asarray(p, float) + self.offset
-
     def apply_frame(self, f: Frame) -> Frame:
         return Frame(self.linear @ f.origin + self.offset, f.axes @ self.linear.T)
 

@@ -71,11 +71,16 @@ class ImageLink:
 
 
 class ImageGraph:
-    """Mutable recognition state for one scene."""
+    """Mutable recognition state for one scene.
 
-    def __init__(self, scene_id: str = "", model=None):
+    `projected` (a 3D model seen in a 2D scene through an affine camera) is
+    derived from the model and the node frames, and never serialized.
+    """
+
+    def __init__(self, scene_id: str = "", model=None, projected: bool = False):
         self.scene_id = scene_id
         self.model = model
+        self.projected = projected
         self.nodes: dict[tuple, ImageNode] = {}
         self.links: list[ImageLink] = []
         self._counters: dict[str, int] = {}
@@ -201,6 +206,8 @@ class ImageGraph:
                 if tuple(key) not in ig.nodes:
                     raise SceneFormatError(f"link references missing node {key}")
             ig.links.append(link)
+        dims = {n.frame.dim for n in ig.nodes.values()}
+        ig.projected = model is not None and model.dim == 3 and dims == {2}
         return ig
 
     @staticmethod

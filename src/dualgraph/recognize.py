@@ -23,12 +23,12 @@ import numpy as np
 from .belief import (
     bind_member,
     cond_probability,
-    contextual_relation_strain,
     group_weight,
     placement_strain,
     propagate,
     prune,
     refresh_conditionals,
+    relation_strains,
     relation_usable,
     relax_frames,
 )
@@ -67,8 +67,8 @@ def seed_image_graph(scene: Scene, model: ModelGraph | None = None,
                      cfg: Config | None = None) -> ImageGraph:
     """One verified node per scene primitive, frames canonicalized."""
     cfg = cfg or Config()
-    ig = ImageGraph(scene_id=scene.id, model=model)
-    ig.projected = bool(model is not None and model.dim == 3 and scene.dim == 2)
+    ig = ImageGraph(scene_id=scene.id, model=model,
+                    projected=model is not None and model.dim == 3 and scene.dim == 2)
     for i, prim in enumerate(scene.primitives):
         sym = "circle" if prim.kind == "circle" else "undirected-segment"
         if model is not None and prim.kind in model.nodes:
@@ -310,7 +310,7 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, midx: dict,
     must be a snapshot of the graph as it is now; one is taken when absent.
     """
     cfg = cfg or Config()
-    projected = getattr(ig, "projected", False)
+    projected = ig.projected
     if index is None:
         index = CandidateIndex(ig, abstract_table(model))
     fits = index.fits
@@ -326,15 +326,8 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, midx: dict,
                     continue
                 frames = {s1: ca.frame, s2: cb.frame}
                 score = 1.0
-                for rel in entry.screening:
-                    if not relation_usable(rel, mnode, projected):
-                        continue
-                    try:
-                        s = contextual_relation_strain(
-                            rel, mnode, [frames[op] for op in rel.operands],
-                            cfg.s_fail, projected)
-                    except DegenerateFrameError:
-                        s = math.inf
+                for _, s in relation_strains(mnode, entry.screening, frames,
+                                             cfg.s_fail, projected):
                     score *= cond_probability(min(s, 1e6))
                 if score < cfg.screen_min:
                     continue
@@ -452,17 +445,8 @@ def _drop_relation_offenders(ig, model, mnode, matched, cfg, projected,
     while True:
         frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
         worst = None
-        for rel in mnode.relations:
-            if not relation_usable(rel, mnode, projected):
-                continue
-            if not all(op in matched for op in rel.operands):
-                continue
-            try:
-                s = contextual_relation_strain(
-                    rel, mnode, [frames[op] for op in rel.operands],
-                    cfg.s_fail, projected, group_frame)
-            except DegenerateFrameError:
-                s = math.inf
+        for rel, s in relation_strains(mnode, mnode.relations, frames,
+                                       cfg.s_fail, projected, group_frame):
             if s > cfg.s_fail and (worst is None or s > worst[0]):
                 worst = (s, rel)
         if worst is None:
@@ -485,7 +469,7 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph,
     earlier in the same wave; one is taken when absent.
     """
     cfg = cfg or Config()
-    projected = getattr(ig, "projected", False)
+    projected = ig.projected
     mnode = model.node(h.group_type)
     if index is None:
         index = CandidateIndex(ig, abstract_table(model))
@@ -553,13 +537,8 @@ def _specialize(ig, model, group, matched, cfg, projected):
                 continue
             total = 0.0
             passed = True
-            for rel in usable:
-                try:
-                    s = contextual_relation_strain(
-                        rel, group_mnode, [frames[op] for op in rel.operands],
-                        cfg.s_fail, projected, group.frame)
-                except DegenerateFrameError:
-                    s = math.inf
+            for _, s in relation_strains(group_mnode, usable, frames, cfg.s_fail,
+                                         projected, group.frame):
                 if s > cfg.s_fail:
                     passed = False
                     break

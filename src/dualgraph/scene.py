@@ -180,11 +180,6 @@ def write_scene(scene: Scene) -> bytes:
     return (json.dumps(scene_to_json(scene), indent=2) + "\n").encode("utf-8")
 
 
-def write_scene_file(scene: Scene, path: str):
-    with open(path, "wb") as fh:
-        fh.write(write_scene(scene))
-
-
 # -- SVG rendering -------------------------------------------------------------
 
 
