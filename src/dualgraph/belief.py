@@ -244,15 +244,11 @@ def _flatten_frame(f: Frame) -> Frame:
 
 def _template_pinv(mnode, flat: bool) -> np.ndarray:
     """pinv of the node's template axes, cached on the node (templates never change)."""
-    cache = getattr(mnode, "_pinv_cache", None)
-    if cache is None:
-        cache = {}
-        mnode._pinv_cache = cache
-    p = cache.get(flat)
+    p = mnode.pinv_cache.get(flat)
     if p is None:
         src = _flatten_frame(mnode.frame_template) if flat else mnode.frame_template
         p = np.linalg.pinv(src.axes.T)
-        cache[flat] = p
+        mnode.pinv_cache[flat] = p
     return p
 
 
@@ -312,9 +308,7 @@ def _group_slot_strains(ig, group, cfg, want_share=True):
 def refresh_conditionals(ig, cfg: Config | None = None):
     """Re-derive every link conditional from the current frames."""
     cfg = cfg or Config()
-    model = ig.model
-    if model is None:
-        raise ValueError("image graph has no model attached")
+    model = ig.require_model()
     for group in sorted(ig.active_nodes(), key=lambda n: n.key):
         mnode = model.nodes.get(group.model_type)
         if mnode is None or not mnode.parts:
@@ -356,7 +350,7 @@ def refresh_conditionals(ig, cfg: Config | None = None):
     return ig
 
 
-def bind_member(ig, group_key, slot_name: str, member_key, cfg: Config | None = None):
+def bind_member(ig, group_key, slot_name: str, member_key):
     """Realize one slot of a group instance with the given member node.
 
     When the slot's declared type matches the member's type, one
@@ -476,22 +470,19 @@ def _upward_ranks(ig):
 def propagate(ig, new_nodes=None, cfg: Config | None = None, trace=None):
     """One wave of probability updates.
 
-    With `new_nodes` given (pass everything a verification just created), a
-    breadth-first wave flows outward from them: upward through part-of and
-    carrying group-member links immediately, downward (a group supporting
-    its members) through at most cfg.backward_depth hops, with shadow-node
-    refreshes free. Within each front nodes update supporters-first, and
-    each node updates at most once per wave. Without `new_nodes`, every
-    active node updates once in that same order (a global sweep).
+    A breadth-first wave flows outward from `new_nodes` (pass everything a
+    verification just created; None seeds it with every active node, a
+    global sweep): upward through part-of and carrying group-member links
+    immediately, downward (a group supporting its members) through at most
+    cfg.backward_depth hops, with shadow-node refreshes free. Within each
+    front nodes update supporters-first, and each node updates at most once
+    per wave.
     """
     cfg = cfg or Config()
     ranks = _upward_ranks(ig)
     order_key = lambda k: (ranks.get(k, 0), k)
     if new_nodes is None:
-        for node in sorted(ig.active_nodes(), key=lambda n: order_key(n.key)):
-            _update_node(ig, node.key, cfg, trace, 0)
-        return ig
-
+        new_nodes = ig.active_nodes()
     seeds = []
     for item in new_nodes:
         key = tuple(item.key) if hasattr(item, "key") else tuple(item)
@@ -803,8 +794,7 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
     the given node keys (incremental passes over freshly built groups).
     """
     cfg = cfg or Config()
-    if ig.model is None:
-        raise ValueError("image graph has no model attached")
+    ig.require_model()
     movable = [
         n
         for n in sorted(ig.active_nodes(), key=lambda n: n.key)

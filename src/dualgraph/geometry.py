@@ -670,21 +670,6 @@ def fit_similarity(model_pts: np.ndarray, image_pts: np.ndarray):
     return xform, residual
 
 
-def estimate_transform(model_pair, image_pair):
-    """Similarity from two frame correspondences via the four-point system:
-    each frame contributes its origin and its primary-axis endpoint.
-
-    Returns (SimilarityTransform, residual).
-    """
-    m1, m2 = model_pair
-    i1, i2 = image_pair
-    if np.linalg.norm(m1.origin - m2.origin) < 1e-12:
-        raise UnderConstrainedError("model origins coincide")
-    model_pts = [m1.origin, m1.origin + m1.primary_axis, m2.origin, m2.origin + m2.primary_axis]
-    image_pts = [i1.origin, i1.origin + i1.primary_axis, i2.origin, i2.origin + i2.primary_axis]
-    return fit_similarity(np.array(model_pts), np.array(image_pts))
-
-
 def fit_affine(model_pts: np.ndarray, image_pts: np.ndarray):
     """Minimum-norm least-squares affine map model -> image (any dims).
 
@@ -723,17 +708,4 @@ def project(camera: AffineCamera, f: Frame) -> Frame:
     for row, idx in enumerate(order):
         val = max(float(vals[idx]), 0.0)
         axes[row] = np.sqrt(val) * vecs[:, idx]
-    return Frame(origin, axes)
-
-
-def embed_frame(f: Frame, dim: int) -> Frame:
-    """Pad a lower-dimensional frame into `dim` coordinates (extra axes zero)."""
-    if f.dim == dim:
-        return f.copy()
-    if f.dim > dim:
-        raise DegenerateFrameError(f"cannot embed a {f.dim}D frame into {dim}D")
-    origin = np.zeros(dim)
-    origin[: f.dim] = f.origin
-    axes = np.zeros((dim, dim))
-    axes[: f.dim, : f.dim] = f.axes
     return Frame(origin, axes)

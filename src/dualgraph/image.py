@@ -105,8 +105,11 @@ class ImageGraph:
     def active_nodes(self) -> list[ImageNode]:
         return [n for n in self.nodes.values() if n.status != "pruned"]
 
-    def verified_nodes(self) -> list[ImageNode]:
-        return [n for n in self.nodes.values() if n.status == "verified"]
+    def require_model(self):
+        """The attached model graph; SceneFormatError when there is none."""
+        if self.model is None:
+            raise SceneFormatError("image graph has no model attached")
+        return self.model
 
     def links_from(self, key, kind: str | None = None) -> list[ImageLink]:
         key = tuple(key)
@@ -165,9 +168,11 @@ class ImageGraph:
 
     @staticmethod
     def from_json(obj: dict, model=None) -> "ImageGraph":
+        if not isinstance(obj, dict):
+            raise SceneFormatError("image graph must be a JSON object")
         ig = ImageGraph(obj.get("scene", ""), model=model)
-        for raw in obj.get("nodes", []):
-            try:
+        try:
+            for raw in obj.get("nodes", []):
                 node = ImageNode(
                     model_type=raw["type"],
                     instance=int(raw["instance"]),
@@ -179,16 +184,15 @@ class ImageGraph:
                     prim_index=raw.get("prim"),
                     spec_slot=raw.get("spec_slot"),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SceneFormatError(f"bad image-graph node: {exc}") from exc
-            if node.status not in NODE_STATUSES:
-                raise SceneFormatError(f"unknown node status {node.status!r}")
-            ig.nodes[node.key] = node
-            ig._counters[node.model_type] = max(
-                ig._counters.get(node.model_type, 0), node.instance
-            )
-        for raw in obj.get("links", []):
-            try:
+                if not isinstance(node.model_type, str):
+                    raise SceneFormatError(f"node type must be a name, got {node.model_type!r}")
+                if node.status not in NODE_STATUSES:
+                    raise SceneFormatError(f"unknown node status {node.status!r}")
+                ig.nodes[node.key] = node
+                ig._counters[node.model_type] = max(
+                    ig._counters.get(node.model_type, 0), node.instance
+                )
+            for raw in obj.get("links", []):
                 link = ImageLink(
                     kind=raw["kind"],
                     source=tuple(raw["from"]),
@@ -198,14 +202,15 @@ class ImageGraph:
                     carries_up=bool(raw.get("carries_up", True)),
                     residuals=dict(raw.get("residuals", {})),
                 )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SceneFormatError(f"bad image-graph link: {exc}") from exc
-            if link.kind not in LINK_KINDS:
-                raise SceneFormatError(f"unknown link kind {link.kind!r}")
-            for key in (link.source, link.target):
-                if tuple(key) not in ig.nodes:
-                    raise SceneFormatError(f"link references missing node {key}")
-            ig.links.append(link)
+                if link.kind not in LINK_KINDS:
+                    raise SceneFormatError(f"unknown link kind {link.kind!r}")
+                for key in (link.source, link.target):
+                    if key not in ig.nodes:
+                        raise SceneFormatError(f"link references missing node {key}")
+                ig.links.append(link)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            # a field of the wrong JSON type or shape, or an unhashable node key
+            raise SceneFormatError(f"bad image graph: {exc!r}") from exc
         dims = {n.frame.dim for n in ig.nodes.values()}
         ig.projected = model is not None and model.dim == 3 and dims == {2}
         return ig

@@ -52,17 +52,17 @@ class RelationSpec:
         if function not in RELATION_FUNCTIONS:
             raise ModelFormatError(f"{where}: unknown relation function {function!r}")
         *operands, target, tol = row[1:]
-        if len(operands) != 2:
-            raise ModelFormatError(f"{where}: {function} takes 2 operands, got {len(operands)}")
+        if len(operands) != 2 or not all(isinstance(op, str) for op in operands):
+            raise ModelFormatError(f"{where}: {function} takes 2 part names, got {operands!r}")
         if function in BOOLEAN_RELATIONS:
             if not isinstance(target, bool):
                 raise ModelFormatError(f"{where}: {function} target must be a boolean")
         elif function == "pose":
             target = np.asarray(target, dtype=float)
-        elif isinstance(target, bool) or not isinstance(target, (int, float)):
-            raise ModelFormatError(f"{where}: {function} target must be a number")
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or tol <= 0:
-            raise ModelFormatError(f"{where}: tolerance must be a positive number")
+        elif isinstance(target, bool) or not isinstance(target, (int, float)) or not np.isfinite(target):
+            raise ModelFormatError(f"{where}: {function} target must be a finite number")
+        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < np.inf:
+            raise ModelFormatError(f"{where}: tolerance must be a positive finite number")
         return RelationSpec(function, tuple(operands), target, float(tol))
 
 
@@ -98,10 +98,12 @@ class PartLink:
 
     @staticmethod
     def from_json(obj, where: str) -> "PartLink":
-        if not isinstance(obj, dict) or "name" not in obj:
+        if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
             raise ModelFormatError(f"{where}: part entry needs a name, got {obj!r}")
         name = obj["name"]
         type_name = obj.get("type", name)
+        if not isinstance(type_name, str) or not isinstance(obj.get("variant"), (str, type(None))):
+            raise ModelFormatError(f"{where}: type and variant of part {name!r} must be names")
         if "frame" not in obj:
             raise ModelFormatError(f"{where}: part {name!r} has no frame")
         frame = Frame.from_json(obj["frame"])
@@ -115,8 +117,8 @@ class PartLink:
         else:
             raise ModelFormatError(f"{where}: bad multiplicity {mult!r} on part {name!r}")
         elasticity = tuple(obj.get("elasticity", DEFAULT_ELASTICITY))
-        if len(elasticity) != 3 or any(e <= 0 for e in elasticity):
-            raise ModelFormatError(f"{where}: elasticity must be 3 positive numbers on {name!r}")
+        if len(elasticity) != 3 or any(not 0 < e < np.inf for e in elasticity):
+            raise ModelFormatError(f"{where}: elasticity must be 3 positive finite numbers on {name!r}")
         return PartLink(
             name=name,
             type_name=type_name,
@@ -149,8 +151,9 @@ class ModelNode:
     higher_loa: list = field(default_factory=list)
     groups: list = field(default_factory=list)
     specialize_relations: dict = field(default_factory=dict)
-    midx: list = field(default_factory=list)
     builtin: bool = False
+    # pinv of the template axes by `flat`; filled lazily by belief._template_pinv
+    pinv_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def part(self, slot_name: str) -> PartLink:
         for link in self.parts:
@@ -164,9 +167,20 @@ class ModelNode:
 
 @dataclass
 class ModelGraph:
+    """Model nodes by type name, plus two lookup tables derived from them.
+
+    `_finish`, which `load_model` and `builtin_library` both end with, fills
+    the tables once, after the links are completed and validated: `abstract`
+    maps every type name to `abstract_types(name)`, and `midx` is the
+    `build_midx` index from abstract part-type pairs to group hypotheses.
+    Recognition reads both and never rebuilds them.
+    """
+
     nodes: dict
     root: str
     dim: int = 2
+    midx: dict = field(default_factory=dict, compare=False, repr=False)
+    abstract: dict = field(default_factory=dict, compare=False, repr=False)
 
     def node(self, type_name: str) -> ModelNode:
         return self.nodes[type_name]
@@ -197,10 +211,6 @@ class ModelGraph:
             else:
                 stack.extend(node.higher_loa)
         return frozenset(result)
-
-    def is_primitive(self, type_name: str) -> bool:
-        node = self.nodes.get(type_name)
-        return node is not None and node.builtin and not node.parts
 
 
 def _complete_links(g: ModelGraph) -> None:
@@ -324,8 +334,14 @@ def validate(g: ModelGraph) -> list:
     return violations
 
 
+def _names(value, where: str) -> list:
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ModelFormatError(f"{where}: expected a list of type names, got {value!r}")
+    return list(value)
+
+
 def _node_from_json(obj, dim: int) -> ModelNode:
-    if not isinstance(obj, dict) or "type" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("type"), str):
         raise ModelFormatError(f"node entry needs a type, got {obj!r}")
     name = obj["type"]
     where = f"node {name}"
@@ -346,8 +362,8 @@ def _node_from_json(obj, dim: int) -> ModelNode:
         symmetry_class=symmetry,
         parts=parts,
         relations=relations,
-        lower_loa=list(obj.get("lower_loa", [])),
-        higher_loa=list(obj.get("higher_loa", [])),
+        lower_loa=_names(obj.get("lower_loa", []), where),
+        higher_loa=_names(obj.get("higher_loa", []), where),
         specialize_relations=specialize,
         builtin=bool(obj.get("builtin", False)),
     )
@@ -358,27 +374,37 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or bytes in no JSON encoding
             raise ModelFormatError(f"model file is not valid JSON: {exc}", path=path) from exc
     else:
         doc = data
     if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:
         raise ModelFormatError("model document needs top-level 'root' and 'nodes'", path=path)
-    dim = int(doc.get("dim", 2))
+    dim = doc.get("dim", 2)
     if dim not in (2, 3):
-        raise ModelFormatError(f"model dim must be 2 or 3, got {dim}", path=path)
+        raise ModelFormatError(f"model dim must be 2 or 3, got {dim!r}", path=path)
+    dim = int(dim)
     nodes = {}
-    for obj in doc["nodes"]:
-        node = _node_from_json(obj, dim)
-        if node.type_name in nodes:
-            raise ModelFormatError(f"duplicate node type {node.type_name!r}", path=path)
-        nodes[node.type_name] = node
-    g = ModelGraph(nodes=nodes, root=doc["root"], dim=dim)
+    try:
+        for obj in doc["nodes"]:
+            node = _node_from_json(obj, dim)
+            if node.type_name in nodes:
+                raise ModelFormatError(f"duplicate node type {node.type_name!r}", path=path)
+            nodes[node.type_name] = node
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        # a field of the wrong JSON type or shape: frames, numbers, lists, maps
+        raise ModelFormatError(f"malformed model document: {exc!r}", path=path) from exc
+    return _finish(ModelGraph(nodes=nodes, root=doc["root"], dim=dim))
+
+
+def _finish(g: ModelGraph) -> ModelGraph:
+    """Complete the one-sided links, validate, and fill the lookup tables."""
     _complete_links(g)
     violations = validate(g)
     if violations:
         raise ModelValidationError(violations)
-    build_midx(g)
+    g.abstract = {name: g.abstract_types(name) for name in g.nodes}
+    g.midx = build_midx(g)
     return g
 
 
@@ -426,7 +452,6 @@ def build_midx(g: ModelGraph) -> dict:
     """
     index = {}
     for node in g.sorted_nodes():
-        node.midx = []
         if not node.parts:
             continue
         names = node.slot_names()
@@ -445,7 +470,6 @@ def build_midx(g: ModelGraph) -> dict:
                         key = tuple(sorted((abs_a, abs_b)))
                         entry = MidxEntry(key=key, hypothesis=node.type_name,
                                           slots=(slot_a, slot_b), screening=screening)
-                        node.midx.append(entry)
                         index.setdefault(key, []).append(entry)
     for key in index:
         index[key].sort(key=lambda e: (e.hypothesis, e.slots))
@@ -560,10 +584,4 @@ def builtin_library() -> ModelGraph:
         "circle_pair", _planar_frame([0, 0, 0], [0.65, 0, 0], [0, 0.15, 0]), "rectangle",
         parts=pair_parts, relations=pair_relations, builtin=True)
 
-    g = ModelGraph(nodes=nodes, root="top", dim=3)
-    _complete_links(g)
-    violations = validate(g)
-    if violations:
-        raise ModelValidationError(violations)
-    build_midx(g)
-    return g
+    return _finish(ModelGraph(nodes=nodes, root="top", dim=3))

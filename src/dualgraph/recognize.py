@@ -44,7 +44,7 @@ from .geometry import (
     unambiguous_axes,
 )
 from .image import ImageGraph
-from .model import ModelGraph, build_midx, midx_lookup
+from .model import ModelGraph, midx_lookup
 from .scene import Scene
 
 
@@ -220,13 +220,11 @@ class CandidateIndex:
     one contiguous array, taken once the graph has settled (after relax and
     prune). Frames and statuses only change between waves, and nodes are
     never removed from `ig.nodes`, so within a wave the snapshot stays valid
-    and nodes inserted after it are exactly the tail of `ig.nodes`. `fits`
-    is the per-run table of `ModelGraph.abstract_types` by type name.
+    and nodes inserted after it are exactly the tail of `ig.nodes`.
     """
 
-    def __init__(self, ig: ImageGraph, fits: dict):
+    def __init__(self, ig: ImageGraph):
         self.ig = ig
-        self.fits = fits
         self.nodes = [n for n in ig.sorted_nodes()
                       if n.spec_slot is None and n.status != "pruned"]
         self._seen = len(ig.nodes)
@@ -262,11 +260,6 @@ def _distance(p, q) -> float:
     return math.sqrt(float(diff.dot(diff)))
 
 
-def abstract_table(model: ModelGraph) -> dict:
-    """`abstract_types` of every model type, built once per recognition run."""
-    return {name: model.abstract_types(name) for name in model.nodes}
-
-
 # -- hypothesis generation ----------------------------------------------------------
 
 
@@ -299,24 +292,20 @@ def _clue_pairs(index: CandidateIndex, frontier, gate_radius: float) -> list:
     return out
 
 
-def generate_hypotheses(ig: ImageGraph, model: ModelGraph, midx: dict,
-                        frontier, cfg: Config | None = None,
-                        index: CandidateIndex | None = None) -> list:
+def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config,
+                        index: CandidateIndex) -> list:
     """Pairs with a frontier member and close origins suggest groups.
 
     Keeps, per (group type, clue pair), the best-screening slot assignment
     with its fitted transform; a screening score is the product of the
     screening-relation conditionals and must reach cfg.screen_min. `index`
-    must be a snapshot of the graph as it is now; one is taken when absent.
+    must be a snapshot of the graph as it is now.
     """
-    cfg = cfg or Config()
     projected = ig.projected
-    if index is None:
-        index = CandidateIndex(ig, abstract_table(model))
-    fits = index.fits
+    fits = model.abstract
     best: dict = {}
     for a, b in _clue_pairs(index, frontier, cfg.gate_radius):
-        for entry in midx_lookup(midx, a.model_type, b.model_type):
+        for entry in midx_lookup(model.midx, a.model_type, b.model_type):
             mnode = model.node(entry.hypothesis)
             s1, s2 = entry.slots
             fits1 = fits.get(mnode.part(s1).type_name, frozenset())
@@ -370,7 +359,7 @@ def _match_slots(index, model, mnode, transform, cfg, projected, strain_gate=Tru
     candidates = []
     for (slot, pred), hits in zip(live, near):
         scale = pred.primary_length
-        fits = index.fits.get(slot.type_name, frozenset())
+        fits = model.abstract.get(slot.type_name, frozenset())
         for node in hits:
             if node.status == "pruned" or node.spec_slot is not None:
                 continue
@@ -438,8 +427,7 @@ def _match_score(matched, strains):
     return (0, -sum(len(v) for v in matched.values()), total)
 
 
-def _drop_relation_offenders(ig, model, mnode, matched, cfg, projected,
-                             group_frame=None):
+def _drop_relation_offenders(ig, mnode, matched, cfg, projected, group_frame=None):
     """Relations worse than s_fail fail the group outright when every
     operand is essential; otherwise the optional offender is unbound."""
     while True:
@@ -459,20 +447,17 @@ def _drop_relation_offenders(ig, model, mnode, matched, cfg, projected,
         matched.pop(sorted(optional)[0])
 
 
-def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph,
-           cfg: Config | None = None, index: CandidateIndex | None = None):
+def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
+           index: CandidateIndex):
     """Top-down confirmation of one hypothesis.
 
     Success creates the group node, its member bundles, and any passing
     specialization instances, and returns the list of created nodes.
     Failure creates nothing and returns None. `index` is a snapshot taken
-    earlier in the same wave; one is taken when absent.
+    earlier in the same wave.
     """
-    cfg = cfg or Config()
     projected = ig.projected
     mnode = model.node(h.group_type)
-    if index is None:
-        index = CandidateIndex(ig, abstract_table(model))
 
     matched, strains = _match_slots(index, model, mnode, h.transform, cfg,
                                     projected, strain_gate=True)
@@ -494,8 +479,7 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph,
             frame = transform.apply_frame(mnode.frame_template)
     except DegenerateFrameError:
         return None
-    matched = _drop_relation_offenders(ig, model, mnode, matched, cfg, projected,
-                                       frame)
+    matched = _drop_relation_offenders(ig, mnode, matched, cfg, projected, frame)
     if matched is None:
         return None
 
@@ -511,7 +495,7 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph,
     created = [group]
     for name in sorted(matched):
         for key in matched[name]:
-            shadow = bind_member(ig, group.key, name, key, cfg)
+            shadow = bind_member(ig, group.key, name, key)
             if shadow is not None:
                 created.append(shadow)
     created.extend(_specialize(ig, model, group, matched, cfg, projected))
@@ -557,23 +541,20 @@ def _specialize(ig, model, group, matched, cfg, projected):
 # -- driver -------------------------------------------------------------------------
 
 
-def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None,
-              trace=None) -> ImageGraph:
+def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> ImageGraph:
     """Build the image graph for a scene: seed, then hypothesize/verify waves
     with belief settling in between, until a wave adds nothing."""
     cfg = cfg or Config()
     if scene.dim == 3 and model.dim == 2:
         raise SceneFormatError("cannot explain a 3D scene with a flat model")
     ig = seed_image_graph(scene, model, cfg)
-    midx = build_midx(model)
-    fits = abstract_table(model)
     frontier = list(ig.sorted_nodes())
     attempted: set = set()
     for _ in range(cfg.max_waves):
         if not frontier:
             break
-        index = CandidateIndex(ig, fits)
-        hypotheses = generate_hypotheses(ig, model, midx, frontier, cfg, index)
+        index = CandidateIndex(ig)
+        hypotheses = generate_hypotheses(ig, model, frontier, cfg, index)
         fresh = []
         for h in hypotheses:
             key = (h.group_type, frozenset((h.clue_a, h.clue_b)))
@@ -589,11 +570,11 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None,
         if not fresh:
             break
         refresh_conditionals(ig, cfg)
-        propagate(ig, fresh, cfg, trace=trace)
+        propagate(ig, fresh, cfg)
         if cfg.relax:
             relax_frames(ig, cfg, only={n.key for n in fresh})
             refresh_conditionals(ig, cfg)
-            propagate(ig, fresh, cfg, trace=trace)
+            propagate(ig, fresh, cfg)
         prune(ig, cfg)
         frontier = [ig.nodes[n.key] for n in fresh
                     if ig.nodes[n.key].status != "pruned"]

@@ -117,12 +117,10 @@ def _parse_primitive(obj, dim, where) -> Primitive:
 
 def parse_scene(data) -> Scene:
     """Parse a scene document (bytes, text, or an already-decoded dict)."""
-    if isinstance(data, (bytes, bytearray)):
-        data = data.decode("utf-8")
-    if isinstance(data, str):
+    if isinstance(data, (bytes, bytearray, str)):
         try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
+            data = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
+        except ValueError as exc:  # JSONDecodeError or UnicodeDecodeError
             raise SceneFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SceneFormatError("scene document must be a JSON object")

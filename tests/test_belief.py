@@ -61,7 +61,7 @@ def realize(ig, model, type_name, base, cfg, optionals=True):
             _slot_map(slot.frame, model.node(slot.type_name).frame_template)
         ).then(climb)
         member = realize(ig, model, sub.type_name, member_map, cfg, optionals)
-        bind_member(ig, group.key, slot.name, member.key, cfg)
+        bind_member(ig, group.key, slot.name, member.key)
     return group
 
 
@@ -176,7 +176,7 @@ def test_support_monotonicity_optional_part(cfg):
         _slot_map(slot.frame, model.node(slot.type_name).frame_template)
     ).then(climb)
     member = realize(ig, model, sub.type_name, member_map, cfg)
-    bind_member(ig, face.key, "ear_1", member.key, cfg)
+    bind_member(ig, face.key, "ear_1", member.key)
     refresh_conditionals(ig, cfg)
     propagate(ig, [member], cfg)
     assert face.probability > before + 1e-6
@@ -260,7 +260,7 @@ def two_claim_graph(cfg, c_left=0.8, c_right=0.3):
     shift = AffineMap(np.eye(3), np.array([5.0, 0.0, 0.0]))
     right = realize(ig, model, "rectangle", shift, cfg)
     member = next(n for n in ig.nodes.values() if n.is_primitive)
-    extra = bind_member(ig, right.key, "side2", member.key, cfg)
+    extra = bind_member(ig, right.key, "side2", member.key)
     refresh_conditionals(ig, cfg)
     for l in ig.links_to(left.key, "group-member"):
         if l.source == member.key:

@@ -1,0 +1,131 @@
+"""Public entry points reject malformed input with a DualGraphError subclass,
+never a raw TypeError, ValueError, KeyError or decoding error."""
+
+import copy
+import json
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dualgraph.belief import refresh_conditionals, relax_frames
+from dualgraph.errors import DualGraphError, ModelFormatError, SceneFormatError
+from dualgraph.generate import GeneratorSpec, generate_scenes
+from dualgraph.image import ImageGraph
+from dualgraph.model import fixture_path, load_model, load_model_file
+from dualgraph.recognize import recognize
+from dualgraph.scene import parse_scene, write_scene
+
+FRAME = {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}
+PART = {"name": "p", "type": "b", "frame": FRAME}
+
+
+def _model(**fields):
+    """A valid model document, but for `fields` set on its group type "a"."""
+    group = {"type": "a", "frame": FRAME, "parts": [PART, dict(PART, name="q")]}
+    return {"root": "a", "nodes": [{"type": "b", "frame": FRAME}, {**group, **fields}]}
+
+
+NAN = float("nan")
+CASES = [
+    ("scene-bytes", parse_scene, b"\xff\xfe\x00", SceneFormatError),
+    ("model-bytes", load_model, b"\xff\xfe\x00", ModelFormatError),
+    ("model-dim", load_model, {"root": "a", "nodes": [], "dim": "x"}, ModelFormatError),
+    ("model-nodes", load_model, {"root": "a", "nodes": 3}, ModelFormatError),
+    ("model-frame", load_model, _model(frame={}), ModelFormatError),
+    ("model-loa", load_model, _model(lower_loa=[[]]), ModelFormatError),
+    ("model-part-type", load_model, _model(parts=[dict(PART, type=1.5)]), ModelFormatError),
+    ("model-elasticity", load_model, _model(parts=[dict(PART, elasticity=[0.25, NAN, 0.25])]),
+     ModelFormatError),
+    ("model-tolerance", load_model, _model(relations=[["size-ratio", "p", "q", 1.0, NAN]]),
+     ModelFormatError),
+    ("graph-nodes", ImageGraph.from_json, {"nodes": 3}, SceneFormatError),
+    ("graph-list", ImageGraph.from_json, [], SceneFormatError),
+    ("graph-link-key", ImageGraph.from_json,
+     {"nodes": [], "links": [{"kind": "part-of", "from": [[]], "to": []}]}, SceneFormatError),
+    ("refresh", refresh_conditionals, ImageGraph(), SceneFormatError),
+    ("relax", relax_frames, ImageGraph(), SceneFormatError),
+]
+
+
+def test_the_model_case_base_is_valid():
+    assert load_model(_model()).midx == {}
+    assert load_model(_model(relations=[["size-ratio", "p", "q", 1.0, 0.1]])).midx
+
+
+@pytest.mark.parametrize("entry, arg, error", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
+def test_malformed_input_raises_a_package_error(entry, arg, error):
+    with pytest.raises(error):
+        entry(arg)
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def mutated(draw, doc):
+    """A deep copy of `doc` with one to three subtrees replaced or deleted."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while (isinstance(node, (dict, list)) and node
+               and (parent is None or draw(st.integers(0, 4)) > 0)):
+            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
+                                       else range(len(node))))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
+            del parent[key]
+        else:
+            parent[key] = draw(json_values)
+    return doc
+
+
+FIXTURES = {name: json.loads(Path(fixture_path(name)).read_bytes())
+            for name in ("face.json", "truck.json", "truck_flat.json")}
+MODEL = load_model_file(fixture_path("face.json"))
+(SCENE,) = generate_scenes(GeneratorSpec(MODEL, "face", jitter=0.0, n_distractors=2, seed=1))
+SCENE_DOC = json.loads(write_scene(SCENE))
+GRAPH_DOC = recognize(SCENE, MODEL).to_json()
+FUZZ = settings(max_examples=300, deadline=None)
+
+
+def _rejects_cleanly(entry, arg):
+    try:
+        entry(arg)
+    except DualGraphError:
+        pass
+
+
+@FUZZ
+@given(st.one_of(json_values, st.binary(), mutated(SCENE_DOC)))
+def test_parse_scene_raises_only_package_errors(arg):
+    _rejects_cleanly(parse_scene, arg)
+
+
+@FUZZ
+@given(st.one_of(json_values, st.binary(),
+                 st.sampled_from(sorted(FIXTURES)).flatmap(lambda n: mutated(FIXTURES[n]))))
+def test_load_model_raises_only_package_errors(arg):
+    _rejects_cleanly(load_model, arg)
+
+
+@FUZZ
+@given(st.one_of(json_values, mutated(GRAPH_DOC)))
+def test_image_graph_from_json_raises_only_package_errors(arg):
+    _rejects_cleanly(lambda obj: ImageGraph.from_json(obj, MODEL), arg)
+
+
+@FUZZ
+@given(st.one_of(st.binary(), mutated(GRAPH_DOC).map(lambda d: json.dumps(d).encode())))
+def test_image_graph_from_bytes_raises_only_package_errors(arg):
+    _rejects_cleanly(lambda blob: ImageGraph.from_bytes(blob, MODEL), arg)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from dualgraph.errors import (
     ArityError,
     DegenerateFrameError,
-    UnderConstrainedError,
 )
 from dualgraph.geometry import (
     AffineCamera,
@@ -19,8 +18,6 @@ from dualgraph.geometry import (
     angle_between,
     boundary_distance,
     canonicalize_frame,
-    embed_frame,
-    estimate_transform,
     eval_relation,
     fit_affine,
     fit_similarity,
@@ -338,69 +335,6 @@ def test_segment_distance_matches_active_set(pair):
 
 # -- transforms ---------------------------------------------------------------
 
-def test_estimate_transform_exact_similarity(rng):
-    theta = 0.7
-    rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-    s = 1.7
-    t = np.array([2.0, -1.0])
-    m1 = random_frame(rng, 2)
-    m2 = random_frame(rng, 2)
-
-    def move(f):
-        return Frame(s * (rot @ f.origin) + t, s * (f.axes @ rot.T))
-
-    xform, residual = estimate_transform([m1, m2], [move(m1), move(m2)])
-    assert residual == pytest.approx(0.0, abs=1e-9)
-    assert xform.scale == pytest.approx(s)
-    assert np.allclose(xform.rotation, rot, atol=1e-9)
-    assert np.allclose(xform.translation, t, atol=1e-9)
-
-
-def _similarity_lsq_oracle(model_pts, image_pts):
-    """Independent 2D fit: x' = a x - b y + tx, y' = b x + a y + ty."""
-    rows = []
-    rhs = []
-    for (x, y), (xp, yp) in zip(model_pts, image_pts):
-        rows.append([x, -y, 1.0, 0.0])
-        rhs.append(xp)
-        rows.append([y, x, 0.0, 1.0])
-        rhs.append(yp)
-    sol, res2, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    fitted = np.array(rows) @ sol
-    return float(np.sqrt(((fitted - np.array(rhs)) ** 2).sum()))
-
-
-def test_estimate_transform_residual_matches_lsq_oracle(rng):
-    for _ in range(20):
-        m1 = random_frame(rng, 2)
-        m2 = random_frame(rng, 2)
-        theta = rng.uniform(0, 2 * np.pi)
-        rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        s = rng.uniform(0.5, 2.0)
-        t = rng.uniform(-3, 3, 2)
-
-        def move(f):
-            return Frame(s * (rot @ f.origin) + t, s * (f.axes @ rot.T))
-
-        i1, i2 = move(m1), move(m2)
-        # jitter the image origins by 0.01
-        i1 = Frame(i1.origin + rng.normal(0, 0.01, 2), i1.axes)
-        i2 = Frame(i2.origin + rng.normal(0, 0.01, 2), i2.axes)
-        xform, residual = estimate_transform([m1, m2], [i1, i2])
-
-        model_pts = [m1.origin, m1.origin + m1.primary_axis, m2.origin, m2.origin + m2.primary_axis]
-        image_pts = [i1.origin, i1.origin + i1.primary_axis, i2.origin, i2.origin + i2.primary_axis]
-        oracle = _similarity_lsq_oracle(model_pts, image_pts)
-        assert residual == pytest.approx(oracle, abs=1e-9)
-
-
-def test_estimate_transform_coincident_origins_error():
-    a = Frame([0.0, 0.0], np.diag([1.0, 0.5]))
-    b = Frame([0.0, 0.0], np.diag([2.0, 1.0]))
-    with pytest.raises(UnderConstrainedError):
-        estimate_transform([a, a], [b, b])
-
-
 def test_fit_similarity_three_dimensional(rng):
     rot = random_rotation(rng, 3)
     s = 1.3
@@ -496,13 +430,3 @@ def test_project_orthogonal_case_exact():
     proj = project(cam, rect)
     assert np.allclose(proj.origin, [0.5, -0.5])
     assert sorted(proj.lengths) == pytest.approx([1.0, 2.0])
-
-
-def test_embed_frame_pads_with_zeros():
-    f = Frame([1.0, 2.0], np.diag([2.0, 1.0]))
-    g = embed_frame(f, 3)
-    assert g.dim == 3
-    assert np.allclose(g.origin, [1.0, 2.0, 0.0])
-    assert np.allclose(g.axes[2], 0.0)
-    with pytest.raises(DegenerateFrameError):
-        embed_frame(g, 2)

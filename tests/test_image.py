@@ -58,7 +58,6 @@ def test_node_lookup_and_filters():
     assert len(ig.active_nodes()) == 4
     a.status = "pruned"
     assert len(ig.active_nodes()) == 3
-    assert all(n.status == "verified" for n in ig.verified_nodes())
 
 
 def test_is_primitive_flag():

@@ -206,6 +206,13 @@ def test_empty_midx_for_partless_graph():
     assert build_midx(g) == {}
 
 
+@pytest.mark.parametrize("source", ["face.json", "truck.json", "truck_flat.json", "builtin"])
+def test_load_fills_the_lookup_tables(source):
+    g = builtin_library() if source == "builtin" else load_model_file(fixture_path(source))
+    assert g.midx and g.midx == build_midx(g)
+    assert g.abstract == {name: g.abstract_types(name) for name in g.nodes}
+
+
 # -- builtin library -----------------------------------------------------------
 
 def test_builtin_library_validates():

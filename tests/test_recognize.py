@@ -4,16 +4,17 @@ import itertools
 import numpy as np
 import pytest
 
+import dualgraph.model
+import dualgraph.recognize
 from dualgraph.belief import refresh_conditionals
 from dualgraph.config import Config
 from dualgraph.generate import GeneratorSpec, generate_scenes
 from dualgraph.geometry import Frame
 from dualgraph.image import ImageGraph
-from dualgraph.model import fixture_path, load_model_file
+from dualgraph.model import ModelGraph, fixture_path, load_model_file
 from dualgraph.recognize import (
     CandidateIndex,
     _clue_pairs,
-    abstract_table,
     recognize,
     seed_image_graph,
 )
@@ -58,6 +59,26 @@ def test_recognize_output_is_byte_identical(fixture, target, jitter, distractors
     assert bool(hits) == found
 
 
+def test_recognize_reads_the_model_tables_without_rebuilding(monkeypatch):
+    scene, model = _scene("face.json", "face", 0.0, seed=5)
+    calls = []
+    abstract_types = ModelGraph.abstract_types
+    build_midx = dualgraph.model.build_midx
+
+    def count(name, fn):
+        def wrapper(*args, **kw):
+            calls.append(name)
+            return fn(*args, **kw)
+        return wrapper
+
+    monkeypatch.setattr(ModelGraph, "abstract_types", count("abstract_types", abstract_types))
+    for module in (dualgraph.model, dualgraph.recognize):
+        monkeypatch.setattr(module, "build_midx", count("build_midx", build_midx), raising=False)
+    ig = recognize(scene, model)
+    assert any(n.model_type == "face" for n in ig.nodes.values())
+    assert calls == []
+
+
 def test_reloaded_projected_graph_refreshes_like_the_original():
     scene, model = _scene("truck.json", "truck1", 0.0, seed=5, distractors=0, camera="random")
     ig = recognize(scene, model)
@@ -71,12 +92,11 @@ def test_reloaded_projected_graph_refreshes_like_the_original():
 @pytest.fixture
 def seeded():
     scene, model = _scene("face.json", "face", 0.0, seed=5)
-    ig = seed_image_graph(scene, model)
-    return ig, model
+    return seed_image_graph(scene, model)
 
 
 def test_clue_pairs_match_combinations_walk(seeded):
-    ig, model = seeded
+    ig = seeded
     cfg = Config()
     nodes = ig.sorted_nodes()
     frontier = nodes[::3]
@@ -88,15 +108,15 @@ def test_clue_pairs_match_combinations_walk(seeded):
         reach = cfg.gate_radius * max(a.frame.primary_length, b.frame.primary_length)
         if float(np.linalg.norm(a.frame.origin - b.frame.origin)) <= reach:
             expected.append((a.key, b.key))
-    index = CandidateIndex(ig, abstract_table(model))
+    index = CandidateIndex(ig)
     got = [(a.key, b.key) for a, b in _clue_pairs(index, frontier, cfg.gate_radius)]
     assert got == expected
     assert len(expected) > len(frontier)
 
 
 def test_near_returns_every_node_within_radius(seeded):
-    ig, model = seeded
-    index = CandidateIndex(ig, abstract_table(model))
+    ig = seeded
+    index = CandidateIndex(ig)
     rng = np.random.default_rng(3)
     points = rng.uniform(index.origins.min(axis=0), index.origins.max(axis=0), size=(20, 2))
     radii = rng.uniform(0.05, 1.0, size=20) * index.lengths.max()
@@ -113,9 +133,8 @@ def _keys_near(index, point, radius):
 
 
 def test_index_sees_added_pruned_and_moved_nodes(seeded):
-    ig, model = seeded
-    fits = abstract_table(model)
-    index = CandidateIndex(ig, fits)
+    ig = seeded
+    index = CandidateIndex(ig)
     far = np.array([1e3, 1e3])
 
     # a node inserted after the snapshot is still a candidate in this wave
@@ -125,7 +144,7 @@ def test_index_sees_added_pruned_and_moved_nodes(seeded):
     # next wave: a pruned node is gone from the snapshot
     victim = ig.sorted_nodes()[0]
     victim.status = "pruned"
-    index = CandidateIndex(ig, fits)
+    index = CandidateIndex(ig)
     assert victim.key not in {n.key for n in index.nodes}
     assert victim.key not in _keys_near(index, victim.frame.origin, 1e-6)
 
@@ -134,6 +153,6 @@ def test_index_sees_added_pruned_and_moved_nodes(seeded):
     old = mover.frame.origin.copy()
     moved = old + np.array([50.0, -50.0])
     mover.frame = Frame(moved, mover.frame.axes.copy())
-    index = CandidateIndex(ig, fits)
+    index = CandidateIndex(ig)
     assert mover.key in _keys_near(index, moved, 1e-6)
     assert mover.key not in _keys_near(index, old, 1e-6)
