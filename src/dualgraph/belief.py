@@ -403,7 +403,7 @@ def _update_node(ig, key, cfg, trace, wave):
     if node.is_primitive and node.strength > 0:
         num += cfg.p0 * node.strength
         supported = True
-    for l in ig.links:
+    for l in ig.incident(key):
         if l.source == key:
             if l.kind == "group-member":
                 target = ig.nodes[l.target]
@@ -450,7 +450,7 @@ def _upward_ranks(ig):
             return 0
         stack_guard.add(key)
         deps = []
-        for l in ig.links:
+        for l in ig.incident(key):
             if l.target == key and (
                 l.kind == "part-of" or (l.kind == "group-member" and l.carries_up)
             ):
@@ -502,7 +502,7 @@ def propagate(ig, new_nodes=None, cfg: Config | None = None, trace=None):
             visited.add(key)
             _update_node(ig, key, cfg, trace, wave)
             d = depth[key]
-            for l in ig.links:
+            for l in ig.incident(key):
                 if l.source == key:
                     if l.kind == "part-of" or (l.kind == "group-member" and l.carries_up):
                         _offer(offers, depth, l.target, d)
@@ -544,8 +544,8 @@ def _bundle_links(ig, link):
                     group_key = po.target
                     slot = po.slot
     if group_key is not None and slot is not None:
-        for l in ig.links:
-            if l.target == group_key and l.slot == slot and l.kind in ("group-member", "part-of"):
+        for l in ig.links_to(group_key):
+            if l.slot == slot and l.kind in ("group-member", "part-of"):
                 doomed[id(l)] = l
                 if l.kind == "part-of":
                     src = ig.nodes.get(l.source)
@@ -554,25 +554,6 @@ def _bundle_links(ig, link):
                         for sl in ig.links_from(src.key, "specializes"):
                             doomed[id(sl)] = sl
     return list(doomed.values()), spec_nodes
-
-
-def _remove_link_set(ig, links, pruned_keys):
-    removed = []
-    queue = list(links)
-    while queue:
-        link = queue.pop()
-        if link not in ig.links:
-            continue
-        bundle, spec_nodes = _bundle_links(ig, link)
-        removed += ig.remove_links(bundle)
-        for spec in spec_nodes:
-            if spec.status != "pruned":
-                spec.status = "pruned"
-                pruned_keys.append(spec.key)
-                queue.extend(
-                    l for l in ig.links if spec.key in (l.source, l.target)
-                )
-    return removed
 
 
 def prune(ig, cfg: Config | None = None):
@@ -587,7 +568,7 @@ def prune(ig, cfg: Config | None = None):
     removed: list = []
 
     weak = [l for l in ig.links if l.conditional < cfg.link_threshold]
-    removed += _remove_link_set(ig, weak, pruned_keys)
+    _cut_links(ig, weak, pruned_keys, removed)
 
     claims: dict = {}
     for l in ig.links:
@@ -599,26 +580,33 @@ def prune(ig, cfg: Config | None = None):
             continue
         best = max(l.conditional for l in ls)
         losers += [l for l in ls if l.conditional < best * cfg.competition_ratio]
-    removed += _remove_link_set(ig, losers, pruned_keys)
+    _cut_links(ig, losers, pruned_keys, removed)
 
     for node in sorted(ig.active_nodes(), key=lambda n: n.key):
-        if node.status != "pruned" and node.probability < cfg.drop_threshold:
+        if node.probability < cfg.drop_threshold:
             _prune_node(ig, node, pruned_keys, removed)
 
     return pruned_keys, removed
 
 
+def _cut_links(ig, links, pruned_keys, removed):
+    """Cut each live link, last first, with its slot bundle; prune the shadows it names."""
+    for link in reversed(links):
+        if link not in ig.incident(link.source):
+            continue
+        bundle, spec_nodes = _bundle_links(ig, link)
+        removed += ig.remove_links(bundle)
+        for spec in spec_nodes:
+            _prune_node(ig, spec, pruned_keys, removed)
+
+
 def _prune_node(ig, node, pruned_keys, removed):
+    """Mark `node` pruned and cut its links; its shadows fall with them."""
     if node.status == "pruned":
         return
     node.status = "pruned"
     pruned_keys.append(node.key)
-    for l in list(ig.links_to(node.key, "specializes")):
-        shadow = ig.nodes.get(l.source)
-        if shadow is not None:
-            _prune_node(ig, shadow, pruned_keys, removed)
-    incident = [l for l in ig.links if node.key in (l.source, l.target)]
-    removed += _remove_link_set(ig, incident, pruned_keys)
+    _cut_links(ig, list(ig.incident(node.key)), pruned_keys, removed)
 
 
 # -- relaxation --------------------------------------------------------------------

@@ -26,6 +26,7 @@ Serialized form (sorted, reproducible):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import SceneFormatError
@@ -59,7 +60,7 @@ class ImageNode:
         return f"{self.model_type}#{self.instance}"
 
 
-@dataclass
+@dataclass(eq=False)
 class ImageLink:
     kind: str
     source: tuple
@@ -70,8 +71,26 @@ class ImageLink:
     residuals: dict = field(default_factory=dict)
 
 
+def _check_node_values(node: ImageNode):
+    if not 0.0 <= node.probability <= 1.0:
+        raise SceneFormatError(f"node p must lie in [0, 1], got {node.probability!r}")
+    for name, value in (("strength", node.strength), ("weight", node.template_weight)):
+        if not 0.0 <= value < math.inf:
+            raise SceneFormatError(f"node {name} must be finite and >= 0, got {value!r}")
+    prim = node.prim_index
+    if prim is not None and (type(prim) is not int or prim < 0):
+        raise SceneFormatError(f"node prim must be an index >= 0, got {prim!r}")
+    if node.spec_slot is not None and not isinstance(node.spec_slot, str):
+        raise SceneFormatError(f"node spec_slot must be a name, got {node.spec_slot!r}")
+
+
 class ImageGraph:
     """Mutable recognition state for one scene.
+
+    Links enter and leave only through `add_link` and `remove_links`, which
+    keep `links` and one incidence list per node in step. `incident(key)`
+    keeps the order links were added: `propagate` sums a node's supporters
+    in that order, so its floating-point sums are bit-stable.
 
     `projected` (a 3D model seen in a 2D scene through an affine camera) is
     derived from the model and the node frames, and never serialized.
@@ -83,6 +102,7 @@ class ImageGraph:
         self.projected = projected
         self.nodes: dict[tuple, ImageNode] = {}
         self.links: list[ImageLink] = []
+        self._incident: dict[tuple, list[ImageLink]] = {}
         self._counters: dict[str, int] = {}
 
     def add_node(self, model_type: str, frame: Frame, **kw) -> ImageNode:
@@ -97,6 +117,8 @@ class ImageGraph:
             raise ValueError(f"unknown link kind {kind!r}")
         link = ImageLink(kind, tuple(source), tuple(target), **kw)
         self.links.append(link)
+        for key in {link.source, link.target}:
+            self._incident.setdefault(key, []).append(link)
         return link
 
     def node(self, key) -> ImageNode:
@@ -111,18 +133,24 @@ class ImageGraph:
             raise SceneFormatError("image graph has no model attached")
         return self.model
 
+    def incident(self, key) -> list[ImageLink]:
+        """Links from or to `key`, in the order added; read-only."""
+        return self._incident.get(tuple(key), [])
+
     def links_from(self, key, kind: str | None = None) -> list[ImageLink]:
         key = tuple(key)
-        return [l for l in self.links if l.source == key and (kind is None or l.kind == kind)]
+        return [l for l in self.incident(key) if l.source == key and kind in (None, l.kind)]
 
     def links_to(self, key, kind: str | None = None) -> list[ImageLink]:
         key = tuple(key)
-        return [l for l in self.links if l.target == key and (kind is None or l.kind == kind)]
+        return [l for l in self.incident(key) if l.target == key and kind in (None, l.kind)]
 
     def remove_links(self, doomed) -> list[ImageLink]:
         doomed = set(id(l) for l in doomed)
         removed = [l for l in self.links if id(l) in doomed]
         self.links = [l for l in self.links if id(l) not in doomed]
+        for key in {k for l in removed for k in (l.source, l.target)}:
+            self._incident[key] = [l for l in self._incident[key] if id(l) not in doomed]
         return removed
 
     def sorted_nodes(self) -> list[ImageNode]:
@@ -188,28 +216,26 @@ class ImageGraph:
                     raise SceneFormatError(f"node type must be a name, got {node.model_type!r}")
                 if node.status not in NODE_STATUSES:
                     raise SceneFormatError(f"unknown node status {node.status!r}")
+                _check_node_values(node)
                 ig.nodes[node.key] = node
                 ig._counters[node.model_type] = max(
                     ig._counters.get(node.model_type, 0), node.instance
                 )
             for raw in obj.get("links", []):
-                link = ImageLink(
-                    kind=raw["kind"],
-                    source=tuple(raw["from"]),
-                    target=tuple(raw["to"]),
+                ends = tuple(raw["from"]), tuple(raw["to"])
+                for key in ends:
+                    if key not in ig.nodes:
+                        raise SceneFormatError(f"link references missing node {key}")
+                ig.add_link(
+                    raw["kind"], *ends,
                     conditional=float(raw.get("conditional", 1.0)),
                     slot=raw.get("slot"),
                     carries_up=bool(raw.get("carries_up", True)),
                     residuals=dict(raw.get("residuals", {})),
                 )
-                if link.kind not in LINK_KINDS:
-                    raise SceneFormatError(f"unknown link kind {link.kind!r}")
-                for key in (link.source, link.target):
-                    if key not in ig.nodes:
-                        raise SceneFormatError(f"link references missing node {key}")
-                ig.links.append(link)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            # a field of the wrong JSON type or shape, or an unhashable node key
+            # a field of the wrong JSON type or shape, an unhashable node key,
+            # or an unknown link kind (add_link's ValueError)
             raise SceneFormatError(f"bad image graph: {exc!r}") from exc
         dims = {n.frame.dim for n in ig.nodes.values()}
         ig.projected = model is not None and model.dim == 3 and dims == {2}

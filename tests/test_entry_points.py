@@ -27,6 +27,13 @@ def _model(**fields):
     return {"root": "a", "nodes": [{"type": "b", "frame": FRAME}, {**group, **fields}]}
 
 
+def _graph(**fields):
+    """A valid one-node image graph document, but for `fields` set on the node."""
+    node = {"type": "linseg", "instance": 1, "frame": FRAME, "p": 0.5, "status": "verified",
+            "weight": 1.0, "strength": 1.0, "prim": 0}
+    return {"scene": "s", "nodes": [{**node, **fields}], "links": []}
+
+
 NAN = float("nan")
 CASES = [
     ("scene-bytes", parse_scene, b"\xff\xfe\x00", SceneFormatError),
@@ -44,6 +51,17 @@ CASES = [
     ("graph-list", ImageGraph.from_json, [], SceneFormatError),
     ("graph-link-key", ImageGraph.from_json,
      {"nodes": [], "links": [{"kind": "part-of", "from": [[]], "to": []}]}, SceneFormatError),
+    ("graph-p-nan", ImageGraph.from_json, _graph(p=NAN), SceneFormatError),
+    ("graph-p-above-one", ImageGraph.from_json, _graph(p=1.5), SceneFormatError),
+    ("graph-strength-negative", ImageGraph.from_json, _graph(strength=-5), SceneFormatError),
+    ("graph-strength-nan", ImageGraph.from_json, _graph(strength=NAN), SceneFormatError),
+    ("graph-weight-inf", ImageGraph.from_json, _graph(weight=float("inf")), SceneFormatError),
+    ("graph-weight-negative", ImageGraph.from_json, _graph(weight=-1.0), SceneFormatError),
+    ("graph-prim-list", ImageGraph.from_json, _graph(prim=[]), SceneFormatError),
+    ("graph-prim-bool", ImageGraph.from_json, _graph(prim=True), SceneFormatError),
+    ("graph-prim-negative", ImageGraph.from_json, _graph(prim=-1), SceneFormatError),
+    ("graph-prim-float", ImageGraph.from_json, _graph(prim=1.0), SceneFormatError),
+    ("graph-spec-slot", ImageGraph.from_json, _graph(spec_slot=3), SceneFormatError),
     ("refresh", refresh_conditionals, ImageGraph(), SceneFormatError),
     ("relax", relax_frames, ImageGraph(), SceneFormatError),
 ]
@@ -52,6 +70,11 @@ CASES = [
 def test_the_model_case_base_is_valid():
     assert load_model(_model()).midx == {}
     assert load_model(_model(relations=[["size-ratio", "p", "q", 1.0, 0.1]])).midx
+
+
+def test_the_graph_case_base_is_valid():
+    node = ImageGraph.from_json(_graph(spec_slot="side1")).node(("linseg", 1))
+    assert node.prim_index == 0 and node.probability == 0.5 and node.spec_slot == "side1"
 
 
 @pytest.mark.parametrize("entry, arg, error", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualgraph.errors import SceneFormatError
 from dualgraph.geometry import Frame
-from dualgraph.image import ImageGraph
+from dualgraph.image import LINK_KINDS, ImageGraph
 
 
 def seg_frame(x0, y0, x1, y1):
@@ -136,3 +138,41 @@ def test_from_json_rejects_bad_kind():
     doc["links"][0]["kind"] = "sibling"
     with pytest.raises(SceneFormatError):
         ImageGraph.from_json(doc)
+
+
+def assert_index_matches_links(ig):
+    """Every per-node query equals a brute-force filter of `ig.links`, in order."""
+    for key in ig.nodes:
+        assert ig.incident(key) == [l for l in ig.links if key in (l.source, l.target)]
+        for kind in (None, *LINK_KINDS):
+            assert ig.links_from(key, kind) == [
+                l for l in ig.links if l.source == key and kind in (None, l.kind)]
+            assert ig.links_to(key, kind) == [
+                l for l in ig.links if l.target == key and kind in (None, l.kind)]
+
+
+ADD = st.tuples(st.just("add"), st.sampled_from(LINK_KINDS), st.integers(0, 3),
+                st.integers(0, 3), st.sampled_from([None, "side1", "side2"]))
+# indices into every link ever added, so removed links are offered again
+REMOVE = st.tuples(st.just("remove"), st.lists(st.integers(0, 40), max_size=4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(ADD, REMOVE), max_size=30))
+def test_link_index_follows_adds_removes_and_reload(ops):
+    ig = ImageGraph(scene_id="store")
+    keys = [ig.add_node("linseg", frame=seg_frame(i, 0, i + 1, 0)).key for i in range(4)]
+    added = []
+    for op in ops:
+        if op[0] == "add":
+            _, kind, i, j, slot = op
+            added.append(ig.add_link(kind, keys[i], keys[j], slot=slot))
+        elif added:
+            doomed = [added[i % len(added)] for i in op[1]]
+            live = {id(l) for l in ig.links}
+            gone = ig.remove_links(doomed)
+            assert {id(l) for l in gone} == {id(l) for l in doomed} & live
+        assert_index_matches_links(ig)
+    again = ImageGraph.from_bytes(ig.to_bytes())
+    assert again.to_bytes() == ig.to_bytes()
+    assert_index_matches_links(again)

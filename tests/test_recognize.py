@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from dualgraph.recognize import (
     recognize,
     seed_image_graph,
 )
+from dualgraph.scene import Scene
 
 
 def _scene(fixture, target, jitter, seed, distractors=32, camera=None):
@@ -46,6 +48,12 @@ GOLDEN = [
 ]
 
 
+def assert_no_link_to_a_pruned_node(ig):
+    for l in ig.links:
+        assert ig.nodes[l.source].status != "pruned", l
+        assert ig.nodes[l.target].status != "pruned", l
+
+
 @pytest.mark.parametrize("fixture, target, jitter, distractors, camera, found, digest", GOLDEN,
                          ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[-1]}" for c in GOLDEN])
 def test_recognize_output_is_byte_identical(fixture, target, jitter, distractors, camera,
@@ -54,9 +62,49 @@ def test_recognize_output_is_byte_identical(fixture, target, jitter, distractors
                           camera=camera)
     ig = recognize(scene, model)
     assert hashlib.sha256(ig.to_bytes()).hexdigest() == digest
+    assert_no_link_to_a_pruned_node(ig)
     hits = [n for n in ig.nodes.values()
             if n.model_type == target and n.status != "pruned" and n.probability >= 0.5]
     assert bool(hits) == found
+
+
+def _tiled_scene(fixture, target, copies, jitter, seed):
+    """`copies` generated scenes, each centred, on a square grid whose pitch
+    is 2.5 times the largest copy span, so no two copies overlap; only the
+    first two coordinates move."""
+    model = load_model_file(fixture_path(fixture))
+    spec = GeneratorSpec(model, target, n_scenes=copies, jitter=jitter, seed=seed)
+    scenes = generate_scenes(spec)
+    boxes = []
+    for s in scenes:
+        pts = np.vstack([p.points() for p in s.primitives])
+        boxes.append((pts.min(axis=0), pts.max(axis=0)))
+    pitch = 2.5 * max(float(np.max(hi[:2] - lo[:2])) for lo, hi in boxes)
+    cols = int(np.ceil(np.sqrt(copies)))
+    prims = []
+    for i, (s, (lo, hi)) in enumerate(zip(scenes, boxes)):
+        offset = np.zeros_like(lo)
+        offset[:2] = -(lo[:2] + hi[:2]) / 2.0 + pitch * np.array([i % cols, i // cols])
+        prims += [replace(p, p1=p.p1 + offset, p2=p.p2 + offset) if p.kind == "linseg"
+                  else replace(p, center=p.center + offset) for p in s.primitives]
+    return Scene(dim=scenes[0].dim, primitives=prims, id=f"tiled-{target}-{seed}"), model
+
+
+# Four separated truck_flat copies: competing claims between neighbouring
+# groups and prune cascades through shadow nodes, which the single-object
+# scenes above barely reach. Recorded before link storage moved into a
+# per-node index.
+TILED_DIGEST = "1933ad6b6fe3d6d47003d6d0a1ca972a8ec016d8641ec53dda3793fc58fc6a27"
+
+
+def test_tiled_copies_are_byte_identical_and_each_found():
+    scene, model = _tiled_scene("truck_flat.json", "truck1", copies=4, jitter=0.03, seed=5)
+    ig = recognize(scene, model)
+    assert hashlib.sha256(ig.to_bytes()).hexdigest() == TILED_DIGEST
+    assert_no_link_to_a_pruned_node(ig)
+    hits = [n for n in ig.nodes.values()
+            if n.model_type == "truck1" and n.status != "pruned" and n.probability >= 0.5]
+    assert len(hits) == 4
 
 
 def test_recognize_reads_the_model_tables_without_rebuilding(monkeypatch):
