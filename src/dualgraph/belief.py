@@ -252,18 +252,71 @@ def _template_pinv(mnode, flat: bool) -> np.ndarray:
     return p
 
 
-def _slot_predictor(ig, mnode, group_frame):
-    """Map from a slot's template frame to its predicted scene placement.
+class _GroupSlots:
+    """A group's realized slots, gathered so they can be placed under any
+    frame of the group.
 
+    `members` maps each realized slot to its member node (the first
+    group-member link per slot) and `frames` to that member's frame;
+    `placed` holds per slot its template frame, the member's frame, the slot
+    elasticity and the member's symmetry class.
     In projected mode the group instance lives in 2D while the template is
     3D; planar templates flatten to the view plane, which is exact for the
-    planar substructures whose ratios survive affine projection.
+    planar substructures whose ratios survive affine projection. A template
+    or slot frame that degenerates when flattened is None and costs infinite
+    strain.
     """
-    if ig.projected and group_frame.dim < mnode.frame_template.dim:
-        T = frame_onto(_flatten_frame(mnode.frame_template), group_frame, _template_pinv(mnode, True))
-        return lambda slot_frame: T.apply_frame(_flatten_frame(slot_frame))
-    T = frame_onto(mnode.frame_template, group_frame, _template_pinv(mnode, False))
-    return T.apply_frame
+
+    def __init__(self, ig, group):
+        model = ig.model
+        self.mnode = mnode = model.node(group.model_type)
+        self.members = {}
+        for gm in ig.links_to(group.key, "group-member"):
+            if gm.slot is not None and gm.slot not in self.members:
+                self.members[gm.slot] = ig.nodes[gm.source]
+        self.frames = {name: member.frame for name, member in self.members.items()}
+        self.flat = ig.projected and group.frame.dim < mnode.frame_template.dim
+        try:
+            self.template = _flatten_frame(mnode.frame_template) if self.flat else mnode.frame_template
+            self.pinv = _template_pinv(mnode, self.flat)
+        except DegenerateFrameError:
+            self.template = None
+        self.placed = [
+            (name, self.slot_frame(name), member.frame, mnode.part(name).elasticity,
+             model.node(member.model_type).symmetry_class)
+            for name, member in self.members.items()
+        ]
+
+    def slot_frame(self, name: str) -> Frame | None:
+        frame = self.mnode.part(name).frame
+        if not self.flat:
+            return frame
+        try:
+            return _flatten_frame(frame)
+        except DegenerateFrameError:
+            return None
+
+    def predictions(self, group_frame: Frame, slot_frames) -> list:
+        """Scene placements of `slot_frames` for the given group frame, each
+        None where the template, the slot frame or the mapped frame degenerates."""
+        if self.template is None:
+            return [None] * len(slot_frames)
+        T = frame_onto(self.template, group_frame, self.pinv)
+        preds = []
+        for src in slot_frames:
+            try:
+                preds.append(None if src is None else T.apply_frame(src))
+            except DegenerateFrameError:
+                preds.append(None)
+        return preds
+
+    def placement_strains(self, group_frame: Frame) -> dict:
+        """Placement strain of every realized slot by name, for the given group frame."""
+        preds = self.predictions(group_frame, [src for _, src, *_ in self.placed])
+        return {
+            name: math.inf if pred is None else placement_strain(pred, obs, elasticity, sym)
+            for pred, (name, _, obs, elasticity, sym) in zip(preds, self.placed)
+        }
 
 
 def _group_slot_strains(ig, group, cfg, want_share=True):
@@ -271,38 +324,19 @@ def _group_slot_strains(ig, group, cfg, want_share=True):
 
     Returns (s_slot, share, frames), all keyed by slot name, where frames
     holds each realized slot's member frame. The share pass walks every
-    group relation; callers that only need placements (the relaxation
-    objective: member relations do not involve the group's own frame) skip
-    it with want_share=False.
+    group relation; callers that only need placements skip it with
+    want_share=False.
     """
-    model = ig.model
-    mnode = model.node(group.model_type)
-    matched = {}
-    for gm in ig.links_to(group.key, "group-member"):
-        if gm.slot is not None and gm.slot not in matched:
-            matched[gm.slot] = ig.nodes[gm.source]
-    frames = {name: member.frame for name, member in matched.items()}
-    s_slot = {}
-    try:
-        predict = _slot_predictor(ig, mnode, group.frame)
-    except DegenerateFrameError:
-        return {name: math.inf for name in matched}, {name: 0.0 for name in matched}, frames
-    for name, member in matched.items():
-        slot = mnode.part(name)
-        member_sym = model.node(member.model_type).symmetry_class
-        try:
-            pred = predict(slot.frame)
-            s_slot[name] = placement_strain(pred, member.frame, slot.elasticity, member_sym)
-        except DegenerateFrameError:
-            s_slot[name] = math.inf
-    share = {name: 0.0 for name in matched}
-    if not want_share:
-        return s_slot, share, frames
-    for rel, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail,
+    slots = _GroupSlots(ig, group)
+    share = {name: 0.0 for name in slots.members}
+    s_slot = slots.placement_strains(group.frame)
+    if not want_share or slots.template is None:
+        return s_slot, share, slots.frames
+    for rel, s in relation_strains(slots.mnode, slots.mnode.relations, slots.frames, cfg.s_fail,
                                    ig.projected, group.frame):
         for op in rel.operands:
             share[op] += s / 2.0
-    return s_slot, share, frames
+    return s_slot, share, slots.frames
 
 
 def refresh_conditionals(ig, cfg: Config | None = None):
@@ -667,21 +701,26 @@ class FrameParams:
     rotation vector in 3D) applied to the starting axis directions, and the
     log of each nonzero axis length. Zero axes stay zero, so planar frames
     embedded in 3D keep their rank.
+
+    `decode` keeps the rotated axis directions of its last call and reuses
+    them when the rotation parameters have the same bits, as they do for
+    every finite-difference step along an origin or length coordinate. The
+    test is on bits, not values (0.0 == -0.0), so a reused rotation is always
+    the one these exact parameters would build.
     """
 
     def __init__(self, frame: Frame):
-        self.frame0 = frame.copy()
+        # frames are never mutated in place, so the start needs no copy
+        self.frame0 = frame
         self.dim = frame.dim
         lengths = frame.lengths
         self.active = [i for i in range(self.dim) if lengths[i] > 0]
         self.units = np.zeros((self.dim, self.dim))
         for i in self.active:
             self.units[i] = frame.axes[i] / lengths[i]
-        if self.dim == 2 and len(self.active) == 2:
-            u0, u1 = self.units[self.active[0]], self.units[self.active[1]]
-            self.hand = 1.0 if (u0[0] * u1[1] - u0[1] * u1[0]) > 0 else -1.0
-        else:
-            self.hand = 1.0
+        self._rot_end = 3 if self.dim == 2 else 6
+        self._rot_key = None
+        self._rotated = None
 
     def encode(self) -> np.ndarray:
         f = self.frame0
@@ -692,17 +731,20 @@ class FrameParams:
     def decode(self, x) -> Frame:
         x = np.asarray(x, float)
         origin = x[: self.dim]
-        if self.dim == 2:
-            theta = float(x[2])
-            c, s = math.cos(theta), math.sin(theta)
-            rot = np.array([[c, -s], [s, c]])
-            rest = x[3:]
-        else:
-            rot = Rotation.from_rotvec(x[3:6]).as_matrix()
-            rest = x[6:]
+        key = x[self.dim:self._rot_end].tobytes()
+        if key != self._rot_key:
+            if self.dim == 2:
+                theta = float(x[2])
+                c, s = math.cos(theta), math.sin(theta)
+                rot = np.array([[c, -s], [s, c]])
+            else:
+                rot = Rotation.from_rotvec(x[3:6]).as_matrix()
+            self._rotated = [rot @ self.units[i] for i in self.active]
+            self._rot_key = key
+        rest = x[self._rot_end:]
         axes = np.zeros((self.dim, self.dim))
         for j, i in enumerate(self.active):
-            axes[i] = math.exp(float(rest[j])) * (rot @ self.units[i])
+            axes[i] = math.exp(float(rest[j])) * self._rotated[j]
         return Frame(origin, axes)
 
 
@@ -711,42 +753,54 @@ class FrameParams:
 _SMOOTH_RELATIONS = frozenset(SCALAR_RELATIONS) | {"pose"}
 
 
-def _local_strain(ig, node, cfg, smooth_only: bool = False) -> float:
-    """Strain terms touching one node's frame: its slots, its memberships,
-    and the relations its memberships take part in.
+class _LocalStrain:
+    """Strain terms touching one node's frame, as a function of that frame:
+    its slots, its memberships, and the relations its memberships take part
+    in. `local(frame, smooth_only)` scores the node as if it sat at `frame`.
 
-    smooth_only drops the boolean relations, leaving the differentiable
-    part a gradient can work with.
+    Only the node's own frame is an argument; everything else the terms read
+    is gathered at construction and must not change while the object is in
+    use: the node's slot members with their frames, and for each live parent
+    group its predicted frame for the node's slot, the other members' frames
+    and the relations on that slot. smooth_only drops the boolean relations,
+    leaving the differentiable part a gradient can work with.
     """
-    model = ig.model
-    total = 0.0
-    mnode = model.nodes.get(node.model_type)
-    if mnode is not None and mnode.parts:
-        s_slot, _, _ = _group_slot_strains(ig, node, cfg, want_share=False)
-        total += sum(s_slot.values())
-    for gm in ig.links_from(node.key, "group-member"):
-        group = ig.nodes[gm.target]
-        if group.status == "pruned":
-            continue
-        gnode = model.node(group.model_type)
-        slot = gnode.part(gm.slot)
-        member_sym = model.node(node.model_type).symmetry_class
-        try:
-            pred = _slot_predictor(ig, gnode, group.frame)(slot.frame)
-            total += placement_strain(pred, node.frame, slot.elasticity, member_sym)
-        except DegenerateFrameError:
-            return math.inf
-        frames = {}
-        for l in ig.links_to(group.key, "group-member"):
-            if l.slot is not None and l.slot not in frames:
-                frames[l.slot] = ig.nodes[l.source].frame
-        rels = [rel for rel in gnode.relations
-                if gm.slot in rel.operands
-                and not (smooth_only and rel.function not in _SMOOTH_RELATIONS)]
-        for _, s in relation_strains(gnode, rels, frames, cfg.s_fail,
-                                     ig.projected, group.frame):
-            total += s
-    return total
+
+    def __init__(self, ig, node, cfg):
+        model = ig.model
+        self.s_fail = cfg.s_fail
+        self.projected = ig.projected
+        mnode = model.nodes.get(node.model_type)
+        self.own = _GroupSlots(ig, node) if mnode is not None and mnode.parts else None
+        self.parents = []
+        for gm in ig.links_from(node.key, "group-member"):
+            group = ig.nodes[gm.target]
+            if group.status == "pruned":
+                continue
+            slots = _GroupSlots(ig, group)
+            gnode = slots.mnode
+            (pred,) = slots.predictions(group.frame, [slots.slot_frame(gm.slot)])
+            moving = [name for name, member in slots.members.items() if member is node]
+            rels = [rel for rel in gnode.relations if gm.slot in rel.operands]
+            smooth = [rel for rel in rels if rel.function in _SMOOTH_RELATIONS]
+            self.parents.append((pred, gnode.part(gm.slot).elasticity,
+                                 model.node(node.model_type).symmetry_class,
+                                 gnode, group.frame, slots.frames, moving, rels, smooth))
+
+    def __call__(self, frame: Frame, smooth_only: bool = False) -> float:
+        total = 0.0
+        if self.own is not None:
+            total += sum(self.own.placement_strains(frame).values())
+        for pred, elasticity, sym, gnode, group_frame, frames, moving, rels, smooth in self.parents:
+            if pred is None:
+                return math.inf
+            total += placement_strain(pred, frame, elasticity, sym)
+            if moving:
+                frames = {**frames, **dict.fromkeys(moving, frame)}
+            for _, s in relation_strains(gnode, smooth if smooth_only else rels, frames,
+                                         self.s_fail, self.projected, group_frame):
+                total += s
+        return total
 
 
 def total_strain(ig, cfg: Config | None = None) -> float:
@@ -780,6 +834,13 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
     sweep could not improve is skipped on later sweeps until some
     neighbor's move raises it again. `only` restricts the movable set to
     the given node keys (incremental passes over freshly built groups).
+
+    Each block step moves one node, and its local strain is built once for
+    the step (`_LocalStrain`): the members, predictions and relation lists
+    it reads depend only on the other nodes' frames and on the links, and
+    neither changes until the step ends. A step only sets the node's frame
+    once it is done. Evaluations then run the same float operations in the
+    same order as reading the whole graph each time would.
     """
     cfg = cfg or Config()
     ig.require_model()
@@ -798,17 +859,17 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
         moved = False
         for node in movable:
             params = FrameParams(node.frame)
+            local = _LocalStrain(ig, node, cfg)
 
-            def objective(x, node=node, params=params, smooth=False):
+            def objective(x, params=params, local=local, smooth=False):
                 try:
-                    node.frame = params.decode(x)
+                    frame = params.decode(x)
                 except DegenerateFrameError:
                     return math.inf
-                return _local_strain(ig, node, cfg, smooth_only=smooth)
+                return local(frame, smooth)
 
             x0 = params.encode()
             f0 = objective(x0)
-            node.frame = params.frame0
             if not math.isfinite(f0):
                 continue
             floor = settled.get(node.key)
@@ -826,7 +887,6 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
                 node.frame = params.decode(x)
             else:
                 f1 = f0
-                node.frame = params.frame0
             settled[node.key] = f1
             if f0 - f1 >= cfg.eps:
                 moved = True

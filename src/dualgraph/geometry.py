@@ -40,6 +40,15 @@ _ORTHO_TOL = 1e-9
 class Frame:
     """Oriented placement: origin plus orthogonal axes (rows), lengths = half-extents.
 
+    Construction checks that the origin is a 2- or 3-vector, that `axes` is
+    square of the same size, that every entry is finite, and that every pair
+    of axes is orthogonal to within `_ORTHO_TOL` of the product of their
+    lengths (or of 1, for short axes). The lengths and the pairwise dot
+    products come from one Gram product `axes @ axes.T`; its entries are bit
+    for bit the `row @ row` and `row_i @ row_j` products. Every frame is
+    checked, including frames that affine maps carry: a map that scales a
+    group's axes unevenly need not keep orthogonality.
+
     `origin` and `axes` are never mutated in place after construction: the
     axis lengths are cached here, so code that moves a frame builds a new one.
     """
@@ -58,17 +67,16 @@ class Frame:
         if not (all(map(math.isfinite, self.origin.tolist()))
                 and all(map(math.isfinite, self.axes.ravel().tolist()))):
             raise DegenerateFrameError("non-finite frame")
-        axes = self.axes
-        lengths = tuple([math.sqrt(float(row @ row)) for row in axes])
+        gram = (self.axes @ self.axes.T).tolist()
+        lengths = tuple([math.sqrt(gram[i][i]) for i in range(dim)])
         for i in range(dim):
             for j in range(i + 1, dim):
-                dot = abs(float(axes[i] @ axes[j]))
-                if dot > _ORTHO_TOL * max(lengths[i] * lengths[j], 1.0):
+                if abs(gram[i][j]) > _ORTHO_TOL * max(lengths[i] * lengths[j], 1.0):
                     raise DegenerateFrameError(f"axes {i} and {j} are not orthogonal")
-        self._lengths = np.array(lengths)
-        # plain-float copies for the scalar kernels
+        # plain-float copies for the scalar kernels; the array is built on first use
         self._length_tuple = lengths
         self._primary = max(lengths)
+        self._lengths = None
 
     @property
     def dim(self) -> int:
@@ -76,7 +84,9 @@ class Frame:
 
     @property
     def lengths(self) -> np.ndarray:
-        # cached at construction; callers treat it as read-only
+        # cached; callers treat it as read-only
+        if self._lengths is None:
+            self._lengths = np.array(self._length_tuple)
         return self._lengths
 
     @property
@@ -85,7 +95,7 @@ class Frame:
 
     @property
     def primary_axis(self) -> np.ndarray:
-        return self.axes[int(np.argmax(self._lengths))]
+        return self.axes[int(np.argmax(self.lengths))]
 
     def copy(self) -> "Frame":
         return Frame(self.origin.copy(), self.axes.copy())

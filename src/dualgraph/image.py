@@ -201,9 +201,12 @@ class ImageGraph:
         ig = ImageGraph(obj.get("scene", ""), model=model)
         try:
             for raw in obj.get("nodes", []):
+                instance = raw["instance"]
+                if type(instance) is not int or instance < 1:
+                    raise SceneFormatError(f"node instance must be an int >= 1, got {instance!r}")
                 node = ImageNode(
                     model_type=raw["type"],
-                    instance=int(raw["instance"]),
+                    instance=instance,
                     frame=Frame.from_json(raw["frame"]),
                     probability=float(raw.get("p", 0.0)),
                     status=raw.get("status", "hypothesized"),
@@ -217,6 +220,8 @@ class ImageGraph:
                 if node.status not in NODE_STATUSES:
                     raise SceneFormatError(f"unknown node status {node.status!r}")
                 _check_node_values(node)
+                if node.key in ig.nodes:
+                    raise SceneFormatError(f"duplicate node {node.label()}")
                 ig.nodes[node.key] = node
                 ig._counters[node.model_type] = max(
                     ig._counters.get(node.model_type, 0), node.instance
@@ -226,9 +231,12 @@ class ImageGraph:
                 for key in ends:
                     if key not in ig.nodes:
                         raise SceneFormatError(f"link references missing node {key}")
+                conditional = float(raw.get("conditional", 1.0))
+                if not 0.0 <= conditional <= 1.0:
+                    raise SceneFormatError(f"link conditional must lie in [0, 1], got {conditional!r}")
                 ig.add_link(
                     raw["kind"], *ends,
-                    conditional=float(raw.get("conditional", 1.0)),
+                    conditional=conditional,
                     slot=raw.get("slot"),
                     carries_up=bool(raw.get("carries_up", True)),
                     residuals=dict(raw.get("residuals", {})),

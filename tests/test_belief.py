@@ -12,9 +12,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualgraph.belief import (
+    _SMOOTH_RELATIONS,
     FrameParams,
+    _flatten_frame,
+    _LocalStrain,
+    _template_pinv,
     bind_member,
     cond_probability,
     descend,
@@ -25,14 +31,18 @@ from dualgraph.belief import (
     prune,
     refresh_conditionals,
     relation_strain,
+    relation_strains,
     relax_frames,
     total_strain,
 )
 from dualgraph.config import Config
+from dualgraph.errors import DegenerateFrameError
 from dualgraph.generate import _climb_to_substance, _slot_map
-from dualgraph.geometry import AffineMap, Frame
+from dualgraph.geometry import AffineMap, Frame, frame_onto
 from dualgraph.image import ImageGraph
-from dualgraph.model import RelationSpec, builtin_library, load_model_file
+from dualgraph.model import RelationSpec, builtin_library, load_model, load_model_file
+from dualgraph.recognize import recognize
+from test_recognize import _scene, _tiled_scene
 
 FIXTURES = "src/dualgraph/fixtures"
 
@@ -363,14 +373,13 @@ def test_fd_gradient_half_step_agreement(cfg):
                 n.frame = Frame(n.frame.origin + rng.normal(0, 0.03, 3) * [1, 1, 0],
                                 n.frame.axes * rng.normal(1, 0.03))
         params = FrameParams(rect.frame)
+        local = _LocalStrain(ig, rect, cfg)
 
         def objective(x):
-            from dualgraph.belief import _local_strain
             try:
-                rect.frame = params.decode(x)
+                return local(params.decode(x))
             except Exception:
                 return math.inf
-            return _local_strain(ig, rect, cfg)
 
         x0 = params.encode() + rng.normal(0, 0.01, params.encode().size)
         g1 = fd_gradient(objective, x0, h=1e-5)
@@ -462,3 +471,168 @@ def test_refresh_conditionals_reflect_strain(cfg):
     untouched = [l for l in ig.links_to(rect.key, "part-of")
                  if ig.nodes[l.source].spec_slot and "relations" in l.residuals]
     assert untouched
+
+
+ZEROS_AND_ANGLES = st.sampled_from([0.0, -0.0, 1e-300, -0.7, 0.3, 2.5])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    zero_axis=st.booleans(),
+    tilted=st.booleans(),
+    seq=st.lists(st.tuples(st.lists(ZEROS_AND_ANGLES, min_size=3, max_size=3),
+                           st.floats(-1.0, 1.0)), min_size=1, max_size=8),
+)
+def test_decode_matches_a_fresh_decode_byte_for_byte(dim, zero_axis, tilted, seq):
+    # reusing the last rotation must never carry the sign of a zero across;
+    # signed zeros in the axes are where that sign would show
+    rot = np.array([[1.0, -0.0, 0.0], [-0.0, 1.0, -0.0], [0.0, -0.0, 1.0]])[:dim, :dim]
+    if tilted:
+        rot[:2, :2] = [[0.6, 0.8], [-0.8, 0.6]]
+    lengths = np.array([2.0, 0.0 if zero_axis else 1.0, 0.5][:dim])
+    frame = Frame(np.arange(dim, dtype=float), lengths[:, None] * rot)
+    params = FrameParams(frame)
+    x0 = params.encode()
+    n_rot = 1 if dim == 2 else 3
+    for angles, shift in seq:
+        x = x0 + shift
+        x[dim:dim + n_rot] = angles[:n_rot]
+        got, want = params.decode(x), FrameParams(frame).decode(x)
+        assert got.origin.tobytes() == want.origin.tobytes()
+        assert got.axes.tobytes() == want.axes.tobytes()
+
+
+def _old_slot_predictor(ig, mnode, group_frame):
+    if ig.projected and group_frame.dim < mnode.frame_template.dim:
+        T = frame_onto(_flatten_frame(mnode.frame_template), group_frame,
+                       _template_pinv(mnode, True))
+        return lambda slot_frame: T.apply_frame(_flatten_frame(slot_frame))
+    T = frame_onto(mnode.frame_template, group_frame, _template_pinv(mnode, False))
+    return T.apply_frame
+
+
+def _old_members(ig, group):
+    members = {}
+    for l in ig.links_to(group.key, "group-member"):
+        if l.slot is not None and l.slot not in members:
+            members[l.slot] = ig.nodes[l.source]
+    return members
+
+
+def _old_local_strain(ig, node, cfg, smooth_only=False):
+    """The relaxation objective as it was when every call re-read the graph,
+    with `node.frame` as the moving frame: the oracle for `_LocalStrain`."""
+    model = ig.model
+    total = 0.0
+    mnode = model.nodes.get(node.model_type)
+    if mnode is not None and mnode.parts:
+        members = _old_members(ig, node)
+        s_slot = {name: math.inf for name in members}
+        try:
+            predict = _old_slot_predictor(ig, mnode, node.frame)
+        except DegenerateFrameError:
+            predict = None
+        for name, member in members.items():
+            slot = mnode.part(name)
+            sym = model.node(member.model_type).symmetry_class
+            try:
+                if predict is not None:
+                    s_slot[name] = placement_strain(predict(slot.frame), member.frame,
+                                                    slot.elasticity, sym)
+            except DegenerateFrameError:
+                pass
+        total += sum(s_slot.values())
+    for gm in ig.links_from(node.key, "group-member"):
+        group = ig.nodes[gm.target]
+        if group.status == "pruned":
+            continue
+        gnode = model.node(group.model_type)
+        slot = gnode.part(gm.slot)
+        member_sym = model.node(node.model_type).symmetry_class
+        try:
+            pred = _old_slot_predictor(ig, gnode, group.frame)(slot.frame)
+            total += placement_strain(pred, node.frame, slot.elasticity, member_sym)
+        except DegenerateFrameError:
+            return math.inf
+        frames = {name: member.frame for name, member in _old_members(ig, group).items()}
+        rels = [rel for rel in gnode.relations
+                if gm.slot in rel.operands
+                and not (smooth_only and rel.function not in _SMOOTH_RELATIONS)]
+        for _, s in relation_strains(gnode, rels, frames, cfg.s_fail,
+                                     ig.projected, group.frame):
+            total += s
+    return total
+
+
+UNIT = {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}
+TILTED = {"origin": [-0.4, 0], "axes": [[0.3, 0.3], [-0.2, 0.2]]}
+LEVEL = {"origin": [0.5, 0], "axes": [[0.4, 0], [0, 0.2]]}
+SKEWED_MODEL = {"root": "top", "nodes": [
+    {"type": "b", "symmetry": "rectangle", "frame": UNIT},
+    {"type": "a", "symmetry": "rectangle", "frame": UNIT,
+     "parts": [{"name": "p", "type": "b", "frame": TILTED},
+               {"name": "q", "type": "b", "frame": LEVEL}],
+     "relations": [["size-ratio", "p", "q", 1.0, 0.5], ["parallel", "p", "q", True, 0.1]]},
+    {"type": "top", "frame": UNIT,
+     "parts": [{"name": "u", "type": "a", "frame": TILTED},
+               {"name": "v", "type": "a", "frame": LEVEL}],
+     "relations": [["size-ratio", "u", "v", 1.0, 0.3], ["touch", "u", "v", True, 0.2]]},
+]}
+
+
+def skewed_graph():
+    """Two levels of groups whose tilted slots degenerate (non-orthogonal
+    predictions, infinite strain) once a group frame is stretched unevenly,
+    as the top frame is here and the others become when perturbed."""
+    model = load_model(SKEWED_MODEL)
+    ig = ImageGraph(scene_id="skewed", model=model)
+    top = ig.add_node("top", frame=Frame([0.0, 0.0], [[2.0, 0.0], [0.0, 0.5]]))
+    for k, (slot, x) in enumerate((("u", -0.8), ("v", 1.0))):
+        group = ig.add_node("a", frame=Frame([x, 0.0], [[0.5, 0.0], [0.0, 0.5]]))
+        bind_member(ig, top.key, slot, group.key)
+        for j, (name, dx) in enumerate((("p", -0.2), ("q", 0.25))):
+            member = ig.add_node("b", frame=Frame([x + dx, 0.1], [[0.3, 0.1], [-0.05, 0.15]]),
+                                 prim_index=2 * k + j)
+            bind_member(ig, group.key, name, member.key)
+    return ig
+
+
+@pytest.fixture(scope="module")
+def recognized_graphs():
+    """The tiled truck_flat golden graph, the 3D truck graphs plain and seen
+    through a random camera (projected), and the skewed graph."""
+    tiled = _tiled_scene("truck_flat.json", "truck1", copies=4, jitter=0.03, seed=5)
+    plain = _scene("truck.json", "truck1", 0.0, seed=5, distractors=0)
+    projected = _scene("truck.json", "truck1", 0.0, seed=5, distractors=0, camera="random")
+    return [recognize(scene, model) for scene, model in (tiled, plain, projected)] + [skewed_graph()]
+
+
+def test_local_strain_equals_the_per_call_oracle(recognized_graphs, cfg):
+    rng = np.random.default_rng(17)
+    checked = parents = infinite = 0
+    for ig in recognized_graphs:
+        movable = [n for n in ig.sorted_nodes() if n.status != "pruned"
+                   and not n.is_primitive and not ig.links_from(n.key, "specializes")]
+        assert movable
+        for node in movable:
+            start = node.frame
+            params = FrameParams(start)
+            local = _LocalStrain(ig, node, cfg)
+            parents += bool(local.parents)
+            x0 = params.encode()
+            for sigma in (0.0,) + (0.01, 0.1, 0.5) * 3:
+                try:
+                    frame = params.decode(x0 + rng.normal(0.0, sigma, x0.size))
+                except DegenerateFrameError:
+                    continue
+                node.frame = frame
+                try:
+                    for smooth in (False, True):
+                        want = _old_local_strain(ig, node, cfg, smooth)
+                        assert local(frame, smooth) == want
+                        checked += 1
+                        infinite += want == math.inf
+                finally:
+                    node.frame = start
+    assert checked > 600 and parents > 20 and 0 < infinite < checked / 4

@@ -34,6 +34,15 @@ def _graph(**fields):
     return {"scene": "s", "nodes": [{**node, **fields}], "links": []}
 
 
+def _linked(**fields):
+    """A valid two-node image graph document, but for `fields` set on its one link."""
+    doc = _graph()
+    doc["nodes"].append(dict(doc["nodes"][0], instance=2, prim=1))
+    link = {"kind": "specializes", "from": ["linseg", 2], "to": ["linseg", 1], "conditional": 0.5}
+    doc["links"].append({**link, **fields})
+    return doc
+
+
 NAN = float("nan")
 CASES = [
     ("scene-bytes", parse_scene, b"\xff\xfe\x00", SceneFormatError),
@@ -62,6 +71,18 @@ CASES = [
     ("graph-prim-negative", ImageGraph.from_json, _graph(prim=-1), SceneFormatError),
     ("graph-prim-float", ImageGraph.from_json, _graph(prim=1.0), SceneFormatError),
     ("graph-spec-slot", ImageGraph.from_json, _graph(spec_slot=3), SceneFormatError),
+    ("graph-link-conditional-nan", ImageGraph.from_json, _linked(conditional=NAN),
+     SceneFormatError),
+    ("graph-link-conditional-above-one", ImageGraph.from_json, _linked(conditional=1.5),
+     SceneFormatError),
+    ("graph-link-conditional-negative", ImageGraph.from_json, _linked(conditional=-0.1),
+     SceneFormatError),
+    ("graph-duplicate-node", ImageGraph.from_json,
+     {"nodes": _graph()["nodes"] + _graph(p=0.25)["nodes"]}, SceneFormatError),
+    ("graph-instance-bool", ImageGraph.from_json, _graph(instance=True), SceneFormatError),
+    ("graph-instance-float", ImageGraph.from_json, _graph(instance=1.5), SceneFormatError),
+    ("graph-instance-zero", ImageGraph.from_json, _graph(instance=0), SceneFormatError),
+    ("graph-instance-string", ImageGraph.from_json, _graph(instance="1"), SceneFormatError),
     ("refresh", refresh_conditionals, ImageGraph(), SceneFormatError),
     ("relax", relax_frames, ImageGraph(), SceneFormatError),
 ]
@@ -75,6 +96,9 @@ def test_the_model_case_base_is_valid():
 def test_the_graph_case_base_is_valid():
     node = ImageGraph.from_json(_graph(spec_slot="side1")).node(("linseg", 1))
     assert node.prim_index == 0 and node.probability == 0.5 and node.spec_slot == "side1"
+    ig = ImageGraph.from_json(_linked())
+    assert [(l.source, l.target, l.conditional) for l in ig.links] == [
+        (("linseg", 2), ("linseg", 1), 0.5)]
 
 
 @pytest.mark.parametrize("entry, arg, error", [c[1:] for c in CASES], ids=[c[0] for c in CASES])

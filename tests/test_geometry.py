@@ -43,6 +43,73 @@ def test_frame_rejects_non_finite():
         Frame([0.0, np.nan], np.eye(2))
 
 
+TOL = 1e-9  # geometry._ORTHO_TOL
+BAD_FRAMES = [
+    ("origin-scalar", 0.0, np.eye(2)),
+    ("origin-1", [0.0], np.eye(1)),
+    ("origin-4", np.zeros(4), np.eye(4)),
+    ("origin-matrix", np.zeros((2, 2)), np.eye(2)),
+    ("axes-3-for-2", np.zeros(2), np.eye(3)),
+    ("axes-2x3", np.zeros(2), np.zeros((2, 3))),
+    ("axes-vector", np.zeros(2), np.zeros(2)),
+    ("origin-nan", [0.0, np.nan], np.eye(2)),
+    ("origin-inf", [np.inf, 0.0, 0.0], np.eye(3)),
+    ("axes-nan", np.zeros(2), [[1.0, np.nan], [0.0, 1.0]]),
+    ("axes-inf", np.zeros(3), [[1.0, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, 1.0]]),
+    ("axes-inf-zero-row", np.zeros(2), [[np.inf, 0.0], [0.0, 0.0]]),
+    # dot just above the tolerance, in units of max(|a_i||a_j|, 1)
+    ("ortho-unit", np.zeros(2), [[1.0, 0.0], [1.001 * TOL, 1.0]]),
+    ("ortho-short", np.zeros(2), [[0.1, 0.0], [10.0 * 1.001 * TOL, 0.1]]),
+    ("ortho-long", np.zeros(2), [[10.0, 0.0], [10.0 * 1.001 * TOL, 10.0]]),
+    ("ortho-3d", np.zeros(3), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 1.001 * TOL, 1.0]]),
+]
+GOOD_FRAMES = [
+    ("ortho-unit", np.zeros(2), [[1.0, 0.0], [0.999 * TOL, 1.0]]),
+    ("ortho-short", np.zeros(2), [[0.1, 0.0], [10.0 * 0.999 * TOL, 0.1]]),
+    ("ortho-long", np.zeros(2), [[10.0, 0.0], [10.0 * 0.999 * TOL, 10.0]]),
+    ("ortho-3d", np.zeros(3), [[1.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.999 * TOL, 1.0]]),
+    ("zero-axes", np.zeros(3), np.zeros((3, 3))),
+]
+
+
+@pytest.mark.parametrize("origin, axes", [c[1:] for c in BAD_FRAMES],
+                         ids=[c[0] for c in BAD_FRAMES])
+def test_frame_constructor_rejects(origin, axes):
+    with pytest.raises(DegenerateFrameError):
+        Frame(origin, axes)
+
+
+@pytest.mark.parametrize("origin, axes", [c[1:] for c in GOOD_FRAMES],
+                         ids=[c[0] for c in GOOD_FRAMES])
+def test_frame_constructor_accepts_just_inside_the_tolerance(origin, axes):
+    f = Frame(origin, axes)
+    assert f.lengths.tolist() == [math.sqrt(float(row @ row)) for row in f.axes]
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dim=st.sampled_from([2, 3]),
+    lengths=st.lists(st.one_of(st.just(0.0), st.floats(1e-6, 1e6)), min_size=3, max_size=3),
+    angles=st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3),
+)
+def test_frame_lengths_are_the_row_norms_bit_for_bit(dim, lengths, angles):
+    from scipy.spatial.transform import Rotation
+
+    rot = (np.array([[math.cos(angles[0]), -math.sin(angles[0])],
+                     [math.sin(angles[0]), math.cos(angles[0])]]) if dim == 2
+           else Rotation.from_rotvec(angles).as_matrix())
+    f = Frame(np.zeros(dim), np.diag(lengths[:dim]) @ rot)
+    want = [math.sqrt(float(row @ row)) for row in f.axes]
+    assert _bits(f._length_tuple) == _bits(want)
+    assert _bits(f.lengths) == _bits(want)
+    assert f.primary_length == max(want)
+    assert f.primary_axis.tobytes() == f.axes[int(np.argmax(want))].tobytes()
+
+
 def test_segment_frame_midpoint_and_half_axis():
     f = frame_from_segment([0.0, 0.0], [4.0, 0.0])
     assert np.allclose(f.origin, [2.0, 0.0])

@@ -61,7 +61,9 @@ def test_recognize_output_is_byte_identical(fixture, target, jitter, distractors
     scene, model = _scene(fixture, target, jitter, seed=5, distractors=distractors,
                           camera=camera)
     ig = recognize(scene, model)
-    assert hashlib.sha256(ig.to_bytes()).hexdigest() == digest
+    blob = ig.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == digest
+    assert ImageGraph.from_bytes(blob, model).to_bytes() == blob
     assert_no_link_to_a_pruned_node(ig)
     hits = [n for n in ig.nodes.values()
             if n.model_type == target and n.status != "pruned" and n.probability >= 0.5]
@@ -100,7 +102,9 @@ TILED_DIGEST = "1933ad6b6fe3d6d47003d6d0a1ca972a8ec016d8641ec53dda3793fc58fc6a27
 def test_tiled_copies_are_byte_identical_and_each_found():
     scene, model = _tiled_scene("truck_flat.json", "truck1", copies=4, jitter=0.03, seed=5)
     ig = recognize(scene, model)
-    assert hashlib.sha256(ig.to_bytes()).hexdigest() == TILED_DIGEST
+    blob = ig.to_bytes()
+    assert hashlib.sha256(blob).hexdigest() == TILED_DIGEST
+    assert ImageGraph.from_bytes(blob, model).to_bytes() == blob
     assert_no_link_to_a_pruned_node(ig)
     hits = [n for n in ig.nodes.values()
             if n.model_type == "truck1" and n.status != "pruned" and n.probability >= 0.5]
