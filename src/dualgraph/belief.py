@@ -319,26 +319,6 @@ class _GroupSlots:
         }
 
 
-def _group_slot_strains(ig, group, cfg, want_share=True):
-    """Per-slot placement strain and relation-strain share for one group instance.
-
-    Returns (s_slot, share, frames), all keyed by slot name, where frames
-    holds each realized slot's member frame. The share pass walks every
-    group relation; callers that only need placements skip it with
-    want_share=False.
-    """
-    slots = _GroupSlots(ig, group)
-    share = {name: 0.0 for name in slots.members}
-    s_slot = slots.placement_strains(group.frame)
-    if not want_share or slots.template is None:
-        return s_slot, share, slots.frames
-    for rel, s in relation_strains(slots.mnode, slots.mnode.relations, slots.frames, cfg.s_fail,
-                                   ig.projected, group.frame):
-        for op in rel.operands:
-            share[op] += s / 2.0
-    return s_slot, share, slots.frames
-
-
 def refresh_conditionals(ig, cfg: Config | None = None):
     """Re-derive every link conditional from the current frames."""
     cfg = cfg or Config()
@@ -347,7 +327,15 @@ def refresh_conditionals(ig, cfg: Config | None = None):
         mnode = model.nodes.get(group.model_type)
         if mnode is None or not mnode.parts:
             continue
-        s_slot, share, frames = _group_slot_strains(ig, group, cfg)
+        slots = _GroupSlots(ig, group)
+        frames = slots.frames
+        s_slot = slots.placement_strains(group.frame)
+        share = {name: 0.0 for name in slots.members}
+        if slots.template is not None:
+            for rel, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail,
+                                           ig.projected, group.frame):
+                for op in rel.operands:
+                    share[op] += s / 2.0
         for gm in ig.links_to(group.key, "group-member"):
             if gm.slot not in frames:
                 continue
@@ -404,7 +392,7 @@ def bind_member(ig, group_key, slot_name: str, member_key):
         ig.add_link("group-member", member.key, group.key, slot=slot_name, carries_up=True)
         return None
     shadow = ig.add_node(
-        slot.type_name, frame=member.frame.copy(), spec_slot=slot_name, status=group.status
+        slot.type_name, frame=member.frame, spec_slot=slot_name, status=group.status
     )
     ig.add_link("specializes", shadow.key, member.key)
     ig.add_link("part-of", shadow.key, group.key, slot=slot_name)
@@ -812,9 +800,9 @@ def total_strain(ig, cfg: Config | None = None) -> float:
         mnode = model.nodes.get(group.model_type)
         if mnode is None or not mnode.parts:
             continue
-        s_slot, _, frames = _group_slot_strains(ig, group, cfg, want_share=False)
-        total += sum(s_slot.values())
-        for _, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail,
+        slots = _GroupSlots(ig, group)
+        total += sum(slots.placement_strains(group.frame).values())
+        for _, s in relation_strains(mnode, mnode.relations, slots.frames, cfg.s_fail,
                                      ig.projected, group.frame):
             total += s
     return total
@@ -901,5 +889,5 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
         shadows = ig.links_from(node.key, "specializes")
         if shadows:
             parent = ig.nodes[shadows[0].target]
-            node.frame = parent.frame.copy()
+            node.frame = parent.frame
     return ig

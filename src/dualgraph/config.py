@@ -31,7 +31,6 @@ class Config:
     screen_min: float = 0.05        # minimum screening score to keep a hypothesis
     gate_radius: float = 3.0        # match gate, in units of the part primary length
     max_waves: int = 10             # hypothesis wave cap
-    relax: bool = True              # run frame relaxation each wave
 
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
@@ -55,16 +54,6 @@ _BOUNDS = {
 
 def _coerce(name: str, value):
     field = _FIELDS[name]
-    if field.type in ("bool", bool):
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str):
-            low = value.strip().lower()
-            if low in ("true", "1", "yes", "on"):
-                return True
-            if low in ("false", "0", "no", "off"):
-                return False
-        raise ConfigError(f"{name}: expected a boolean, got {value!r}")
     if field.type in ("int", int):
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ConfigError(f"{name}: expected an integer, got {value!r}")

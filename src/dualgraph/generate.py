@@ -248,7 +248,9 @@ def _one_scene(spec: GeneratorSpec, rng, camera: AffineCamera | None, scene_id: 
     prims = [_emit_primitive(kind, frame, rng, spec.jitter) for _, kind, frame in records]
     dim = spec.model.dim
     if camera is not None:
-        prims = [_project_primitive(p, camera) for p in prims]
+        # an edge seen end-on projects to a point, which no scene may hold as a segment
+        prims = [p for p in (_project_primitive(p, camera) for p in prims)
+                 if p.kind != "linseg" or not np.array_equal(p.p1, p.p2)]
         dim = 2
     prims = _add_distractors(prims, spec.n_distractors, dim, rng)
     return Scene(dim=dim, primitives=prims, id=scene_id)
@@ -276,24 +278,3 @@ def generate_scenes(spec: GeneratorSpec) -> list[Scene]:
         scenes.append(_one_scene(spec, rng, camera, f"{spec.target}-{spec.seed}-{i:03d}"))
     return scenes
 
-
-def generate_views(spec: GeneratorSpec, n_views: int = 2) -> list[Scene]:
-    """One target instance seen through `n_views` independently sampled cameras.
-
-    Primitive order is identical across views, so primitive i in one view
-    corresponds to primitive i in every other.
-    """
-    _check_spec(spec)
-    if spec.camera is None:
-        raise GenerationError("generate_views needs a camera mode")
-    rng = np.random.default_rng([spec.seed, 0])
-    records = _instance_records(spec.model, spec.target, spec.jitter, rng)
-    base = [_emit_primitive(kind, frame, rng, spec.jitter) for _, kind, frame in records]
-    scenes = []
-    for v in range(n_views):
-        view_rng = np.random.default_rng([spec.seed, 1000 + v])
-        camera = sample_camera(view_rng, spec.camera)
-        prims = [_project_primitive(p, camera) for p in base]
-        prims = _add_distractors(prims, spec.n_distractors, 2, view_rng)
-        scenes.append(Scene(dim=2, primitives=prims, id=f"{spec.target}-{spec.seed}-view{v}"))
-    return scenes

@@ -50,7 +50,8 @@ class Frame:
     group's axes unevenly need not keep orthogonality.
 
     `origin` and `axes` are never mutated in place after construction: the
-    axis lengths are cached here, so code that moves a frame builds a new one.
+    axis lengths are cached here, so code that moves a frame builds a new one,
+    and nodes that sit at the same place share one frame.
     """
 
     origin: np.ndarray
@@ -119,14 +120,6 @@ class Frame:
             if n > 1e-9:
                 basis.append(v / n)
         return np.array(basis)
-
-    def corners(self) -> np.ndarray:
-        """All extent corners origin +/- a_1 +/- ... (2^dim points, duplicates possible)."""
-        out = []
-        signs = np.array(np.meshgrid(*[[-1.0, 1.0]] * self.dim)).T.reshape(-1, self.dim)
-        for s in signs:
-            out.append(self.origin + s @ self.axes)
-        return np.array(out)
 
     def to_json(self) -> dict:
         return {"origin": self.origin.tolist(), "axes": self.axes.tolist()}

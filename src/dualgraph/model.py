@@ -38,12 +38,6 @@ class RelationSpec:
     target: object
     tolerance: float
 
-    def to_json(self) -> list:
-        target = self.target
-        if isinstance(target, np.ndarray):
-            target = [float(v) for v in target]
-        return [self.function, *self.operands, target, self.tolerance]
-
     @staticmethod
     def from_json(row, where: str) -> "RelationSpec":
         if not isinstance(row, list) or len(row) < 4:
@@ -82,19 +76,6 @@ class PartLink:
     variant_tag: Optional[str] = None
     multiplicity: tuple = (1, 1)
     elasticity: tuple = DEFAULT_ELASTICITY
-
-    def to_json(self) -> dict:
-        out = {"name": self.name}
-        if self.type_name != self.name:
-            out["type"] = self.type_name
-        if self.variant_tag is not None:
-            out["variant"] = self.variant_tag
-        out["essential"] = self.essential
-        lo, hi = self.multiplicity
-        out["multiplicity"] = lo if hi == lo else [lo, hi]
-        out["frame"] = self.frame.to_json()
-        out["elasticity"] = list(self.elasticity)
-        return out
 
     @staticmethod
     def from_json(obj, where: str) -> "PartLink":
@@ -151,7 +132,6 @@ class ModelNode:
     higher_loa: list = field(default_factory=list)
     groups: list = field(default_factory=list)
     specialize_relations: dict = field(default_factory=dict)
-    builtin: bool = False
     # pinv of the template axes by `flat`; filled lazily by belief._template_pinv
     pinv_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -262,6 +242,8 @@ def _hierarchy_cycles(g: ModelGraph, edges_of, label: str) -> list:
 def validate(g: ModelGraph) -> list:
     """Check every structural invariant; returns a list of violation strings."""
     violations = []
+    if not isinstance(g.root, str) or g.root not in g.nodes:
+        violations.append(f"root {g.root!r} does not name a node")
     for name in sorted(g.nodes):
         node = g.nodes[name]
         if node.type_name != name:
@@ -365,7 +347,6 @@ def _node_from_json(obj, dim: int) -> ModelNode:
         lower_loa=_names(obj.get("lower_loa", []), where),
         higher_loa=_names(obj.get("higher_loa", []), where),
         specialize_relations=specialize,
-        builtin=bool(obj.get("builtin", False)),
     )
 
 
@@ -420,30 +401,6 @@ def fixture_path(name: str) -> str:
     return str(files("dualgraph").joinpath("fixtures", name))
 
 
-def serialize_model(g: ModelGraph) -> str:
-    """Emit the canonical one-sided document (parts + lower_loa only)."""
-    nodes = []
-    for node in g.sorted_nodes():
-        obj = {"type": node.type_name, "symmetry": node.symmetry_class,
-               "frame": node.frame_template.to_json()}
-        if node.builtin:
-            obj["builtin"] = True
-        if node.parts:
-            obj["parts"] = [p.to_json() for p in node.parts]
-        if node.relations:
-            obj["relations"] = [r.to_json() for r in node.relations]
-        if node.lower_loa:
-            obj["lower_loa"] = list(node.lower_loa)
-        if node.specialize_relations:
-            obj["specialize"] = {
-                child: [r.to_json() for r in specs]
-                for child, specs in sorted(node.specialize_relations.items())
-            }
-        nodes.append(obj)
-    doc = {"root": g.root, "dim": g.dim, "nodes": nodes}
-    return json.dumps(doc, indent=2, sort_keys=True)
-
-
 def build_midx(g: ModelGraph) -> dict:
     """Index hypothesis groups by unordered pairs of abstract part types.
 
@@ -480,20 +437,6 @@ def midx_lookup(index: dict, type_a: str, type_b: str) -> list:
     return index.get(tuple(sorted((type_a, type_b))), [])
 
 
-def export_dot(g: ModelGraph) -> str:
-    """Render the graph in DOT form: solid parts links, dashed abstraction links."""
-    lines = ["digraph model {", "  rankdir=BT;"]
-    for node in g.sorted_nodes():
-        lines.append(f'  "{node.type_name}" [shape=box];')
-    for node in g.sorted_nodes():
-        for link in node.parts:
-            lines.append(f'  "{link.type_name}" -> "{node.type_name}" [style=solid, label="{link.name}"];')
-        for child in node.lower_loa:
-            lines.append(f'  "{child}" -> "{node.type_name}" [style=dashed];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
 # -- built-in shapes -----------------------------------------------------------
 
 def _seg_frame(dim=3):
@@ -517,10 +460,9 @@ def builtin_library() -> ModelGraph:
     """
     nodes = {}
 
-    nodes["linseg"] = ModelNode("linseg", _seg_frame(), "undirected-segment", builtin=True,
-                                lower_loa=["side"])
-    nodes["circle"] = ModelNode("circle", Frame(np.zeros(3), np.eye(3)), "circle", builtin=True)
-    nodes["side"] = ModelNode("side", _seg_frame(), "undirected-segment", builtin=True)
+    nodes["linseg"] = ModelNode("linseg", _seg_frame(), "undirected-segment", lower_loa=["side"])
+    nodes["circle"] = ModelNode("circle", Frame(np.zeros(3), np.eye(3)), "circle")
+    nodes["side"] = ModelNode("side", _seg_frame(), "undirected-segment")
 
     rect_parts = [
         PartLink("side1", "side", _planar_frame([0, -0.6, 0], [1, 0, 0], [0, 0, 0])),
@@ -542,10 +484,10 @@ def builtin_library() -> ModelGraph:
     ]
     nodes["rectangle"] = ModelNode(
         "rectangle", _planar_frame([0, 0, 0], [1, 0, 0], [0, 0.6, 0]), "rectangle",
-        parts=rect_parts, relations=rect_relations, builtin=True, lower_loa=["box-face"])
+        parts=rect_parts, relations=rect_relations, lower_loa=["box-face"])
 
     nodes["box-face"] = ModelNode(
-        "box-face", _planar_frame([0, 0, 0], [1, 0, 0], [0, 0.6, 0]), "rectangle", builtin=True)
+        "box-face", _planar_frame([0, 0, 0], [1, 0, 0], [0, 0.6, 0]), "rectangle")
 
     box_parts = [
         PartLink("face1", "box-face", _planar_frame([0, 0, -1], [1, 0, 0], [0, 1, 0])),
@@ -570,7 +512,7 @@ def builtin_library() -> ModelGraph:
         RelationSpec("touch", ("face4", "face6"), True, 0.12),
     ]
     nodes["box"] = ModelNode("box", Frame(np.zeros(3), np.eye(3)), "box",
-                             parts=box_parts, relations=box_relations, builtin=True)
+                             parts=box_parts, relations=box_relations)
 
     pair_parts = [
         PartLink("c_1", "circle", Frame([-0.5, 0, 0], np.eye(3) * 0.15)),
@@ -582,6 +524,6 @@ def builtin_library() -> ModelGraph:
     ]
     nodes["circle_pair"] = ModelNode(
         "circle_pair", _planar_frame([0, 0, 0], [0.65, 0, 0], [0, 0.15, 0]), "rectangle",
-        parts=pair_parts, relations=pair_relations, builtin=True)
+        parts=pair_parts, relations=pair_relations)
 
-    return _finish(ModelGraph(nodes=nodes, root="top", dim=3))
+    return _finish(ModelGraph(nodes=nodes, root="box", dim=3))

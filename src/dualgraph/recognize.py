@@ -529,8 +529,7 @@ def _specialize(ig, model, group, matched, cfg, projected):
                 total += s
             if not passed:
                 continue
-            child = ig.add_node(child_name, frame=parent.frame.copy(),
-                                status="verified")
+            child = ig.add_node(child_name, frame=parent.frame, status="verified")
             ig.add_link("specializes", child.key, parent.key,
                         conditional=cond_probability(total))
             created.append(child)
@@ -571,10 +570,9 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
             break
         refresh_conditionals(ig, cfg)
         propagate(ig, fresh, cfg)
-        if cfg.relax:
-            relax_frames(ig, cfg, only={n.key for n in fresh})
-            refresh_conditionals(ig, cfg)
-            propagate(ig, fresh, cfg)
+        relax_frames(ig, cfg, only={n.key for n in fresh})
+        refresh_conditionals(ig, cfg)
+        propagate(ig, fresh, cfg)
         prune(ig, cfg)
         frontier = [ig.nodes[n.key] for n in fresh
                     if ig.nodes[n.key].status != "pruned"]

@@ -1,4 +1,4 @@
-"""Scene documents: typed primitives, JSON parsing/writing, SVG rendering."""
+"""Scene documents: typed primitives and their canonical JSON parsing and writing."""
 
 from __future__ import annotations
 
@@ -139,14 +139,6 @@ def parse_scene(data) -> Scene:
     return Scene(dim=int(dim), primitives=prims, id=scene_id)
 
 
-def parse_scene_file(path: str) -> Scene:
-    try:
-        with open(path, "rb") as fh:
-            return parse_scene(fh.read())
-    except OSError as exc:
-        raise SceneFormatError(f"cannot read {path}: {exc}") from exc
-
-
 def _num(x: float):
     """Floats that are whole numbers print as ints; repr otherwise (exact)."""
     f = float(x)
@@ -177,108 +169,3 @@ def write_scene(scene: Scene) -> bytes:
     """
     return (json.dumps(scene_to_json(scene), indent=2) + "\n").encode("utf-8")
 
-
-# -- SVG rendering -------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
-
-
-def _probability_color(p: float) -> str:
-    """Red at the pruning floor through yellow to green at certainty."""
-    hue = 120.0 * max(0.0, min(1.0, p))
-    return f"hsl({hue:.0f}, 85%, 40%)"
-
-
-def render_svg(scene: Scene, ig=None, width: float = 640.0) -> str:
-    """Standalone SVG of a 2D scene, with recognition overlays when `ig` given.
-
-    Primitives are stroked black with opacity tracking their strength.
-    Verified group instances (nodes that own part links) appear as colored
-    frame outlines labeled with their type. Element order is deterministic.
-    """
-    if scene.dim != 2:
-        raise SceneFormatError("only 2D scenes render to SVG; project 3D scenes first")
-
-    pts = [p for prim in scene.primitives for p in prim.points()]
-    overlays = _overlay_nodes(ig) if ig is not None else []
-    for node in overlays:
-        pts.extend(node.frame.corners())
-    if pts:
-        arr = np.array(pts)
-        lo = arr.min(axis=0)
-        hi = arr.max(axis=0)
-    else:
-        lo = np.zeros(2)
-        hi = np.ones(2)
-    span = np.maximum(hi - lo, 1e-9)
-    pad = 0.05 * float(span.max())
-    lo = lo - pad
-    hi = hi + pad
-    span = hi - lo
-    scale = width / span[0]
-    height = span[1] * scale
-
-    def to_px(p):
-        x = (p[0] - lo[0]) * scale
-        y = (hi[1] - p[1]) * scale
-        return x, y
-
-    out = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">',
-        f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>',
-    ]
-    stroke = max(1.0, 0.003 * width)
-    for prim in scene.primitives:
-        opacity = max(0.15, min(1.0, prim.strength))
-        if prim.kind == "linseg":
-            x1, y1 = to_px(prim.p1)
-            x2, y2 = to_px(prim.p2)
-            out.append(
-                f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" '
-                f'stroke="black" stroke-width="{_fmt(stroke)}" stroke-opacity="{_fmt(opacity)}"/>'
-            )
-        else:
-            cx, cy = to_px(prim.center)
-            out.append(
-                f'<circle cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(prim.radius * scale)}" '
-                f'fill="none" stroke="black" stroke-width="{_fmt(stroke)}" '
-                f'stroke-opacity="{_fmt(opacity)}"/>'
-            )
-    font = max(10.0, 0.018 * width)
-    for node in overlays:
-        color = _probability_color(node.probability)
-        o = node.frame.origin
-        a1, a2 = node.frame.axes
-        corners = [o + a1 + a2, o + a1 - a2, o - a1 - a2, o - a1 + a2]
-        path = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in (to_px(c) for c in corners))
-        out.append(
-            f'<polygon points="{path}" fill="none" stroke="{color}" '
-            f'stroke-width="{_fmt(stroke * 1.5)}" stroke-dasharray="6,3"/>'
-        )
-        top = min(to_px(c)[1] for c in corners)
-        cx = sum(to_px(c)[0] for c in corners) / 4.0
-        label = f"{node.model_type} {node.probability:.2f}"
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(top - 0.3 * font)}" font-size="{_fmt(font)}" '
-            f'font-family="sans-serif" text-anchor="middle" fill="{color}">{label}</text>'
-        )
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
-
-
-def _overlay_nodes(ig):
-    """Verified nodes that own part links, in deterministic order."""
-    group_keys = set()
-    for link in ig.links:
-        if link.kind == "part-of":
-            group_keys.add(link.target)
-    nodes = [
-        n
-        for n in ig.nodes.values()
-        if n.status == "verified" and (n.model_type, n.instance) in group_keys
-    ]
-    nodes.sort(key=lambda n: (n.model_type, n.instance))
-    return nodes

@@ -8,7 +8,7 @@ def test_defaults_pass_their_own_bounds():
     assert make_config() == Config()
 
 
-@pytest.mark.parametrize("key", ["not_a_knob", "bins"])
+@pytest.mark.parametrize("key", ["not_a_knob", "bins", "relax"])
 def test_unknown_key_is_rejected(key):
     with pytest.raises(ConfigError, match="unknown configuration key"):
         make_config(**{key: 20})
@@ -30,15 +30,12 @@ def test_closed_bound_itself_is_accepted():
 
 
 def test_strings_are_coerced():
-    cfg = make_config(relax="off", max_waves="4", gate_radius="2.5")
-    assert cfg.relax is False
+    cfg = make_config(max_waves="4", gate_radius="2.5")
     assert cfg.max_waves == 4 and isinstance(cfg.max_waves, int)
     assert cfg.gate_radius == 2.5
-    assert make_config(relax="Yes").relax is True
 
 
-@pytest.mark.parametrize("key, value", [("relax", "maybe"), ("max_waves", "2.5"),
-                                        ("s_fail", True)])
+@pytest.mark.parametrize("key, value", [("max_waves", "2.5"), ("s_fail", True)])
 def test_uncoercible_value_is_rejected(key, value):
     with pytest.raises(ConfigError):
         make_config(**{key: value})
@@ -46,4 +43,4 @@ def test_uncoercible_value_is_rejected(key, value):
 
 def test_none_override_is_ignored():
     base = make_config(screen_min=0.2)
-    assert make_config(base, screen_min=None, relax=None) == base
+    assert make_config(base, screen_min=None, max_waves=None) == base

@@ -10,7 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgraph.belief import refresh_conditionals, relax_frames
-from dualgraph.errors import DualGraphError, ModelFormatError, SceneFormatError
+from dualgraph.errors import (
+    DualGraphError,
+    ModelFormatError,
+    ModelValidationError,
+    SceneFormatError,
+)
 from dualgraph.generate import GeneratorSpec, generate_scenes
 from dualgraph.image import ImageGraph
 from dualgraph.model import fixture_path, load_model, load_model_file
@@ -56,6 +61,8 @@ CASES = [
      ModelFormatError),
     ("model-tolerance", load_model, _model(relations=[["size-ratio", "p", "q", 1.0, NAN]]),
      ModelFormatError),
+    ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),
+    ("model-root-unknown", load_model, dict(_model(), root="c"), ModelValidationError),
     ("graph-nodes", ImageGraph.from_json, {"nodes": 3}, SceneFormatError),
     ("graph-list", ImageGraph.from_json, [], SceneFormatError),
     ("graph-link-key", ImageGraph.from_json,

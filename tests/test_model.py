@@ -1,39 +1,27 @@
 import json
 
-import numpy as np
 import pytest
 
 from dualgraph.errors import ModelFormatError, ModelValidationError
-from dualgraph.geometry import Frame
 from dualgraph.model import (
-    ModelGraph,
-    ModelNode,
     PartLink,
     RelationSpec,
     build_midx,
     builtin_library,
-    export_dot,
     fixture_path,
     load_model,
     load_model_file,
     midx_lookup,
-    serialize_model,
     validate,
 )
-
-
-def _minimal_doc(**extra):
-    doc = {"root": "top", "nodes": []}
-    doc.update(extra)
-    return json.dumps(doc)
 
 
 # -- loading -------------------------------------------------------------------
 
 def test_minimal_graph_is_valid():
-    g = load_model(_minimal_doc())
+    g = load_model(json.dumps({"root": "top", "nodes": [{"type": "top"}]}))
     assert g.root == "top"
-    assert g.nodes == {}
+    assert list(g.nodes) == ["top"]
     assert validate(g) == []
 
 
@@ -141,7 +129,6 @@ def test_relation_spec_round_trip():
     assert spec.operands == ("cab", "trunk-a")
     assert spec.target == 2.0
     assert spec.tolerance == 0.3
-    assert spec.to_json() == ["size-ratio", "cab", "trunk-a", 2.0, 0.3]
     with pytest.raises(ModelFormatError):
         RelationSpec.from_json(["touch", "a", "b", 1.0, 0.1], "t")
     with pytest.raises(ModelFormatError):
@@ -245,47 +232,3 @@ def test_builtin_midx_uses_abstract_types():
     assert {e.hypothesis for e in midx_lookup(index, "rectangle", "rectangle")} == {"box"}
     assert {e.hypothesis for e in midx_lookup(index, "circle", "circle")} == {"circle_pair"}
 
-
-# -- round trip ----------------------------------------------------------------
-
-@pytest.mark.parametrize("name", ["truck.json", "face.json", "truck_flat.json"])
-def test_fixture_round_trip(name):
-    g = load_model_file(fixture_path(name))
-    text = serialize_model(g)
-    g2 = load_model(text)
-    assert serialize_model(g2) == text
-    assert set(g2.nodes) == set(g.nodes)
-    for key in g.nodes:
-        a, b = g.node(key), g2.node(key)
-        assert a.lower_loa == b.lower_loa
-        assert a.higher_loa == b.higher_loa
-        assert a.groups == b.groups
-        assert [p.to_json() for p in a.parts] == [p.to_json() for p in b.parts]
-        assert [r.to_json() for r in a.relations] == [r.to_json() for r in b.relations]
-        assert np.array_equal(a.frame_template.origin, b.frame_template.origin)
-        assert np.array_equal(a.frame_template.axes, b.frame_template.axes)
-
-
-def test_builtin_round_trip():
-    g = builtin_library()
-    text = serialize_model(g)
-    assert serialize_model(load_model(text)) == text
-
-
-# -- dot export ----------------------------------------------------------------
-
-def test_export_dot_truck():
-    g = load_model_file(fixture_path("truck.json"))
-    text = export_dot(g)
-    assert text.count("[shape=box]") == 9
-    assert "style=solid" in text
-    assert "style=dashed" in text
-    assert export_dot(g) == text
-
-
-def test_export_dot_empty():
-    g = load_model(_minimal_doc())
-    text = export_dot(g)
-    assert text.splitlines()[0] == "digraph model {"
-    assert text.rstrip().endswith("}")
-    assert "->" not in text

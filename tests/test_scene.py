@@ -1,21 +1,15 @@
-"""Scene parsing/writing, synthetic generation, and SVG rendering."""
-
-import itertools
-from types import SimpleNamespace
+"""Scene parsing and writing, and synthetic scene generation."""
 
 import numpy as np
 import pytest
 
 from dualgraph.errors import GenerationError, SceneFormatError
-from dualgraph.generate import GeneratorSpec, generate_scenes, generate_views, sample_camera
-from dualgraph.geometry import frame_from_segment, parallel_ratio
+from dualgraph.generate import GeneratorSpec, generate_scenes, sample_camera
 from dualgraph.model import builtin_library, fixture_path, load_model, load_model_file
 from dualgraph.scene import (
     Primitive,
     Scene,
     parse_scene,
-    parse_scene_file,
-    render_svg,
     write_scene,
 )
 
@@ -101,11 +95,6 @@ def test_error_carries_field_path():
     with pytest.raises(SceneFormatError) as exc:
         parse_scene(blob)
     assert "primitives[1]" in str(exc.value)
-
-
-def test_missing_file():
-    with pytest.raises(SceneFormatError):
-        parse_scene_file("/nonexistent/scene.json")
 
 
 # -- generation ----------------------------------------------------------------
@@ -211,26 +200,6 @@ def test_jitter_spreads_size_ratio_around_one():
     assert 0.02 < ratios.std() < 0.18
 
 
-def test_two_views_of_one_instance_agree_on_parallel_ratios():
-    g = load_model_file(fixture_path("truck_flat.json"))
-    spec = GeneratorSpec(model=g, target="truck1", jitter=0.0, camera="random", seed=3)
-    va, vb = generate_views(spec, 2)
-    assert va.dim == vb.dim == 2
-    assert len(va.primitives) == len(vb.primitives) == 7
-    fa = [p.frame() for p in va.primitives]
-    fb = [p.frame() for p in vb.primitives]
-    checked = 0
-    for i, j in itertools.combinations(range(len(fa)), 2):
-        try:
-            ra = parallel_ratio(fa[i], fa[j], slack=1e-6)
-        except Exception:
-            continue
-        rb = parallel_ratio(fb[i], fb[j], slack=1e-6)
-        assert abs(ra - rb) < 1e-9
-        checked += 1
-    assert checked >= 5
-
-
 def test_camera_drop_z_keeps_plane_coordinates():
     g = load_model_file(fixture_path("truck_flat.json"))
     flat = generate_scenes(GeneratorSpec(model=g, target="truck1", jitter=0.0))[0]
@@ -241,6 +210,18 @@ def test_camera_drop_z_keeps_plane_coordinates():
     for a, b in zip(flat.primitives, dropped.primitives):
         np.testing.assert_allclose(a.p1[:2], b.p1, atol=1e-12)
         np.testing.assert_allclose(a.p2[:2], b.p2, atol=1e-12)
+
+
+def test_drop_z_leaves_out_edges_seen_end_on():
+    # the 3D truck's 6 edges along z project to points; the other 14 remain
+    g = load_model_file(fixture_path("truck.json"))
+    scenes = generate_scenes(
+        GeneratorSpec(model=g, target="truck1", n_scenes=3, jitter=0.0, camera="drop-z", seed=1)
+    )
+    for scene in scenes:
+        assert len(scene.primitives) == 14
+        blob = write_scene(scene)
+        assert write_scene(parse_scene(blob)) == blob
 
 
 def test_sampled_cameras_are_well_conditioned(rng):
@@ -261,78 +242,7 @@ def test_generation_errors():
     face = load_model_file(fixture_path("face.json"))
     with pytest.raises(GenerationError):
         generate_scenes(GeneratorSpec(model=face, target="face", camera="random"))
-    with pytest.raises(GenerationError):
-        generate_views(GeneratorSpec(model=lib, target="rectangle"), 2)
     ghost = load_model({"dim": 2, "root": "ghost", "nodes": [{"type": "ghost"}]})
     with pytest.raises(GenerationError):
         generate_scenes(GeneratorSpec(model=ghost, target="ghost"))
 
-
-# -- rendering -----------------------------------------------------------------
-
-
-def _square_scene():
-    return Scene(
-        2,
-        [
-            Primitive("linseg", p1=[0, 0], p2=[4, 0]),
-            Primitive("linseg", p1=[4, 0], p2=[4, 4]),
-            Primitive("linseg", p1=[4, 4], p2=[0, 4]),
-            Primitive("linseg", p1=[0, 4], p2=[0, 0], strength=0.3),
-        ],
-    )
-
-
-def test_svg_contains_all_primitives_and_is_deterministic():
-    scene = _square_scene()
-    svg = render_svg(scene)
-    assert svg.startswith("<svg")
-    assert svg.count("<line") == 4
-    assert 'stroke-opacity="0.300000"' in svg
-    assert render_svg(scene) == svg
-
-
-def test_svg_empty_scene():
-    svg = render_svg(Scene(2, []))
-    assert svg.startswith("<svg")
-    assert "<line" not in svg and "<circle" not in svg
-
-
-def test_svg_rejects_3d():
-    with pytest.raises(SceneFormatError):
-        render_svg(Scene(3, [Primitive("linseg", p1=[0, 0, 0], p2=[1, 0, 0])]))
-
-
-def test_svg_overlays_verified_groups():
-    scene = _square_scene()
-    rect = SimpleNamespace(
-        model_type="rectangle",
-        instance=1,
-        frame=frame_from_segment([0, 2], [4, 2]),
-        probability=0.9,
-        status="verified",
-    )
-    child = SimpleNamespace(
-        model_type="linseg", instance=1, frame=scene.primitives[0].frame(),
-        probability=0.9, status="verified",
-    )
-    hypo = SimpleNamespace(
-        model_type="box", instance=1, frame=rect.frame,
-        probability=0.5, status="hypothesized",
-    )
-    links = [
-        SimpleNamespace(kind="part-of", source=("linseg", 1), target=("rectangle", 1)),
-        SimpleNamespace(kind="part-of", source=("linseg", 1), target=("box", 1)),
-    ]
-    ig = SimpleNamespace(
-        nodes={
-            ("rectangle", 1): rect,
-            ("linseg", 1): child,
-            ("box", 1): hypo,
-        },
-        links=links,
-    )
-    svg = render_svg(scene, ig)
-    assert "rectangle 0.90" in svg
-    assert "<polygon" in svg
-    assert "box" not in svg  # hypothesized nodes stay hidden
