@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
@@ -53,23 +54,28 @@ _BOUNDS = {
 
 
 def _coerce(name: str, value):
+    """The override as the field's type; ConfigError for a bool, a non-numeric
+    string or a value that has no integer form (a fraction, NaN, +-inf)."""
     field = _FIELDS[name]
-    if field.type in ("int", int):
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        out = int(float(value))
-        if float(out) != float(value):
-            raise ConfigError(f"{name}: expected an integer, got {value!r}")
-        return out
+    is_int = field.type in ("int", int)
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-        raise ConfigError(f"{name}: expected a number, got {value!r}")
-    return float(value)
+        raise ConfigError(f"{name}: expected {'an integer' if is_int else 'a number'}, got {value!r}")
+    try:
+        number = float(value)
+        out = int(number) if is_int else number
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected {'an integer' if is_int else 'a number'}, got {value!r}") from None
+    if is_int and float(out) != number:
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    return out
 
 
 def _check_bounds(name: str, value):
     bounds = _BOUNDS.get(name)
     if bounds is None or isinstance(value, bool):
         return
+    if not math.isfinite(value):  # NaN would pass every comparison below
+        raise ConfigError(f"{name}: {value} is not finite")
     low, high, low_open, high_open = bounds
     if low is not None and (value < low or (low_open and value == low)):
         raise ConfigError(f"{name}: {value} out of range")

@@ -14,9 +14,12 @@ affine-invariant relations are scored.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -213,14 +216,53 @@ def _aligned_projection(camera, template: Frame) -> Frame:
 _PREFILTER_SLACK = 1e-6
 
 
-class CandidateIndex:
-    """Per-wave snapshot of the candidate nodes, for cheap radius queries.
+class _Columns(NamedTuple):
+    """Per-frame scalars the column prefilters read, one row per frame.
 
-    Holds the non-spec, non-pruned nodes in key order with their origins in
-    one contiguous array, taken once the graph has settled (after relax and
-    prune). Frames and statuses only change between waves, and nodes are
-    never removed from `ig.nodes`, so within a wave the snapshot stays valid
-    and nodes inserted after it are exactly the tail of `ig.nodes`.
+    `lengths` is the primary length, `axes` the primary axis row padded to
+    three components (a zero row for a degenerate frame), `single` whether
+    exactly one axis is nonzero, and `rss` the root-sum-square of the axis
+    lengths.
+    """
+
+    origins: np.ndarray
+    lengths: np.ndarray
+    axes: np.ndarray
+    single: np.ndarray
+    rss: np.ndarray
+
+    @staticmethod
+    def of(frames) -> "_Columns":
+        dim = frames[0].dim if frames else 3
+        n = len(frames)
+        lengths = np.array([f.lengths for f in frames]).reshape(n, dim)
+        primary = lengths.max(axis=1, initial=0.0)
+        rows = np.array([f.axes for f in frames]).reshape(n, dim, dim)[
+            np.arange(n), lengths.argmax(axis=1)]
+        axes = np.zeros((n, 3))
+        axes[:, :dim] = np.where((primary > 0)[:, None], rows, 0.0)
+        return _Columns(np.array([f.origin for f in frames]).reshape(n, dim), primary, axes,
+                        np.count_nonzero(lengths > 0, axis=1) == 1,
+                        _row_norms(lengths))
+
+    def take(self, rows) -> "_Columns":
+        return _Columns(*(col[rows] for col in self))
+
+
+class CandidateIndex:
+    """Per-wave snapshot of the candidate nodes, for cheap radius queries and
+    column prefilters.
+
+    Holds the non-spec, non-pruned nodes in key order and their frames'
+    `_Columns`, taken once the graph has settled (after relax and prune).
+    Frames and statuses only change between waves, and nodes are never
+    removed from `ig.nodes`, so within a wave the snapshot stays valid and
+    nodes inserted after it are exactly the tail of `ig.nodes`.
+
+    Prefilter contract: whatever is computed from the columns only narrows
+    the candidates to a superset of those that pass, with `_PREFILTER_SLACK`
+    to spare; every survivor then faces the exact scalar gate, so a decision
+    never depends on the columns' rounding.
     """
 
     def __init__(self, ig: ImageGraph):
@@ -228,29 +270,40 @@ class CandidateIndex:
         self.nodes = [n for n in ig.sorted_nodes()
                       if n.spec_slot is None and n.status != "pruned"]
         self._seen = len(ig.nodes)
-        self.origins = np.array([n.frame.origin for n in self.nodes])
-        self.lengths = np.array([n.frame.primary_length for n in self.nodes])
+        self.cols = _Columns.of([n.frame for n in self.nodes])
+        self._type_masks: dict = {}
 
     def fresh(self) -> list:
         """Nodes inserted since the snapshot, in insertion order."""
         return list(itertools.islice(self.ig.nodes.values(), self._seen, None))
 
-    def near(self, points, radii) -> list:
-        """Per query point, the snapshot nodes within its radius (plus a small
-        slack) followed by every node inserted since the snapshot.
+    def of_types(self, types: frozenset) -> np.ndarray:
+        """Mask of the snapshot nodes whose model type is in `types`."""
+        mask = self._type_masks.get(types)
+        if mask is None:
+            mask = np.array([n.model_type in types for n in self.nodes], dtype=bool)
+            self._type_masks[types] = mask
+        return mask
 
-        A superset of the exact answer: callers re-check status, spec slot
-        and the exact distance on what comes back.
+    def near(self, points, radii) -> list:
+        """Per query point, (rows, d2): the rows of the snapshot nodes within
+        its radius (plus a small slack) and their squared origin distances,
+        rounded as numpy rounds them.
+
+        A superset of the exact answer among the snapshot nodes: callers
+        re-check status, spec slot and the exact distance on what comes
+        back, and treat every fresh() node as a candidate too.
         """
-        fresh = self.fresh()
         if not self.nodes:
-            return [list(fresh) for _ in radii]
-        diff = self.origins[None, :, :] - np.asarray(points)[:, None, :]
+            return [(np.zeros(0, dtype=int), np.zeros(0)) for _ in radii]
+        diff = self.cols.origins[None, :, :] - np.asarray(points)[:, None, :]
         d2 = np.einsum("knd,knd->kn", diff, diff)
         reach = np.asarray(radii) * (1.0 + _PREFILTER_SLACK)
-        hits = d2 <= (reach * reach)[:, None]
-        nodes = self.nodes
-        return [[nodes[i] for i in np.flatnonzero(row)] + fresh for row in hits]
+        out = []
+        for row, r in zip(d2, reach):
+            rows = np.flatnonzero(row <= r * r)
+            out.append((rows, row[rows]))
+        return out
 
 
 def _distance(p, q) -> float:
@@ -260,36 +313,217 @@ def _distance(p, q) -> float:
     return math.sqrt(float(diff.dot(diff)))
 
 
+# -- lower bounds of the scalar strains ---------------------------------------------
+#
+# Each bound is at most the strain it stands in for, for every input, with
+# the slack inside the bound: a candidate whose bound already fails the gate
+# fails the exact gate too, so skipping it changes nothing.
+
+
+def _origin_bound(d, sigma_o, scale):
+    """Lower bound of placement_strain from the origin offset `d` alone.
+
+    placement_strain's origin term is (d / (sigma_o * canonical scale))^2,
+    and the canonical scale of every symmetry class is at most the
+    prediction's primary length `scale`; the other terms are nonnegative.
+    """
+    return (d / (sigma_o * scale)) ** 2 * (1.0 - _PREFILTER_SLACK)
+
+
+def _gap_bound(observed, target, tolerance, margin):
+    """((observed - target) / tolerance)^2 with the gap shrunk by `margin`,
+    which covers the rounding of `observed` computed in columns."""
+    gap = np.maximum(np.abs(observed - target) - margin, 0.0)
+    return (gap / tolerance) ** 2
+
+
+def _row_norms(v):
+    return np.sqrt(np.einsum("nd,nd->n", v, v))
+
+
+def _pad3(v):
+    return v if v.shape[1] == 3 else np.hstack([v, np.zeros((len(v), 3 - v.shape[1]))])
+
+
+def _segment_angles(a: _Columns, b: _Columns):
+    """angle_between on frames with a single nonzero axis each, in columns:
+    the same float operations in the same order, with numpy's arctan2."""
+    a0, a1, a2 = a.axes.T
+    b0, b1, b2 = b.axes.T
+    scale = a.lengths * b.lengths
+    dot = (a0 * b0 + a1 * b1 + a2 * b2) / scale
+    cx = a1 * b2 - a2 * b1
+    cy = a2 * b0 - a0 * b2
+    cz = a0 * b1 - a1 * b0
+    cross = np.sqrt(cx * cx + cy * cy + cz * cz) / scale
+    return np.arctan2(cross, np.abs(dot))
+
+
+def _segment_distances(a: _Columns, b: _Columns):
+    """geometry._segment_distance on the primary axes, in columns: the same
+    float operations in the same order, so a row is bit for bit the scalar
+    result for frames with a single nonzero axis each."""
+    ca, cb = _pad3(a.origins), _pad3(b.origins)
+    ax, ay, az = a.axes.T
+    bx, by, bz = b.axes.T
+    rx, ry, rz = (ca - cb).T
+    a_ = ax * ax + ay * ay + az * az
+    e = bx * bx + by * by + bz * bz
+    b_ = ax * bx + ay * by + az * bz
+    c = ax * rx + ay * ry + az * rz
+    f = bx * rx + by * ry + bz * rz
+    nx = ay * bz - az * by
+    ny = az * bx - ax * bz
+    nz = ax * by - ay * bx
+    denom = nx * nx + ny * ny + nz * nz
+    num = ((ny * bz - nz * by) * rx + (nz * bx - nx * bz) * ry
+           + (nx * by - ny * bx) * rz)
+    parallel = denom == 0.0
+    s = np.where(parallel, 0.0,
+                 np.minimum(1.0, np.maximum(-1.0, num / np.where(parallel, 1.0, denom))))
+    t = (b_ * s + f) / e
+    low, high = t < -1.0, t > 1.0
+    s = np.where(low, np.minimum(1.0, np.maximum(-1.0, (-b_ - c) / a_)), s)
+    s = np.where(high, np.minimum(1.0, np.maximum(-1.0, (b_ - c) / a_)), s)
+    t = np.where(low, -1.0, np.where(high, 1.0, t))
+    dx = rx + s * ax - t * bx
+    dy = ry + s * ay - t * by
+    dz = rz + s * az - t * bz
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
+
+
+@np.errstate(all="ignore")  # rows that divide by zero are masked out
+def _screening_bound(rel, a: _Columns, b: _Columns, s_fail: float,
+                     projected: bool):
+    """Per row, a lower bound of the strain relation_strains charges `rel` on
+    the frames of `a` (operand 0) and `b` (operand 1).
+
+    size-ratio and distance-ratio take their closed forms, angle and
+    parallel only where both frames have a single nonzero axis (so no tied
+    axes). touch charges s_fail where the origins lie further apart than
+    both extents can reach, and for two segments where their distance
+    exceeds the limit. Everything else, and every relation but touch in
+    projected mode (whose strains are row-resolved), is bounded by 0. A
+    degenerate frame, which the scalar path charges as infinite strain, is
+    bounded by 0 or s_fail.
+    """
+    f = rel.function
+    zero = np.zeros(len(a.lengths))
+    if f == "touch":
+        limit = rel.tolerance * np.maximum(a.lengths, b.lengths)
+        gap = _row_norms(b.origins - a.origins)
+        apart = gap > (a.rss + b.rss + limit) * (1.0 + _PREFILTER_SLACK)
+        both = a.single & b.single
+        if both.any():
+            apart |= both & (_segment_distances(a, b) > limit * (1.0 + _PREFILTER_SLACK))
+        return np.where(apart, s_fail, 0.0)
+    if projected:
+        return zero
+    if f in ("size-ratio", "distance-ratio"):
+        if f == "size-ratio":
+            valid = (a.lengths > 0) & (b.lengths > 0)
+            observed = a.lengths / np.where(valid, b.lengths, 1.0)
+        else:
+            valid = a.lengths > 0
+            observed = _row_norms(a.origins - b.origins) / np.where(valid, a.lengths, 1.0)
+        margin = _PREFILTER_SLACK * (observed + abs(rel.target))
+        return np.where(valid, _gap_bound(observed, rel.target, rel.tolerance, margin), 0.0)
+    if f in ("angle", "parallel"):
+        both = a.single & b.single
+        angles = _segment_angles(a, b)
+        if f == "angle":
+            bound = _gap_bound(angles, rel.target, rel.tolerance, _PREFILTER_SLACK)
+        else:
+            bound = np.where(angles > rel.tolerance + _PREFILTER_SLACK, s_fail, 0.0)
+        return np.where(both, bound, 0.0)
+    return zero
+
+
+def _screen_limit(screen_min: float) -> float:
+    """Largest strain sum a screening score can carry and still reach
+    screen_min (score = exp(-sum / 2)), with slack for the rounding of the
+    product of conditionals."""
+    if screen_min <= 0.0:
+        return math.inf
+    return -2.0 * math.log(screen_min) * (1.0 + _PREFILTER_SLACK) + _PREFILTER_SLACK
+
+
 # -- hypothesis generation ----------------------------------------------------------
 
 
 def _clue_pairs(index: CandidateIndex, frontier, gate_radius: float) -> list:
-    """Node pairs (a, b), both verified, at least one in the frontier, whose
-    origins lie within gate_radius times the larger primary length; in the
-    order of a combinations walk over index.nodes."""
+    """Row pairs (i, j) of index.nodes, both verified, at least one in the
+    frontier, whose origins lie within gate_radius times the larger primary
+    length; in the order of a combinations walk over index.nodes."""
     nodes = index.nodes
     if not nodes:
         return []
+    origins, lengths = index.cols.origins, index.cols.lengths
     frontier_keys = {n.key for n in frontier}
     verified = np.array([n.status == "verified" for n in nodes])
     pairs = set()
     for i, node in enumerate(nodes):
         if node.key not in frontier_keys or not verified[i]:
             continue
-        diff = index.origins - index.origins[i]
+        diff = origins - origins[i]
         d2 = np.einsum("nd,nd->n", diff, diff)
         reach = (gate_radius * (1.0 + _PREFILTER_SLACK)
-                 * np.maximum(index.lengths, index.lengths[i]))
+                 * np.maximum(lengths, lengths[i]))
         for j in np.flatnonzero((d2 <= reach * reach) & verified):
             if j != i:
                 pairs.add((i, int(j)) if i < j else (int(j), i))
     out = []
     for i, j in sorted(pairs):
-        a, b = nodes[i], nodes[j]
-        reach = gate_radius * max(a.frame.primary_length, b.frame.primary_length)
-        if _distance(a.frame.origin, b.frame.origin) <= reach:
-            out.append((a, b))
+        a, b = nodes[i].frame, nodes[j].frame
+        if _distance(a.origin, b.origin) <= gate_radius * max(a.primary_length,
+                                                              b.primary_length):
+            out.append((i, j))
     return out
+
+
+# Clue pairs screened per block of columns: bounds the arrays and the
+# survivor list held at once.
+_SCREEN_BLOCK = 256
+
+
+def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
+              projected: bool):
+    """Yield (midx entry, ordered clue nodes) for every screening the column
+    bounds cannot rule out, in the scalar order: pair, then midx entry, then
+    orientation. A superset of the screenings that reach cfg.screen_min."""
+    nodes = index.nodes
+    limit = _screen_limit(cfg.screen_min)
+    fits = model.abstract
+    for start in range(0, len(pairs), _SCREEN_BLOCK):
+        block = np.array(pairs[start:start + _SCREEN_BLOCK], dtype=int)
+        by_types: dict = {}
+        for p, (i, j) in enumerate(block.tolist()):
+            by_types.setdefault((nodes[i].model_type, nodes[j].model_type), []).append(p)
+        survivors = []
+        for (type_a, type_b), group in by_types.items():
+            group = np.array(group)
+            cols = (index.cols.take(block[group, 0]), index.cols.take(block[group, 1]))
+            for e, entry in enumerate(midx_lookup(model.midx, type_a, type_b)):
+                mnode = model.node(entry.hypothesis)
+                s1, s2 = entry.slots
+                fits1 = fits.get(mnode.part(s1).type_name, frozenset())
+                fits2 = fits.get(mnode.part(s2).type_name, frozenset())
+                for o, (ta, tb) in enumerate(((type_a, type_b), (type_b, type_a))):
+                    if ta not in fits1 or tb not in fits2:
+                        continue
+                    slot_cols = {s1: cols[o], s2: cols[1 - o]}
+                    total = np.zeros(len(group))
+                    for rel in entry.screening:
+                        op_a, op_b = rel.operands
+                        total += np.minimum(_screening_bound(rel, slot_cols[op_a],
+                                                             slot_cols[op_b],
+                                                             cfg.s_fail, projected), 1e6)
+                    survivors.extend((p, e, o) for p in group[total <= limit].tolist())
+        survivors.sort()
+        for p, e, o in survivors:
+            a, b = nodes[block[p, 0]], nodes[block[p, 1]]
+            entry = midx_lookup(model.midx, a.model_type, b.model_type)[e]
+            yield entry, ((a, b) if o == 0 else (b, a))
 
 
 def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config,
@@ -300,93 +534,191 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config
     with its fitted transform; a screening score is the product of the
     screening-relation conditionals and must reach cfg.screen_min. `index`
     must be a snapshot of the graph as it is now.
+
+    Prefilter contract: column lower bounds of the screening strains
+    (`_screening_bound`) pick a superset of the screenings that can pass;
+    only those are scored exactly by relation_strains. Then each key fits
+    its passing assignments in order of score (ties by first occurrence) and
+    keeps the first fit that succeeds: the assignment the scalar rule "fit
+    every one, keep a strictly better score" would keep, fitted once.
     """
     projected = ig.projected
-    fits = model.abstract
-    best: dict = {}
-    for a, b in _clue_pairs(index, frontier, cfg.gate_radius):
-        for entry in midx_lookup(model.midx, a.model_type, b.model_type):
+    pairs = _clue_pairs(index, frontier, cfg.gate_radius)
+    passed: dict = {}
+    for order, (entry, (ca, cb)) in enumerate(_screened(index, model, pairs, cfg,
+                                                        projected)):
+        mnode = model.node(entry.hypothesis)
+        s1, s2 = entry.slots
+        score = 1.0
+        for _, s in relation_strains(mnode, entry.screening, {s1: ca.frame, s2: cb.frame},
+                                     cfg.s_fail, projected):
+            score *= cond_probability(min(s, 1e6))
+        if score < cfg.screen_min:
+            continue
+        key = (entry.hypothesis, frozenset((ca.key, cb.key)))
+        passed.setdefault(key, []).append((-score, order, entry, ca, cb))
+    out = []
+    for candidates in passed.values():
+        for neg_score, _, entry, ca, cb in sorted(candidates, key=lambda c: c[:2]):
             mnode = model.node(entry.hypothesis)
             s1, s2 = entry.slots
-            fits1 = fits.get(mnode.part(s1).type_name, frozenset())
-            fits2 = fits.get(mnode.part(s2).type_name, frozenset())
-            for ca, cb in ((a, b), (b, a)):
-                if ca.model_type not in fits1 or cb.model_type not in fits2:
-                    continue
-                frames = {s1: ca.frame, s2: cb.frame}
-                score = 1.0
-                for _, s in relation_strains(mnode, entry.screening, frames,
-                                             cfg.s_fail, projected):
-                    score *= cond_probability(min(s, 1e6))
-                if score < cfg.screen_min:
-                    continue
-                try:
-                    transform, _ = _fit_transform(mnode.part(s1).frame,
-                                                  mnode.part(s2).frame,
-                                                  ca.frame, cb.frame, projected)
-                except (UnderConstrainedError, DegenerateFrameError):
-                    continue
-                key = (entry.hypothesis, frozenset((ca.key, cb.key)))
-                h = Hypothesis(entry.hypothesis, ca.key, cb.key, entry.slots,
-                               transform, score)
-                if key not in best or score > best[key].screening_score:
-                    best[key] = h
-    return sorted(best.values(), key=lambda h: h.order_key())
+            try:
+                transform, _ = _fit_transform(mnode.part(s1).frame, mnode.part(s2).frame,
+                                              ca.frame, cb.frame, projected)
+            except (UnderConstrainedError, DegenerateFrameError):
+                continue
+            out.append(Hypothesis(entry.hypothesis, ca.key, cb.key, entry.slots,
+                                  transform, -neg_score))
+            break
+    return sorted(out, key=lambda h: h.order_key())
 
 
 # -- verification -------------------------------------------------------------------
 
 
-def _match_slots(index, model, mnode, transform, cfg, projected, strain_gate=True):
+def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
     """Predict every slot and greedily bind the closest unclaimed instances.
 
-    With the strain gate on, candidates must sit within s_fail of their
-    predicted placement; without it only the origin radius gate applies,
-    which tolerates the rotational slack of a rough transform. Returns
-    (matched, strains) where matched maps slot name to member keys, or
-    (None, strains) when an essential slot cannot be filled.
+    The gated matching takes candidates within s_fail of their predicted
+    placement, ranked by placement strain. With `rough` the same transform
+    also gets a rough matching, where only the origin radius gate applies
+    (it tolerates the rotational slack of a rough transform), ranked by
+    origin offset over the predicted scale. Returns (gated, rough), each
+    (matched, strains) where matched maps slot name to member keys, or is
+    None when an essential slot cannot be filled; rough is None unless
+    asked for.
+
+    Prefilter contract: `index.near` and `index.of_types` narrow the
+    snapshot to a superset of the instances of a fitting type within the
+    gate radius. A gated candidate must also lie within sigma_o *
+    sqrt(s_fail) predicted primary lengths, since `_origin_bound` shows no
+    farther one can pass, and is scored by placement_strain only when its
+    origin bound is within s_fail; then it faces the exact gate. A rough
+    candidate waits in a `_Nearest` stream behind a lower bound of its rank
+    and gets its exact distance only when it could bind next (see
+    `_bind`); its placement strain, read only by the variant-tag
+    tie-break, is computed only once it is bound.
     """
     predictions = {}
     for slot in mnode.parts:
         try:
             predictions[slot.name] = _predict(transform, slot.frame, projected)
         except DegenerateFrameError:
-            return None, {}
+            return (None, {}), ((None, {}) if rough else None)
     live = [(slot, predictions[slot.name]) for slot in mnode.parts
             if predictions[slot.name].primary_length > 0]
+    gate = cfg.gate_radius
+    tight = [min(gate, slot.elasticity[0] * math.sqrt(cfg.s_fail)) for slot, _ in live]
     near = index.near([pred.origin for _, pred in live],
-                      [cfg.gate_radius * pred.primary_length for _, pred in live])
-    candidates = []
-    for (slot, pred), hits in zip(live, near):
+                      [pred.primary_length * (gate if rough else r)
+                       for (_, pred), r in zip(live, tight)])
+    fresh = [n for n in index.fresh() if n.spec_slot is None and n.status != "pruned"]
+
+    def exact_distance(node, slot, pred):
+        """Origin distance of a candidate that passes the status, type and
+        radius gates, else None."""
+        if node.status == "pruned" or node.spec_slot is not None:
+            return None
+        if node.model_type not in model.abstract.get(slot.type_name, frozenset()):
+            return None
+        d = _distance(node.frame.origin, pred.origin)
+        return None if d > gate * pred.primary_length else d
+
+    def rough_entry(slot, pred, node):
+        """The exact rough candidate, or None when it fails a gate."""
+        d = exact_distance(node, slot, pred)
+        if d is None:
+            return None
+        sym = model.node(node.model_type).symmetry_class
+        return (d / pred.primary_length, slot.name, node.key,
+                functools.partial(placement_strain, pred, node.frame, slot.elasticity, sym),
+                None)
+
+    gated, loose = [], []
+    for (slot, pred), r, (rows, d2) in zip(live, tight, near):
         scale = pred.primary_length
         fits = model.abstract.get(slot.type_name, frozenset())
-        for node in hits:
-            if node.status == "pruned" or node.spec_slot is not None:
-                continue
-            if node.model_type not in fits:
-                continue
-            d = _distance(node.frame.origin, pred.origin)
-            if d > cfg.gate_radius * scale:
+        keep = index.of_types(fits)[rows]
+        rows, d2 = rows[keep], d2[keep]
+        extra = [n for n in fresh if n.model_type in fits]
+        inner = rows[d2 <= (r * scale * (1.0 + _PREFILTER_SLACK)) ** 2] if rough else rows
+        for node in [index.nodes[i] for i in inner.tolist()] + extra:
+            d = exact_distance(node, slot, pred)
+            if d is None or _origin_bound(d, slot.elasticity[0], scale) > cfg.s_fail:
                 continue
             sym = model.node(node.model_type).symmetry_class
             s = placement_strain(pred, node.frame, slot.elasticity, sym)
-            if strain_gate and s > cfg.s_fail:
-                continue
-            rank = s if strain_gate else d / scale
-            candidates.append((rank, slot.name, node.key, s))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+            if s <= cfg.s_fail:
+                gated.append((s, slot.name, node.key, s, None))
+        if rough:
+            resolve = functools.partial(rough_entry, slot, pred)
+            loose.extend(e for e in map(resolve, extra) if e is not None)
+            # rows ascend in key order, so (lower bound, row) is (lower bound, key)
+            lower = np.sqrt(d2) / scale * (1.0 - _PREFILTER_SLACK)
+            order = np.lexsort((rows, lower))
+            stream = _Nearest(slot.name, lower[order].tolist(),
+                              [index.nodes[i] for i in rows[order].tolist()], resolve)
+            head = stream.entry(0)
+            if head is not None:
+                loose.append(head)
+    return _bind(mnode, gated), (_bind(mnode, loose) if rough else None)
+
+
+class _Nearest:
+    """One slot's candidates in ascending order of (lower bound of rank, key);
+    `resolve(node)` gives a candidate's exact `_bind` entry, or None when it
+    fails its exact gate."""
+
+    __slots__ = ("name", "lower", "nodes", "resolve")
+
+    def __init__(self, name, lower, nodes, resolve):
+        self.name, self.lower, self.nodes, self.resolve = name, lower, nodes, resolve
+
+    def entry(self, pos):
+        """The pending candidate at `pos` as a `_bind` entry, None past the end."""
+        if pos == len(self.nodes):
+            return None
+        return (self.lower[pos], self.name, self.nodes[pos].key, None, (self, pos))
+
+
+def _bind(mnode, candidates):
+    """Greedy binding of (rank, slot name, key, strain, pending) candidates in
+    rank order (ties by slot name, then key), one winner per variant tag,
+    then the essential-slot check. A strain may be a callable, evaluated
+    only when its candidate is bound.
+
+    A pending candidate is the head (stream, pos) of a `_Nearest` stream and
+    carries a lower bound of its rank. When it comes first while its slot
+    has room, the stream's next candidate joins the line and, unless its
+    key is bound already, it is resolved to its exact candidate, which
+    rejoins the line (or is dropped when it fails its exact gate). Every
+    candidate still in a stream ranks at or after its head, so candidates
+    bind in the order of their exact ranks, and only those that could bind
+    next are resolved.
+    """
+    heapq.heapify(candidates)
     matched: dict = {}
     strains: dict = {}
     used = set()
     limits = {slot.name: slot.multiplicity for slot in mnode.parts}
-    for _, name, key, s in candidates:
-        if key in used:
-            continue
-        lo, hi = limits[name]
+    while candidates:
+        _, name, key, s, pending = heapq.heappop(candidates)
+        hi = limits[name][1]
         if hi is not None and len(matched.get(name, [])) >= hi:
             continue
+        if pending is not None:
+            stream, pos = pending
+            follow = stream.entry(pos + 1)
+            if follow is not None:
+                heapq.heappush(candidates, follow)
+            exact = None if key in used else stream.resolve(stream.nodes[pos])
+            if exact is not None:
+                heapq.heappush(candidates, exact)
+            continue
+        if key in used:
+            continue
         matched.setdefault(name, []).append(key)
-        strains.setdefault(name, []).append(s)
+        strains.setdefault(name, []).append(s() if callable(s) else s)
         used.add(key)
 
     # one winner per variant tag: keep the best-strained tagged slot
@@ -459,15 +791,13 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
     projected = ig.projected
     mnode = model.node(h.group_type)
 
-    matched, strains = _match_slots(index, model, mnode, h.transform, cfg,
-                                    projected, strain_gate=True)
+    (matched, strains), (rough, _) = _match_slots(index, model, mnode, h.transform,
+                                                  cfg, projected, rough=True)
     transform = h.transform
-    rough, _ = _match_slots(index, model, mnode, h.transform, cfg, projected,
-                            strain_gate=False)
     if rough:
         refit = _refit(mnode, rough, ig, h.transform, projected)
-        re_matched, re_strains = _match_slots(index, model, mnode, refit, cfg,
-                                              projected, strain_gate=True)
+        (re_matched, re_strains), _ = _match_slots(index, model, mnode, refit, cfg,
+                                                   projected)
         if _match_score(re_matched, re_strains) < _match_score(matched, strains):
             matched, strains, transform = re_matched, re_strains, refit
     if matched is None:

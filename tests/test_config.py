@@ -35,7 +35,20 @@ def test_strings_are_coerced():
     assert cfg.gate_radius == 2.5
 
 
-@pytest.mark.parametrize("key, value", [("max_waves", "2.5"), ("s_fail", True)])
+@pytest.mark.parametrize("key, value", [
+    ("max_waves", "2.5"),
+    ("s_fail", True),
+    ("gate_radius", "maybe"),   # not a number at all
+    ("max_waves", "x"),
+    ("max_waves", "inf"),       # int(inf) overflows
+    ("max_waves", float("nan")),
+    ("gate_radius", "nan"),     # NaN passes every bound comparison
+    ("screen_min", float("nan")),
+    ("gate_radius", "inf"),
+    ("s_fail", float("inf")),
+    ("eps", float("-inf")),
+    pytest.param("p0", 10**400, id="p0-int-too-large-for-a-float"),
+])
 def test_uncoercible_value_is_rejected(key, value):
     with pytest.raises(ConfigError):
         make_config(**{key: value})

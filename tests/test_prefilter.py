@@ -1,0 +1,317 @@
+"""The column prefilters of clue screening and slot placement change no result.
+
+`scalar_generate_hypotheses` and `scalar_match_slots` are the scalar
+recognizer steps the prefilters replaced: every clue pair and midx entry
+screened by relation_strains, every screening that passes fitted, and every
+instance within the gate radius scored by placement_strain. The oracle tests
+run recognition with both versions side by side at every wave and demand
+equal results; the property tests check that each column bound stays at or
+below the scalar strain it stands in for.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
+
+import dualgraph.recognize as rec
+from dualgraph.belief import cond_probability, placement_strain, relation_strains
+from dualgraph.config import make_config
+from dualgraph.errors import DegenerateFrameError, UnderConstrainedError
+from dualgraph.geometry import SYMMETRY_CLASSES, Frame, angle_between, boundary_distance
+from dualgraph.model import RelationSpec, midx_lookup
+
+from test_recognize import GOLDEN, _scene, _tiled_scene
+
+# -- the scalar steps ------------------------------------------------------------
+
+
+def scalar_generate_hypotheses(ig, model, frontier, cfg, index):
+    projected = ig.projected
+    fits = model.abstract
+    best = {}
+    for i, j in rec._clue_pairs(index, frontier, cfg.gate_radius):
+        a, b = index.nodes[i], index.nodes[j]
+        for entry in midx_lookup(model.midx, a.model_type, b.model_type):
+            mnode = model.node(entry.hypothesis)
+            s1, s2 = entry.slots
+            fits1 = fits.get(mnode.part(s1).type_name, frozenset())
+            fits2 = fits.get(mnode.part(s2).type_name, frozenset())
+            for ca, cb in ((a, b), (b, a)):
+                if ca.model_type not in fits1 or cb.model_type not in fits2:
+                    continue
+                frames = {s1: ca.frame, s2: cb.frame}
+                score = 1.0
+                for _, s in relation_strains(mnode, entry.screening, frames,
+                                             cfg.s_fail, projected):
+                    score *= cond_probability(min(s, 1e6))
+                if score < cfg.screen_min:
+                    continue
+                try:
+                    transform, _ = rec._fit_transform(mnode.part(s1).frame,
+                                                      mnode.part(s2).frame,
+                                                      ca.frame, cb.frame, projected)
+                except (UnderConstrainedError, DegenerateFrameError):
+                    continue
+                key = (entry.hypothesis, frozenset((ca.key, cb.key)))
+                h = rec.Hypothesis(entry.hypothesis, ca.key, cb.key, entry.slots,
+                                   transform, score)
+                if key not in best or score > best[key].screening_score:
+                    best[key] = h
+    return sorted(best.values(), key=lambda h: h.order_key())
+
+
+def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_gate=True):
+    predictions = {}
+    for slot in mnode.parts:
+        try:
+            predictions[slot.name] = rec._predict(transform, slot.frame, projected)
+        except DegenerateFrameError:
+            return None, {}
+    live = [(slot, predictions[slot.name]) for slot in mnode.parts
+            if predictions[slot.name].primary_length > 0]
+    everyone = index.nodes + index.fresh()
+    candidates = []
+    for slot, pred in live:
+        scale = pred.primary_length
+        fits = model.abstract.get(slot.type_name, frozenset())
+        for node in everyone:
+            if node.status == "pruned" or node.spec_slot is not None:
+                continue
+            if node.model_type not in fits:
+                continue
+            d = rec._distance(node.frame.origin, pred.origin)
+            if d > cfg.gate_radius * scale:
+                continue
+            sym = model.node(node.model_type).symmetry_class
+            s = placement_strain(pred, node.frame, slot.elasticity, sym)
+            if strain_gate and s > cfg.s_fail:
+                continue
+            rank = s if strain_gate else d / scale
+            candidates.append((rank, slot.name, node.key, s))
+    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+    matched = {}
+    strains = {}
+    used = set()
+    limits = {slot.name: slot.multiplicity for slot in mnode.parts}
+    for _, name, key, s in candidates:
+        if key in used:
+            continue
+        lo, hi = limits[name]
+        if hi is not None and len(matched.get(name, [])) >= hi:
+            continue
+        matched.setdefault(name, []).append(key)
+        strains.setdefault(name, []).append(s)
+        used.add(key)
+    tags = {}
+    for slot in mnode.parts:
+        if slot.variant_tag is not None and slot.name in matched:
+            tags.setdefault(slot.variant_tag, []).append(slot.name)
+    for tag, names in sorted(tags.items()):
+        if len(names) < 2:
+            continue
+        keep = min(names, key=lambda n: (min(strains[n]), n))
+        for name in names:
+            if name != keep:
+                matched.pop(name)
+                strains.pop(name)
+    covered = set()
+    for slot in mnode.parts:
+        if (slot.variant_tag is not None
+                and len(matched.get(slot.name, [])) >= slot.multiplicity[0]):
+            covered.add(slot.variant_tag)
+    for slot in mnode.parts:
+        have = len(matched.get(slot.name, []))
+        if slot.variant_tag is not None:
+            if slot.essential and slot.variant_tag not in covered:
+                return None, strains
+            continue
+        if slot.essential and have < slot.multiplicity[0]:
+            return None, strains
+    return matched, strains
+
+
+# -- side-by-side runs -------------------------------------------------------------
+
+
+def _transform_bytes(t):
+    if isinstance(t, rec.AffineCamera):
+        return (t.linear.tobytes(), t.translation.tobytes())
+    return (t.rotation.tobytes(), np.float64(t.scale).tobytes(), t.translation.tobytes())
+
+
+def _hypothesis_fields(h):
+    return (h.group_type, h.clue_a, h.clue_b, h.slots, h.screening_score,
+            type(h.transform), _transform_bytes(h.transform))
+
+
+def _run_side_by_side(monkeypatch, scene, model, cfg):
+    """Recognize with both versions compared at every call; returns the
+    number of waves and of compared slot matchings."""
+    new_generate, new_match = rec.generate_hypotheses, rec._match_slots
+    seen = {"waves": 0, "matchings": 0}
+
+    def generate(ig, model, frontier, cfg, index):
+        got = new_generate(ig, model, frontier, cfg, index)
+        want = scalar_generate_hypotheses(ig, model, frontier, cfg, index)
+        assert [_hypothesis_fields(h) for h in got] == [_hypothesis_fields(h) for h in want]
+        seen["waves"] += 1
+        return got
+
+    def match(index, model, mnode, transform, cfg, projected, rough=False):
+        got = new_match(index, model, mnode, transform, cfg, projected, rough=rough)
+        gated = scalar_match_slots(index, model, mnode, transform, cfg, projected)
+        loose = (scalar_match_slots(index, model, mnode, transform, cfg, projected,
+                                    strain_gate=False) if rough else None)
+        assert got == (gated, loose)
+        seen["matchings"] += 1
+        return got
+
+    monkeypatch.setattr(rec, "generate_hypotheses", generate)
+    monkeypatch.setattr(rec, "_match_slots", match)
+    rec.recognize(scene, model, cfg)
+    return seen
+
+
+@pytest.mark.parametrize("fixture, target, jitter, distractors, camera", [c[:5] for c in GOLDEN],
+                         ids=[f"{c[0]}-{c[1]}-{c[2]}-{c[3]}-{c[4]}" for c in GOLDEN])
+def test_golden_scenes_match_the_scalar_steps(monkeypatch, fixture, target, jitter,
+                                              distractors, camera):
+    scene, model = _scene(fixture, target, jitter, seed=5, distractors=distractors,
+                          camera=camera)
+    seen = _run_side_by_side(monkeypatch, scene, model, make_config())
+    assert seen["waves"] >= 2 and seen["matchings"] > 0
+
+
+def test_tiled_scene_matches_the_scalar_steps(monkeypatch):
+    scene, model = _tiled_scene("truck_flat.json", "truck1", copies=4, jitter=0.03, seed=5)
+    seen = _run_side_by_side(monkeypatch, scene, model, make_config())
+    assert seen["waves"] >= 2 and seen["matchings"] > 0
+
+
+@pytest.mark.parametrize("overrides", [
+    {"screen_min": 0.0},     # every screening passes: the bounds may skip nothing
+    {"screen_min": 1.0},     # only a strain-free screening passes
+    {"s_fail": 1.0},
+    {"s_fail": 20.0},
+    {"gate_radius": 0.5},    # the gate radius, not sigma_o * sqrt(s_fail), is the tighter
+    {"gate_radius": 6.0},
+], ids=lambda o: "-".join(f"{k}={v}" for k, v in o.items()))
+@pytest.mark.parametrize("fixture, target, camera", [
+    ("face.json", "face", None),
+    ("truck_flat.json", "truck1", None),
+    ("truck.json", "truck1", "random"),
+])
+def test_non_default_configs_match_the_scalar_steps(monkeypatch, overrides, fixture, target,
+                                                    camera):
+    scene, model = _scene(fixture, target, 0.03, seed=5,
+                          distractors=0 if camera else 12, camera=camera)
+    seen = _run_side_by_side(monkeypatch, scene, model, make_config(**overrides))
+    assert seen["waves"] >= 1
+
+
+# -- the bounds never exceed the scalar strains ----------------------------------
+
+finite = st.floats(-5.0, 5.0)
+length = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 10.0))
+
+
+@st.composite
+def frames(draw, dim):
+    """A frame with random axis lengths, zero (degenerate) and equal (tied)
+    ones included, under a random rotation."""
+    lengths = draw(st.lists(length, min_size=dim, max_size=dim))
+    if draw(st.booleans()):
+        lengths[-1] = lengths[0]
+    angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
+    if dim == 2:
+        c, s = math.cos(angles[0]), math.sin(angles[0])
+        rot = np.array([[c, -s], [s, c]])
+    else:
+        rot = Rotation.from_rotvec(angles).as_matrix()
+    origin = draw(st.lists(finite, min_size=dim, max_size=dim))
+    return Frame(np.array(origin), np.diag(lengths) @ rot)
+
+
+@st.composite
+def frame_pairs(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    a = draw(frames(dim))
+    if draw(st.booleans()):
+        # nearly coincident or nearly parallel pairs sit at the gates' edges
+        eps = draw(st.floats(-1e-3, 1e-3))
+        b = Frame(a.origin + eps, a.axes * draw(st.floats(0.5, 2.0)))
+    else:
+        b = draw(frames(dim))
+    return a, b
+
+
+def _scalar_strain(rel, a, b, s_fail, projected=False):
+    ((_, s),) = relation_strains(None, [rel], {"a": a, "b": b}, s_fail, projected)
+    return min(s, 1e6)
+
+
+def _bound(rel, a, b, s_fail, projected=False):
+    cols = rec._Columns.of([a]), rec._Columns.of([b])
+    return min(float(rec._screening_bound(rel, *cols, s_fail, projected)[0]), 1e6)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=frame_pairs(), sym=st.sampled_from(SYMMETRY_CLASSES),
+       sigma=st.floats(0.01, 2.0), s_fail=st.floats(0.1, 50.0))
+def test_origin_bound_never_exceeds_placement_strain(pair, sym, sigma, s_fail):
+    pred, obs = pair
+    if pred.primary_length == 0:
+        return  # a prediction without extent is never matched
+    d = rec._distance(obs.origin, pred.origin)
+    strain = placement_strain(pred, obs, (sigma, 0.25, 0.25), sym)
+    assert rec._origin_bound(d, sigma, pred.primary_length) <= strain
+    # the tight near radius holds every instance that can pass the gate
+    if strain <= s_fail:
+        assert d <= sigma * math.sqrt(s_fail) * pred.primary_length * (1 + rec._PREFILTER_SLACK)
+
+
+@settings(max_examples=600, deadline=None)
+@given(pair=frame_pairs(),
+       function=st.sampled_from(["size-ratio", "distance-ratio", "touch", "angle", "parallel"]),
+       target=st.floats(0.0, 3.0), tolerance=st.floats(0.01, 2.0),
+       s_fail=st.floats(0.1, 50.0), swap=st.booleans())
+def test_screening_bounds_never_exceed_the_scalar_strain(pair, function, target, tolerance,
+                                                         s_fail, swap):
+    a, b = pair[::-1] if swap else pair
+    if function in ("touch", "parallel"):
+        target = True
+    elif function == "angle":
+        target = min(target, math.pi / 2)
+    rel = RelationSpec(function, ("a", "b"), target, tolerance)
+    assert _bound(rel, a, b, s_fail) <= _scalar_strain(rel, a, b, s_fail)
+    if function == "touch":
+        assert _bound(rel, a, b, s_fail, True) <= _scalar_strain(rel, a, b, s_fail, True)
+
+
+def _segment(origin, half_axis):
+    """A frame whose only nonzero row is `half_axis`, or None for a zero one."""
+    axes = np.zeros((len(origin), len(origin)))
+    axes[0] = half_axis
+    return Frame(origin, axes) if np.any(half_axis != 0) else None
+
+
+@settings(max_examples=400, deadline=None)
+@given(dim=st.sampled_from([2, 3]),
+       coords=st.lists(finite, min_size=12, max_size=12),
+       parallel=st.booleans())
+def test_segment_columns_match_the_scalar_kernels(dim, coords, parallel):
+    ca, ha, cb, hb = (np.array(coords[k * 3:k * 3 + dim]) for k in range(4))
+    if parallel:
+        hb = 0.5 * ha
+    a, b = _segment(ca, ha), _segment(cb, hb)
+    assume(a is not None and b is not None)
+    assume(a.primary_length > 0 and b.primary_length > 0)  # no underflow to zero
+    cols = rec._Columns.of([a]), rec._Columns.of([b])
+    assert cols[0].single[0] and cols[1].single[0]
+    got = rec._segment_distances(*cols)[0]
+    assert np.float64(got).tobytes() == np.float64(boundary_distance(a, b)).tobytes()
+    assert rec._segment_angles(*cols)[0] == pytest.approx(angle_between(a, b), abs=1e-12)

@@ -34,13 +34,19 @@ def _scene(fixture, target, jitter, seed, distractors=32, camera=None):
 # every output byte unchanged: the face and truck_flat cases before the
 # candidate index and the closed-form segment distance, the 3D truck cases
 # (plain 3D, and projected through a random camera) before the relation
-# loops were folded into one helper. The projected truck is never found
-# (ROADMAP defect 2(d)), so `found` is asserted per case.
+# loops were folded into one helper, and the 128-distractor clutter cases
+# before clue screening and slot placement were prefiltered in columns. The
+# projected truck is never found (ROADMAP defect 2(d)), so `found` is
+# asserted per case.
 GOLDEN = [
     ("face.json", "face", 0.0, 32, None, True,
      "7bfacfce0a4acb60dbea6ac76e5196e8d12928b1cd950e65881a6dde4befe5b7"),
     ("truck_flat.json", "truck1", 0.03, 32, None, True,
      "bb542ee9627c98f6491fdcbe29e1e13ea5de430422dbc27764b7351c5c013f15"),
+    ("face.json", "face", 0.0, 128, None, True,
+     "e5bd9bb32c37ffbc2de23c6e6fb14462b5b29a7d908304b06b1a876925bc38eb"),
+    ("truck_flat.json", "truck1", 0.03, 128, None, True,
+     "6b1238d373d082df2ac5c4969512e7271b6133806b819e2222c0a67ecbff4a99"),
     ("truck.json", "truck1", 0.0, 0, None, True,
      "1fd9dd12cba5f95a03c13d0b61b3ceaec12f3702bd1018de9e9c1b3c90d0613c"),
     ("truck.json", "truck1", 0.0, 0, "random", False,
@@ -161,7 +167,8 @@ def test_clue_pairs_match_combinations_walk(seeded):
         if float(np.linalg.norm(a.frame.origin - b.frame.origin)) <= reach:
             expected.append((a.key, b.key))
     index = CandidateIndex(ig)
-    got = [(a.key, b.key) for a, b in _clue_pairs(index, frontier, cfg.gate_radius)]
+    got = [(index.nodes[i].key, index.nodes[j].key)
+           for i, j in _clue_pairs(index, frontier, cfg.gate_radius)]
     assert got == expected
     assert len(expected) > len(frontier)
 
@@ -170,16 +177,18 @@ def test_near_returns_every_node_within_radius(seeded):
     ig = seeded
     index = CandidateIndex(ig)
     rng = np.random.default_rng(3)
-    points = rng.uniform(index.origins.min(axis=0), index.origins.max(axis=0), size=(20, 2))
-    radii = rng.uniform(0.05, 1.0, size=20) * index.lengths.max()
-    for p, r, hits in zip(points, radii, index.near(points, radii)):
+    points = rng.uniform(index.cols.origins.min(axis=0), index.cols.origins.max(axis=0), size=(20, 2))
+    radii = rng.uniform(0.05, 1.0, size=20) * index.cols.lengths.max()
+    for p, r, (rows, d2) in zip(points, radii, index.near(points, radii)):
         scan = {n.key for n in ig.sorted_nodes()
                 if float(np.linalg.norm(n.frame.origin - p)) <= r}
-        assert scan <= {n.key for n in hits}
+        assert scan <= {index.nodes[i].key for i in rows}
+        assert np.allclose(d2, [np.sum((index.nodes[i].frame.origin - p) ** 2) for i in rows])
 
 
 def _keys_near(index, point, radius):
-    (hits,) = index.near([point], [radius])
+    ((rows, _),) = index.near([point], [radius])
+    hits = [index.nodes[i] for i in rows] + index.fresh()
     return {n.key for n in hits
             if n.status != "pruned" and float(np.linalg.norm(n.frame.origin - point)) <= radius}
 
