@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.spatial.transform import Rotation
 
 from .config import Config
 from .errors import DegenerateFrameError
@@ -665,21 +664,34 @@ def descend(f, x0, max_iters: int = 100, eps: float = 1e-6, h: float = 1e-6):
         if not math.isfinite(gn) or gn == 0.0:
             break
         alpha = 1.0 / max(1.0, gn)
-        accepted = False
         for _ in range(40):
             cand = x - alpha * g
             fc = float(f(cand))
             if math.isfinite(fc) and fc < fx:
                 x, fx = cand, fc
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:  # no step of 40 halvings lowered f
             break
         trace.append(fx)
         if len(trace) >= 2 and trace[-2] - trace[-1] < eps:
             break
     return x, trace
+
+
+def _rotvec_matrix(v) -> np.ndarray:
+    """Rotation by |v| radians about v, through the unit quaternion: the float
+    operations, in order, of `Rotation.from_rotvec(v).as_matrix()`, so bit for bit."""
+    x, y, z = (float(c) for c in v)
+    angle = math.sqrt(x * x + y * y + z * z)
+    a2 = angle * angle  # the Taylor scale below 1e-3 rad avoids sin(angle/2)/angle -> 0/0
+    scale = 0.5 - a2 / 48 + a2 * a2 / 3840 if angle <= 1e-3 else math.sin(angle / 2) / angle
+    x, y, z, w = x * scale, y * scale, z * scale, math.cos(angle / 2)
+    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
+    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
+    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
+                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
+                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
 
 
 class FrameParams:
@@ -722,11 +734,10 @@ class FrameParams:
         key = x[self.dim:self._rot_end].tobytes()
         if key != self._rot_key:
             if self.dim == 2:
-                theta = float(x[2])
-                c, s = math.cos(theta), math.sin(theta)
+                c, s = math.cos(x[2]), math.sin(x[2])
                 rot = np.array([[c, -s], [s, c]])
             else:
-                rot = Rotation.from_rotvec(x[3:6]).as_matrix()
+                rot = _rotvec_matrix(x[3:6])
             self._rotated = [rot @ self.units[i] for i in self.active]
             self._rot_key = key
         rest = x[self._rot_end:]
@@ -811,6 +822,10 @@ def total_strain(ig, cfg: Config | None = None) -> float:
 # Local strain below which a frame is already as settled as the conditionals
 # can resolve; descending from here buys nothing measurable.
 _RELAX_SKIP = 0.05
+# A block step that lowers its local strain by less than _RELAX_EPS is no move;
+# sweeps end at the first with no move, or after _RELAX_MAX_SWEEPS.
+_RELAX_EPS = 1e-6
+_RELAX_MAX_SWEEPS = 100
 
 
 def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
@@ -822,6 +837,7 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
     sweep could not improve is skipped on later sweeps until some
     neighbor's move raises it again. `only` restricts the movable set to
     the given node keys (incremental passes over freshly built groups).
+    `trace` gets the total strain before the first sweep and after each.
 
     Each block step moves one node, and its local strain is built once for
     the step (`_LocalStrain`): the members, predictions and relation lists
@@ -839,11 +855,10 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
         and not ig.links_from(n.key, "specializes")
         and (only is None or n.key in only)
     ]
-    current = total_strain(ig, cfg)
     if trace is not None:
-        trace.append(current)
+        trace.append(total_strain(ig, cfg))
     settled: dict[str, float] = {}
-    for _ in range(cfg.max_iters):
+    for _ in range(_RELAX_MAX_SWEEPS):
         moved = False
         for node in movable:
             params = FrameParams(node.frame)
@@ -861,7 +876,7 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
             if not math.isfinite(f0):
                 continue
             floor = settled.get(node.key)
-            if floor is not None and f0 <= floor + cfg.eps:
+            if floor is not None and f0 <= floor + _RELAX_EPS:
                 continue
             if f0 <= _RELAX_SKIP:
                 settled[node.key] = f0
@@ -869,25 +884,20 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
             # descend on the differentiable terms; accept on the full strain
             # so a step can never trade smooth gains for a broken boolean
             x, tr = descend(lambda v: objective(v, smooth=True), x0,
-                            max_iters=15, eps=cfg.eps)
+                            max_iters=15, eps=_RELAX_EPS)
             f1 = objective(x) if math.isfinite(tr[-1]) else math.inf
             if math.isfinite(f1) and f1 <= f0:
                 node.frame = params.decode(x)
             else:
                 f1 = f0
             settled[node.key] = f1
-            if f0 - f1 >= cfg.eps:
-                moved = True
-        new_total = total_strain(ig, cfg)
+            moved |= f0 - f1 >= _RELAX_EPS
         if trace is not None:
-            trace.append(new_total)
-        if not moved or current - new_total < cfg.eps:
-            current = new_total
+            trace.append(total_strain(ig, cfg))
+        if not moved:
             break
-        current = new_total
     for node in sorted(ig.active_nodes(), key=lambda n: n.key):
         shadows = ig.links_from(node.key, "specializes")
         if shadows:
-            parent = ig.nodes[shadows[0].target]
-            node.frame = parent.frame
+            node.frame = ig.nodes[shadows[0].target].frame
     return ig

@@ -24,9 +24,8 @@ class Config:
     backward_depth: int = 2         # group-to-member hops a wave may travel
     s_fail: float = 9.0             # strain charged for a failed boolean relation
     competition_ratio: float = 0.5  # keep a competing claim within this factor of the best
-    eps: float = 1e-6               # convergence tolerance (strain / probability)
-    max_iters: int = 100            # optimizer / fixed-point iteration cap
     optional_weight: float = 0.5    # denominator weight of an optional part slot
+    # relaxation's eps and max_iters: now belief._RELAX_EPS and _RELAX_MAX_SWEEPS
 
     # recognizer
     screen_min: float = 0.05        # minimum screening score to keep a hypothesis
@@ -44,8 +43,6 @@ _BOUNDS = {
     "backward_depth": (0, None, False, False),
     "s_fail": (0.0, None, True, False),
     "competition_ratio": (0.0, 1.0, True, False),
-    "eps": (0.0, None, True, False),
-    "max_iters": (1, None, False, False),
     "optional_weight": (0.0, 1.0, True, False),
     "screen_min": (0.0, 1.0, False, False),
     "gate_radius": (0.0, None, True, False),

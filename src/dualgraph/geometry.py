@@ -556,14 +556,6 @@ def _contains(outer: Frame, inner: Frame, slack: float) -> bool:
     return True
 
 
-def parallel_ratio(seg_a: Frame, seg_b: Frame, slack: float = 1e-6) -> float:
-    """Length ratio of two parallel segments; affine-invariant in projection."""
-    ang = angle_between(seg_a, seg_b)
-    if ang > slack:
-        raise DegenerateFrameError(f"segments are not parallel (angle {ang:.3g} > {slack:.3g})")
-    return _primary_or_raise(seg_a, "parallel-ratio") / _primary_or_raise(seg_b, "parallel-ratio")
-
-
 # -- transforms ---------------------------------------------------------------
 
 

@@ -9,17 +9,24 @@ every primitive at 0.9.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.transform import Rotation
 
+import dualgraph
 from dualgraph.belief import (
     _SMOOTH_RELATIONS,
     FrameParams,
     _flatten_frame,
     _LocalStrain,
+    _rotvec_matrix,
     _template_pinv,
     bind_member,
     cond_probability,
@@ -233,10 +240,10 @@ def test_fixed_point_reached_within_max_iters(cfg):
     realize(ig, model, "truck", AffineMap.identity(3), cfg)
     refresh_conditionals(ig, cfg)
     last = None
-    for i in range(cfg.max_iters):
+    for i in range(100):
         propagate(ig, None, cfg)
         snap = tuple(n.probability for n in ig.sorted_nodes())
-        if last is not None and max(abs(a - b) for a, b in zip(snap, last)) < cfg.eps:
+        if last is not None and max(abs(a - b) for a, b in zip(snap, last)) < 1e-6:
             break
         last = snap
     else:
@@ -455,6 +462,47 @@ def test_frame_params_round_trip_rotation_3d():
     assert np.allclose(sorted(g.lengths), sorted(f.lengths))
     gram = g.axes @ g.axes.T
     assert abs(gram[0, 1]) < 1e-9 and abs(gram[0, 2]) < 1e-9 and abs(gram[1, 2]) < 1e-9
+
+
+_SMALL_ANGLE = 1e-3  # scipy switches to its Taylor scale at or below this angle
+ROTVEC_COMPONENTS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -2.2e-308, _SMALL_ANGLE, -_SMALL_ANGLE,
+                     math.nextafter(_SMALL_ANGLE, 0.0), math.nextafter(_SMALL_ANGLE, 1.0)]),
+    st.floats(-2.3e-308, 2.3e-308),                  # subnormals
+    st.floats(-2 * _SMALL_ANGLE, 2 * _SMALL_ANGLE),  # either side of the Taylor branch
+    st.floats(-30.0, 30.0),                          # angles well past 2 pi
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.lists(ROTVEC_COMPONENTS, min_size=3, max_size=3))
+def test_rotvec_matrix_is_scipys_bit_for_bit(v):
+    v = np.array(v)
+    assert _rotvec_matrix(v).tobytes() == Rotation.from_rotvec(v).as_matrix().tobytes()
+
+
+def test_recognizing_a_3d_scene_loads_no_scipy():
+    # numpy is the only runtime dependency; relaxing 3D frames must not need scipy
+    code = """
+import sys
+import dualgraph.belief, dualgraph.generate, dualgraph.model, dualgraph.recognize, dualgraph.scene
+from dualgraph.generate import GeneratorSpec, generate_scenes
+from dualgraph.model import fixture_path, load_model_file
+
+calls = []
+decode = dualgraph.belief.FrameParams.decode
+dualgraph.belief.FrameParams.decode = lambda self, x: calls.append(self.dim) or decode(self, x)
+model = load_model_file(fixture_path("truck.json"))
+(scene,) = generate_scenes(GeneratorSpec(model, "truck1", jitter=0.0, n_distractors=0, seed=5))
+dualgraph.recognize.recognize(scene, model)
+print(calls.count(3), sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+    src = str(Path(dualgraph.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True).stdout.split(maxsplit=1)
+    assert int(out[0]) > 0, "no 3D frame was relaxed"
+    assert out[1].strip() == "[]"
 
 
 def test_refresh_conditionals_reflect_strain(cfg):

@@ -8,7 +8,7 @@ def test_defaults_pass_their_own_bounds():
     assert make_config() == Config()
 
 
-@pytest.mark.parametrize("key", ["not_a_knob", "bins", "relax"])
+@pytest.mark.parametrize("key", ["not_a_knob", "bins", "relax", "eps", "max_iters"])
 def test_unknown_key_is_rejected(key):
     with pytest.raises(ConfigError, match="unknown configuration key"):
         make_config(**{key: 20})
@@ -46,7 +46,7 @@ def test_strings_are_coerced():
     ("screen_min", float("nan")),
     ("gate_radius", "inf"),
     ("s_fail", float("inf")),
-    ("eps", float("-inf")),
+    ("s_fail", float("-inf")),
     pytest.param("p0", 10**400, id="p0-int-too-large-for-a-float"),
 ])
 def test_uncoercible_value_is_rejected(key, value):

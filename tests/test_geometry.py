@@ -23,7 +23,6 @@ from dualgraph.geometry import (
     fit_similarity,
     frame_from_circle,
     frame_from_segment,
-    parallel_ratio,
     pose_vector,
     project,
     symmetry_orbit,
@@ -412,35 +411,6 @@ def test_fit_similarity_three_dimensional(rng):
     assert residual == pytest.approx(0.0, abs=1e-8)
     assert np.allclose(xform.rotation, rot, atol=1e-8)
 
-
-# -- affine invariants --------------------------------------------------------
-
-def test_parallel_ratio_affine_invariant():
-    rng = np.random.default_rng(11)
-    base_a = frame_from_segment([0.0, 0.0, 0.0], [3.0, 1.0, 0.5])
-    base_b = frame_from_segment([1.0, 4.0, -1.0], [1.0 + 1.5, 4.0 + 0.5, -1.0 + 0.25])
-    want = parallel_ratio(base_a, base_b)
-    assert want == pytest.approx(2.0)
-    for _ in range(1000):
-        lin = rng.normal(size=(3, 3)) + np.eye(3)
-        if abs(np.linalg.det(lin)) < 1e-3:
-            continue
-        t = rng.uniform(-5, 5, 3)
-
-        def move_seg(f):
-            p1 = f.origin - f.primary_axis
-            p2 = f.origin + f.primary_axis
-            return frame_from_segment(lin @ p1 + t, lin @ p2 + t)
-
-        got = parallel_ratio(move_seg(base_a), move_seg(base_b), slack=1e-6)
-        assert abs(got - want) < 1e-9
-
-
-def test_parallel_ratio_rejects_non_parallel():
-    a = frame_from_segment([0, 0], [1, 0])
-    b = frame_from_segment([0, 0], [1, 1])
-    with pytest.raises(DegenerateFrameError):
-        parallel_ratio(a, b)
 
 
 def test_fit_affine_exact(rng):
