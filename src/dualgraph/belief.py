@@ -2,8 +2,9 @@
 
 Every geometric deviation becomes a strain s = ((observed - target)/tolerance)^2
 and every strain becomes a conditional probability exp(-s/2), so a deviation of
-one tolerance costs a factor exp(-1/2). Tolerances double as spring constants:
-the same numbers weight the relaxation objective.
+one tolerance costs a factor exp(-1/2). Tolerances double as weights:
+relaxation fits each group frame to its members by least squares on the same
+normalized residuals, in closed form.
 
 Probability flows along image-graph links. A node's probability is the sum of
 its supporters' probabilities times the link conditionals, normalized by the
@@ -20,13 +21,14 @@ import math
 import numpy as np
 
 from .config import Config
-from .errors import DegenerateFrameError
+from .errors import DegenerateFrameError, UnderConstrainedError
 from .geometry import (
     AFFINE_SAFE,
     Frame,
     angle_between,
     canonical_scale,
     eval_relation,
+    fit_similarity,
     frame_onto,
 )
 from .model import SCALAR_RELATIONS, RelationSpec
@@ -255,10 +257,10 @@ class _GroupSlots:
     """A group's realized slots, gathered so they can be placed under any
     frame of the group.
 
-    `members` maps each realized slot to its member node (the first
-    group-member link per slot) and `frames` to that member's frame;
-    `placed` holds per slot its template frame, the member's frame, the slot
-    elasticity and the member's symmetry class.
+    `frame` is the group's own frame; `members` maps each realized slot to
+    its member node (the first group-member link per slot) and `frames` to
+    that member's frame; `placed` holds per slot its template frame, the
+    member's frame, the slot elasticity and the member's symmetry class.
     In projected mode the group instance lives in 2D while the template is
     3D; planar templates flatten to the view plane, which is exact for the
     planar substructures whose ratios survive affine projection. A template
@@ -274,6 +276,7 @@ class _GroupSlots:
             if gm.slot is not None and gm.slot not in self.members:
                 self.members[gm.slot] = ig.nodes[gm.source]
         self.frames = {name: member.frame for name, member in self.members.items()}
+        self.frame = group.frame
         self.flat = ig.projected and group.frame.dim < mnode.frame_template.dim
         try:
             self.template = _flatten_frame(mnode.frame_template) if self.flat else mnode.frame_template
@@ -633,136 +636,85 @@ def _prune_node(ig, node, pruned_keys, removed):
 # -- relaxation --------------------------------------------------------------------
 
 
-def fd_gradient(f, x, h: float = 1e-6) -> np.ndarray:
-    """Central finite-difference gradient with per-coordinate step scaling."""
-    x = np.asarray(x, float)
-    g = np.zeros_like(x)
-    for i in range(x.size):
-        step = h * max(1.0, abs(x[i]))
-        hi = x.copy()
-        lo = x.copy()
-        hi[i] += step
-        lo[i] -= step
-        g[i] = (f(hi) - f(lo)) / (2.0 * step)
-    return g
+def _fitted_frame(slots: _GroupSlots) -> Frame | None:
+    """The group frame that best places the realized slots on their members,
+    in closed form; None where the members cannot pin one.
 
-
-def descend(f, x0, max_iters: int = 100, eps: float = 1e-6, h: float = 1e-6):
-    """Gradient descent with backtracking line search on any scalar function.
-
-    Returns (x, trace) where trace holds the objective after each accepted
-    step (monotone non-increasing, first entry is the starting value).
+    It minimizes the origin and size terms of `placement_strain` linearized:
+    origin offsets over each member's canonical scale, log size ratios as
+    relative differences. A similarity fit of the slot origins onto the
+    member origins (Umeyama 1991) gives the rotation, which carries each
+    nonzero template axis onto a direction w. Along w, slot j's origin sits
+    at o + l c_j (o the frame origin's coordinate, l the axis length, c_j the
+    slot origin's template coordinate over the template axis length), and a
+    slot whose only longest axis lies along the template axis adds a size
+    row. One weighted least-squares solve per axis gives (o, l); an axis
+    these rows leave unpinned keeps the frame's current length.
     """
-    x = np.atleast_1d(np.asarray(x0, float))
-    fx = float(f(x))
-    trace = [fx]
-    if not math.isfinite(fx):
-        return x, trace
-    for _ in range(max_iters):
-        g = fd_gradient(f, x, h)
-        gn = float(np.linalg.norm(g))
-        if not math.isfinite(gn) or gn == 0.0:
-            break
-        alpha = 1.0 / max(1.0, gn)
-        for _ in range(40):
-            cand = x - alpha * g
-            fc = float(f(cand))
-            if math.isfinite(fc) and fc < fx:
-                x, fx = cand, fc
-                break
-            alpha *= 0.5
-        else:  # no step of 40 halvings lowered f
-            break
-        trace.append(fx)
-        if len(trace) >= 2 and trace[-2] - trace[-1] < eps:
-            break
-    return x, trace
-
-
-def _rotvec_matrix(v) -> np.ndarray:
-    """Rotation by |v| radians about v, through the unit quaternion: the float
-    operations, in order, of `Rotation.from_rotvec(v).as_matrix()`, so bit for bit."""
-    x, y, z = (float(c) for c in v)
-    angle = math.sqrt(x * x + y * y + z * z)
-    a2 = angle * angle  # the Taylor scale below 1e-3 rad avoids sin(angle/2)/angle -> 0/0
-    scale = 0.5 - a2 / 48 + a2 * a2 / 3840 if angle <= 1e-3 else math.sin(angle / 2) / angle
-    x, y, z, w = x * scale, y * scale, z * scale, math.cos(angle / 2)
-    x2, y2, z2, w2 = x * x, y * y, z * z, w * w
-    xy, zw, xz, yw, yz, xw = x * y, z * w, x * z, y * w, y * z, x * w
-    return np.array([[x2 - y2 - z2 + w2, 2 * (xy - zw), 2 * (xz + yw)],
-                     [2 * (xy + zw), -x2 + y2 - z2 + w2, 2 * (yz - xw)],
-                     [2 * (xz - yw), 2 * (yz + xw), -x2 - y2 + z2 + w2]])
-
-
-class FrameParams:
-    """Bijection between a frame and a flat parameter vector.
-
-    Parameters are origin coordinates, a rotation (one angle in 2D, a
-    rotation vector in 3D) applied to the starting axis directions, and the
-    log of each nonzero axis length. Zero axes stay zero, so planar frames
-    embedded in 3D keep their rank.
-
-    `decode` keeps the rotated axis directions of its last call and reuses
-    them when the rotation parameters have the same bits, as they do for
-    every finite-difference step along an origin or length coordinate. The
-    test is on bits, not values (0.0 == -0.0), so a reused rotation is always
-    the one these exact parameters would build.
-    """
-
-    def __init__(self, frame: Frame):
-        # frames are never mutated in place, so the start needs no copy
-        self.frame0 = frame
-        self.dim = frame.dim
-        lengths = frame.lengths
-        self.active = [i for i in range(self.dim) if lengths[i] > 0]
-        self.units = np.zeros((self.dim, self.dim))
-        for i in self.active:
-            self.units[i] = frame.axes[i] / lengths[i]
-        self._rot_end = 3 if self.dim == 2 else 6
-        self._rot_key = None
-        self._rotated = None
-
-    def encode(self) -> np.ndarray:
-        f = self.frame0
-        rot = np.zeros(1 if self.dim == 2 else 3)
-        logs = [math.log(f.lengths[i]) for i in self.active]
-        return np.concatenate([f.origin, rot, logs])
-
-    def decode(self, x) -> Frame:
-        x = np.asarray(x, float)
-        origin = x[: self.dim]
-        key = x[self.dim:self._rot_end].tobytes()
-        if key != self._rot_key:
-            if self.dim == 2:
-                c, s = math.cos(x[2]), math.sin(x[2])
-                rot = np.array([[c, -s], [s, c]])
-            else:
-                rot = _rotvec_matrix(x[3:6])
-            self._rotated = [rot @ self.units[i] for i in self.active]
-            self._rot_key = key
-        rest = x[self._rot_end:]
-        axes = np.zeros((self.dim, self.dim))
-        for j, i in enumerate(self.active):
-            axes[i] = math.exp(float(rest[j])) * self._rotated[j]
-        return Frame(origin, axes)
-
-
-# The boolean relations are piecewise constant in the frames: zero gradient
-# almost everywhere, so they cannot steer a descent step, only veto one.
-_SMOOTH_RELATIONS = frozenset(SCALAR_RELATIONS) | {"pose"}
+    template = slots.template
+    if template is None or any(src is None for _, src, *_ in slots.placed):
+        return None
+    try:
+        rows = [(src, obs, canonical_scale(obs, sym), sigma_o, sigma_s, sym)
+                for _, src, obs, (sigma_o, sigma_s, _), sym in slots.placed]
+    except DegenerateFrameError:  # a member too flat for its symmetry class
+        return None
+    x = np.array([src.origin for src, *_ in rows])
+    y = np.array([obs.origin for _, obs, *_ in rows])
+    try:
+        sim, _ = fit_similarity(x, y)
+    except UnderConstrainedError:  # slot origins that cannot pin a similarity
+        return None
+    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
+    rot = sim.scale * sim.rotation
+    if x.shape[1] == 3 and np.linalg.matrix_rank(xc) < 2:
+        # slot origins on one line leave the spin about it free: keep the
+        # frame's own, turned the least way that lays its line on the members'
+        line = xc[np.argmax(np.einsum("ij,ij->i", xc, xc))]
+        current = frame_onto(template, slots.frame, slots.pinv).linear
+        have, want = current @ line, yc.T @ (xc @ line)
+        have, want = have / np.linalg.norm(have), want / np.linalg.norm(want)
+        skew = np.cross(np.eye(3), np.cross(have, want))
+        rot = (np.eye(3) + skew + skew @ skew / (1.0 + have @ want)) @ current
+        if not np.isfinite(rot).all():
+            return None
+    origin = y.mean(axis=0) + rot @ (template.origin - x.mean(axis=0))
+    axes = np.zeros_like(template.axes)
+    for k, length in enumerate(template.lengths):
+        if length <= 0.0:
+            continue
+        u = template.axes[k] / length
+        w = rot @ u / np.linalg.norm(rot @ u)
+        design, target = [], []
+        for src, obs, scale, sigma_o, sigma_s, sym in rows:
+            weight = 1.0 / (sigma_o * scale)
+            design.append((weight, weight * float(u @ (src.origin - template.origin)) / length))
+            target.append(weight * float(w @ obs.origin))
+            along = abs(float(u @ src.primary_axis))
+            if (sym != "circle" and along >= (1.0 - 1e-9) * src.primary_length
+                    and np.count_nonzero(src.lengths == src.primary_length) == 1):
+                design.append((0.0, along / (length * scale * sigma_s)))
+                target.append(1.0 / sigma_s)
+        design, target = np.array(design), np.array(target)
+        (o, l), _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+        if rank < 2:
+            l = slots.frame.lengths[k]
+            (o,), *_ = np.linalg.lstsq(design[:, :1], target - design[:, 1] * l, rcond=None)
+        origin = origin + (o - float(w @ origin)) * w
+        axes[k] = l * w
+    return Frame(origin, axes)
 
 
 class _LocalStrain:
     """Strain terms touching one node's frame, as a function of that frame:
     its slots, its memberships, and the relations its memberships take part
-    in. `local(frame, smooth_only)` scores the node as if it sat at `frame`.
+    in. `local(frame)` scores the node as if it sat at `frame`.
 
     Only the node's own frame is an argument; everything else the terms read
     is gathered at construction and must not change while the object is in
     use: the node's slot members with their frames, and for each live parent
     group its predicted frame for the node's slot, the other members' frames
-    and the relations on that slot. smooth_only drops the boolean relations,
-    leaving the differentiable part a gradient can work with.
+    and the relations on that slot.
     """
 
     def __init__(self, ig, node, cfg):
@@ -781,23 +733,22 @@ class _LocalStrain:
             (pred,) = slots.predictions(group.frame, [slots.slot_frame(gm.slot)])
             moving = [name for name, member in slots.members.items() if member is node]
             rels = [rel for rel in gnode.relations if gm.slot in rel.operands]
-            smooth = [rel for rel in rels if rel.function in _SMOOTH_RELATIONS]
             self.parents.append((pred, gnode.part(gm.slot).elasticity,
                                  model.node(node.model_type).symmetry_class,
-                                 gnode, group.frame, slots.frames, moving, rels, smooth))
+                                 gnode, group.frame, slots.frames, moving, rels))
 
-    def __call__(self, frame: Frame, smooth_only: bool = False) -> float:
+    def __call__(self, frame: Frame) -> float:
         total = 0.0
         if self.own is not None:
             total += sum(self.own.placement_strains(frame).values())
-        for pred, elasticity, sym, gnode, group_frame, frames, moving, rels, smooth in self.parents:
+        for pred, elasticity, sym, gnode, group_frame, frames, moving, rels in self.parents:
             if pred is None:
                 return math.inf
             total += placement_strain(pred, frame, elasticity, sym)
             if moving:
                 frames = {**frames, **dict.fromkeys(moving, frame)}
-            for _, s in relation_strains(gnode, smooth if smooth_only else rels, frames,
-                                         self.s_fail, self.projected, group_frame):
+            for _, s in relation_strains(gnode, rels, frames, self.s_fail, self.projected,
+                                         group_frame):
                 total += s
         return total
 
@@ -819,85 +770,34 @@ def total_strain(ig, cfg: Config | None = None) -> float:
     return total
 
 
-# Local strain below which a frame is already as settled as the conditionals
-# can resolve; descending from here buys nothing measurable.
-_RELAX_SKIP = 0.05
-# A block step that lowers its local strain by less than _RELAX_EPS is no move;
-# sweeps end at the first with no move, or after _RELAX_MAX_SWEEPS.
-_RELAX_EPS = 1e-6
-_RELAX_MAX_SWEEPS = 100
-
-
 def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
-    """Block coordinate descent over movable frames to reduce total strain.
+    """Move each group frame to its closed-form fit where that lowers strain.
 
-    Primitive nodes anchor the data and never move; shadow nodes mirror
-    their parents afterward. Any step that would degenerate a frame is
-    rejected and the previous frame restored. A node whose local strain a
-    sweep could not improve is skipped on later sweeps until some
-    neighbor's move raises it again. `only` restricts the movable set to
-    the given node keys (incremental passes over freshly built groups).
-    `trace` gets the total strain before the first sweep and after each.
-
-    Each block step moves one node, and its local strain is built once for
-    the step (`_LocalStrain`): the members, predictions and relation lists
-    it reads depend only on the other nodes' frames and on the links, and
-    neither changes until the step ends. A step only sets the node's frame
-    once it is done. Evaluations then run the same float operations in the
-    same order as reading the whole graph each time would.
+    One pass, in key order, over the movable nodes: those neither primitive
+    (primitives anchor the data) nor shadow. A node takes its `_fitted_frame`
+    only when that raises exp(-s/2) of its full local strain s
+    (`_LocalStrain`: its slots, its memberships and their relations, boolean
+    ones included), so s never rises, and a move too small to change that
+    factor is not made. Shadows then mirror their sources. `only` restricts the
+    movable set to the given node keys (incremental passes over freshly
+    built groups). `trace` gets the total strain before and after the pass.
     """
     cfg = cfg or Config()
     ig.require_model()
-    movable = [
-        n
-        for n in sorted(ig.active_nodes(), key=lambda n: n.key)
-        if not n.is_primitive
-        and not ig.links_from(n.key, "specializes")
-        and (only is None or n.key in only)
-    ]
     if trace is not None:
         trace.append(total_strain(ig, cfg))
-    settled: dict[str, float] = {}
-    for _ in range(_RELAX_MAX_SWEEPS):
-        moved = False
-        for node in movable:
-            params = FrameParams(node.frame)
-            local = _LocalStrain(ig, node, cfg)
-
-            def objective(x, params=params, local=local, smooth=False):
-                try:
-                    frame = params.decode(x)
-                except DegenerateFrameError:
-                    return math.inf
-                return local(frame, smooth)
-
-            x0 = params.encode()
-            f0 = objective(x0)
-            if not math.isfinite(f0):
-                continue
-            floor = settled.get(node.key)
-            if floor is not None and f0 <= floor + _RELAX_EPS:
-                continue
-            if f0 <= _RELAX_SKIP:
-                settled[node.key] = f0
-                continue
-            # descend on the differentiable terms; accept on the full strain
-            # so a step can never trade smooth gains for a broken boolean
-            x, tr = descend(lambda v: objective(v, smooth=True), x0,
-                            max_iters=15, eps=_RELAX_EPS)
-            f1 = objective(x) if math.isfinite(tr[-1]) else math.inf
-            if math.isfinite(f1) and f1 <= f0:
-                node.frame = params.decode(x)
-            else:
-                f1 = f0
-            settled[node.key] = f1
-            moved |= f0 - f1 >= _RELAX_EPS
-        if trace is not None:
-            trace.append(total_strain(ig, cfg))
-        if not moved:
-            break
+    for node in sorted(ig.active_nodes(), key=lambda n: n.key):
+        if (node.is_primitive or ig.links_from(node.key, "specializes")
+                or (only is not None and node.key not in only)):
+            continue
+        local = _LocalStrain(ig, node, cfg)
+        fitted = local.own and _fitted_frame(local.own)
+        if fitted and cond_probability(local(fitted)) > cond_probability(local(node.frame)):
+            node.frame = fitted
     for node in sorted(ig.active_nodes(), key=lambda n: n.key):
         shadows = ig.links_from(node.key, "specializes")
         if shadows:
             node.frame = ig.nodes[shadows[0].target].frame
+    if trace is not None:
+        trace.append(total_strain(ig, cfg))
     return ig

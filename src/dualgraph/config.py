@@ -25,7 +25,6 @@ class Config:
     s_fail: float = 9.0             # strain charged for a failed boolean relation
     competition_ratio: float = 0.5  # keep a competing claim within this factor of the best
     optional_weight: float = 0.5    # denominator weight of an optional part slot
-    # relaxation's eps and max_iters: now belief._RELAX_EPS and _RELAX_MAX_SWEEPS
 
     # recognizer
     screen_min: float = 0.05        # minimum screening score to keep a hypothesis
