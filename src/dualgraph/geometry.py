@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -632,37 +633,74 @@ class AffineCamera:
         return (self.linear @ pts.T).T + self.translation
 
 
+class SimilarityFits(NamedTuple):
+    """Row-wise results of `fit_similarities`; `ok` is False where the fit
+    is unusable, and the other fields of such a row are meaningless."""
+
+    rotations: np.ndarray
+    scales: np.ndarray
+    translations: np.ndarray
+    residuals: np.ndarray
+    ok: np.ndarray
+
+
+def fit_similarities(model_pts: np.ndarray, image_pts: np.ndarray) -> SimilarityFits:
+    """Least-squares similarities (proper rotations), one per row of a stack.
+
+    Fits image_pts[i] ≈ scale_i * rotation_i @ model_pts[i] + translation_i
+    for (n, k, d) stacks with k >= 2, by Umeyama's SVD construction. Every
+    step runs stacked, so a row's floats do not depend on the other rows.
+    A row's residual is the root of its summed squared correspondence
+    errors. A row is not `ok` where its model points are coincident
+    (variance below 1e-24) or its scale is not positive; a NaN scale passes.
+    The stacks are taken in C order: the float order of the sums follows
+    the memory layout.
+    """
+    x = np.ascontiguousarray(model_pts, float)
+    y = np.ascontiguousarray(image_pts, float)
+    n, k, dim = x.shape
+    mx = x.mean(axis=1)
+    my = y.mean(axis=1)
+    xc = x - mx[:, None, :]
+    yc = y - my[:, None, :]
+    var_x = (xc ** 2).sum(axis=(1, 2)) / k
+    coincident = var_x < 1e-24
+    cov = (yc.transpose(0, 2, 1) @ xc) / k
+    u, s, vt = np.linalg.svd(cov)
+    d = np.ones((n, dim))
+    d[np.linalg.det(u) * np.linalg.det(vt) < 0, -1] = -1.0
+    diag = np.zeros((n, dim, dim))
+    diag[:, range(dim), range(dim)] = d
+    rot = u @ diag @ vt
+    scale = (s * d).sum(axis=1) / np.where(coincident, 1.0, var_x)
+    trans = my - scale[:, None] * (rot @ mx[:, :, None])[:, :, 0]
+    fitted = ((scale[:, None, None] * (rot @ x.transpose(0, 2, 1))).transpose(0, 2, 1)
+              + trans[:, None, :])
+    residual = np.sqrt(((fitted - y) ** 2).sum(axis=(1, 2)))
+    ok = ~coincident & ~(scale <= 0)
+    return SimilarityFits(rot, scale, trans, residual, ok)
+
+
 def fit_similarity(model_pts: np.ndarray, image_pts: np.ndarray):
     """Least-squares similarity (proper rotation) over point correspondences.
 
     Returns (SimilarityTransform, residual) where residual is the root of the
-    summed squared correspondence errors. Classic SVD construction.
+    summed squared correspondence errors: `fit_similarities` on one row.
     """
     x = np.atleast_2d(np.asarray(model_pts, float))
     y = np.atleast_2d(np.asarray(image_pts, float))
     if x.shape != y.shape or x.shape[0] < 2:
         raise UnderConstrainedError("need at least two matching points of equal dimension")
-    dim = x.shape[1]
-    mx = x.mean(axis=0)
-    my = y.mean(axis=0)
-    xc = x - mx
-    yc = y - my
-    var_x = float((xc ** 2).sum()) / x.shape[0]
-    if var_x < 1e-24:
-        raise UnderConstrainedError("model points are coincident")
-    cov = (yc.T @ xc) / x.shape[0]
-    u, s, vt = np.linalg.svd(cov)
-    d = np.ones(dim)
-    if np.linalg.det(u) * np.linalg.det(vt) < 0:
-        d[-1] = -1.0
-    rot = u @ np.diag(d) @ vt
-    scale = float((s * d).sum()) / var_x
-    if scale <= 0:
-        raise UnderConstrainedError("degenerate correspondence (non-positive scale)")
-    trans = my - scale * (rot @ mx)
-    xform = SimilarityTransform(rot, scale, trans)
-    residual = float(np.sqrt(((xform.apply_points(x) - y) ** 2).sum()))
-    return xform, residual
+    fit = fit_similarities(x[None], y[None])
+    if not fit.ok[0]:
+        raise UnderConstrainedError("coincident model points or non-positive scale")
+    return similarity_of(fit, 0), float(fit.residuals[0])
+
+
+def similarity_of(fit: SimilarityFits, row: int) -> SimilarityTransform:
+    """Row `row` of a stacked fit as a transform that owns its arrays."""
+    return SimilarityTransform(fit.rotations[row].copy(), float(fit.scales[row]),
+                               fit.translations[row].copy())
 
 
 def fit_affine(model_pts: np.ndarray, image_pts: np.ndarray):

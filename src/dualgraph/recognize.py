@@ -42,8 +42,10 @@ from .geometry import (
     Frame,
     canonicalize_frame,
     fit_affine,
+    fit_similarities,
     fit_similarity,
     project,
+    similarity_of,
     unambiguous_axes,
 )
 from .image import ImageGraph
@@ -105,49 +107,86 @@ def _fit_points(mframe: Frame, iframe: Frame, want: int):
     return mpts, tips
 
 
-def _fit_transform(m1, m2, i1, i2, projected):
-    """Best transform taking the two model slot frames onto the clue frames.
+def _correspondences(m1, m2, i1, i2, projected):
+    """Model points and every candidate image point set for taking the two
+    model slot frames onto the clue frames.
 
     Image axis directions are sign-ambiguous (a segment has no arrow), so
-    every sign assignment of the usable tips is tried and the lowest-residual
-    fit wins. Projected mode fits an affine camera instead of a similarity;
-    there the tip order is searched too, because shear can swap which image
-    axis comes out longest, so rank no longer pins the correspondence.
+    each sign assignment of the usable tips is one candidate set. Projected
+    mode also varies the tip order of each clue, because shear can swap
+    which image axis comes out longest, so rank no longer pins the
+    correspondence. Returns (model points (k, dm), image points (r, k, di)),
+    the r sets running over tip orders, then sign assignments.
     """
     want = 2 if projected else 1
     mpts1, tips1 = _fit_points(m1, i1, want)
     mpts2, tips2 = _fit_points(m2, i2, want)
-    model_pts = np.array(mpts1 + mpts2)
-    if projected and len(tips1) > 1:
-        orders1 = list(itertools.permutations(tips1))
-    else:
-        orders1 = [tuple(tips1)]
-    if projected and len(tips2) > 1:
-        orders2 = list(itertools.permutations(tips2))
-    else:
-        orders2 = [tuple(tips2)]
-    n1 = len(tips1)
+    n1, n2, dim = len(tips1), len(tips2), i1.dim
+    orders1 = list(itertools.permutations(tips1)) if projected and n1 > 1 else [tips1]
+    orders2 = list(itertools.permutations(tips2)) if projected and n2 > 1 else [tips2]
+    n_orders, n_signs = len(orders1) * len(orders2), 2 ** (n1 + n2)
+    tips = np.array([list(t1) + list(t2) for t1 in orders1 for t2 in orders2]
+                    ).reshape(n_orders, 1, n1 + n2, dim)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n1 + n2))
+                     ).reshape(1, n_signs, n1 + n2, 1)
+    rows = n_orders * n_signs
+    signed = (signs * tips).reshape(rows, n1 + n2, dim)
+    image = np.empty((rows, n1 + n2 + 2, dim))
+    image[:, 0] = i1.origin
+    image[:, 1:n1 + 1] = i1.origin + signed[:, :n1]
+    image[:, n1 + 1] = i2.origin
+    image[:, n1 + 2:] = i2.origin + signed[:, n1:]
+    return np.array(mpts1 + mpts2), image
+
+
+def _first_lowest(residuals, usable):
+    """Index of the row the sequential search "keep the first usable row,
+    replace it only by a strictly lower residual" ends on, or None."""
+    rows = np.flatnonzero(usable)
+    if not len(rows):
+        return None
+    res = residuals[rows]
+    if np.isnan(res[0]):
+        return int(rows[0])
+    return int(rows[np.argmin(np.where(np.isnan(res), np.inf, res))])
+
+
+def _fit_similarity_sets(sets) -> list:
+    """Per (model points, image point sets), the best similarity or None.
+
+    Rows of one shape are fitted in one stacked call."""
+    by_shape: dict = {}
+    for c, (_, image) in enumerate(sets):
+        by_shape.setdefault(image.shape[1:], []).append(c)
+    out = [None] * len(sets)
+    for members in by_shape.values():
+        counts = [len(sets[c][1]) for c in members]
+        model = np.repeat(np.array([sets[c][0] for c in members]), counts, axis=0)
+        fit = fit_similarities(model, np.concatenate([sets[c][1] for c in members]))
+        start = 0
+        for c, count in zip(members, counts):
+            rows = slice(start, start + count)
+            best = _first_lowest(fit.residuals[rows], fit.ok[rows])
+            if best is not None:
+                out[c] = similarity_of(fit, start + best)
+            start += count
+    return out
+
+
+def _fit_camera(model_pts, image):
+    """Best affine camera over the image point sets, or None: each set is
+    fitted alone, a rank-deficient camera is skipped, and the first lowest
+    residual wins."""
     best = None
-    for t1 in orders1:
-        for t2 in orders2:
-            for signs in itertools.product((1.0, -1.0), repeat=n1 + len(t2)):
-                ipts = [i1.origin]
-                ipts += [i1.origin + s * t for s, t in zip(signs[:n1], t1)]
-                ipts.append(i2.origin)
-                ipts += [i2.origin + s * t for s, t in zip(signs[n1:], t2)]
-                try:
-                    if projected:
-                        (linear, trans), res = fit_affine(model_pts, np.array(ipts))
-                        cand = AffineCamera(linear, trans)
-                    else:
-                        cand, res = fit_similarity(model_pts, np.array(ipts))
-                except (UnderConstrainedError, DegenerateFrameError):
-                    continue
-                if best is None or res < best[1]:
-                    best = (cand, res)
-    if best is None:
-        raise UnderConstrainedError("no usable transform fit")
-    return best
+    for ipts in image:
+        try:
+            (linear, trans), res = fit_affine(model_pts, ipts)
+            cand = AffineCamera(linear, trans)
+        except (UnderConstrainedError, DegenerateFrameError):
+            continue
+        if best is None or res < best[1]:
+            best = (cand, res)
+    return None if best is None else best[0]
 
 
 def _refit(mnode, matched, ig, transform, projected):
@@ -451,29 +490,50 @@ def _screen_limit(screen_min: float) -> float:
 # -- hypothesis generation ----------------------------------------------------------
 
 
+# Frontier rows per block of the clue pair search: bounds the
+# (rows x nodes x dim) difference array held at once.
+_PAIR_BLOCK = 256
+
+
 def _clue_pairs(index: CandidateIndex, frontier, gate_radius: float) -> list:
     """Row pairs (i, j) of index.nodes, both verified, at least one in the
     frontier, whose origins lie within gate_radius times the larger primary
-    length; in the order of a combinations walk over index.nodes."""
+    length; in the order of a combinations walk over index.nodes.
+
+    The gate is decided in columns where the column distance clears it by
+    more than `_PREFILTER_SLACK` either way, and by the scalar distance in
+    between, so every decision is the scalar one.
+    """
     nodes = index.nodes
-    if not nodes:
+    n = len(nodes)
+    if not n:
         return []
     origins, lengths = index.cols.origins, index.cols.lengths
-    frontier_keys = {n.key for n in frontier}
-    verified = np.array([n.status == "verified" for n in nodes])
-    pairs = set()
-    for i, node in enumerate(nodes):
-        if node.key not in frontier_keys or not verified[i]:
-            continue
-        diff = origins - origins[i]
-        d2 = np.einsum("nd,nd->n", diff, diff)
-        reach = (gate_radius * (1.0 + _PREFILTER_SLACK)
-                 * np.maximum(lengths, lengths[i]))
-        for j in np.flatnonzero((d2 <= reach * reach) & verified):
-            if j != i:
-                pairs.add((i, int(j)) if i < j else (int(j), i))
+    frontier_keys = {node.key for node in frontier}
+    verified = np.array([node.status == "verified" for node in nodes], dtype=bool)
+    rows = np.flatnonzero(verified & np.array([node.key in frontier_keys for node in nodes],
+                                              dtype=bool))
+    codes = [np.zeros(0, dtype=int)]
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        block = rows[start:start + _PAIR_BLOCK]
+        diff = origins[None, :, :] - origins[block, None, :]
+        d2 = np.einsum("knd,knd->kn", diff, diff)
+        reach = gate_radius * (1.0 + _PREFILTER_SLACK) * np.maximum(lengths, lengths[block, None])
+        near = (d2 <= reach * reach) & verified
+        near[np.arange(len(block)), block] = False
+        i, j = np.nonzero(near)
+        i = block[i]
+        codes.append(np.minimum(i, j) * n + np.maximum(i, j))
+    first, second = np.divmod(np.unique(np.concatenate(codes)), n)
+    diff = origins[first] - origins[second]
+    d2 = np.einsum("nd,nd->n", diff, diff)
+    reach = gate_radius * np.maximum(lengths[first], lengths[second])
+    inside = d2 <= (reach * (1.0 - _PREFILTER_SLACK)) ** 2
     out = []
-    for i, j in sorted(pairs):
+    for i, j, sure in zip(first.tolist(), second.tolist(), inside.tolist()):
+        if sure:
+            out.append((i, j))
+            continue
         a, b = nodes[i].frame, nodes[j].frame
         if _distance(a.origin, b.origin) <= gate_radius * max(a.primary_length,
                                                               b.primary_length):
@@ -526,6 +586,44 @@ def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
             yield entry, ((a, b) if o == 0 else (b, a))
 
 
+def _screening_score(mnode, entry, ca, cb, cfg, projected, strains: dict) -> float:
+    """Product of the conditionals of the entry's screening relations on the
+    clue frames. Each strain is computed once per (relation spec, operand
+    nodes) and kept in `strains`: midx entries of one group often repeat a
+    spec (truck_flat's rectangle has three identical touch entries). A
+    screening relation's operands are the entry's two slots (build_midx)."""
+    s1, s2 = entry.slots
+    nodes = {s1: ca, s2: cb}
+    score = 1.0
+    for rel in entry.screening:
+        if not relation_usable(rel, mnode, projected):
+            continue
+        a, b = (nodes[op] for op in rel.operands)
+        target = rel.target.tobytes() if isinstance(rel.target, np.ndarray) else rel.target
+        key = (rel.function, target, rel.tolerance, a.key, b.key)
+        s = strains.get(key)
+        if s is None:
+            ((_, s),) = relation_strains(mnode, [rel], {s1: ca.frame, s2: cb.frame},
+                                         cfg.s_fail, projected)
+            strains[key] = s
+        score *= cond_probability(min(s, 1e6))
+    return score
+
+
+def _fit_round(model, heads, projected) -> list:
+    """The best transform of each (entry, clue a, clue b), or None where no
+    sign assignment (nor tip order) gives a usable fit."""
+    sets = []
+    for entry, ca, cb in heads:
+        mnode = model.node(entry.hypothesis)
+        s1, s2 = entry.slots
+        sets.append(_correspondences(mnode.part(s1).frame, mnode.part(s2).frame,
+                                     ca.frame, cb.frame, projected))
+    if projected:
+        return [_fit_camera(*pts) for pts in sets]
+    return _fit_similarity_sets(sets)
+
+
 def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config,
                         index: CandidateIndex) -> list:
     """Pairs with a frontier member and close origins suggest groups.
@@ -537,39 +635,46 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config
 
     Prefilter contract: column lower bounds of the screening strains
     (`_screening_bound`) pick a superset of the screenings that can pass;
-    only those are scored exactly by relation_strains. Then each key fits
+    only those are scored exactly by relation_strains. Each key then takes
     its passing assignments in order of score (ties by first occurrence) and
-    keeps the first fit that succeeds: the assignment the scalar rule "fit
-    every one, keep a strictly better score" would keep, fitted once.
+    keeps the first with a usable fit: the assignment the scalar rule "fit
+    every one, keep a strictly better score" would keep. Fits run in rounds:
+    each round fits the next assignment of every key still without one (see
+    `_fit_round`).
+
+    An assignment's fit tries every sign assignment of the clues' axis tips,
+    and in projected mode every tip order too (`_correspondences`); the
+    lowest residual wins, the first on a tie. Plain mode fits similarities,
+    all of a round's in stacked calls; projected mode fits affine cameras,
+    one set at a time.
     """
     projected = ig.projected
     pairs = _clue_pairs(index, frontier, cfg.gate_radius)
     passed: dict = {}
+    strains: dict = {}
     for order, (entry, (ca, cb)) in enumerate(_screened(index, model, pairs, cfg,
                                                         projected)):
         mnode = model.node(entry.hypothesis)
-        s1, s2 = entry.slots
-        score = 1.0
-        for _, s in relation_strains(mnode, entry.screening, {s1: ca.frame, s2: cb.frame},
-                                     cfg.s_fail, projected):
-            score *= cond_probability(min(s, 1e6))
+        score = _screening_score(mnode, entry, ca, cb, cfg, projected, strains)
         if score < cfg.screen_min:
             continue
         key = (entry.hypothesis, frozenset((ca.key, cb.key)))
         passed.setdefault(key, []).append((-score, order, entry, ca, cb))
+    queues = [sorted(c, key=lambda c: c[:2]) for c in passed.values()]
     out = []
-    for candidates in passed.values():
-        for neg_score, _, entry, ca, cb in sorted(candidates, key=lambda c: c[:2]):
-            mnode = model.node(entry.hypothesis)
-            s1, s2 = entry.slots
-            try:
-                transform, _ = _fit_transform(mnode.part(s1).frame, mnode.part(s2).frame,
-                                              ca.frame, cb.frame, projected)
-            except (UnderConstrainedError, DegenerateFrameError):
-                continue
-            out.append(Hypothesis(entry.hypothesis, ca.key, cb.key, entry.slots,
-                                  transform, -neg_score))
-            break
+    depth = 0
+    while queues:
+        heads = [q[depth][2:] for q in queues]
+        waiting = []
+        for queue, transform in zip(queues, _fit_round(model, heads, projected)):
+            neg_score, _, entry, ca, cb = queue[depth]
+            if transform is not None:
+                out.append(Hypothesis(entry.hypothesis, ca.key, cb.key, entry.slots,
+                                      transform, -neg_score))
+            elif depth + 1 < len(queue):
+                waiting.append(queue)
+        queues = waiting
+        depth += 1
     return sorted(out, key=lambda h: h.order_key())
 
 

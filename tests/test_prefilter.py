@@ -1,14 +1,17 @@
-"""The column prefilters of clue screening and slot placement change no result.
+"""The column prefilters and stacked fits of hypothesis generation and slot
+placement change no result.
 
 `scalar_generate_hypotheses` and `scalar_match_slots` are the scalar
-recognizer steps the prefilters replaced: every clue pair and midx entry
-screened by relation_strains, every screening that passes fitted, and every
-instance within the gate radius scored by placement_strain. The oracle tests
-run recognition with both versions side by side at every wave and demand
-equal results; the property tests check that each column bound stays at or
-below the scalar strain it stands in for.
+recognizer steps they replaced: every clue pair and midx entry screened by
+relation_strains, every screening that passes fitted one sign assignment at
+a time (`scalar_fit_transform`), and every instance within the gate radius
+scored by placement_strain. The oracle tests run recognition with both
+versions side by side at every wave and demand equal results; the property
+tests check that each column bound stays at or below the scalar strain it
+stands in for, and that the stacked fits match the scalar ones byte for byte.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -21,12 +24,97 @@ import dualgraph.recognize as rec
 from dualgraph.belief import cond_probability, placement_strain, relation_strains
 from dualgraph.config import make_config
 from dualgraph.errors import DegenerateFrameError, UnderConstrainedError
-from dualgraph.geometry import SYMMETRY_CLASSES, Frame, angle_between, boundary_distance
+from dualgraph.geometry import (
+    SYMMETRY_CLASSES,
+    AffineCamera,
+    Frame,
+    SimilarityTransform,
+    angle_between,
+    boundary_distance,
+    fit_affine,
+    fit_similarities,
+    fit_similarity,
+    similarity_of,
+)
 from dualgraph.model import RelationSpec, midx_lookup
 
 from test_recognize import GOLDEN, _scene, _tiled_scene
 
 # -- the scalar steps ------------------------------------------------------------
+
+
+def scalar_fit_similarity(model_pts, image_pts):
+    """The one-at-a-time similarity fit that `fit_similarities` stacks."""
+    x = np.atleast_2d(np.asarray(model_pts, float))
+    y = np.atleast_2d(np.asarray(image_pts, float))
+    if x.shape != y.shape or x.shape[0] < 2:
+        raise UnderConstrainedError("need at least two matching points of equal dimension")
+    dim = x.shape[1]
+    mx = x.mean(axis=0)
+    my = y.mean(axis=0)
+    xc = x - mx
+    yc = y - my
+    var_x = float((xc ** 2).sum()) / x.shape[0]
+    if var_x < 1e-24:
+        raise UnderConstrainedError("model points are coincident")
+    cov = (yc.T @ xc) / x.shape[0]
+    u, s, vt = np.linalg.svd(cov)
+    d = np.ones(dim)
+    if np.linalg.det(u) * np.linalg.det(vt) < 0:
+        d[-1] = -1.0
+    rot = u @ np.diag(d) @ vt
+    scale = float((s * d).sum()) / var_x
+    if scale <= 0:
+        raise UnderConstrainedError("degenerate correspondence (non-positive scale)")
+    trans = my - scale * (rot @ mx)
+    xform = SimilarityTransform(rot, scale, trans)
+    residual = float(np.sqrt(((xform.apply_points(x) - y) ** 2).sum()))
+    return xform, residual
+
+
+def scalar_fit_transform(m1, m2, i1, i2, projected):
+    """Best transform taking the two model slot frames onto the clue frames.
+
+    Image axis directions are sign-ambiguous (a segment has no arrow), so
+    every sign assignment of the usable tips is tried and the lowest-residual
+    fit wins. Projected mode fits an affine camera instead of a similarity;
+    there the tip order is searched too, because shear can swap which image
+    axis comes out longest, so rank no longer pins the correspondence.
+    """
+    want = 2 if projected else 1
+    mpts1, tips1 = rec._fit_points(m1, i1, want)
+    mpts2, tips2 = rec._fit_points(m2, i2, want)
+    model_pts = np.array(mpts1 + mpts2)
+    if projected and len(tips1) > 1:
+        orders1 = list(itertools.permutations(tips1))
+    else:
+        orders1 = [tuple(tips1)]
+    if projected and len(tips2) > 1:
+        orders2 = list(itertools.permutations(tips2))
+    else:
+        orders2 = [tuple(tips2)]
+    n1 = len(tips1)
+    best = None
+    for t1 in orders1:
+        for t2 in orders2:
+            for signs in itertools.product((1.0, -1.0), repeat=n1 + len(t2)):
+                ipts = [i1.origin]
+                ipts += [i1.origin + s * t for s, t in zip(signs[:n1], t1)]
+                ipts.append(i2.origin)
+                ipts += [i2.origin + s * t for s, t in zip(signs[n1:], t2)]
+                try:
+                    if projected:
+                        (linear, trans), res = fit_affine(model_pts, np.array(ipts))
+                        cand = AffineCamera(linear, trans)
+                    else:
+                        cand, res = scalar_fit_similarity(model_pts, np.array(ipts))
+                except (UnderConstrainedError, DegenerateFrameError):
+                    continue
+                if best is None or res < best[1]:
+                    best = (cand, res)
+    if best is None:
+        raise UnderConstrainedError("no usable transform fit")
+    return best
 
 
 def scalar_generate_hypotheses(ig, model, frontier, cfg, index):
@@ -51,9 +139,9 @@ def scalar_generate_hypotheses(ig, model, frontier, cfg, index):
                 if score < cfg.screen_min:
                     continue
                 try:
-                    transform, _ = rec._fit_transform(mnode.part(s1).frame,
-                                                      mnode.part(s2).frame,
-                                                      ca.frame, cb.frame, projected)
+                    transform, _ = scalar_fit_transform(mnode.part(s1).frame,
+                                                        mnode.part(s2).frame,
+                                                        ca.frame, cb.frame, projected)
                 except (UnderConstrainedError, DegenerateFrameError):
                     continue
                 key = (entry.hypothesis, frozenset((ca.key, cb.key)))
@@ -315,3 +403,89 @@ def test_segment_columns_match_the_scalar_kernels(dim, coords, parallel):
     got = rec._segment_distances(*cols)[0]
     assert np.float64(got).tobytes() == np.float64(boundary_distance(a, b)).tobytes()
     assert rec._segment_angles(*cols)[0] == pytest.approx(angle_between(a, b), abs=1e-12)
+
+
+# -- the stacked fits match the scalar ones byte for byte --------------------------
+
+
+def _bytes(*arrays):
+    return [np.ascontiguousarray(a, dtype=float).tobytes() for a in arrays]
+
+
+def _regular_polygon(k, dim, radius, angle):
+    """k points on a circle: their covariance is isotropic in the plane."""
+    t = angle + 2.0 * math.pi * np.arange(k) / k
+    pts = np.zeros((k, dim))
+    pts[:, 0], pts[:, 1] = radius * np.cos(t), radius * np.sin(t)
+    return pts
+
+
+@st.composite
+def similarity_stacks(draw):
+    """(n, k, d) stacks of model and image points. Besides general rows: rows
+    whose model points coincide, rows whose image points coincide (a scale
+    of zero up to the rounding of their mean, and exactly zero at the
+    origin), and mirrored regular polygons: in 2D their scale is zero up to
+    rounding, so it may come out negative."""
+    dim = draw(st.sampled_from([2, 3]))
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 6))
+    points = st.lists(finite, min_size=k * dim, max_size=k * dim)
+    model, image, kinds = [], [], []
+    for _ in range(n):
+        x = np.array(draw(points)).reshape(k, dim)
+        y = np.array(draw(points)).reshape(k, dim)
+        kind = draw(st.sampled_from(["general", "model-coincident", "image-coincident",
+                                     "image-at-origin", "mirror"]))
+        if kind == "model-coincident":
+            x[:] = x[0]
+        elif kind == "image-coincident":
+            y[:] = y[0]
+        elif kind == "image-at-origin":
+            y[:] = 0.0
+        elif kind == "mirror" and k > 2:
+            x = _regular_polygon(k, dim, draw(st.floats(0.1, 5.0)),
+                                 draw(st.floats(-math.pi, math.pi)))
+            y = x * np.array([1.0, -1.0, 1.0][:dim]) + y[0]
+        model.append(x)
+        image.append(y)
+        kinds.append(kind)
+    return np.array(model), np.array(image), kinds
+
+
+@settings(max_examples=500, deadline=None)
+@given(stack=similarity_stacks())
+def test_stacked_similarities_match_the_scalar_fit(stack):
+    model, image, kinds = stack
+    fit = fit_similarities(model, image)
+    for i, kind in enumerate(kinds):
+        try:
+            want, residual = scalar_fit_similarity(model[i], image[i])
+        except UnderConstrainedError:
+            assert not fit.ok[i]
+            with pytest.raises(UnderConstrainedError):
+                fit_similarity(model[i], image[i])
+            continue
+        assert fit.ok[i], kind
+        expected = _bytes(want.rotation, want.scale, want.translation, residual)
+        got = similarity_of(fit, i)
+        assert _bytes(got.rotation, got.scale, got.translation, fit.residuals[i]) == expected
+        one, one_residual = fit_similarity(model[i], image[i])
+        assert _bytes(one.rotation, one.scale, one.translation, one_residual) == expected
+    for i, kind in enumerate(kinds):
+        if kind in ("model-coincident", "image-at-origin"):
+            assert not fit.ok[i]
+
+
+def test_a_rank_deficient_camera_is_skipped_even_at_the_lowest_residual():
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(5, 3))
+    flat = np.array([[1.0, 2.0, 0.5], [2.0, 4.0, 1.0]])  # rank 1
+    sets = np.array([x @ flat.T, rng.normal(size=(5, 2)), x @ flat.T + 1.0])
+    residuals = [fit_affine(x, y)[1] for y in sets]
+    assert residuals[0] < residuals[1] and residuals[2] < residuals[1]
+    with pytest.raises(DegenerateFrameError):
+        AffineCamera(*fit_affine(x, sets[0])[0])
+    got = rec._fit_camera(x, sets)
+    (linear, trans), _ = fit_affine(x, sets[1])
+    assert _bytes(got.linear, got.translation) == _bytes(linear, trans)

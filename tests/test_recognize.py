@@ -156,11 +156,15 @@ def seeded():
     return seed_image_graph(scene, model)
 
 
-def test_clue_pairs_match_combinations_walk(seeded):
-    ig = seeded
+@pytest.mark.parametrize("distractors", [32, 128])
+@pytest.mark.parametrize("pick", [slice(None), slice(None, None, 3), slice(1)],
+                         ids=["all", "every-third", "one"])
+def test_clue_pairs_match_combinations_walk(distractors, pick):
+    scene, model = _scene("face.json", "face", 0.0, seed=5, distractors=distractors)
+    ig = seed_image_graph(scene, model)
     cfg = Config()
     nodes = ig.sorted_nodes()
-    frontier = nodes[::3]
+    frontier = nodes[pick]
     keys = {n.key for n in frontier}
     expected = []
     for a, b in itertools.combinations(nodes, 2):
