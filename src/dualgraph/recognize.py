@@ -4,7 +4,7 @@ Recognition is graph construction, not graph matching. Every model access is
 a lookup by type name or by the hypothesis index key, never a traversal that
 compares structures. The driver alternates bottom-up grouping hypotheses
 (two nearby instances suggest a group via the index) with top-down
-verification (predict every slot of the group, find the parts, bind them),
+verification (predict the group's slots, find the parts, bind them),
 then lets belief propagation, relaxation, and pruning settle each wave.
 
 A 3D model viewed in a 2D scene runs in projected mode: hypothesis
@@ -681,17 +681,35 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config
 # -- verification -------------------------------------------------------------------
 
 
+def _essential(slot) -> bool:
+    """Whether every match must fill this slot by itself: essential and in
+    no variant tag (model validation gives such a slot a multiplicity lower
+    bound of at least 1)."""
+    return slot.essential and slot.variant_tag is None
+
+
 def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
-    """Predict every slot and greedily bind the closest unclaimed instances.
+    """Predict the slots and greedily bind the closest unclaimed instances.
 
     The gated matching takes candidates within s_fail of their predicted
     placement, ranked by placement strain. With `rough` the same transform
     also gets a rough matching, where only the origin radius gate applies
     (it tolerates the rotational slack of a rough transform), ranked by
     origin offset over the predicted scale. Returns (gated, rough), each
-    (matched, strains) where matched maps slot name to member keys, or is
-    None when an essential slot cannot be filled; rough is None unless
-    asked for.
+    (matched, strains) where matched maps slot name to member keys, or
+    (None, {}) when an essential slot cannot be filled; rough is None
+    unless asked for.
+
+    Fail fast: the slots a match cannot do without (`_essential`) come
+    first. They alone are predicted and queried at first, and one with
+    fewer instances of a fitting type within the query radius than its
+    lower bound fails both sides before any other slot is predicted. The
+    gated side then scores those slots first, and once one of them has
+    fewer candidates passing the exact gate than its lower bound, it fails
+    and scores no further strain; the rough side goes on alone. Both
+    shortcuts are exact: a slot binds only its own candidates, gated
+    candidates are rough ones, and a prediction that raises
+    DegenerateFrameError fails both sides whichever slot it belongs to.
 
     Prefilter contract: `index.near` and `index.of_types` narrow the
     snapshot to a superset of the instances of a fitting type within the
@@ -704,20 +722,32 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
     `_bind`); its placement strain, read only by the variant-tag
     tie-break, is computed only once it is bound.
     """
-    predictions = {}
-    for slot in mnode.parts:
-        try:
-            predictions[slot.name] = _predict(transform, slot.frame, projected)
-        except DegenerateFrameError:
-            return (None, {}), ((None, {}) if rough else None)
-    live = [(slot, predictions[slot.name]) for slot in mnode.parts
-            if predictions[slot.name].primary_length > 0]
+    failed = (None, {}), ((None, {}) if rough else None)
     gate = cfg.gate_radius
-    tight = [min(gate, slot.elasticity[0] * math.sqrt(cfg.s_fail)) for slot, _ in live]
-    near = index.near([pred.origin for _, pred in live],
-                      [pred.primary_length * (gate if rough else r)
-                       for (_, pred), r in zip(live, tight)])
     fresh = [n for n in index.fresh() if n.spec_slot is None and n.status != "pruned"]
+
+    def candidates(slots):
+        """(slot, prediction, tight radius, rows, d2, extra) per slot whose
+        prediction has an extent: the snapshot rows of a fitting type
+        within the query radius with their squared distances, and the
+        fresh nodes of a fitting type within it (with slack). Raises
+        DegenerateFrameError."""
+        predicted = [(slot, _predict(transform, slot.frame, projected)) for slot in slots]
+        live = [(slot, pred) for slot, pred in predicted if pred.primary_length > 0]
+        if not live:
+            return []
+        tight = [min(gate, slot.elasticity[0] * math.sqrt(cfg.s_fail)) for slot, _ in live]
+        radii = [pred.primary_length * (gate if rough else r) for (_, pred), r in zip(live, tight)]
+        out = []
+        for (slot, pred), r, radius, (rows, d2) in zip(
+                live, tight, radii, index.near([pred.origin for _, pred in live], radii)):
+            fits = model.abstract.get(slot.type_name, frozenset())
+            keep = index.of_types(fits)[rows]
+            reach = radius * (1.0 + _PREFILTER_SLACK)
+            extra = [n for n in fresh if n.model_type in fits
+                     and _distance(n.frame.origin, pred.origin) <= reach]
+            out.append((slot, pred, r, rows[keep], d2[keep], extra))
+        return out
 
     def exact_distance(node, slot, pred):
         """Origin distance of a candidate that passes the status, type and
@@ -739,34 +769,61 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
                 functools.partial(placement_strain, pred, node.frame, slot.elasticity, sym),
                 None)
 
-    gated, loose = [], []
-    for (slot, pred), r, (rows, d2) in zip(live, tight, near):
+    def gated_entries(slot, pred, r, rows, d2, extra):
+        """The slot's candidates that pass the exact gate, or None as soon
+        as too few can for an essential slot."""
         scale = pred.primary_length
-        fits = model.abstract.get(slot.type_name, frozenset())
-        keep = index.of_types(fits)[rows]
-        rows, d2 = rows[keep], d2[keep]
-        extra = [n for n in fresh if n.model_type in fits]
         inner = rows[d2 <= (r * scale * (1.0 + _PREFILTER_SLACK)) ** 2] if rough else rows
+        close = []
         for node in [index.nodes[i] for i in inner.tolist()] + extra:
             d = exact_distance(node, slot, pred)
-            if d is None or _origin_bound(d, slot.elasticity[0], scale) > cfg.s_fail:
-                continue
+            if d is not None and _origin_bound(d, slot.elasticity[0], scale) <= cfg.s_fail:
+                close.append(node)
+        need = slot.multiplicity[0] if _essential(slot) else 0
+        if len(close) < need:
+            return None
+        out = []
+        for node in close:
             sym = model.node(node.model_type).symmetry_class
             s = placement_strain(pred, node.frame, slot.elasticity, sym)
             if s <= cfg.s_fail:
-                gated.append((s, slot.name, node.key, s, None))
-        if rough:
-            resolve = functools.partial(rough_entry, slot, pred)
-            loose.extend(e for e in map(resolve, extra) if e is not None)
-            # rows ascend in key order, so (lower bound, row) is (lower bound, key)
-            lower = np.sqrt(d2) / scale * (1.0 - _PREFILTER_SLACK)
-            order = np.lexsort((rows, lower))
-            stream = _Nearest(slot.name, lower[order].tolist(),
-                              [index.nodes[i] for i in rows[order].tolist()], resolve)
-            head = stream.entry(0)
-            if head is not None:
-                loose.append(head)
-    return _bind(mnode, gated), (_bind(mnode, loose) if rough else None)
+                out.append((s, slot.name, node.key, s, None))
+        return None if len(out) < need else out
+
+    essential = [slot for slot in mnode.parts if _essential(slot)]
+    try:
+        slots = candidates(essential)
+        found = {slot.name: len(rows) + len(extra) for slot, _, _, rows, _, extra in slots}
+        if any(found.get(slot.name, 0) < slot.multiplicity[0] for slot in essential):
+            return failed
+        slots += candidates([slot for slot in mnode.parts if not _essential(slot)])
+    except DegenerateFrameError:
+        return failed
+
+    gated = []
+    for entry in slots:
+        passed = gated_entries(*entry)
+        if passed is None:
+            gated = failed[0]
+            break
+        gated.extend(passed)
+    else:
+        gated = _bind(mnode, gated)
+    if not rough:
+        return gated, None
+    loose = []
+    for slot, pred, _, rows, d2, extra in slots:
+        resolve = functools.partial(rough_entry, slot, pred)
+        loose.extend(e for e in map(resolve, extra) if e is not None)
+        # rows ascend in key order, so (lower bound, row) is (lower bound, key)
+        lower = np.sqrt(d2) / pred.primary_length * (1.0 - _PREFILTER_SLACK)
+        order = np.lexsort((rows, lower))
+        stream = _Nearest(slot.name, lower[order].tolist(),
+                          [index.nodes[i] for i in rows[order].tolist()], resolve)
+        head = stream.entry(0)
+        if head is not None:
+            loose.append(head)
+    return gated, _bind(mnode, loose)
 
 
 class _Nearest:
@@ -789,8 +846,8 @@ class _Nearest:
 def _bind(mnode, candidates):
     """Greedy binding of (rank, slot name, key, strain, pending) candidates in
     rank order (ties by slot name, then key), one winner per variant tag,
-    then the essential-slot check. A strain may be a callable, evaluated
-    only when its candidate is bound.
+    then the essential-slot check, which returns (None, {}) on failure. A
+    strain may be a callable, evaluated only when its candidate is bound.
 
     A pending candidate is the head (stream, pos) of a `_Nearest` stream and
     carries a lower bound of its rank. When it comes first while its slot
@@ -849,10 +906,10 @@ def _bind(mnode, candidates):
         have = len(matched.get(slot.name, []))
         if slot.variant_tag is not None:
             if slot.essential and slot.variant_tag not in covered:
-                return None, strains
+                return None, {}
             continue
         if slot.essential and have < slot.multiplicity[0]:
-            return None, strains
+            return None, {}
     return matched, strains
 
 
@@ -919,7 +976,7 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
         return None
 
     member_set = frozenset(k for keys in matched.values() for k in keys)
-    for node in ig.sorted_nodes():
+    for node in ig.nodes.values():
         if node.model_type != h.group_type or node.status == "pruned":
             continue
         existing = frozenset(l.source for l in ig.links_to(node.key, "group-member"))

@@ -36,7 +36,8 @@ from dualgraph.geometry import (
     fit_similarity,
     similarity_of,
 )
-from dualgraph.model import RelationSpec, midx_lookup
+from dualgraph.model import RelationSpec, fixture_path, load_model_file, midx_lookup
+from dualgraph.scene import Primitive, Scene
 
 from test_recognize import GOLDEN, _scene, _tiled_scene
 
@@ -236,11 +237,20 @@ def _hypothesis_fields(h):
             type(h.transform), _transform_bytes(h.transform))
 
 
+def _failed_as_empty(side):
+    """A failed side as `_match_slots` returns it: (None, {}). The scalar
+    step keeps the strains of its partial binding, which `verify` never
+    reads: a failed side only reaches `_match_score`, which ignores them."""
+    matched, strains = side
+    return (None, {}) if matched is None else (matched, strains)
+
+
 def _run_side_by_side(monkeypatch, scene, model, cfg):
     """Recognize with both versions compared at every call; returns the
-    number of waves and of compared slot matchings."""
+    number of waves, of compared slot matchings, and of gated matchings
+    that bound a variant-tagged slot."""
     new_generate, new_match = rec.generate_hypotheses, rec._match_slots
-    seen = {"waves": 0, "matchings": 0}
+    seen = {"waves": 0, "matchings": 0, "variant_matchings": 0}
 
     def generate(ig, model, frontier, cfg, index):
         got = new_generate(ig, model, frontier, cfg, index)
@@ -251,11 +261,16 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
 
     def match(index, model, mnode, transform, cfg, projected, rough=False):
         got = new_match(index, model, mnode, transform, cfg, projected, rough=rough)
-        gated = scalar_match_slots(index, model, mnode, transform, cfg, projected)
-        loose = (scalar_match_slots(index, model, mnode, transform, cfg, projected,
-                                    strain_gate=False) if rough else None)
+        gated = _failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
+                                                    projected))
+        loose = (_failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
+                                                     projected, strain_gate=False))
+                 if rough else None)
         assert got == (gated, loose)
         seen["matchings"] += 1
+        matched = got[0][0] or {}
+        if any(slot.variant_tag is not None and slot.name in matched for slot in mnode.parts):
+            seen["variant_matchings"] += 1
         return got
 
     monkeypatch.setattr(rec, "generate_hypotheses", generate)
@@ -272,6 +287,14 @@ def test_golden_scenes_match_the_scalar_steps(monkeypatch, fixture, target, jitt
                           camera=camera)
     seen = _run_side_by_side(monkeypatch, scene, model, make_config())
     assert seen["waves"] >= 2 and seen["matchings"] > 0
+    if fixture == "truck.json" and camera is None:
+        assert seen["variant_matchings"] > 0
+
+
+def test_the_side_by_side_set_binds_variant_tagged_slots():
+    """truck.json's trunks share a variant tag, which the fast path leaves
+    out of its essential slots; the plain 3D truck scene binds them."""
+    assert [c[:5] for c in GOLDEN if c[0] == "truck.json" and c[4] is None]
 
 
 def test_tiled_scene_matches_the_scalar_steps(monkeypatch):
@@ -299,6 +322,81 @@ def test_non_default_configs_match_the_scalar_steps(monkeypatch, overrides, fixt
                           distractors=0 if camera else 12, camera=camera)
     seen = _run_side_by_side(monkeypatch, scene, model, make_config(**overrides))
     assert seen["waves"] >= 1
+
+
+# -- failing fast ----------------------------------------------------------------
+
+
+def _face_scene(with_segments):
+    """The face model's circle slots (and with `with_segments` its nose and
+    mouth) as scene primitives in model coordinates: the identity transform
+    predicts each slot onto its primitive."""
+    model = load_model_file(fixture_path("face.json"))
+    mnode = model.node("face")
+    prims = [Primitive("circle", center=mnode.part(name).frame.origin,
+                       radius=mnode.part(name).frame.primary_length)
+             for name in ("head", "eye_1", "eye_2")]
+    if with_segments:
+        for name in ("nose", "mouth"):
+            frame = mnode.part(name).frame
+            prims.append(Primitive("linseg", p1=frame.origin - frame.axes[0],
+                                   p2=frame.origin + frame.axes[0]))
+    ig = rec.seed_image_graph(Scene(dim=2, primitives=prims, id="face-parts"), model)
+    return model, mnode, rec.CandidateIndex(ig)
+
+
+IDENTITY = SimilarityTransform(np.eye(2), 1.0, np.zeros(2))
+
+
+def _count_calls(monkeypatch, name):
+    calls = []
+    original = getattr(rec, name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(rec, name, counted)
+    return calls
+
+
+def test_an_unfillable_essential_slot_fails_both_sides_before_any_strain(monkeypatch):
+    # no segment lies within the rough gate of the nose or the mouth
+    model, mnode, index = _face_scene(with_segments=False)
+    cfg = make_config()
+    assert scalar_match_slots(index, model, mnode, IDENTITY, cfg, False)[0] is None
+    predicted = _count_calls(monkeypatch, "_predict")
+    strains = _count_calls(monkeypatch, "placement_strain")
+    got = rec._match_slots(index, model, mnode, IDENTITY, cfg, False, rough=True)
+    assert got == ((None, {}), (None, {}))
+    assert not strains
+    essential = [slot for slot in mnode.parts if slot.essential and slot.variant_tag is None]
+    assert len(essential) < len(mnode.parts)  # the ears are optional
+    assert [id(frame) for _, frame, _ in predicted] == [id(slot.frame) for slot in essential]
+    assert rec._match_slots(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
+    assert not strains
+
+
+def test_a_degenerate_optional_prediction_fails_both_sides(monkeypatch):
+    model, mnode, index = _face_scene(with_segments=True)
+    cfg = make_config()
+    (matched, _), (rough, _) = rec._match_slots(index, model, mnode, IDENTITY, cfg, False,
+                                                rough=True)
+    assert set(matched) == set(rough) == {"head", "eye_1", "eye_2", "nose", "mouth"}
+    ear = mnode.part("ear_1").frame
+    predict = rec._predict
+
+    def degenerate_ear(transform, frame, projected):
+        if frame is ear:
+            raise DegenerateFrameError("the ear's prediction has no valid frame")
+        return predict(transform, frame, projected)
+
+    monkeypatch.setattr(rec, "_predict", degenerate_ear)
+    got = rec._match_slots(index, model, mnode, IDENTITY, cfg, False, rough=True)
+    assert got == ((None, {}), (None, {}))
+    assert _failed_as_empty(scalar_match_slots(index, model, mnode, IDENTITY, cfg,
+                                               False)) == (None, {})
+    assert rec._match_slots(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
 
 
 # -- the bounds never exceed the scalar strains ----------------------------------

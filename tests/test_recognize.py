@@ -39,7 +39,7 @@ def _scene(fixture, target, jitter, seed, distractors=32, camera=None):
 # The truck hashes were recorded again when relaxation became one
 # closed-form fit per group, which moves their group frames; the face
 # frames were already at their fit, so the face hashes stayed. The
-# projected truck is never found (ROADMAP defect 2(d)), so `found` is
+# projected truck is never found (ROADMAP open item 5), so `found` is
 # asserted per case.
 GOLDEN = [
     ("face.json", "face", 0.0, 32, None, True,
