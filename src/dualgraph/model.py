@@ -239,6 +239,11 @@ def _hierarchy_cycles(g: ModelGraph, edges_of, label: str) -> list:
     return violations
 
 
+def _finite_vector(value, dim: int) -> bool:
+    v = np.asarray(value, dtype=float)
+    return v.shape == (dim,) and bool(np.isfinite(v).all())
+
+
 def validate(g: ModelGraph) -> list:
     """Check every structural invariant; returns a list of violation strings."""
     violations = []
@@ -277,6 +282,10 @@ def validate(g: ModelGraph) -> list:
                 if ref not in g.nodes:
                     violations.append(f"node {name}: {rel_name} reference {ref!r} is undefined")
 
+        for spec in node.relations + [s for specs in node.specialize_relations.values()
+                                      for s in specs]:
+            if spec.function == "pose" and not _finite_vector(spec.target, g.dim):
+                violations.append(f"node {name}: pose target must be a finite vector of {g.dim} numbers, got {spec.target!r}")
         for spec in node.relations:
             for operand in spec.operands:
                 if operand not in seen_slots:

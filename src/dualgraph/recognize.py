@@ -302,6 +302,19 @@ class CandidateIndex:
     the candidates to a superset of those that pass, with `_PREFILTER_SLACK`
     to spare; every survivor then faces the exact scalar gate, so a decision
     never depends on the columns' rounding.
+
+    The same invariant lets the wave's pure steps be memoized here, for the
+    hypotheses that suggest a group already tried (every pair of an
+    object's parts suggests it):
+    - `strains` maps (function, target, tolerance, operand node keys) to a
+      relation strain (`_relation_strain`), shared by screening and the
+      relation check. A strain that reads the group frame (a row-resolved
+      relation of a projected scene) is never kept.
+    - `refits` maps (group type, rough matching, fresh fitting nodes) to
+      the refit transform and its gated matching (`_refit_matching`). The
+      last term counts the fresh candidates of a type that fits one of the
+      group's slots, so an entry retires once a node it could bind has been
+      inserted.
     """
 
     def __init__(self, ig: ImageGraph):
@@ -311,6 +324,8 @@ class CandidateIndex:
         self._seen = len(ig.nodes)
         self.cols = _Columns.of([n.frame for n in self.nodes])
         self._type_masks: dict = {}
+        self.strains: dict = {}
+        self.refits: dict = {}
 
     def fresh(self) -> list:
         """Nodes inserted since the snapshot, in insertion order."""
@@ -586,12 +601,38 @@ def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
             yield entry, ((a, b) if o == 0 else (b, a))
 
 
-def _screening_score(mnode, entry, ca, cb, cfg, projected, strains: dict) -> float:
+# Relations that a projected scene reads along rows resolved through the
+# group frame, when there is one (belief.relation_strain_projected).
+_ROW_RESOLVED = frozenset(("size-ratio", "distance-ratio", "angle", "parallel"))
+
+
+def _relation_strain(index, mnode, rel, a, b, s_fail, projected, group_frame=None) -> float:
+    """The strain relation_strains charges a usable `rel` on its operand
+    nodes `a` and `b`, computed once per wave and (function, target,
+    tolerance, operand keys) in `index.strains`: midx entries of one group
+    often repeat a spec (truck_flat's rectangle has three identical touch
+    entries), and the relation check of every hypothesis of an object reads
+    the same member pairs. The key names all the strain reads: a node's
+    frame is fixed within a wave, and s_fail and the viewing mode within a
+    run. Only a row-resolved relation in a projected scene given a group
+    frame also reads that frame; its strain is never kept."""
+    frames = {op: node.frame for op, node in zip(rel.operands, (a, b))}
+    if projected and group_frame is not None and rel.function in _ROW_RESOLVED:
+        ((_, s),) = relation_strains(mnode, [rel], frames, s_fail, projected, group_frame)
+        return s
+    target = rel.target.tobytes() if isinstance(rel.target, np.ndarray) else rel.target
+    key = (rel.function, target, rel.tolerance, a.key, b.key)
+    s = index.strains.get(key)
+    if s is None:
+        ((_, s),) = relation_strains(mnode, [rel], frames, s_fail, projected)
+        index.strains[key] = s
+    return s
+
+
+def _screening_score(mnode, entry, ca, cb, cfg, projected, index) -> float:
     """Product of the conditionals of the entry's screening relations on the
-    clue frames. Each strain is computed once per (relation spec, operand
-    nodes) and kept in `strains`: midx entries of one group often repeat a
-    spec (truck_flat's rectangle has three identical touch entries). A
-    screening relation's operands are the entry's two slots (build_midx)."""
+    clue frames, each strain through the wave's cache (`_relation_strain`).
+    A screening relation's operands are the entry's two slots (build_midx)."""
     s1, s2 = entry.slots
     nodes = {s1: ca, s2: cb}
     score = 1.0
@@ -599,13 +640,7 @@ def _screening_score(mnode, entry, ca, cb, cfg, projected, strains: dict) -> flo
         if not relation_usable(rel, mnode, projected):
             continue
         a, b = (nodes[op] for op in rel.operands)
-        target = rel.target.tobytes() if isinstance(rel.target, np.ndarray) else rel.target
-        key = (rel.function, target, rel.tolerance, a.key, b.key)
-        s = strains.get(key)
-        if s is None:
-            ((_, s),) = relation_strains(mnode, [rel], {s1: ca.frame, s2: cb.frame},
-                                         cfg.s_fail, projected)
-            strains[key] = s
+        s = _relation_strain(index, mnode, rel, a, b, cfg.s_fail, projected)
         score *= cond_probability(min(s, 1e6))
     return score
 
@@ -651,11 +686,10 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config
     projected = ig.projected
     pairs = _clue_pairs(index, frontier, cfg.gate_radius)
     passed: dict = {}
-    strains: dict = {}
     for order, (entry, (ca, cb)) in enumerate(_screened(index, model, pairs, cfg,
                                                         projected)):
         mnode = model.node(entry.hypothesis)
-        score = _screening_score(mnode, entry, ca, cb, cfg, projected, strains)
+        score = _screening_score(mnode, entry, ca, cb, cfg, projected, index)
         if score < cfg.screen_min:
             continue
         key = (entry.hypothesis, frozenset((ca.key, cb.key)))
@@ -921,14 +955,47 @@ def _match_score(matched, strains):
     return (0, -sum(len(v) for v in matched.values()), total)
 
 
-def _drop_relation_offenders(ig, mnode, matched, cfg, projected, group_frame=None):
+def _refit_matching(index, model, mnode, rough, transform, cfg, projected):
+    """(refit, gated side): the transform `_refit` estimates from the rough
+    matching and the gated matching it predicts.
+
+    Both depend on the hypothesis only through its rough matching, so they
+    are kept in `index.refits` per (group type, rough matching, fresh nodes
+    of a type that fits a slot): a node inserted since the snapshot can
+    change the gated matching only if it fits a slot, and frames and
+    statuses are fixed within a wave. A refit that fell back to
+    `transform` is not kept. The matched map is handed out as a copy,
+    since `_drop_relation_offenders` unbinds from it.
+    """
+    fits = frozenset().union(*(model.abstract.get(slot.type_name, frozenset())
+                               for slot in mnode.parts))
+    fresh = sum(n.model_type in fits and n.spec_slot is None and n.status != "pruned"
+                for n in index.fresh())
+    key = (mnode.type_name, tuple((name, tuple(rough[name])) for name in sorted(rough)), fresh)
+    hit = index.refits.get(key)
+    if hit is None:
+        refit = _refit(mnode, rough, index.ig, transform, projected)
+        hit = refit, _match_slots(index, model, mnode, refit, cfg, projected)[0]
+        if refit is transform:
+            return hit
+        index.refits[key] = hit
+    refit, (matched, strains) = hit
+    return refit, (None if matched is None else dict(matched), strains)
+
+
+def _drop_relation_offenders(index, mnode, matched, cfg, projected, group_frame=None):
     """Relations worse than s_fail fail the group outright when every
-    operand is essential; otherwise the optional offender is unbound."""
+    operand is essential; otherwise the optional offender is unbound.
+    Strains come through the wave's cache (`_relation_strain`)."""
+    nodes = index.ig.nodes
     while True:
-        frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
         worst = None
-        for rel, s in relation_strains(mnode, mnode.relations, frames,
-                                       cfg.s_fail, projected, group_frame):
+        for rel in mnode.relations:
+            if (not relation_usable(rel, mnode, projected)
+                    or any(op not in matched for op in rel.operands)):
+                continue
+            a, b = (nodes[matched[op][0]] for op in rel.operands)
+            s = _relation_strain(index, mnode, rel, a, b, cfg.s_fail, projected, group_frame)
             if s > cfg.s_fail and (worst is None or s > worst[0]):
                 worst = (s, rel)
         if worst is None:
@@ -939,6 +1006,22 @@ def _drop_relation_offenders(ig, mnode, matched, cfg, projected, group_frame=Non
         if not optional:
             return None
         matched.pop(sorted(optional)[0])
+
+
+def _has_group(ig, group_type, members: frozenset) -> bool:
+    """Whether a live group of `group_type` has exactly `members`. Such a
+    group has a group-member link from each member (`bind_member`), so
+    one member's links find it; only an empty set walks every node."""
+    if members:
+        groups = (ig.nodes[l.target] for l in ig.links_from(min(members), "group-member"))
+    else:
+        groups = ig.nodes.values()
+    for node in groups:
+        if node.model_type != group_type or node.status == "pruned":
+            continue
+        if frozenset(l.source for l in ig.links_to(node.key, "group-member")) == members:
+            return True
+    return False
 
 
 def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
@@ -957,9 +1040,8 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
                                                   cfg, projected, rough=True)
     transform = h.transform
     if rough:
-        refit = _refit(mnode, rough, ig, h.transform, projected)
-        (re_matched, re_strains), _ = _match_slots(index, model, mnode, refit, cfg,
-                                                   projected)
+        refit, (re_matched, re_strains) = _refit_matching(index, model, mnode, rough,
+                                                          h.transform, cfg, projected)
         if _match_score(re_matched, re_strains) < _match_score(matched, strains):
             matched, strains, transform = re_matched, re_strains, refit
     if matched is None:
@@ -971,17 +1053,10 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
             frame = transform.apply_frame(mnode.frame_template)
     except DegenerateFrameError:
         return None
-    matched = _drop_relation_offenders(ig, mnode, matched, cfg, projected, frame)
-    if matched is None:
+    matched = _drop_relation_offenders(index, mnode, matched, cfg, projected, frame)
+    if matched is None or _has_group(ig, h.group_type,
+                                     frozenset(k for keys in matched.values() for k in keys)):
         return None
-
-    member_set = frozenset(k for keys in matched.values() for k in keys)
-    for node in ig.nodes.values():
-        if node.model_type != h.group_type or node.status == "pruned":
-            continue
-        existing = frozenset(l.source for l in ig.links_to(node.key, "group-member"))
-        if existing == member_set:
-            return None
     group = ig.add_node(h.group_type, frame=frame, status="verified",
                         template_weight=group_weight(mnode, cfg.optional_weight))
     created = [group]

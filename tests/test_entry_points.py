@@ -48,6 +48,14 @@ def _linked(**fields):
     return doc
 
 
+def _face_with_pose(target):
+    """face.json with one more face relation: a pose of eye_2 seen from eye_1."""
+    doc = json.loads(Path(fixture_path("face.json")).read_bytes())
+    (face,) = [n for n in doc["nodes"] if n["type"] == "face"]
+    face["relations"].append(["pose", "eye_1", "eye_2", target, 1.0])
+    return doc
+
+
 NAN = float("nan")
 CASES = [
     ("scene-bytes", parse_scene, b"\xff\xfe\x00", SceneFormatError),
@@ -61,6 +69,13 @@ CASES = [
      ModelFormatError),
     ("model-tolerance", load_model, _model(relations=[["size-ratio", "p", "q", 1.0, NAN]]),
      ModelFormatError),
+    ("model-pose-nan", load_model, _face_with_pose([NAN, 0.0]),
+     (ModelFormatError, ModelValidationError)),
+    ("model-pose-matrix", load_model, _face_with_pose([[0.0, 0.0]]),
+     (ModelFormatError, ModelValidationError)),
+    ("model-pose-long", load_model, _face_with_pose([0.0] * 7),
+     (ModelFormatError, ModelValidationError)),
+    ("model-pose-scalar", load_model, _face_with_pose(0.0), (ModelFormatError, ModelValidationError)),
     ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),
     ("model-root-unknown", load_model, dict(_model(), root="c"), ModelValidationError),
     ("graph-nodes", ImageGraph.from_json, {"nodes": 3}, SceneFormatError),
@@ -98,6 +113,7 @@ CASES = [
 def test_the_model_case_base_is_valid():
     assert load_model(_model()).midx == {}
     assert load_model(_model(relations=[["size-ratio", "p", "q", 1.0, 0.1]])).midx
+    assert load_model(_face_with_pose([0.5, 0.0])).node("face").relations[-1].function == "pose"
 
 
 def test_the_graph_case_base_is_valid():

@@ -1,16 +1,18 @@
-"""The column prefilters and stacked fits of hypothesis generation and slot
-placement change no result.
+"""The column prefilters, stacked fits and per-wave memos of hypothesis
+generation and verification change no result.
 
-`scalar_generate_hypotheses` and `scalar_match_slots` are the scalar
-recognizer steps they replaced: every clue pair and midx entry screened by
-relation_strains, every screening that passes fitted one sign assignment at
-a time (`scalar_fit_transform`), and every instance within the gate radius
-scored by placement_strain. The oracle tests run recognition with both
+`scalar_generate_hypotheses`, `scalar_match_slots` and `scalar_verify` are
+the scalar recognizer steps they replaced: every clue pair and midx entry
+screened by relation_strains, every screening that passes fitted one sign
+assignment at a time (`scalar_fit_transform`), every instance within the
+gate radius scored by placement_strain, and every hypothesis refitted and
+its relations scored afresh. The oracle tests run recognition with both
 versions side by side at every wave and demand equal results; the property
 tests check that each column bound stays at or below the scalar strain it
 stands in for, and that the stacked fits match the scalar ones byte for byte.
 """
 
+import copy
 import itertools
 import math
 
@@ -21,7 +23,13 @@ from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import dualgraph.recognize as rec
-from dualgraph.belief import cond_probability, placement_strain, relation_strains
+from dualgraph.belief import (
+    bind_member,
+    cond_probability,
+    group_weight,
+    placement_strain,
+    relation_strains,
+)
 from dualgraph.config import make_config
 from dualgraph.errors import DegenerateFrameError, UnderConstrainedError
 from dualgraph.geometry import (
@@ -36,6 +44,7 @@ from dualgraph.geometry import (
     fit_similarity,
     similarity_of,
 )
+from dualgraph.image import ImageGraph
 from dualgraph.model import RelationSpec, fixture_path, load_model_file, midx_lookup
 from dualgraph.scene import Primitive, Scene
 
@@ -223,6 +232,70 @@ def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_ga
     return matched, strains
 
 
+def scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, group_frame=None):
+    while True:
+        frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
+        worst = None
+        for rel, s in relation_strains(mnode, mnode.relations, frames,
+                                       cfg.s_fail, projected, group_frame):
+            if s > cfg.s_fail and (worst is None or s > worst[0]):
+                worst = (s, rel)
+        if worst is None:
+            return matched
+        _, rel = worst
+        optional = [op for op in rel.operands
+                    if op in matched and not mnode.part(op).essential]
+        if not optional:
+            return None
+        matched.pop(sorted(optional)[0])
+
+
+def scalar_verify(h, ig, model, cfg, index):
+    """`verify` without the wave's memos: the refit and its matching, and
+    every relation strain, computed afresh; a duplicate member set found by
+    walking every node."""
+    projected = ig.projected
+    mnode = model.node(h.group_type)
+    (matched, strains), (rough, _) = rec._match_slots(index, model, mnode, h.transform,
+                                                      cfg, projected, rough=True)
+    transform = h.transform
+    if rough:
+        refit = rec._refit(mnode, rough, ig, h.transform, projected)
+        (re_matched, re_strains), _ = rec._match_slots(index, model, mnode, refit, cfg,
+                                                       projected)
+        if rec._match_score(re_matched, re_strains) < rec._match_score(matched, strains):
+            matched, strains, transform = re_matched, re_strains, refit
+    if matched is None:
+        return None
+    try:
+        if projected:
+            frame = rec._aligned_projection(transform, mnode.frame_template)
+        else:
+            frame = transform.apply_frame(mnode.frame_template)
+    except DegenerateFrameError:
+        return None
+    matched = scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, frame)
+    if matched is None:
+        return None
+    member_set = frozenset(k for keys in matched.values() for k in keys)
+    for node in ig.nodes.values():
+        if node.model_type != h.group_type or node.status == "pruned":
+            continue
+        existing = frozenset(l.source for l in ig.links_to(node.key, "group-member"))
+        if existing == member_set:
+            return None
+    group = ig.add_node(h.group_type, frame=frame, status="verified",
+                        template_weight=group_weight(mnode, cfg.optional_weight))
+    created = [group]
+    for name in sorted(matched):
+        for key in matched[name]:
+            shadow = bind_member(ig, group.key, name, key)
+            if shadow is not None:
+                created.append(shadow)
+    created.extend(rec._specialize(ig, model, group, matched, cfg, projected))
+    return created
+
+
 # -- side-by-side runs -------------------------------------------------------------
 
 
@@ -245,12 +318,32 @@ def _failed_as_empty(side):
     return (None, {}) if matched is None else (matched, strains)
 
 
+def _frame_bytes(frame):
+    return frame.origin.tobytes(), frame.axes.tobytes()
+
+
+def _verified(created, ig, nodes_before, links_before):
+    """What a verify call returned and added: the created nodes, and every
+    node and link inserted, field by field, frames as bytes."""
+    def fields(n):
+        return (n.key, _frame_bytes(n.frame), n.probability, n.status, n.template_weight,
+                n.spec_slot)
+
+    return (None if created is None else [fields(n) for n in created],
+            [fields(n) for n in itertools.islice(ig.nodes.values(), nodes_before, None)],
+            [(l.kind, l.source, l.target, l.conditional, l.slot, l.carries_up, l.residuals)
+             for l in ig.links[links_before:]])
+
+
 def _run_side_by_side(monkeypatch, scene, model, cfg):
     """Recognize with both versions compared at every call; returns the
-    number of waves, of compared slot matchings, and of gated matchings
-    that bound a variant-tagged slot."""
-    new_generate, new_match = rec.generate_hypotheses, rec._match_slots
-    seen = {"waves": 0, "matchings": 0, "variant_matchings": 0}
+    number of waves, of compared slot matchings, of gated matchings that
+    bound a variant-tagged slot, of compared verify calls, and of refits
+    the memo served."""
+    new_generate, new_match, new_verify = rec.generate_hypotheses, rec._match_slots, rec.verify
+    refit = rec._refit
+    seen = {"waves": 0, "matchings": 0, "variant_matchings": 0, "verifies": 0,
+            "refit_hits": 0, "refits": 0}
 
     def generate(ig, model, frontier, cfg, index):
         got = new_generate(ig, model, frontier, cfg, index)
@@ -273,8 +366,30 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
             seen["variant_matchings"] += 1
         return got
 
+    def counted_refit(*args):
+        seen["refits"] += 1
+        return refit(*args)
+
+    def verify(h, ig, model, cfg, index):
+        # the memo-free body runs on a copy of the graph and the wave's
+        # index, with the memos emptied; the model is shared
+        ig_copy, index_copy = copy.deepcopy((ig, index), {id(model): model})
+        index_copy.strains.clear()
+        index_copy.refits.clear()
+        before = len(ig.nodes), len(ig.links)
+        start = seen["refits"]
+        want = scalar_verify(h, ig_copy, model, cfg, index_copy)
+        middle = seen["refits"]
+        got = new_verify(h, ig, model, cfg, index)
+        assert _verified(got, ig, *before) == _verified(want, ig_copy, *before)
+        seen["verifies"] += 1
+        seen["refit_hits"] += (middle - start) - (seen["refits"] - middle)
+        return got
+
     monkeypatch.setattr(rec, "generate_hypotheses", generate)
     monkeypatch.setattr(rec, "_match_slots", match)
+    monkeypatch.setattr(rec, "_refit", counted_refit)
+    monkeypatch.setattr(rec, "verify", verify)
     rec.recognize(scene, model, cfg)
     return seen
 
@@ -301,6 +416,16 @@ def test_tiled_scene_matches_the_scalar_steps(monkeypatch):
     scene, model = _tiled_scene("truck_flat.json", "truck1", copies=4, jitter=0.03, seed=5)
     seen = _run_side_by_side(monkeypatch, scene, model, make_config())
     assert seen["waves"] >= 2 and seen["matchings"] > 0
+    assert seen["refit_hits"] > 0
+
+
+def test_tiled_faces_match_the_scalar_steps(monkeypatch):
+    """Most face hypotheses of a wave repeat a rough matching: the memo
+    serves their refits, and the relation check reads cached strains."""
+    scene, model = _tiled_scene("face.json", "face", copies=4, jitter=0.03, seed=5)
+    seen = _run_side_by_side(monkeypatch, scene, model, make_config())
+    assert seen["waves"] >= 2 and seen["matchings"] > 0
+    assert seen["refit_hits"] > 0
 
 
 @pytest.mark.parametrize("overrides", [
@@ -397,6 +522,90 @@ def test_a_degenerate_optional_prediction_fails_both_sides(monkeypatch):
     assert _failed_as_empty(scalar_match_slots(index, model, mnode, IDENTITY, cfg,
                                                False)) == (None, {})
     assert rec._match_slots(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
+
+
+# -- the per-wave memos ----------------------------------------------------------
+
+
+def _rough(model, mnode, index):
+    _, (rough, _) = rec._match_slots(index, model, mnode, IDENTITY, make_config(), False,
+                                     rough=True)
+    return rough
+
+
+def test_the_refit_memo_hands_out_a_fresh_matched_map():
+    model, mnode, index = _face_scene(with_segments=True)
+    cfg = make_config()
+    rough = _rough(model, mnode, index)
+    calls = [rec._refit_matching(index, model, mnode, rough, IDENTITY, cfg, False)
+             for _ in range(2)]
+    assert len(index.refits) == 1
+    (refit, (matched, strains)), (again, (matched_again, strains_again)) = calls
+    assert again is refit and strains_again is strains
+    assert matched_again == matched and matched_again is not matched
+    matched.pop("nose")  # as the relation check unbinds an offender
+    _, (third, _) = rec._refit_matching(index, model, mnode, rough, IDENTITY, cfg, False)
+    assert "nose" in third
+
+
+def test_a_node_that_fits_a_slot_retires_the_refit_memo_entry():
+    model, mnode, index = _face_scene(with_segments=True)
+    cfg = make_config()
+    rough = _rough(model, mnode, index)
+    _, (matched, _) = rec._refit_matching(index, model, mnode, rough, IDENTITY, cfg, False)
+    assert "ear_1" not in matched
+    # a shadow node or a node of a type no slot takes leaves the entry valid
+    ear = mnode.part("ear_1").frame
+    index.ig.add_node("circle", frame=ear, status="verified", spec_slot="c_1")
+    index.ig.add_node("face", frame=ear, status="verified")
+    _, (matched, _) = rec._refit_matching(index, model, mnode, rough, IDENTITY, cfg, False)
+    assert "ear_1" not in matched and len(index.refits) == 1
+    # a circle can be an ear: the next lookup refits and binds it
+    index.ig.add_node("circle", frame=ear, status="verified")
+    _, (matched, _) = rec._refit_matching(index, model, mnode, rough, IDENTITY, cfg, False)
+    assert len(matched["ear_1"]) == 1 and len(index.refits) == 2
+
+
+def test_a_refit_that_falls_back_is_not_kept():
+    model, mnode, index = _face_scene(with_segments=True)
+    one_slot = {"head": _rough(model, mnode, index)["head"]}
+    got, _ = rec._refit_matching(index, model, mnode, one_slot, IDENTITY, make_config(), False)
+    assert got is IDENTITY and not index.refits
+
+
+def test_projected_row_resolved_strains_with_a_group_frame_are_not_cached():
+    """In a projected scene a group frame picks the rows that size-ratio,
+    distance-ratio, angle and parallel read, so their strain with a group
+    frame is never served from, nor kept in, the screening cache."""
+    model = load_model_file(fixture_path("truck.json"))
+    mnode = model.node("box")
+    cfg = make_config()
+    rng = np.random.default_rng(11)
+    differ = 0
+    for rel in [r for r in mnode.relations if r.function in rec._ROW_RESOLVED]:
+        for _ in range(20):
+            ig = ImageGraph(projected=True)
+            a, b = (ig.add_node("face", frame=_planar_frame(rng)) for _ in range(2))
+            group_frame = _planar_frame(rng)
+            index = rec.CandidateIndex(ig)
+            frames = dict(zip(rel.operands, (a.frame, b.frame)))
+            ((_, screening),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True)
+            ((_, checked),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True,
+                                               group_frame)
+            differ += screening != checked
+            for first in (None, group_frame), (group_frame, None):
+                index.strains.clear()
+                for g in first:
+                    got = rec._relation_strain(index, mnode, rel, a, b, cfg.s_fail, True, g)
+                    assert got == (screening if g is None else checked)
+    assert differ  # the group frame changes some of these strains
+
+
+def _planar_frame(rng):
+    """A 2D frame with two nonzero axes under a random rotation."""
+    t = rng.uniform(-math.pi, math.pi)
+    rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
+    return Frame(rng.uniform(-1, 1, 2), np.diag(rng.uniform(0.2, 2.0, 2)) @ rot)
 
 
 # -- the bounds never exceed the scalar strains ----------------------------------
