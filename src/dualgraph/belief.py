@@ -70,7 +70,7 @@ def relation_usable(rel: RelationSpec, mnode, projected: bool) -> bool:
     return False
 
 
-def relation_strain(rel: RelationSpec, frames, s_fail: float = 9.0) -> float:
+def relation_strain(rel: RelationSpec, frames, s_fail: float) -> float:
     """Strain of one relation evaluated on observed frames."""
     if rel.function in SCALAR_RELATIONS:
         observed = eval_relation(rel.function, frames)
@@ -124,8 +124,13 @@ def _operand_image_dir(mnode, op: str, group_frame: Frame):
     return out / n
 
 
-def relation_strain_projected(rel: RelationSpec, mnode, frames,
-                              s_fail: float = 9.0, group_frame=None) -> float:
+# Relations a projected scene reads along rows resolved through the group
+# frame, when there is one (relation_strain_projected).
+ROW_RESOLVED = frozenset(("size-ratio", "distance-ratio", "angle", "parallel"))
+
+
+def relation_strain_projected(rel: RelationSpec, mnode, frames, s_fail: float,
+                              group_frame=None) -> float:
     """Relation strain in a projected scene.
 
     A frame's canonical primary (its longest axis) is not stable under an
@@ -138,7 +143,7 @@ def relation_strain_projected(rel: RelationSpec, mnode, frames,
     wrongly fatal.
     """
     f = rel.function
-    if f not in ("size-ratio", "distance-ratio", "angle", "parallel"):
+    if f not in ROW_RESOLVED:
         return relation_strain(rel, frames, s_fail)
     a, b = frames
     rows_a = rows_b = None
@@ -348,11 +353,9 @@ def refresh_conditionals(ig, cfg: Config | None = None):
                 continue
             po.conditional = cond_probability(share[po.slot])
             po.residuals = {"relations": share[po.slot]}
-            spec = ig.nodes.get(po.source)
-            if spec is not None:
-                for sl in ig.links_from(spec.key, "specializes"):
-                    sl.conditional = cond_probability(s_slot[po.slot])
-                    sl.residuals = {"placement": s_slot[po.slot]}
+            for sl in ig.links_from(po.source, "specializes"):
+                sl.conditional = cond_probability(s_slot[po.slot])
+                sl.residuals = {"placement": s_slot[po.slot]}
         # specialization instances screened on this group's matched parts
         for sl in ig.links_to(group.key, "specializes"):
             if sl.slot is not None:
@@ -402,7 +405,7 @@ def bind_member(ig, group_key, slot_name: str, member_key):
     return shadow
 
 
-def group_weight(mnode, optional_weight: float = 0.5) -> float:
+def group_weight(mnode, optional_weight: float) -> float:
     """Template weight of a group: essential slots count 1, optional slots
     count `optional_weight`, and slots sharing a variant tag count once."""
     weight = 0.0
@@ -427,26 +430,18 @@ def _update_node(ig, key, cfg, trace, wave):
     if node.is_primitive and node.strength > 0:
         num += cfg.p0 * node.strength
         supported = True
-    for l in ig.incident(key):
+    for l in ig.incident(key):  # a pruned node has no links
         if l.source == key:
             if l.kind == "group-member":
-                target = ig.nodes[l.target]
-                if target.status != "pruned":
-                    num += target.probability * l.conditional
-                    den += 1.0
-                    supported = True
-            elif l.kind == "specializes":
-                target = ig.nodes[l.target]
-                if target.status != "pruned":
-                    num += target.probability * l.conditional
-                    supported = True
-        elif l.target == key:
-            source = ig.nodes[l.source]
-            if source.status == "pruned":
-                continue
-            if l.kind == "part-of" or (l.kind == "group-member" and l.carries_up):
-                num += source.probability * l.conditional
+                num += ig.nodes[l.target].probability * l.conditional
+                den += 1.0
                 supported = True
+            elif l.kind == "specializes":
+                num += ig.nodes[l.target].probability * l.conditional
+                supported = True
+        elif l.kind == "part-of" or (l.kind == "group-member" and l.carries_up):
+            num += ig.nodes[l.source].probability * l.conditional
+            supported = True
     if not supported:
         return 0.0
     p = min(1.0, max(0.0, num / den)) if den > 0 else 0.0
@@ -507,10 +502,7 @@ def propagate(ig, new_nodes=None, cfg: Config | None = None, trace=None):
     order_key = lambda k: (ranks.get(k, 0), k)
     if new_nodes is None:
         new_nodes = ig.active_nodes()
-    seeds = []
-    for item in new_nodes:
-        key = tuple(item.key) if hasattr(item, "key") else tuple(item)
-        seeds.append(key)
+    seeds = [node.key for node in new_nodes]
     visited = set()
     depth = {k: 0 for k in seeds}
     frontier = sorted(set(seeds), key=order_key)
@@ -518,10 +510,7 @@ def propagate(ig, new_nodes=None, cfg: Config | None = None, trace=None):
     while frontier:
         offers = {}
         for key in frontier:
-            if key in visited:
-                continue
-            node = ig.nodes.get(key)
-            if node is None or node.status == "pruned":
+            if key in visited or ig.nodes[key].status == "pruned":
                 continue
             visited.add(key)
             _update_node(ig, key, cfg, trace, wave)
@@ -560,23 +549,20 @@ def _bundle_links(ig, link):
     if link.kind in ("group-member", "part-of") and slot is not None:
         group_key = link.target
     elif link.kind == "specializes":
-        src = ig.nodes.get(link.source)
-        if src is not None:
-            spec_nodes.append(src)
-            if src.spec_slot is not None:
-                for po in ig.links_from(src.key, "part-of"):
-                    group_key = po.target
-                    slot = po.slot
+        src = ig.nodes[link.source]
+        spec_nodes.append(src)
+        if src.spec_slot is not None:
+            for po in ig.links_from(src.key, "part-of"):
+                group_key = po.target
+                slot = po.slot
     if group_key is not None and slot is not None:
         for l in ig.links_to(group_key):
             if l.slot == slot and l.kind in ("group-member", "part-of"):
                 doomed[id(l)] = l
-                if l.kind == "part-of":
-                    src = ig.nodes.get(l.source)
-                    if src is not None and src.spec_slot is not None:
-                        spec_nodes.append(src)
-                        for sl in ig.links_from(src.key, "specializes"):
-                            doomed[id(sl)] = sl
+                if l.kind == "part-of" and ig.nodes[l.source].spec_slot is not None:
+                    spec_nodes.append(ig.nodes[l.source])
+                    for sl in ig.links_from(l.source, "specializes"):
+                        doomed[id(sl)] = sl
     return list(doomed.values()), spec_nodes
 
 
@@ -705,52 +691,27 @@ def _fitted_frame(slots: _GroupSlots) -> Frame | None:
     return Frame(origin, axes)
 
 
-class _LocalStrain:
-    """Strain terms touching one node's frame, as a function of that frame:
-    its slots, its memberships, and the relations its memberships take part
-    in. `local(frame)` scores the node as if it sat at `frame`.
-
-    Only the node's own frame is an argument; everything else the terms read
-    is gathered at construction and must not change while the object is in
-    use: the node's slot members with their frames, and for each live parent
-    group its predicted frame for the node's slot, the other members' frames
-    and the relations on that slot.
-    """
-
-    def __init__(self, ig, node, cfg):
-        model = ig.model
-        self.s_fail = cfg.s_fail
-        self.projected = ig.projected
-        mnode = model.nodes.get(node.model_type)
-        self.own = _GroupSlots(ig, node) if mnode is not None and mnode.parts else None
-        self.parents = []
-        for gm in ig.links_from(node.key, "group-member"):
-            group = ig.nodes[gm.target]
-            if group.status == "pruned":
-                continue
-            slots = _GroupSlots(ig, group)
-            gnode = slots.mnode
-            (pred,) = slots.predictions(group.frame, [slots.slot_frame(gm.slot)])
-            moving = [name for name, member in slots.members.items() if member is node]
-            rels = [rel for rel in gnode.relations if gm.slot in rel.operands]
-            self.parents.append((pred, gnode.part(gm.slot).elasticity,
-                                 model.node(node.model_type).symmetry_class,
-                                 gnode, group.frame, slots.frames, moving, rels))
-
-    def __call__(self, frame: Frame) -> float:
-        total = 0.0
-        if self.own is not None:
-            total += sum(self.own.placement_strains(frame).values())
-        for pred, elasticity, sym, gnode, group_frame, frames, moving, rels in self.parents:
-            if pred is None:
-                return math.inf
-            total += placement_strain(pred, frame, elasticity, sym)
-            if moving:
-                frames = {**frames, **dict.fromkeys(moving, frame)}
-            for _, s in relation_strains(gnode, rels, frames, self.s_fail, self.projected,
-                                         group_frame):
-                total += s
-        return total
+def _local_strain(ig, node, own, frame: Frame, cfg: Config) -> float:
+    """Strain of the terms touching one node's frame, with the node at `frame`:
+    its slots (`own`, its `_GroupSlots`), its memberships, and the relations
+    they take part in. The other terms are read from the graph; a pruned
+    group has no links, so it adds none."""
+    total = sum(own.placement_strains(frame).values(), 0.0)
+    sym = ig.model.node(node.model_type).symmetry_class
+    for gm in ig.links_from(node.key, "group-member"):
+        group = ig.nodes[gm.target]
+        slots = _GroupSlots(ig, group)
+        (pred,) = slots.predictions(group.frame, [slots.slot_frame(gm.slot)])
+        if pred is None:
+            return math.inf
+        total += placement_strain(pred, frame, slots.mnode.part(gm.slot).elasticity, sym)
+        frames = {name: frame if member is node else member.frame
+                  for name, member in slots.members.items()}
+        rels = [rel for rel in slots.mnode.relations if gm.slot in rel.operands]
+        for _, s in relation_strains(slots.mnode, rels, frames, cfg.s_fail, ig.projected,
+                                     group.frame):
+            total += s
+    return total
 
 
 def total_strain(ig, cfg: Config | None = None) -> float:
@@ -776,7 +737,7 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
     One pass, in key order, over the movable nodes: those neither primitive
     (primitives anchor the data) nor shadow. A node takes its `_fitted_frame`
     only when that raises exp(-s/2) of its full local strain s
-    (`_LocalStrain`: its slots, its memberships and their relations, boolean
+    (`_local_strain`: its slots, its memberships and their relations, boolean
     ones included), so s never rises, and a move too small to change that
     factor is not made. Shadows then mirror their sources. `only` restricts the
     movable set to the given node keys (incremental passes over freshly
@@ -790,9 +751,11 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
         if (node.is_primitive or ig.links_from(node.key, "specializes")
                 or (only is not None and node.key not in only)):
             continue
-        local = _LocalStrain(ig, node, cfg)
-        fitted = local.own and _fitted_frame(local.own)
-        if fitted and cond_probability(local(fitted)) > cond_probability(local(node.frame)):
+        mnode = ig.model.nodes.get(node.model_type)
+        own = _GroupSlots(ig, node) if mnode is not None and mnode.parts else None
+        fitted = own and _fitted_frame(own)
+        if fitted and (cond_probability(_local_strain(ig, node, own, fitted, cfg))
+                       > cond_probability(_local_strain(ig, node, own, node.frame, cfg))):
             node.frame = fitted
     for node in sorted(ig.active_nodes(), key=lambda n: n.key):
         shadows = ig.links_from(node.key, "specializes")

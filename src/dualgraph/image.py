@@ -84,6 +84,16 @@ def _check_node_values(node: ImageNode):
         raise SceneFormatError(f"node spec_slot must be a name, got {node.spec_slot!r}")
 
 
+def _check_link_fits(link: ImageLink, model):
+    """Both ends of a link are of model types, and its slot names a part of
+    its target's type."""
+    for model_type, _ in (link.source, link.target):
+        if model_type not in model.nodes:
+            raise SceneFormatError(f"linked node type {model_type!r} is not in the model")
+    if link.slot is not None and link.slot not in model.node(link.target[0]).slot_names():
+        raise SceneFormatError(f"link slot {link.slot!r} is not a part of {link.target[0]!r}")
+
+
 class ImageGraph:
     """Mutable recognition state for one scene.
 
@@ -231,21 +241,30 @@ class ImageGraph:
                 for key in ends:
                     if key not in ig.nodes:
                         raise SceneFormatError(f"link references missing node {key}")
+                    if ig.nodes[key].status == "pruned":
+                        raise SceneFormatError(f"link references pruned node {key}")
                 conditional = float(raw.get("conditional", 1.0))
                 if not 0.0 <= conditional <= 1.0:
                     raise SceneFormatError(f"link conditional must lie in [0, 1], got {conditional!r}")
-                ig.add_link(
+                link = ig.add_link(
                     raw["kind"], *ends,
                     conditional=conditional,
                     slot=raw.get("slot"),
-                    carries_up=bool(raw.get("carries_up", True)),
+                    carries_up=raw.get("carries_up", True),
                     residuals=dict(raw.get("residuals", {})),
                 )
+                if type(link.carries_up) is not bool:
+                    raise SceneFormatError(f"link carries_up must be a bool, got {link.carries_up!r}")
+                if model is not None:
+                    _check_link_fits(link, model)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             # a field of the wrong JSON type or shape, an unhashable node key,
             # or an unknown link kind (add_link's ValueError)
             raise SceneFormatError(f"bad image graph: {exc!r}") from exc
         dims = {n.frame.dim for n in ig.nodes.values()}
+        if len(dims) > 1 or (model is not None and dims - {2, model.dim}):
+            raise SceneFormatError(f"node frames must share one dimension the model can view,"
+                                   f" got {sorted(dims)}")
         ig.projected = model is not None and model.dim == 3 and dims == {2}
         return ig
 

@@ -24,6 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .belief import (
+    ROW_RESOLVED,
     bind_member,
     cond_probability,
     group_weight,
@@ -241,8 +242,6 @@ def _aligned_projection(camera, template: Frame) -> Frame:
             c = float(f.axes[j] @ r)
             if pick is None or abs(c) > abs(dot):
                 pick, dot = j, c
-        if pick is None:
-            continue
         used.add(pick)
         out[i] = f.axes[pick] if dot >= 0 else -f.axes[pick]
     return Frame(f.origin, out)
@@ -290,13 +289,14 @@ class _Columns(NamedTuple):
 
 class CandidateIndex:
     """Per-wave snapshot of the candidate nodes, for cheap radius queries and
-    column prefilters.
+    column prefilters; the one place that decides what a candidate is: a
+    node that is neither a shadow (`spec_slot`) nor pruned.
 
-    Holds the non-spec, non-pruned nodes in key order and their frames'
-    `_Columns`, taken once the graph has settled (after relax and prune).
-    Frames and statuses only change between waves, and nodes are never
-    removed from `ig.nodes`, so within a wave the snapshot stays valid and
-    nodes inserted after it are exactly the tail of `ig.nodes`.
+    Holds the candidates in key order and their frames' `_Columns`, taken
+    once the graph has settled (after relax and prune). Frames and statuses
+    only change between waves, and nodes are never removed from `ig.nodes`,
+    so within a wave the snapshot stays valid, its nodes stay candidates,
+    and the candidates inserted after it are exactly `fresh()`.
 
     Prefilter contract: whatever is computed from the columns only narrows
     the candidates to a superset of those that pass, with `_PREFILTER_SLACK`
@@ -328,8 +328,9 @@ class CandidateIndex:
         self.refits: dict = {}
 
     def fresh(self) -> list:
-        """Nodes inserted since the snapshot, in insertion order."""
-        return list(itertools.islice(self.ig.nodes.values(), self._seen, None))
+        """Candidates inserted since the snapshot, in insertion order."""
+        return [n for n in itertools.islice(self.ig.nodes.values(), self._seen, None)
+                if n.spec_slot is None and n.status != "pruned"]
 
     def of_types(self, types: frozenset) -> np.ndarray:
         """Mask of the snapshot nodes whose model type is in `types`."""
@@ -345,8 +346,8 @@ class CandidateIndex:
         rounded as numpy rounds them.
 
         A superset of the exact answer among the snapshot nodes: callers
-        re-check status, spec slot and the exact distance on what comes
-        back, and treat every fresh() node as a candidate too.
+        re-check only the exact distance on what comes back, and treat every
+        fresh() node as a candidate too.
         """
         if not self.nodes:
             return [(np.zeros(0, dtype=int), np.zeros(0)) for _ in radii]
@@ -511,9 +512,10 @@ _PAIR_BLOCK = 256
 
 
 def _clue_pairs(index: CandidateIndex, frontier, gate_radius: float) -> list:
-    """Row pairs (i, j) of index.nodes, both verified, at least one in the
-    frontier, whose origins lie within gate_radius times the larger primary
-    length; in the order of a combinations walk over index.nodes.
+    """Row pairs (i, j) of index.nodes, at least one in the frontier, whose
+    origins lie within gate_radius times the larger primary length; in the
+    order of a combinations walk over index.nodes. Every node recognize
+    makes is verified, so every candidate can be a clue.
 
     The gate is decided in columns where the column distance clears it by
     more than `_PREFILTER_SLACK` either way, and by the scalar distance in
@@ -525,16 +527,14 @@ def _clue_pairs(index: CandidateIndex, frontier, gate_radius: float) -> list:
         return []
     origins, lengths = index.cols.origins, index.cols.lengths
     frontier_keys = {node.key for node in frontier}
-    verified = np.array([node.status == "verified" for node in nodes], dtype=bool)
-    rows = np.flatnonzero(verified & np.array([node.key in frontier_keys for node in nodes],
-                                              dtype=bool))
+    rows = np.flatnonzero([node.key in frontier_keys for node in nodes])
     codes = [np.zeros(0, dtype=int)]
     for start in range(0, len(rows), _PAIR_BLOCK):
         block = rows[start:start + _PAIR_BLOCK]
         diff = origins[None, :, :] - origins[block, None, :]
         d2 = np.einsum("knd,knd->kn", diff, diff)
         reach = gate_radius * (1.0 + _PREFILTER_SLACK) * np.maximum(lengths, lengths[block, None])
-        near = (d2 <= reach * reach) & verified
+        near = d2 <= reach * reach
         near[np.arange(len(block)), block] = False
         i, j = np.nonzero(near)
         i = block[i]
@@ -601,11 +601,6 @@ def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
             yield entry, ((a, b) if o == 0 else (b, a))
 
 
-# Relations that a projected scene reads along rows resolved through the
-# group frame, when there is one (belief.relation_strain_projected).
-_ROW_RESOLVED = frozenset(("size-ratio", "distance-ratio", "angle", "parallel"))
-
-
 def _relation_strain(index, mnode, rel, a, b, s_fail, projected, group_frame=None) -> float:
     """The strain relation_strains charges a usable `rel` on its operand
     nodes `a` and `b`, computed once per wave and (function, target,
@@ -617,7 +612,7 @@ def _relation_strain(index, mnode, rel, a, b, s_fail, projected, group_frame=Non
     run. Only a row-resolved relation in a projected scene given a group
     frame also reads that frame; its strain is never kept."""
     frames = {op: node.frame for op, node in zip(rel.operands, (a, b))}
-    if projected and group_frame is not None and rel.function in _ROW_RESOLVED:
+    if projected and group_frame is not None and rel.function in ROW_RESOLVED:
         ((_, s),) = relation_strains(mnode, [rel], frames, s_fail, projected, group_frame)
         return s
     target = rel.target.tobytes() if isinstance(rel.target, np.ndarray) else rel.target
@@ -758,7 +753,7 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
     """
     failed = (None, {}), ((None, {}) if rough else None)
     gate = cfg.gate_radius
-    fresh = [n for n in index.fresh() if n.spec_slot is None and n.status != "pruned"]
+    fresh = index.fresh()
 
     def candidates(slots):
         """(slot, prediction, tight radius, rows, d2, extra) per slot whose
@@ -783,19 +778,14 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
             out.append((slot, pred, r, rows[keep], d2[keep], extra))
         return out
 
-    def exact_distance(node, slot, pred):
-        """Origin distance of a candidate that passes the status, type and
-        radius gates, else None."""
-        if node.status == "pruned" or node.spec_slot is not None:
-            return None
-        if node.model_type not in model.abstract.get(slot.type_name, frozenset()):
-            return None
+    def exact_distance(node, pred):
+        """Origin distance of a candidate within the gate radius, else None."""
         d = _distance(node.frame.origin, pred.origin)
         return None if d > gate * pred.primary_length else d
 
     def rough_entry(slot, pred, node):
         """The exact rough candidate, or None when it fails a gate."""
-        d = exact_distance(node, slot, pred)
+        d = exact_distance(node, pred)
         if d is None:
             return None
         sym = model.node(node.model_type).symmetry_class
@@ -810,7 +800,7 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
         inner = rows[d2 <= (r * scale * (1.0 + _PREFILTER_SLACK)) ** 2] if rough else rows
         close = []
         for node in [index.nodes[i] for i in inner.tolist()] + extra:
-            d = exact_distance(node, slot, pred)
+            d = exact_distance(node, pred)
             if d is not None and _origin_bound(d, slot.elasticity[0], scale) <= cfg.s_fail:
                 close.append(node)
         need = slot.multiplicity[0] if _essential(slot) else 0
@@ -969,8 +959,7 @@ def _refit_matching(index, model, mnode, rough, transform, cfg, projected):
     """
     fits = frozenset().union(*(model.abstract.get(slot.type_name, frozenset())
                                for slot in mnode.parts))
-    fresh = sum(n.model_type in fits and n.spec_slot is None and n.status != "pruned"
-                for n in index.fresh())
+    fresh = sum(n.model_type in fits for n in index.fresh())
     key = (mnode.type_name, tuple((name, tuple(rough[name])) for name in sorted(rough)), fresh)
     hit = index.refits.get(key)
     if hit is None:
@@ -1109,13 +1098,15 @@ def _specialize(ig, model, group, matched, cfg, projected):
 
 def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> ImageGraph:
     """Build the image graph for a scene: seed, then hypothesize/verify waves
-    with belief settling in between, until a wave adds nothing."""
+    with belief settling in between, until a wave adds nothing. A hypothesis
+    needs no re-check: its clue pair holds a node of the wave before, no
+    other hypothesis has that pair and type, and nothing is pruned within a
+    wave."""
     cfg = cfg or Config()
     if scene.dim == 3 and model.dim == 2:
         raise SceneFormatError("cannot explain a 3D scene with a flat model")
     ig = seed_image_graph(scene, model, cfg)
     frontier = list(ig.sorted_nodes())
-    attempted: set = set()
     for _ in range(cfg.max_waves):
         if not frontier:
             break
@@ -1123,16 +1114,7 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
         hypotheses = generate_hypotheses(ig, model, frontier, cfg, index)
         fresh = []
         for h in hypotheses:
-            key = (h.group_type, frozenset((h.clue_a, h.clue_b)))
-            if key in attempted:
-                continue
-            attempted.add(key)
-            if (ig.nodes[h.clue_a].status == "pruned"
-                    or ig.nodes[h.clue_b].status == "pruned"):
-                continue
-            created = verify(h, ig, model, cfg, index)
-            if created:
-                fresh.extend(created)
+            fresh.extend(verify(h, ig, model, cfg, index) or ())
         if not fresh:
             break
         refresh_conditionals(ig, cfg)
@@ -1141,6 +1123,5 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
         refresh_conditionals(ig, cfg)
         propagate(ig, fresh, cfg)
         prune(ig, cfg)
-        frontier = [ig.nodes[n.key] for n in fresh
-                    if ig.nodes[n.key].status != "pruned"]
+        frontier = [n for n in fresh if n.status != "pruned"]
     return ig

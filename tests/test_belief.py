@@ -25,7 +25,7 @@ from conftest import random_rotation
 from dualgraph.belief import (
     _flatten_frame,
     _GroupSlots,
-    _LocalStrain,
+    _local_strain,
     _template_pinv,
     bind_member,
     cond_probability,
@@ -106,7 +106,7 @@ def test_size_ratio_one_tolerance_off():
     rel = RelationSpec("size-ratio", ("a", "b"), 2.0, 0.3)
     fa = Frame(np.zeros(2), np.array([[2.3, 0.0], [0.0, 0.0]]))
     fb = Frame(np.array([5.0, 0.0]), np.array([[1.0, 0.0], [0.0, 0.0]]))
-    s = relation_strain(rel, [fa, fb])
+    s = relation_strain(rel, [fa, fb], 9.0)
     assert abs(s - 1.0) < 1e-9
     assert abs(cond_probability(s) - 0.6065306597) < 1e-6
 
@@ -560,8 +560,8 @@ def _old_members(ig, group):
 
 
 def _old_local_strain(ig, node, cfg):
-    """The relaxation objective as it was when every call re-read the graph,
-    with `node.frame` as the moving frame: the oracle for `_LocalStrain`."""
+    """The relaxation objective written out term by term, with `node.frame`
+    as the moving frame: the oracle for `_local_strain`."""
     model = ig.model
     total = 0.0
     mnode = model.nodes.get(node.model_type)
@@ -650,12 +650,13 @@ def test_local_strain_equals_the_per_call_oracle(recognized_graphs, cfg):
     checked = parents = infinite = 0
     for ig in recognized_graphs:
         movable = [n for n in ig.sorted_nodes() if n.status != "pruned"
-                   and not n.is_primitive and not ig.links_from(n.key, "specializes")]
+                   and not n.is_primitive and not ig.links_from(n.key, "specializes")
+                   and ig.model.node(n.model_type).parts]
         assert movable
         for node in movable:
             start = node.frame
-            local = _LocalStrain(ig, node, cfg)
-            parents += bool(local.parents)
+            own = _GroupSlots(ig, node)
+            parents += bool(ig.links_from(node.key, "group-member"))
             for sigma in (0.0,) + (0.01, 0.1, 0.5) * 6:
                 # shift the origin, rotate about it, stretch each axis
                 rot = random_rotation(rng, start.dim) if sigma else np.eye(start.dim)
@@ -665,7 +666,7 @@ def test_local_strain_equals_the_per_call_oracle(recognized_graphs, cfg):
                 node.frame = frame
                 try:
                     want = _old_local_strain(ig, node, cfg)
-                    assert local(frame) == want
+                    assert _local_strain(ig, node, own, frame, cfg) == want
                     checked += 1
                     infinite += want == math.inf
                 finally:
@@ -674,27 +675,44 @@ def test_local_strain_equals_the_per_call_oracle(recognized_graphs, cfg):
 
 
 def test_relax_raises_no_local_strain(recognized_graphs, cfg, monkeypatch):
-    steps = []
+    # every strain relax_frames reads is also scored by the oracle, with the
+    # graph as it stands at that node's step
+    calls = []
+    local_strain = dualgraph.belief._local_strain
 
-    class Recorded(_LocalStrain):
-        """Remembers the node and its frame when its step begins."""
+    def recorded(ig, node, own, frame, cfg):
+        got = local_strain(ig, node, own, frame, cfg)
+        start = node.frame
+        node.frame = frame
+        try:
+            calls.append((node, start, frame, got, _old_local_strain(ig, node, cfg)))
+        finally:
+            node.frame = start
+        return got
 
-        def __init__(self, ig, node, cfg):
-            super().__init__(ig, node, cfg)
-            steps.append((self, node, node.frame))
-
-    monkeypatch.setattr(dualgraph.belief, "_LocalStrain", Recorded)
+    monkeypatch.setattr(dualgraph.belief, "_local_strain", recorded)
     rng = np.random.default_rng(23)
+    moved = steps = 0
     for graph in recognized_graphs:
         ig = ImageGraph.from_bytes(graph.to_bytes(), graph.model)
         for node in ig.sorted_nodes():  # nudge the groups off their fits
             if not node.is_primitive:
                 shift = rng.normal(0.0, 0.05 * node.frame.primary_length, node.frame.dim)
                 node.frame = Frame(node.frame.origin + shift, node.frame.axes)
+        del calls[:]
         relax_frames(ig, cfg)
         for node in ig.nodes.values():
             assert np.isfinite(node.frame.origin).all() and np.isfinite(node.frame.axes).all()
-    # each step sees the other frames as they were when it began
-    assert sum(node.frame is not start for _, node, start in steps) > len(steps) / 2
-    for local, node, start in steps:
-        assert local(node.frame) <= local(start)
+        # each step scores its fitted frame, then the frame it began with
+        assert len(calls) % 2 == 0
+        for fitted, kept in zip(calls[::2], calls[1::2]):
+            node, start, frame, got, want = fitted
+            assert kept[0] is node and kept[1] is start and kept[2] is start
+            assert got == want and kept[3] == kept[4]
+            steps += 1
+            if node.frame is frame:
+                moved += 1
+                assert want <= kept[4]
+            else:
+                assert node.frame is start
+    assert moved > steps / 2

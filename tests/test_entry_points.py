@@ -23,6 +23,7 @@ from dualgraph.recognize import recognize
 from dualgraph.scene import parse_scene, write_scene
 
 FRAME = {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}
+FRAME_3D = {"origin": [0, 0, 0], "axes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
 PART = {"name": "p", "type": "b", "frame": FRAME}
 
 
@@ -54,6 +55,46 @@ def _face_with_pose(target):
     (face,) = [n for n in doc["nodes"] if n["type"] == "face"]
     face["relations"].append(["pose", "eye_1", "eye_2", target, 1.0])
     return doc
+
+
+MODEL = load_model_file(fixture_path("face.json"))
+(SCENE,) = generate_scenes(GeneratorSpec(MODEL, "face", jitter=0.0, n_distractors=2, seed=1))
+SCENE_DOC = json.loads(write_scene(SCENE))
+GRAPH_DOC = recognize(SCENE, MODEL).to_json()
+
+
+TRUCK_MODEL = load_model_file(fixture_path("truck.json"))
+(TRUCK_SCENE,) = generate_scenes(GeneratorSpec(TRUCK_MODEL, "truck1", jitter=0.0,
+                                               n_distractors=0, seed=5))
+TRUCK_GRAPH_DOC = recognize(TRUCK_SCENE, TRUCK_MODEL).to_json()
+
+
+def _face_graph(edit):
+    """The recognized face graph document, with `edit(doc, link, member)` applied
+    to a copy: `link` is its first group-member link and `member` that link's
+    source node."""
+    doc = copy.deepcopy(GRAPH_DOC)
+    link = next(l for l in doc["links"] if l["kind"] == "group-member")
+    (member,) = [n for n in doc["nodes"] if [n["type"], n["instance"]] == link["from"]]
+    edit(doc, link, member)
+    return doc
+
+
+def _retype(doc, link, member):
+    """Give the member a type the face model lacks, in its node and its links."""
+    key = [member["type"], member["instance"]]
+    member["type"] = "zzz"
+    for l in doc["links"]:
+        for end in ("from", "to"):
+            if l[end] == key:
+                l[end] = ["zzz", member["instance"]]
+
+
+def _settled(obj):
+    """Load an image graph against the face model, then refresh and relax it."""
+    ig = ImageGraph.from_json(obj, MODEL)
+    refresh_conditionals(ig)
+    relax_frames(ig)
 
 
 NAN = float("nan")
@@ -105,6 +146,18 @@ CASES = [
     ("graph-instance-float", ImageGraph.from_json, _graph(instance=1.5), SceneFormatError),
     ("graph-instance-zero", ImageGraph.from_json, _graph(instance=0), SceneFormatError),
     ("graph-instance-string", ImageGraph.from_json, _graph(instance="1"), SceneFormatError),
+    ("graph-link-slot-int", _settled, _face_graph(lambda d, l, m: l.update(slot=7)),
+     SceneFormatError),
+    ("graph-link-slot-unknown", _settled, _face_graph(lambda d, l, m: l.update(slot="zzz")),
+     SceneFormatError),
+    ("graph-member-type-unknown", _settled, _face_graph(_retype), SceneFormatError),
+    ("graph-3d-with-flat-model", _settled, TRUCK_GRAPH_DOC, SceneFormatError),
+    ("graph-one-3d-frame", _settled, _face_graph(lambda d, l, m: m.update(frame=FRAME_3D)),
+     SceneFormatError),
+    ("graph-carries-up-string", _settled,
+     _face_graph(lambda d, l, m: l.update(carries_up="no")), SceneFormatError),
+    ("graph-link-to-pruned", _settled, _face_graph(lambda d, l, m: m.update(status="pruned")),
+     SceneFormatError),
     ("refresh", refresh_conditionals, ImageGraph(), SceneFormatError),
     ("relax", relax_frames, ImageGraph(), SceneFormatError),
 ]
@@ -122,6 +175,8 @@ def test_the_graph_case_base_is_valid():
     ig = ImageGraph.from_json(_linked())
     assert [(l.source, l.target, l.conditional) for l in ig.links] == [
         (("linseg", 2), ("linseg", 1), 0.5)]
+    _settled(_face_graph(lambda doc, link, member: None))
+    ImageGraph.from_json(TRUCK_GRAPH_DOC, TRUCK_MODEL)
 
 
 @pytest.mark.parametrize("entry, arg, error", [c[1:] for c in CASES], ids=[c[0] for c in CASES])
@@ -162,10 +217,6 @@ def mutated(draw, doc):
 
 FIXTURES = {name: json.loads(Path(fixture_path(name)).read_bytes())
             for name in ("face.json", "truck.json", "truck_flat.json")}
-MODEL = load_model_file(fixture_path("face.json"))
-(SCENE,) = generate_scenes(GeneratorSpec(MODEL, "face", jitter=0.0, n_distractors=2, seed=1))
-SCENE_DOC = json.loads(write_scene(SCENE))
-GRAPH_DOC = recognize(SCENE, MODEL).to_json()
 FUZZ = settings(max_examples=300, deadline=None)
 
 

@@ -24,6 +24,7 @@ from scipy.spatial.transform import Rotation
 
 import dualgraph.recognize as rec
 from dualgraph.belief import (
+    ROW_RESOLVED,
     bind_member,
     cond_probability,
     group_weight,
@@ -339,7 +340,7 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
     """Recognize with both versions compared at every call; returns the
     number of waves, of compared slot matchings, of gated matchings that
     bound a variant-tagged slot, of compared verify calls, and of refits
-    the memo served."""
+    the memo served, and under "graph" the recognized graph."""
     new_generate, new_match, new_verify = rec.generate_hypotheses, rec._match_slots, rec.verify
     refit = rec._refit
     seen = {"waves": 0, "matchings": 0, "variant_matchings": 0, "verifies": 0,
@@ -390,7 +391,7 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
     monkeypatch.setattr(rec, "_match_slots", match)
     monkeypatch.setattr(rec, "_refit", counted_refit)
     monkeypatch.setattr(rec, "verify", verify)
-    rec.recognize(scene, model, cfg)
+    seen["graph"] = rec.recognize(scene, model, cfg)
     return seen
 
 
@@ -452,22 +453,26 @@ def test_non_default_configs_match_the_scalar_steps(monkeypatch, overrides, fixt
 # -- failing fast ----------------------------------------------------------------
 
 
-def _face_scene(with_segments):
-    """The face model's circle slots (and with `with_segments` its nose and
-    mouth) as scene primitives in model coordinates: the identity transform
-    predicts each slot onto its primitive."""
-    model = load_model_file(fixture_path("face.json"))
-    mnode = model.node("face")
+def _face_parts(mnode, with_segments, circles=("head", "eye_1", "eye_2")):
+    """The face model's `circles` slots (and with `with_segments` its nose
+    and mouth) as scene primitives in model coordinates: the identity
+    transform predicts each slot onto its primitive."""
     prims = [Primitive("circle", center=mnode.part(name).frame.origin,
                        radius=mnode.part(name).frame.primary_length)
-             for name in ("head", "eye_1", "eye_2")]
+             for name in circles]
     if with_segments:
         for name in ("nose", "mouth"):
             frame = mnode.part(name).frame
             prims.append(Primitive("linseg", p1=frame.origin - frame.axes[0],
                                    p2=frame.origin + frame.axes[0]))
-    ig = rec.seed_image_graph(Scene(dim=2, primitives=prims, id="face-parts"), model)
-    return model, mnode, rec.CandidateIndex(ig)
+    return prims
+
+
+def _face_scene(with_segments):
+    model = load_model_file(fixture_path("face.json"))
+    mnode = model.node("face")
+    scene = Scene(dim=2, primitives=_face_parts(mnode, with_segments), id="face-parts")
+    return model, mnode, rec.CandidateIndex(rec.seed_image_graph(scene, model))
 
 
 IDENTITY = SimilarityTransform(np.eye(2), 1.0, np.zeros(2))
@@ -522,6 +527,47 @@ def test_a_degenerate_optional_prediction_fails_both_sides(monkeypatch):
     assert _failed_as_empty(scalar_match_slots(index, model, mnode, IDENTITY, cfg,
                                                False)) == (None, {})
     assert rec._match_slots(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
+
+
+def test_an_optional_member_that_fails_a_relation_is_unbound(monkeypatch):
+    """ear_2 is half an ear at its slot origin: its placement strain stays
+    under s_fail, but size-ratio(head, ear_2) does not, so the relation
+    check unbinds the optional ear and the face keeps ear_1. A scalar
+    relation is the offender: a failed boolean one costs exactly s_fail,
+    which is not worse than s_fail."""
+    model = load_model_file(fixture_path("face.json"))
+    mnode = model.node("face")
+    cfg = make_config()
+    slot = mnode.part("ear_2")
+    small = Frame(slot.frame.origin, slot.frame.axes / 2.0)
+    placement = placement_strain(slot.frame, small, slot.elasticity, "circle")
+    (size_ratio,) = [r for r in mnode.relations
+                     if r.function == "size-ratio" and r.operands == ("head", "ear_2")]
+    ((_, relation),) = relation_strains(mnode, [size_ratio], {
+        "head": mnode.part("head").frame, "ear_2": small}, cfg.s_fail, False)
+    assert 7.6 < placement < cfg.s_fail < 11.0 < relation < 11.2
+    prims = _face_parts(mnode, True, ("head", "eye_1", "eye_2", "ear_1")) + [
+        Primitive("circle", center=small.origin, radius=small.primary_length)]
+    unbound = []
+    drop = rec._drop_relation_offenders
+
+    def dropping(index, mnode, matched, *args):
+        before = set(matched)
+        kept = drop(index, mnode, matched, *args)
+        if kept is not None:
+            unbound.extend(before - set(kept))
+        return kept
+
+    monkeypatch.setattr(rec, "_drop_relation_offenders", dropping)
+    seen = _run_side_by_side(monkeypatch, Scene(dim=2, primitives=prims, id="small-ear"),
+                             model, cfg)
+    ig = seen["graph"]
+    assert "ear_2" in unbound
+    faces = [n for n in ig.nodes.values() if n.model_type == "face" and n.status != "pruned"]
+    assert faces
+    for face in faces:
+        slots = {l.slot for l in ig.links_to(face.key, "group-member")}
+        assert "ear_1" in slots and "ear_2" not in slots
 
 
 # -- the per-wave memos ----------------------------------------------------------
@@ -582,7 +628,7 @@ def test_projected_row_resolved_strains_with_a_group_frame_are_not_cached():
     cfg = make_config()
     rng = np.random.default_rng(11)
     differ = 0
-    for rel in [r for r in mnode.relations if r.function in rec._ROW_RESOLVED]:
+    for rel in [r for r in mnode.relations if r.function in ROW_RESOLVED]:
         for _ in range(20):
             ig = ImageGraph(projected=True)
             a, b = (ig.add_node("face", frame=_planar_frame(rng)) for _ in range(2))

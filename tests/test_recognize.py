@@ -133,6 +133,51 @@ def test_tiled_faces_are_byte_identical_and_each_found():
     _assert_tiled_output("face.json", "face", TILED_FACE_DIGEST)
 
 
+WAVE_SCENES = [c[:5] for c in GOLDEN] + [
+    ("truck_flat.json", "truck1", 0.03, "tiled", None), ("face.json", "face", 0.03, "tiled", None)]
+
+
+@pytest.mark.parametrize("fixture, target, jitter, distractors, camera", WAVE_SCENES,
+                         ids=[f"{c[0]}-{c[1]}-{c[3]}-{c[4]}" for c in WAVE_SCENES])
+def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distractors, camera):
+    # recognize verifies every hypothesis once, unchecked, and takes every
+    # candidate as a clue, on these grounds
+    if distractors == "tiled":
+        scene, model = _tiled_scene(fixture, target, copies=4, jitter=jitter, seed=5)
+    else:
+        scene, model = _scene(fixture, target, jitter, seed=5, distractors=distractors,
+                              camera=camera)
+    generate, verify = dualgraph.recognize.generate_hypotheses, dualgraph.recognize.verify
+    tried = set()
+    wave = {}
+
+    def pruned(ig):
+        return {key for key, node in ig.nodes.items() if node.status == "pruned"}
+
+    def generating(ig, model, frontier, cfg, index):
+        hypotheses = generate(ig, model, frontier, cfg, index)
+        for h in hypotheses:
+            key = (h.group_type, frozenset((h.clue_a, h.clue_b)))
+            assert key not in tried
+            tried.add(key)
+        wave["pruned"] = pruned(ig)
+        assert all(n.status == "verified" for n in index.nodes)
+        return hypotheses
+
+    def verifying(h, ig, model, cfg, index):
+        assert ig.nodes[h.clue_a].status != "pruned" and ig.nodes[h.clue_b].status != "pruned"
+        created = verify(h, ig, model, cfg, index)
+        assert pruned(ig) == wave["pruned"]
+        assert all(n.spec_slot is None and n.status == "verified" for n in index.fresh())
+        wave["verified"] = wave.get("verified", 0) + bool(created)
+        return created
+
+    monkeypatch.setattr(dualgraph.recognize, "generate_hypotheses", generating)
+    monkeypatch.setattr(dualgraph.recognize, "verify", verifying)
+    recognize(scene, model)
+    assert wave["verified"] and len(tried) > wave["verified"]
+
+
 def test_recognize_reads_the_model_tables_without_rebuilding(monkeypatch):
     scene, model = _scene("face.json", "face", 0.0, seed=5)
     calls = []
