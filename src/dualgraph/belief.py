@@ -422,7 +422,7 @@ def group_weight(mnode, optional_weight: float) -> float:
 # -- propagation -----------------------------------------------------------------
 
 
-def _update_node(ig, key, cfg, trace, wave):
+def _update_node(ig, key, cfg):
     node = ig.nodes[key]
     num = 0.0
     den = node.template_weight
@@ -443,17 +443,11 @@ def _update_node(ig, key, cfg, trace, wave):
             num += ig.nodes[l.source].probability * l.conditional
             supported = True
     if not supported:
-        return 0.0
+        return
     p = min(1.0, max(0.0, num / den)) if den > 0 else 0.0
     if node.is_primitive:
         p = max(p, min(1.0, cfg.p0 * node.strength))
-    before = node.probability
     node.probability = p
-    if trace is not None:
-        trace.append(
-            {"wave": wave, "node": node.label(), "p_before": before, "p_after": p}
-        )
-    return abs(p - before)
 
 
 def _upward_ranks(ig):
@@ -486,34 +480,27 @@ def _upward_ranks(ig):
     return memo
 
 
-def propagate(ig, new_nodes=None, cfg: Config | None = None, trace=None):
+def propagate(ig, nodes, cfg: Config | None = None):
     """One wave of probability updates.
 
-    A breadth-first wave flows outward from `new_nodes` (pass everything a
-    verification just created; None seeds it with every active node, a
-    global sweep): upward through part-of and carrying group-member links
-    immediately, downward (a group supporting its members) through at most
-    cfg.backward_depth hops, with shadow-node refreshes free. Within each
-    front nodes update supporters-first, and each node updates at most once
-    per wave.
+    A breadth-first wave flows outward from `nodes`, the ones a wave's
+    verification just created: upward through part-of and carrying
+    group-member links immediately, downward (a group supporting its members)
+    through at most cfg.backward_depth hops, with shadow-node refreshes free.
+    Within each front nodes update supporters-first, and each node updates at
+    most once per wave. A pruned node has no links, so none is offered.
     """
     cfg = cfg or Config()
     ranks = _upward_ranks(ig)
     order_key = lambda k: (ranks.get(k, 0), k)
-    if new_nodes is None:
-        new_nodes = ig.active_nodes()
-    seeds = [node.key for node in new_nodes]
     visited = set()
-    depth = {k: 0 for k in seeds}
-    frontier = sorted(set(seeds), key=order_key)
-    wave = 0
+    depth = {node.key: 0 for node in nodes}
+    frontier = sorted(depth, key=order_key)
     while frontier:
         offers = {}
         for key in frontier:
-            if key in visited or ig.nodes[key].status == "pruned":
-                continue
             visited.add(key)
-            _update_node(ig, key, cfg, trace, wave)
+            _update_node(ig, key, cfg)
             d = depth[key]
             for l in ig.incident(key):
                 if l.source == key:
@@ -525,9 +512,6 @@ def propagate(ig, new_nodes=None, cfg: Config | None = None, trace=None):
                     elif l.kind == "group-member" and d + 1 <= cfg.backward_depth:
                         _offer(offers, depth, l.source, d + 1)
         frontier = sorted((k for k in offers if k not in visited), key=order_key)
-        wave += 1
-        if wave > len(ig.nodes) + 2:
-            break
     return ig
 
 
@@ -731,25 +715,23 @@ def total_strain(ig, cfg: Config | None = None) -> float:
     return total
 
 
-def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
-    """Move each group frame to its closed-form fit where that lowers strain.
+def relax_frames(ig, nodes, cfg: Config | None = None):
+    """Move each group frame among `nodes` to its closed-form fit where that
+    lowers strain.
 
     One pass, in key order, over the movable nodes: those neither primitive
     (primitives anchor the data) nor shadow. A node takes its `_fitted_frame`
     only when that raises exp(-s/2) of its full local strain s
     (`_local_strain`: its slots, its memberships and their relations, boolean
     ones included), so s never rises, and a move too small to change that
-    factor is not made. Shadows then mirror their sources. `only` restricts the
-    movable set to the given node keys (incremental passes over freshly
-    built groups). `trace` gets the total strain before and after the pass.
+    factor is not made. Shadows among `nodes` then mirror their sources; pass
+    a wave's fresh nodes, and every shadow of a node moved is among them.
     """
     cfg = cfg or Config()
     ig.require_model()
-    if trace is not None:
-        trace.append(total_strain(ig, cfg))
-    for node in sorted(ig.active_nodes(), key=lambda n: n.key):
-        if (node.is_primitive or ig.links_from(node.key, "specializes")
-                or (only is not None and node.key not in only)):
+    nodes = sorted(nodes, key=lambda n: n.key)
+    for node in nodes:
+        if node.is_primitive or ig.links_from(node.key, "specializes"):
             continue
         mnode = ig.model.nodes.get(node.model_type)
         own = _GroupSlots(ig, node) if mnode is not None and mnode.parts else None
@@ -757,10 +739,8 @@ def relax_frames(ig, cfg: Config | None = None, trace=None, only=None):
         if fitted and (cond_probability(_local_strain(ig, node, own, fitted, cfg))
                        > cond_probability(_local_strain(ig, node, own, node.frame, cfg))):
             node.frame = fitted
-    for node in sorted(ig.active_nodes(), key=lambda n: n.key):
+    for node in nodes:
         shadows = ig.links_from(node.key, "specializes")
         if shadows:
             node.frame = ig.nodes[shadows[0].target].frame
-    if trace is not None:
-        trace.append(total_strain(ig, cfg))
     return ig

@@ -12,6 +12,8 @@ the spec, so output is reproducible across runs and platforms.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -257,8 +259,13 @@ def _one_scene(spec: GeneratorSpec, rng, camera: AffineCamera | None, scene_id: 
 
 
 def _check_spec(spec: GeneratorSpec):
-    if spec.jitter < 0:
-        raise GenerationError("jitter must be nonnegative")
+    for name in ("n_scenes", "n_distractors", "seed"):
+        value = getattr(spec, name)
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+            raise GenerationError(f"{name} must be a nonnegative integer, got {value!r}")
+    jitter = spec.jitter
+    if isinstance(jitter, bool) or not isinstance(jitter, numbers.Real) or not 0 <= jitter < math.inf:
+        raise GenerationError(f"jitter must be a finite nonnegative number, got {jitter!r}")
     if spec.target not in spec.model.nodes:
         raise GenerationError(f"unknown target type {spec.target!r}")
     if spec.camera is not None:

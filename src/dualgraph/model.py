@@ -130,7 +130,6 @@ class ModelNode:
     relations: list = field(default_factory=list)
     lower_loa: list = field(default_factory=list)
     higher_loa: list = field(default_factory=list)
-    groups: list = field(default_factory=list)
     specialize_relations: dict = field(default_factory=dict)
     # pinv of the template axes by `flat`; filled lazily by belief._template_pinv
     pinv_cache: dict = field(default_factory=dict, compare=False, repr=False)
@@ -205,14 +204,8 @@ def _complete_links(g: ModelGraph) -> None:
             if other is not None and node.type_name not in other.lower_loa:
                 other.lower_loa.append(node.type_name)
     for node in g.nodes.values():
-        for link in node.parts:
-            other = g.nodes.get(link.type_name)
-            if other is not None and node.type_name not in other.groups:
-                other.groups.append(node.type_name)
-    for node in g.nodes.values():
         node.lower_loa = sorted(set(node.lower_loa))
         node.higher_loa = sorted(set(node.higher_loa))
-        node.groups = sorted(set(node.groups))
 
 
 def _hierarchy_cycles(g: ModelGraph, edges_of, label: str) -> list:
@@ -245,14 +238,15 @@ def _finite_vector(value, dim: int) -> bool:
 
 
 def validate(g: ModelGraph) -> list:
-    """Check every structural invariant; returns a list of violation strings."""
+    """Check the structural invariants; returns a list of violation strings.
+
+    `_finish` runs it after `_complete_links` has made every LoA link
+    two-sided, on nodes keyed by their own type names."""
     violations = []
     if not isinstance(g.root, str) or g.root not in g.nodes:
         violations.append(f"root {g.root!r} does not name a node")
     for name in sorted(g.nodes):
         node = g.nodes[name]
-        if node.type_name != name:
-            violations.append(f"node {name}: keyed under a different name than its type")
         if node.symmetry_class not in SYMMETRY_CLASSES:
             violations.append(f"node {name}: unknown symmetry class {node.symmetry_class!r}")
         else:
@@ -277,7 +271,7 @@ def validate(g: ModelGraph) -> list:
                 violations.append(f"node {name}: essential part {link.name!r} needs multiplicity lower bound >= 1")
             if link.frame.dim != g.dim:
                 violations.append(f"node {name}: part {link.name!r} frame has wrong dimension")
-        for ref_list, rel_name in ((node.lower_loa, "lower-LoA"), (node.higher_loa, "higher-LoA"), (node.groups, "group")):
+        for ref_list, rel_name in ((node.lower_loa, "lower-LoA"), (node.higher_loa, "higher-LoA")):
             for ref in ref_list:
                 if ref not in g.nodes:
                     violations.append(f"node {name}: {rel_name} reference {ref!r} is undefined")
@@ -303,22 +297,6 @@ def validate(g: ModelGraph) -> list:
         part_types = {link.type_name for link in node.parts}
         for other in sorted(part_types & set(node.lower_loa) | part_types & set(node.higher_loa)):
             violations.append(f"node {name}: {other!r} is both a part and an abstraction link of the same node")
-
-    # link symmetry
-    for name in sorted(g.nodes):
-        node = g.nodes[name]
-        for child in node.lower_loa:
-            if child in g.nodes and name not in g.nodes[child].higher_loa:
-                violations.append(f"LoA link asymmetry: {name} lists {child} as lower but not vice versa")
-        for parent in node.higher_loa:
-            if parent in g.nodes and name not in g.nodes[parent].lower_loa:
-                violations.append(f"LoA link asymmetry: {name} lists {parent} as higher but not vice versa")
-        for group in node.groups:
-            if group in g.nodes and name not in {l.type_name for l in g.nodes[group].parts}:
-                violations.append(f"parts link asymmetry: {name} lists group {group} which has no such part")
-        for link in node.parts:
-            if link.type_name in g.nodes and name not in g.nodes[link.type_name].groups:
-                violations.append(f"parts link asymmetry: {name} part {link.name} not reflected in {link.type_name}.groups")
 
     violations += _hierarchy_cycles(g, lambda n: sorted({l.type_name for l in n.parts}), "parts")
     violations += _hierarchy_cycles(g, lambda n: n.lower_loa, "abstraction")

@@ -69,15 +69,15 @@ class Hypothesis:
         return (-self.screening_score, self.group_type, self.clue_a, self.clue_b)
 
 
-def seed_image_graph(scene: Scene, model: ModelGraph | None = None,
+def seed_image_graph(scene: Scene, model: ModelGraph,
                      cfg: Config | None = None) -> ImageGraph:
     """One verified node per scene primitive, frames canonicalized."""
     cfg = cfg or Config()
     ig = ImageGraph(scene_id=scene.id, model=model,
-                    projected=model is not None and model.dim == 3 and scene.dim == 2)
+                    projected=model.dim == 3 and scene.dim == 2)
     for i, prim in enumerate(scene.primitives):
         sym = "circle" if prim.kind == "circle" else "undirected-segment"
-        if model is not None and prim.kind in model.nodes:
+        if prim.kind in model.nodes:
             sym = model.node(prim.kind).symmetry_class
         frame = canonicalize_frame(prim.frame(), sym)
         ig.add_node(prim.kind, frame=frame, status="verified",
@@ -972,7 +972,7 @@ def _refit_matching(index, model, mnode, rough, transform, cfg, projected):
     return refit, (None if matched is None else dict(matched), strains)
 
 
-def _drop_relation_offenders(index, mnode, matched, cfg, projected, group_frame=None):
+def _drop_relation_offenders(index, mnode, matched, cfg, projected, group_frame):
     """Relations worse than s_fail fail the group outright when every
     operand is essential; otherwise the optional offender is unbound.
     Strains come through the wave's cache (`_relation_strain`)."""
@@ -1119,7 +1119,7 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
             break
         refresh_conditionals(ig, cfg)
         propagate(ig, fresh, cfg)
-        relax_frames(ig, cfg, only={n.key for n in fresh})
+        relax_frames(ig, fresh, cfg)
         refresh_conditionals(ig, cfg)
         propagate(ig, fresh, cfg)
         prune(ig, cfg)

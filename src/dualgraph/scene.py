@@ -19,7 +19,9 @@ class Primitive:
     """One observed feature: a line segment or a circle.
 
     `strength` carries the detector's confidence in [0, 1]; a faint or partly
-    occluded feature enters inference with a weaker data prior.
+    occluded feature enters inference with a weaker data prior. Coordinates
+    so large that the frame's origin or squared half-extent overflows are
+    rejected here, before any frame is built.
     """
 
     kind: str
@@ -35,9 +37,18 @@ class Primitive:
         if self.kind == "linseg":
             self.p1 = np.asarray(self.p1, float)
             self.p2 = np.asarray(self.p2, float)
+            ends = list(zip(self.p1.tolist(), self.p2.tolist()))
+            origin = [(a + b) / 2.0 for a, b in ends]
+            halves = [(b - a) / 2.0 for a, b in ends]
+            square = sum(h * h for h in halves)
         else:
             self.center = np.asarray(self.center, float)
             self.radius = float(self.radius)
+            origin = self.center.tolist()
+            square = self.radius * self.radius
+        # plain floats overflow to inf without a warning
+        if not all(map(math.isfinite, origin + [square])):
+            raise SceneFormatError(f"{self.kind} coordinates are not finite or too large for a frame")
 
     @property
     def dim(self) -> int:

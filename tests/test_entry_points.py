@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from dualgraph.belief import refresh_conditionals, relax_frames
 from dualgraph.errors import (
     DualGraphError,
+    GenerationError,
     ModelFormatError,
     ModelValidationError,
     SceneFormatError,
@@ -20,7 +21,7 @@ from dualgraph.generate import GeneratorSpec, generate_scenes
 from dualgraph.image import ImageGraph
 from dualgraph.model import fixture_path, load_model, load_model_file
 from dualgraph.recognize import recognize
-from dualgraph.scene import parse_scene, write_scene
+from dualgraph.scene import Primitive, Scene, parse_scene, write_scene
 
 FRAME = {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}
 FRAME_3D = {"origin": [0, 0, 0], "axes": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}
@@ -69,6 +70,33 @@ TRUCK_MODEL = load_model_file(fixture_path("truck.json"))
 TRUCK_GRAPH_DOC = recognize(TRUCK_SCENE, TRUCK_MODEL).to_json()
 
 
+FLAT_MODEL = load_model_file(fixture_path("truck_flat.json"))
+(FLAT_SCENE,) = generate_scenes(GeneratorSpec(FLAT_MODEL, "truck1", jitter=0.03,
+                                              n_distractors=8, seed=3))
+
+
+def _scaled(factor):
+    """The truck_flat scene's document with every coordinate times `factor`;
+    from about 1e154 on, a segment's squared half-length overflows."""
+    doc = json.loads(write_scene(FLAT_SCENE))
+    for prim in doc["primitives"]:
+        for key in ("p1", "p2", "center"):
+            if key in prim:
+                prim[key] = [v * factor for v in prim[key]]
+        if "radius" in prim:
+            prim["radius"] *= factor
+    return doc
+
+
+def _recognize_parsed(doc):
+    recognize(parse_scene(doc), FLAT_MODEL)
+
+
+def _recognize_built(doc):
+    """Recognize the document's primitives built by hand, not parsed."""
+    recognize(Scene(doc["dim"], [Primitive(**p) for p in doc["primitives"]]), FLAT_MODEL)
+
+
 def _face_graph(edit):
     """The recognized face graph document, with `edit(doc, link, member)` applied
     to a copy: `link` is its first group-member link and `member` that link's
@@ -94,7 +122,7 @@ def _settled(obj):
     """Load an image graph against the face model, then refresh and relax it."""
     ig = ImageGraph.from_json(obj, MODEL)
     refresh_conditionals(ig)
-    relax_frames(ig)
+    relax_frames(ig, ig.active_nodes())
 
 
 NAN = float("nan")
@@ -158,8 +186,18 @@ CASES = [
      _face_graph(lambda d, l, m: l.update(carries_up="no")), SceneFormatError),
     ("graph-link-to-pruned", _settled, _face_graph(lambda d, l, m: m.update(status="pruned")),
      SceneFormatError),
+    ("scene-coordinates-1e154", _recognize_parsed, _scaled(1e154), SceneFormatError),
+    ("scene-coordinates-1.2e154-built", _recognize_built, _scaled(1.2e154), SceneFormatError),
+    ("generate-n-scenes-string", generate_scenes, GeneratorSpec(MODEL, "face", n_scenes="3"),
+     GenerationError),
+    ("generate-distractors-float", generate_scenes,
+     GeneratorSpec(MODEL, "face", n_distractors=2.5), GenerationError),
+    ("generate-seed-negative", generate_scenes, GeneratorSpec(MODEL, "face", seed=-1),
+     GenerationError),
+    ("generate-jitter-nan", generate_scenes, GeneratorSpec(MODEL, "face", jitter=NAN),
+     GenerationError),
     ("refresh", refresh_conditionals, ImageGraph(), SceneFormatError),
-    ("relax", relax_frames, ImageGraph(), SceneFormatError),
+    ("relax", lambda ig: relax_frames(ig, ig.active_nodes()), ImageGraph(), SceneFormatError),
 ]
 
 

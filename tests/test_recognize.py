@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import dualgraph.model
 import dualgraph.recognize
+from conftest import random_rotation
 from dualgraph.belief import refresh_conditionals
 from dualgraph.config import Config
 from dualgraph.generate import GeneratorSpec, generate_scenes
@@ -131,6 +133,67 @@ def test_tiled_copies_are_byte_identical_and_each_found():
 
 def test_tiled_faces_are_byte_identical_and_each_found():
     _assert_tiled_output("face.json", "face", TILED_FACE_DIGEST)
+
+
+# One scene per slice of the bench workloads, at seed 1: clutter (face and
+# truck_flat among 128 distractors, jitter 0 and 0.03), tiled (16 faces, 8
+# truck_flats) and truck3d (the 3D truck plain and through random and drop-z
+# cameras, jitter 0 and 0.03). Recorded before the belief stages took the
+# wave's nodes as a required argument.
+CORPUS = ([("clutter", fixture, target, jitter)
+           for fixture, target in (("face.json", "face"), ("truck_flat.json", "truck1"))
+           for jitter in (0.0, 0.03)]
+          + [("tiled", "face.json", "face", 16), ("tiled", "truck_flat.json", "truck1", 8)]
+          + [("truck3d", camera, jitter) for camera in (None, "random", "drop-z")
+             for jitter in (0.0, 0.03)])
+CORPUS_DIGEST = "baa0135cde894c174a2592e63ab573285c6f76e5e0de54c91f42132dae90a736"
+
+
+def test_bench_corpus_outputs_are_byte_identical():
+    digest = hashlib.sha256()
+    for workload, *case in CORPUS:
+        if workload == "clutter":
+            fixture, target, jitter = case
+            scene, model = _scene(fixture, target, jitter, seed=1, distractors=128)
+        elif workload == "tiled":
+            fixture, target, copies = case
+            scene, model = _tiled_scene(fixture, target, copies=copies, jitter=0.03, seed=1)
+        else:
+            camera, jitter = case
+            scene, model = _scene("truck.json", "truck1", jitter, seed=1, distractors=0,
+                                  camera=camera)
+        blob = recognize(scene, model).to_bytes()
+        digest.update(len(blob).to_bytes(8, "little"))
+        digest.update(blob)
+    assert digest.hexdigest() == CORPUS_DIGEST
+
+
+def _best_p(ig, target):
+    return max((n.probability for n in ig.nodes.values()
+                if n.model_type == target and n.status != "pruned"), default=0.0)
+
+
+def _moved(scene, linear, shift):
+    """The scene under the similarity x -> linear @ x + shift."""
+    scale = abs(np.linalg.det(linear)) ** (1.0 / scene.dim)
+    prims = [replace(p, p1=linear @ p.p1 + shift, p2=linear @ p.p2 + shift) if p.kind == "linseg"
+             else replace(p, center=linear @ p.center + shift, radius=scale * p.radius)
+             for p in scene.primitives]
+    return Scene(dim=scene.dim, primitives=prims, id=scene.id)
+
+
+@pytest.mark.parametrize("fixture, target", [("face.json", "face"), ("truck_flat.json", "truck1")])
+def test_best_p_is_invariant_under_similarities(fixture, target):
+    # a rotation, a scale in e^-1..e^1 and a shift within 50 per axis
+    rng = np.random.default_rng(6)
+    for seed in (1, 2, 3):
+        scene, model = _scene(fixture, target, 0.03, seed=seed, distractors=32)
+        want = _best_p(recognize(scene, model), target)
+        assert want > 0.0
+        for _ in range(4):
+            linear = math.exp(rng.uniform(-1.0, 1.0)) * random_rotation(rng, scene.dim)
+            moved = _moved(scene, linear, rng.uniform(-50.0, 50.0, scene.dim))
+            assert abs(_best_p(recognize(moved, model), target) - want) <= 1e-9
 
 
 WAVE_SCENES = [c[:5] for c in GOLDEN] + [
