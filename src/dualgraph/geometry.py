@@ -75,10 +75,22 @@ class Frame:
             for j in range(i + 1, dim):
                 if abs(gram[i][j]) > _ORTHO_TOL * max(lengths[i] * lengths[j], 1.0):
                     raise DegenerateFrameError(f"axes {i} and {j} are not orthogonal")
+        self._keep_lengths(lengths)
+
+    def _keep_lengths(self, lengths: tuple):
         # plain-float copies for the scalar kernels; the array is built on first use
         self._length_tuple = lengths
         self._primary = max(lengths)
         self._lengths = None
+
+    @classmethod
+    def from_checked(cls, origin: np.ndarray, axes: np.ndarray, lengths: tuple) -> "Frame":
+        """The frame of a stack row that `check_frames` passed, with the
+        lengths it computed as plain floats, built without checking again."""
+        frame = cls.__new__(cls)
+        frame.origin, frame.axes = origin, axes
+        frame._keep_lengths(lengths)
+        return frame
 
     @property
     def dim(self) -> int:
@@ -130,16 +142,56 @@ class Frame:
         return Frame(np.asarray(obj["origin"], float), np.asarray(obj["axes"], float))
 
 
+def check_frames(origins: np.ndarray, axes: np.ndarray):
+    """`Frame`'s checks on every row of an (n, d) origin stack and an
+    (n, d, d) axis stack, run once per stack.
+
+    Returns (ok, lengths): whether `Frame` would accept each row, and the
+    (n, d) axis lengths it would compute. A row is ok when its entries are
+    finite and every pair of its axes is orthogonal to within `_ORTHO_TOL`
+    of the product of their lengths (or of 1). Lengths and dot products
+    come from one stacked Gram product, whose entries are bit for bit the
+    per-frame `axes @ axes.T`. `Frame.from_checked` builds the rows that
+    pass.
+    """
+    n, dim = origins.shape
+    ok = np.isfinite(origins).all(axis=1) & np.isfinite(axes.reshape(n, -1)).all(axis=1)
+    # a non-finite row may overflow or meet inf - inf here; it is rejected
+    with np.errstate(all="ignore"):
+        gram = axes @ axes.transpose(0, 2, 1)
+        lengths = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))
+        for i in range(dim):
+            for j in range(i + 1, dim):
+                limit = _ORTHO_TOL * np.maximum(lengths[:, i] * lengths[:, j], 1.0)
+                ok &= ~(np.abs(gram[:, i, j]) > limit)
+    return ok, lengths
+
+
 def frame_from_segment(p1, p2) -> Frame:
-    """Midpoint origin, primary axis half the segment, zero cross axes."""
+    """Midpoint origin, primary axis half the segment, zero cross axes.
+
+    The frame is built canonical for "undirected-segment": the primary axis
+    is negated when its first nonzero component is negative, which is all
+    `canonicalize_frame` would change. Like it, this raises
+    DegenerateFrameError when the half-extent's length is not positive (a
+    half-extent with nonzero components can square to 0).
+    """
     p1 = np.asarray(p1, float)
     p2 = np.asarray(p2, float)
     origin = (p1 + p2) / 2.0
     half = (p2 - p1) / 2.0
+    for comp in half.tolist():
+        if comp != 0.0:
+            if comp < 0.0:
+                half = -half
+            break
     dim = origin.size
     axes = np.zeros((dim, dim))
     axes[0] = half
-    return canonicalize_frame(Frame(origin, axes), "undirected-segment")
+    frame = Frame(origin, axes)
+    if not frame.primary_length > 0:
+        raise DegenerateFrameError("symmetry undirected-segment needs 1 nonzero axes, frame has 0")
+    return frame
 
 
 def frame_from_circle(center, radius: float) -> Frame:
@@ -308,6 +360,12 @@ def eval_relation(function: str, frames, slack: float = 0.1):
 
 _TIE_RATIO = 0.9
 
+# Magnitudes that `angle_between` and `_segment_distance` take as they are.
+# Both square products of coordinates, which overflow past about 1e77 and
+# underflow below about 1e-77, so outside this range they work on a
+# power-of-two rescale of their inputs, which is exact.
+_SAFE_RANGE = (2.0 ** -200, 2.0 ** 200)
+
 _EYE_CACHE: dict = {}
 
 
@@ -347,7 +405,9 @@ def angle_between(a: Frame, b: Frame) -> float:
     Axes tied within 10% of the primary are direction-ambiguous, so the
     best-aligned tied pair is scored; a symmetric shape never pays for an
     arbitrary axis labeling. Unrolled scalar arithmetic: this sits inside
-    every placement test a recognition run makes.
+    every placement test a recognition run makes. A pair whose length
+    product lies outside `_SAFE_RANGE` has each axis scaled by the power of
+    two that brings its length into [0.5, 1) first.
     """
     la = a._length_tuple
     lb = b._length_tuple
@@ -376,6 +436,12 @@ def angle_between(a: Frame, b: Frame) -> float:
             b1 = float(vb[1])
             b2 = float(vb[2]) if dim == 3 else 0.0
             scale = na * nb
+            if not _SAFE_RANGE[0] <= scale <= _SAFE_RANGE[1]:
+                ka = math.ldexp(1.0, -math.frexp(na)[1])
+                kb = math.ldexp(1.0, -math.frexp(nb)[1])
+                a0, a1, a2 = a0 * ka, a1 * ka, a2 * ka
+                b0, b1, b2 = b0 * kb, b1 * kb, b2 * kb
+                scale = (na * ka) * (nb * kb)
             dot = (a0 * b0 + a1 * b1 + a2 * b2) / scale
             cx = a1 * b2 - a2 * b1
             cy = a2 * b0 - a0 * b2
@@ -436,12 +502,26 @@ def _segment_distance(ca, ha, cb, hb) -> float:
     |ha x hb|^2 and its numerator ((ha x hb) x hb) . r, both formed from
     cross products so near-parallel segments lose no precision to
     cancellation; exactly parallel ones start from s = 0. Plain floats.
+
+    When the longest component of ha, hb and r = ca - cb lies outside
+    `_SAFE_RANGE`, all three are scaled by the power of two that brings it
+    into [0.5, 1), and the distance is scaled back; inside the range
+    nothing is scaled.
     """
     if len(ca) == 2:
         ca, ha, cb, hb = (*ca, 0.0), (*ha, 0.0), (*cb, 0.0), (*hb, 0.0)
     ax, ay, az = ha
     bx, by, bz = hb
     rx, ry, rz = ca[0] - cb[0], ca[1] - cb[1], ca[2] - cb[2]
+    back = 1.0
+    longest = max(abs(ax), abs(ay), abs(az), abs(bx), abs(by), abs(bz),
+                  abs(rx), abs(ry), abs(rz))
+    if not _SAFE_RANGE[0] <= longest <= _SAFE_RANGE[1]:
+        exp = math.frexp(longest)[1]
+        k = math.ldexp(1.0, -exp)
+        ax, ay, az, bx, by, bz = ax * k, ay * k, az * k, bx * k, by * k, bz * k
+        rx, ry, rz = rx * k, ry * k, rz * k
+        back = math.ldexp(1.0, exp)
     a = ax * ax + ay * ay + az * az
     e = bx * bx + by * by + bz * bz
     b = ax * bx + ay * by + az * bz
@@ -467,7 +547,7 @@ def _segment_distance(ca, ha, cb, hb) -> float:
     dx = rx + s * ax - t * bx
     dy = ry + s * ay - t * by
     dz = rz + s * az - t * bz
-    return math.sqrt(dx * dx + dy * dy + dz * dz)
+    return math.sqrt(dx * dx + dy * dy + dz * dz) * back
 
 
 def _extent_distance(a: Frame, b: Frame) -> float:
@@ -719,6 +799,48 @@ def fit_affine(model_pts: np.ndarray, image_pts: np.ndarray):
     trans = sol[-1]
     residual = float(np.sqrt(((design @ sol - y) ** 2).sum()))
     return (linear, trans), residual
+
+
+def apply_similarities(rotations, scales, translations, origins, axes):
+    """`SimilarityTransform.apply_frame` of n frames under each of h
+    similarities, before the `Frame` check.
+
+    Takes rotations (h, d, d), scales (h,) and translations (h, d), and
+    frame origins (n, d) and axes (n, d, d); returns (h, n, d) origins and
+    (h, n, d, d) axes. Each (transform, frame) pair goes through matmuls of
+    the shapes `apply_frame` uses and the same elementwise steps, so its
+    floats are bit for bit `apply_frame`'s; an einsum or an elementwise
+    product sums in another order and is not.
+    """
+    moved = (rotations[:, None] @ origins[None, :, :, None])[..., 0]
+    out_origins = scales[:, None, None] * moved + translations[:, None, :]
+    out_axes = scales[:, None, None, None] * (axes[None] @ rotations.transpose(0, 2, 1)[:, None])
+    return out_origins, out_axes
+
+
+def project_frames(linears, translations, origins, axes):
+    """`project` of n 3D frames under each of h cameras, before the `Frame`
+    check.
+
+    Takes camera linears (h, 2, 3) and translations (h, 2), and frame
+    origins (n, 3) and axes (n, 3, 3); returns (h, n, 2) origins and
+    (h, n, 2, 2) axes, bit for bit `project`'s: matmuls of its shapes, the
+    three outer products summed in its order, one stacked `eigh` (LAPACK's
+    per-matrix routine on each matrix), and its ordering and clamping of
+    the eigenvalues.
+    """
+    out_origins = (linears[:, None] @ origins[None, :, :, None])[..., 0] + translations[:, None, :]
+    proj = linears[:, None] @ axes.transpose(0, 2, 1)[None]  # projected axes as columns
+    m = np.zeros(proj.shape[:2] + (2, 2))
+    for k in range(proj.shape[-1]):
+        m += proj[..., :, k, None] * proj[..., None, :, k]
+    vals, vecs = np.linalg.eigh(m)
+    order = np.argsort(-vals, axis=-1)
+    vals = np.take_along_axis(vals, order, axis=-1)
+    # max(val, 0.0) keeps -0.0 and NaN, as np.maximum does not
+    root = np.sqrt(np.where(vals < 0.0, 0.0, vals))
+    vecs = np.take_along_axis(vecs, order[..., None, :], axis=-1)
+    return out_origins, (vecs * root[..., None, :]).swapaxes(-1, -2)
 
 
 def project(camera: AffineCamera, f: Frame) -> Frame:

@@ -39,13 +39,17 @@ from .belief import (
 from .config import Config
 from .errors import DegenerateFrameError, SceneFormatError, UnderConstrainedError
 from .geometry import (
+    _SAFE_RANGE,
     AffineCamera,
     Frame,
+    apply_similarities,
     canonicalize_frame,
+    check_frames,
     fit_affine,
     fit_similarities,
     fit_similarity,
     project,
+    project_frames,
     similarity_of,
     unambiguous_axes,
 )
@@ -71,7 +75,9 @@ class Hypothesis:
 
 def seed_image_graph(scene: Scene, model: ModelGraph,
                      cfg: Config | None = None) -> ImageGraph:
-    """One verified node per scene primitive, frames canonicalized."""
+    """One verified node per scene primitive, frames canonicalized. A
+    segment's frame is built canonical for "undirected-segment"
+    (`frame_from_segment`), so under that class it is taken as it is."""
     cfg = cfg or Config()
     ig = ImageGraph(scene_id=scene.id, model=model,
                     projected=model.dim == 3 and scene.dim == 2)
@@ -79,7 +85,9 @@ def seed_image_graph(scene: Scene, model: ModelGraph,
         sym = "circle" if prim.kind == "circle" else "undirected-segment"
         if prim.kind in model.nodes:
             sym = model.node(prim.kind).symmetry_class
-        frame = canonicalize_frame(prim.frame(), sym)
+        frame = prim.frame()
+        if not (prim.kind == "linseg" and sym == "undirected-segment"):
+            frame = canonicalize_frame(frame, sym)
         ig.add_node(prim.kind, frame=frame, status="verified",
                     strength=prim.strength, prim_index=i,
                     probability=min(1.0, cfg.p0 * prim.strength))
@@ -214,12 +222,6 @@ def _refit(mnode, matched, ig, transform, projected):
         return transform
 
 
-def _predict(transform, model_frame: Frame, projected: bool) -> Frame:
-    if projected:
-        return project(transform, model_frame)
-    return transform.apply_frame(model_frame)
-
-
 def _aligned_projection(camera, template: Frame) -> Frame:
     """Project a template so the result's rows follow the template's rows.
 
@@ -252,6 +254,10 @@ def _aligned_projection(camera, template: Frame) -> Frame:
 # Relative slack of the vectorized prefilters; survivors then face the exact
 # scalar gate, so rounding differences never change a decision.
 _PREFILTER_SLACK = 1e-6
+
+# (query point, node) pairs per block of `CandidateIndex.near`: bounds the
+# (points x nodes x dim) difference array held at once.
+_QUERY_PAIRS = 8192
 
 
 class _Columns(NamedTuple):
@@ -315,6 +321,15 @@ class CandidateIndex:
       last term counts the fresh candidates of a type that fits one of the
       group's slots, so an entry retires once a node it could bind has been
       inserted.
+
+    It also holds the wave's slot predictions. `predicted` maps each
+    hypothesis of the wave, by (group type, clue a, clue b), to the
+    `_Predicted` slots of its first, rough matching (`_predict_wave`):
+    every slot of every hypothesis of a group type is predicted in one
+    stacked step and queried against the snapshot, since a verify
+    predicts only a few slots at a time. `verify` takes its entry out.
+    The queries read only the snapshot, so they stay valid all wave; the
+    fresh nodes are scanned when a matching is made.
     """
 
     def __init__(self, ig: ImageGraph):
@@ -323,42 +338,79 @@ class CandidateIndex:
                       if n.spec_slot is None and n.status != "pruned"]
         self._seen = len(ig.nodes)
         self.cols = _Columns.of([n.frame for n in self.nodes])
-        self._type_masks: dict = {}
+        self._typed: dict = {}
         self.strains: dict = {}
         self.refits: dict = {}
+        self.predicted: dict = {}
 
     def fresh(self) -> list:
         """Candidates inserted since the snapshot, in insertion order."""
         return [n for n in itertools.islice(self.ig.nodes.values(), self._seen, None)
                 if n.spec_slot is None and n.status != "pruned"]
 
-    def of_types(self, types: frozenset) -> np.ndarray:
-        """Mask of the snapshot nodes whose model type is in `types`."""
-        mask = self._type_masks.get(types)
-        if mask is None:
-            mask = np.array([n.model_type in types for n in self.nodes], dtype=bool)
-            self._type_masks[types] = mask
-        return mask
+    def of_types(self, types: frozenset):
+        """(rows, origins) of the snapshot nodes whose model type is in
+        `types`, rows ascending."""
+        hit = self._typed.get(types)
+        if hit is None:
+            rows = np.flatnonzero([n.model_type in types for n in self.nodes])
+            hit = rows, self.cols.origins[rows]
+            self._typed[types] = hit
+        return hit
 
-    def near(self, points, radii) -> list:
-        """Per query point, (rows, d2): the rows of the snapshot nodes within
-        its radius (plus a small slack) and their squared origin distances,
-        rounded as numpy rounds them.
+    def near(self, points, radii, types) -> "_Hits":
+        """The snapshot nodes near each query point k: those of a model type
+        in `types[k]` within its radius (plus a small slack), as `_Hits`:
+        their rows in ascending order and their squared origin distances,
+        rounded as numpy rounds them. The points of one type set are
+        measured against that set's nodes only (`of_types`), in blocks of
+        at most `_QUERY_PAIRS` (point, node) pairs, or one point.
 
         A superset of the exact answer among the snapshot nodes: callers
         re-check only the exact distance on what comes back, and treat every
         fresh() node as a candidate too.
         """
-        if not self.nodes:
-            return [(np.zeros(0, dtype=int), np.zeros(0)) for _ in radii]
-        diff = self.cols.origins[None, :, :] - np.asarray(points)[:, None, :]
-        d2 = np.einsum("knd,knd->kn", diff, diff)
-        reach = np.asarray(radii) * (1.0 + _PREFILTER_SLACK)
-        out = []
-        for row, r in zip(d2, reach):
-            rows = np.flatnonzero(row <= r * r)
-            out.append((rows, row[rows]))
-        return out
+        starts = np.zeros(len(radii), dtype=int)
+        stops = np.zeros(len(radii), dtype=int)
+        rows, d2s = [np.zeros(0, dtype=int)], [np.zeros(0)]
+        by_types: dict = {}
+        for k, fits in enumerate(types):
+            by_types.setdefault(fits, []).append(k)
+        done = 0
+        for fits, ks in by_types.items():
+            cols, origins = self.of_types(fits)
+            if not len(cols):
+                continue
+            step = max(1, _QUERY_PAIRS // len(cols))
+            for start in range(0, len(ks), step):
+                block = ks[start:start + step]
+                diff = origins[None, :, :] - points[block, None, :]
+                d2 = np.einsum("knd,knd->kn", diff, diff)
+                reach = radii[block] * (1.0 + _PREFILTER_SLACK)
+                within = d2 <= (reach * reach)[:, None]
+                i, j = np.nonzero(within)
+                rows.append(cols[j])
+                d2s.append(d2[i, j])
+                counts = within.sum(axis=1)
+                stops[block] = done + counts.cumsum()
+                starts[block] = stops[block] - counts
+                done += len(j)
+        return _Hits(np.concatenate(rows), np.concatenate(d2s), starts, stops)
+
+
+class _Hits(NamedTuple):
+    """What `CandidateIndex.near` found: query point k's rows and squared
+    distances are `rows[starts[k]:stops[k]]` and `d2[starts[k]:stops[k]]`."""
+
+    rows: np.ndarray
+    d2: np.ndarray
+    starts: np.ndarray
+    stops: np.ndarray
+
+    def of(self, k):
+        """(rows, d2) of query point k."""
+        part = slice(self.starts[k], self.stops[k])
+        return self.rows[part], self.d2[part]
 
 
 def _distance(p, q) -> float:
@@ -402,10 +454,19 @@ def _pad3(v):
 
 def _segment_angles(a: _Columns, b: _Columns):
     """angle_between on frames with a single nonzero axis each, in columns:
-    the same float operations in the same order, with numpy's arctan2."""
+    the same float operations in the same order, and the same power-of-two
+    rescale of the rows outside `_SAFE_RANGE`, with numpy's arctan2."""
     a0, a1, a2 = a.axes.T
     b0, b1, b2 = b.axes.T
-    scale = a.lengths * b.lengths
+    na, nb = a.lengths, b.lengths
+    scale = na * nb
+    outside = ~((_SAFE_RANGE[0] <= scale) & (scale <= _SAFE_RANGE[1]))
+    if outside.any():
+        ka = np.ldexp(1.0, np.where(outside, -np.frexp(na)[1], 0))
+        kb = np.ldexp(1.0, np.where(outside, -np.frexp(nb)[1], 0))
+        a0, a1, a2 = a0 * ka, a1 * ka, a2 * ka
+        b0, b1, b2 = b0 * kb, b1 * kb, b2 * kb
+        scale = (na * ka) * (nb * kb)
     dot = (a0 * b0 + a1 * b1 + a2 * b2) / scale
     cx = a1 * b2 - a2 * b1
     cy = a2 * b0 - a0 * b2
@@ -416,12 +477,22 @@ def _segment_angles(a: _Columns, b: _Columns):
 
 def _segment_distances(a: _Columns, b: _Columns):
     """geometry._segment_distance on the primary axes, in columns: the same
-    float operations in the same order, so a row is bit for bit the scalar
+    float operations in the same order, and the same power-of-two rescale
+    of the rows outside `_SAFE_RANGE`, so a row is bit for bit the scalar
     result for frames with a single nonzero axis each."""
     ca, cb = _pad3(a.origins), _pad3(b.origins)
     ax, ay, az = a.axes.T
     bx, by, bz = b.axes.T
     rx, ry, rz = (ca - cb).T
+    back = 1.0
+    longest = np.abs(np.stack([ax, ay, az, bx, by, bz, rx, ry, rz])).max(axis=0)
+    outside = ~((_SAFE_RANGE[0] <= longest) & (longest <= _SAFE_RANGE[1]))
+    if outside.any():
+        exp = np.where(outside, np.frexp(longest)[1], 0)
+        k = np.ldexp(1.0, -exp)
+        ax, ay, az, bx, by, bz = ax * k, ay * k, az * k, bx * k, by * k, bz * k
+        rx, ry, rz = rx * k, ry * k, rz * k
+        back = np.ldexp(1.0, exp)
     a_ = ax * ax + ay * ay + az * az
     e = bx * bx + by * by + bz * bz
     b_ = ax * bx + ay * by + az * bz
@@ -444,7 +515,7 @@ def _segment_distances(a: _Columns, b: _Columns):
     dx = rx + s * ax - t * bx
     dy = ry + s * ay - t * by
     dz = rz + s * az - t * bz
-    return np.sqrt(dx * dx + dy * dy + dz * dz)
+    return np.sqrt(dx * dx + dy * dy + dz * dz) * back
 
 
 @np.errstate(all="ignore")  # rows that divide by zero are masked out
@@ -717,32 +788,154 @@ def _essential(slot) -> bool:
     return slot.essential and slot.variant_tag is None
 
 
-def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
-    """Predict the slots and greedily bind the closest unclaimed instances.
+class _Query(NamedTuple):
+    """One slot whose prediction has an extent, with the snapshot rows of a
+    fitting type within `radius` of the predicted origin and their squared
+    distances (`CandidateIndex.near`). `tight` is the gated query radius in
+    predicted primary lengths."""
+
+    slot: object
+    pred: Frame
+    tight: float
+    radius: float
+    rows: np.ndarray
+    d2: np.ndarray
+
+
+class _Slots(NamedTuple):
+    """One `_predict_slots` batch, kept as stacks until a matching reads
+    it: the predicted origins, axes and lengths of slot s under transform t
+    in row t * len(slots) + s, and the query radius of each row. Query
+    point p was row `queried[p]`, with `hits.of(p)`; `spans[t]` is the
+    range of transform t's query points, or None when a prediction of t is
+    degenerate."""
+
+    slots: list
+    tight: list
+    origins: np.ndarray
+    axes: np.ndarray
+    lengths: np.ndarray
+    radii: np.ndarray
+    queried: np.ndarray
+    spans: list
+    hits: _Hits
+
+    def queries(self, t):
+        """The `_Query` list of transform t, or None."""
+        if self.spans[t] is None:
+            return None
+        out = []
+        for point in range(*self.spans[t]):
+            k = int(self.queried[point])
+            s = k % len(self.slots)
+            pred = Frame.from_checked(self.origins[k], self.axes[k],
+                                      tuple(self.lengths[k].tolist()))
+            out.append(_Query(self.slots[s], pred, self.tight[s], float(self.radii[k]),
+                              *self.hits.of(point)))
+        return out
+
+
+class _Predicted(NamedTuple):
+    """The slots of a group under one transform, predicted and queried
+    (`_predict_slots`), row `t` of a `_Slots` batch. `queries()` gives a
+    `_Query` per slot with an extent, in part order, or None when a
+    prediction is degenerate (a frame `Frame` rejects). The query radius is
+    gate_radius predicted primary lengths when `rough`, so that a rough
+    matching can be made, and the tight radius otherwise."""
+
+    transform: object
+    rough: bool
+    batch: _Slots
+    t: int
+
+    def queries(self):
+        return self.batch.queries(self.t)
+
+
+def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> list:
+    """A `_Predicted` per transform, the one path by which slots are
+    predicted.
+
+    Every slot under every transform is predicted in one stacked step
+    (`apply_similarities`, or `project_frames` in projected mode), bit for
+    bit `apply_frame` or `project`, and checked once per stack
+    (`check_frames`). The predictions with an extent of the transforms
+    whose predictions all pass are then queried against the snapshot
+    together (`CandidateIndex.near`), for the nodes of a type that fits
+    their slot. Only a matching that reads them turns them into `Frame`s.
+    """
+    slots = mnode.parts
+    n = len(slots)
+    origins = np.array([slot.frame.origin for slot in slots])
+    axes = np.array([slot.frame.axes for slot in slots])
+    if projected:
+        pred_origins, pred_axes = project_frames(
+            np.array([t.linear for t in transforms]),
+            np.array([t.translation for t in transforms]), origins, axes)
+    else:
+        pred_origins, pred_axes = apply_similarities(
+            np.array([t.rotation for t in transforms]), np.array([t.scale for t in transforms]),
+            np.array([t.translation for t in transforms]), origins, axes)
+    dim = pred_origins.shape[-1]
+    pred_origins = pred_origins.reshape(-1, dim)
+    pred_axes = pred_axes.reshape(-1, dim, dim)
+    ok, lengths = check_frames(pred_origins, pred_axes)
+    whole = ok.reshape(-1, n).all(axis=1)
+    gate = cfg.gate_radius
+    tight = [min(gate, slot.elasticity[0] * math.sqrt(cfg.s_fail)) for slot in slots]
+    primary = lengths.max(axis=1).reshape(-1, n)
+    radii = (primary * gate if rough else primary * np.array(tight)).reshape(-1)
+    queried = np.flatnonzero(whole[:, None] & (primary > 0))
+    fits = [model.abstract.get(slot.type_name, frozenset()) for slot in slots]
+    hits = index.near(pred_origins[queried], radii[queried],
+                      [fits[k % n] for k in queried.tolist()])
+    bounds = np.searchsorted(queried, np.arange(len(transforms) + 1) * n).tolist()
+    spans = [(first, last) if fine else None
+             for first, last, fine in zip(bounds, bounds[1:], whole.tolist())]
+    batch = _Slots(slots, tight, pred_origins, pred_axes, lengths, radii, queried, spans, hits)
+    return [_Predicted(transform, rough, batch, t) for t, transform in enumerate(transforms)]
+
+
+def _predict_wave(index, model, hypotheses, cfg, projected):
+    """Fill `index.predicted` with the slots of every hypothesis's first,
+    rough matching, one `_predict_slots` call per group type."""
+    by_type: dict = {}
+    for h in hypotheses:
+        by_type.setdefault(h.group_type, []).append(h)
+    for group_type, group in by_type.items():
+        predicted = _predict_slots(index, model, model.node(group_type),
+                                   [h.transform for h in group], cfg, projected, rough=True)
+        for h, p in zip(group, predicted):
+            index.predicted[h.group_type, h.clue_a, h.clue_b] = p
+
+
+def _match_slots(index, model, mnode, predicted, cfg):
+    """Greedily bind the closest unclaimed instances to the predicted slots.
 
     The gated matching takes candidates within s_fail of their predicted
-    placement, ranked by placement strain. With `rough` the same transform
-    also gets a rough matching, where only the origin radius gate applies
-    (it tolerates the rotational slack of a rough transform), ranked by
-    origin offset over the predicted scale. Returns (gated, rough), each
-    (matched, strains) where matched maps slot name to member keys, or
-    (None, {}) when an essential slot cannot be filled; rough is None
-    unless asked for.
+    placement, ranked by placement strain. When `predicted.rough` the same
+    transform also gets a rough matching, where only the origin radius gate
+    applies (it tolerates the rotational slack of a rough transform),
+    ranked by origin offset over the predicted scale. Returns (gated,
+    rough), each (matched, strains) where matched maps slot name to member
+    keys, or (None, {}) when an essential slot cannot be filled; rough is
+    None unless its radius was queried.
 
-    Fail fast: the slots a match cannot do without (`_essential`) come
-    first. They alone are predicted and queried at first, and one with
-    fewer instances of a fitting type within the query radius than its
-    lower bound fails both sides before any other slot is predicted. The
-    gated side then scores those slots first, and once one of them has
-    fewer candidates passing the exact gate than its lower bound, it fails
-    and scores no further strain; the rough side goes on alone. Both
-    shortcuts are exact: a slot binds only its own candidates, gated
-    candidates are rough ones, and a prediction that raises
-    DegenerateFrameError fails both sides whichever slot it belongs to.
+    Fail fast: every slot arrives predicted and queried, and a degenerate
+    prediction fails both sides whichever slot it belongs to. The slots a
+    match cannot do without (`_essential`) come first. One with fewer
+    instances of a fitting type within its query radius, snapshot rows and
+    fresh nodes together, than its lower bound fails both sides before the
+    fresh nodes are scanned for any other slot and before any strain is
+    scored. The gated side then scores the essential slots first, and once
+    one of them has fewer candidates passing the exact gate than its lower
+    bound, it fails and scores no further strain; the rough side goes on
+    alone. Both shortcuts are exact: a slot binds only its own candidates,
+    and gated candidates are rough ones.
 
-    Prefilter contract: `index.near` and `index.of_types` narrow the
+    Prefilter contract: the queries (`CandidateIndex.near`) narrow the
     snapshot to a superset of the instances of a fitting type within the
-    gate radius. A gated candidate must also lie within sigma_o *
+    query radius. A gated candidate must also lie within sigma_o *
     sqrt(s_fail) predicted primary lengths, since `_origin_bound` shows no
     farther one can pass, and is scored by placement_strain only when its
     origin bound is within s_fail; then it faces the exact gate. A rough
@@ -751,31 +944,23 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
     `_bind`); its placement strain, read only by the variant-tag
     tie-break, is computed only once it is bound.
     """
+    rough = predicted.rough
     failed = (None, {}), ((None, {}) if rough else None)
+    queries = predicted.queries()
+    if queries is None:
+        return failed
     gate = cfg.gate_radius
     fresh = index.fresh()
 
-    def candidates(slots):
-        """(slot, prediction, tight radius, rows, d2, extra) per slot whose
-        prediction has an extent: the snapshot rows of a fitting type
-        within the query radius with their squared distances, and the
-        fresh nodes of a fitting type within it (with slack). Raises
-        DegenerateFrameError."""
-        predicted = [(slot, _predict(transform, slot.frame, projected)) for slot in slots]
-        live = [(slot, pred) for slot, pred in predicted if pred.primary_length > 0]
-        if not live:
-            return []
-        tight = [min(gate, slot.elasticity[0] * math.sqrt(cfg.s_fail)) for slot, _ in live]
-        radii = [pred.primary_length * (gate if rough else r) for (_, pred), r in zip(live, tight)]
+    def candidates(queries):
+        """(query, extra) per query: the fresh nodes of a fitting type within
+        its radius (with slack)."""
         out = []
-        for (slot, pred), r, radius, (rows, d2) in zip(
-                live, tight, radii, index.near([pred.origin for _, pred in live], radii)):
-            fits = model.abstract.get(slot.type_name, frozenset())
-            keep = index.of_types(fits)[rows]
-            reach = radius * (1.0 + _PREFILTER_SLACK)
-            extra = [n for n in fresh if n.model_type in fits
-                     and _distance(n.frame.origin, pred.origin) <= reach]
-            out.append((slot, pred, r, rows[keep], d2[keep], extra))
+        for q in queries:
+            fits = model.abstract.get(q.slot.type_name, frozenset())
+            reach = q.radius * (1.0 + _PREFILTER_SLACK)
+            out.append((q, [n for n in fresh if n.model_type in fits
+                            and _distance(n.frame.origin, q.pred.origin) <= reach]))
         return out
 
     def exact_distance(node, pred):
@@ -793,13 +978,16 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
                 functools.partial(placement_strain, pred, node.frame, slot.elasticity, sym),
                 None)
 
-    def gated_entries(slot, pred, r, rows, d2, extra):
+    def gated_entries(q, extra):
         """The slot's candidates that pass the exact gate, or None as soon
         as too few can for an essential slot."""
+        slot, pred = q.slot, q.pred
         scale = pred.primary_length
-        inner = rows[d2 <= (r * scale * (1.0 + _PREFILTER_SLACK)) ** 2] if rough else rows
+        rows = q.rows
+        if rough:
+            rows = rows[q.d2 <= (q.tight * scale * (1.0 + _PREFILTER_SLACK)) ** 2]
         close = []
-        for node in [index.nodes[i] for i in inner.tolist()] + extra:
+        for node in [index.nodes[i] for i in rows.tolist()] + extra:
             d = exact_distance(node, pred)
             if d is not None and _origin_bound(d, slot.elasticity[0], scale) <= cfg.s_fail:
                 close.append(node)
@@ -815,14 +1003,11 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
         return None if len(out) < need else out
 
     essential = [slot for slot in mnode.parts if _essential(slot)]
-    try:
-        slots = candidates(essential)
-        found = {slot.name: len(rows) + len(extra) for slot, _, _, rows, _, extra in slots}
-        if any(found.get(slot.name, 0) < slot.multiplicity[0] for slot in essential):
-            return failed
-        slots += candidates([slot for slot in mnode.parts if not _essential(slot)])
-    except DegenerateFrameError:
+    slots = candidates([q for q in queries if _essential(q.slot)])
+    found = {q.slot.name: len(q.rows) + len(extra) for q, extra in slots}
+    if any(found.get(slot.name, 0) < slot.multiplicity[0] for slot in essential):
         return failed
+    slots += candidates([q for q in queries if not _essential(q.slot)])
 
     gated = []
     for entry in slots:
@@ -836,14 +1021,15 @@ def _match_slots(index, model, mnode, transform, cfg, projected, rough=False):
     if not rough:
         return gated, None
     loose = []
-    for slot, pred, _, rows, d2, extra in slots:
-        resolve = functools.partial(rough_entry, slot, pred)
+    for q, extra in slots:
+        pred = q.pred
+        resolve = functools.partial(rough_entry, q.slot, pred)
         loose.extend(e for e in map(resolve, extra) if e is not None)
         # rows ascend in key order, so (lower bound, row) is (lower bound, key)
-        lower = np.sqrt(d2) / pred.primary_length * (1.0 - _PREFILTER_SLACK)
-        order = np.lexsort((rows, lower))
-        stream = _Nearest(slot.name, lower[order].tolist(),
-                          [index.nodes[i] for i in rows[order].tolist()], resolve)
+        lower = np.sqrt(q.d2) / pred.primary_length * (1.0 - _PREFILTER_SLACK)
+        order = np.lexsort((q.rows, lower))
+        stream = _Nearest(q.slot.name, lower[order].tolist(),
+                          [index.nodes[i] for i in q.rows[order].tolist()], resolve)
         head = stream.entry(0)
         if head is not None:
             loose.append(head)
@@ -964,7 +1150,8 @@ def _refit_matching(index, model, mnode, rough, transform, cfg, projected):
     hit = index.refits.get(key)
     if hit is None:
         refit = _refit(mnode, rough, index.ig, transform, projected)
-        hit = refit, _match_slots(index, model, mnode, refit, cfg, projected)[0]
+        (predicted,) = _predict_slots(index, model, mnode, [refit], cfg, projected, rough=False)
+        hit = refit, _match_slots(index, model, mnode, predicted, cfg)[0]
         if refit is transform:
             return hit
         index.refits[key] = hit
@@ -1020,13 +1207,17 @@ def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
     Success creates the group node, its member bundles, and any passing
     specialization instances, and returns the list of created nodes.
     Failure creates nothing and returns None. `index` is a snapshot taken
-    earlier in the same wave.
+    earlier in the same wave; the slots of the first matching come from
+    `index.predicted` when the wave predicted them (`_predict_wave`).
     """
     projected = ig.projected
     mnode = model.node(h.group_type)
 
-    (matched, strains), (rough, _) = _match_slots(index, model, mnode, h.transform,
-                                                  cfg, projected, rough=True)
+    predicted = index.predicted.pop((h.group_type, h.clue_a, h.clue_b), None)
+    if predicted is None:
+        (predicted,) = _predict_slots(index, model, mnode, [h.transform], cfg, projected,
+                                      rough=True)
+    (matched, strains), (rough, _) = _match_slots(index, model, mnode, predicted, cfg)
     transform = h.transform
     if rough:
         refit, (re_matched, re_strains) = _refit_matching(index, model, mnode, rough,
@@ -1112,6 +1303,7 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
             break
         index = CandidateIndex(ig)
         hypotheses = generate_hypotheses(ig, model, frontier, cfg, index)
+        _predict_wave(index, model, hypotheses, cfg, ig.projected)
         fresh = []
         for h in hypotheses:
             fresh.extend(verify(h, ig, model, cfg, index) or ())

@@ -10,6 +10,8 @@ its relations scored afresh. The oracle tests run recognition with both
 versions side by side at every wave and demand equal results; the property
 tests check that each column bound stays at or below the scalar strain it
 stands in for, and that the stacked fits match the scalar ones byte for byte.
+The stacked slot predictions, their stacked `Frame` check and the seeded
+segment frames are held to their scalar forms byte for byte too.
 """
 
 import copy
@@ -34,21 +36,27 @@ from dualgraph.belief import (
 from dualgraph.config import make_config
 from dualgraph.errors import DegenerateFrameError, UnderConstrainedError
 from dualgraph.geometry import (
+    _ORTHO_TOL,
     SYMMETRY_CLASSES,
     AffineCamera,
     Frame,
     SimilarityTransform,
     angle_between,
     boundary_distance,
+    canonicalize_frame,
+    check_frames,
     fit_affine,
     fit_similarities,
     fit_similarity,
+    frame_from_segment,
+    project,
     similarity_of,
 )
 from dualgraph.image import ImageGraph
 from dualgraph.model import RelationSpec, fixture_path, load_model_file, midx_lookup
 from dualgraph.scene import Primitive, Scene
 
+from conftest import random_frame
 from test_recognize import GOLDEN, _scene, _tiled_scene
 
 # -- the scalar steps ------------------------------------------------------------
@@ -163,11 +171,17 @@ def scalar_generate_hypotheses(ig, model, frontier, cfg, index):
     return sorted(best.values(), key=lambda h: h.order_key())
 
 
+def scalar_predict(transform, frame, projected):
+    """One slot's prediction as a checked `Frame`, the step that
+    `rec._predict_slots` stacks; raises DegenerateFrameError."""
+    return project(transform, frame) if projected else transform.apply_frame(frame)
+
+
 def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_gate=True):
     predictions = {}
     for slot in mnode.parts:
         try:
-            predictions[slot.name] = rec._predict(transform, slot.frame, projected)
+            predictions[slot.name] = scalar_predict(transform, slot.frame, projected)
         except DegenerateFrameError:
             return None, {}
     live = [(slot, predictions[slot.name]) for slot in mnode.parts
@@ -251,19 +265,24 @@ def scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, group_fra
         matched.pop(sorted(optional)[0])
 
 
+def _match(index, model, mnode, transform, cfg, projected, rough=False):
+    """`rec._match_slots` on the slots of one transform, predicted alone."""
+    (predicted,) = rec._predict_slots(index, model, mnode, [transform], cfg, projected, rough)
+    return rec._match_slots(index, model, mnode, predicted, cfg)
+
+
 def scalar_verify(h, ig, model, cfg, index):
-    """`verify` without the wave's memos: the refit and its matching, and
-    every relation strain, computed afresh; a duplicate member set found by
-    walking every node."""
+    """`verify` without the wave's memos: the slot predictions, the refit
+    and its matching, and every relation strain, computed afresh; a
+    duplicate member set found by walking every node."""
     projected = ig.projected
     mnode = model.node(h.group_type)
-    (matched, strains), (rough, _) = rec._match_slots(index, model, mnode, h.transform,
-                                                      cfg, projected, rough=True)
+    (matched, strains), (rough, _) = _match(index, model, mnode, h.transform, cfg, projected,
+                                            rough=True)
     transform = h.transform
     if rough:
         refit = rec._refit(mnode, rough, ig, h.transform, projected)
-        (re_matched, re_strains), _ = rec._match_slots(index, model, mnode, refit, cfg,
-                                                       projected)
+        (re_matched, re_strains), _ = _match(index, model, mnode, refit, cfg, projected)
         if rec._match_score(re_matched, re_strains) < rec._match_score(matched, strains):
             matched, strains, transform = re_matched, re_strains, refit
     if matched is None:
@@ -353,8 +372,9 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
         seen["waves"] += 1
         return got
 
-    def match(index, model, mnode, transform, cfg, projected, rough=False):
-        got = new_match(index, model, mnode, transform, cfg, projected, rough=rough)
+    def match(index, model, mnode, predicted, cfg):
+        got = new_match(index, model, mnode, predicted, cfg)
+        transform, rough, projected = predicted.transform, predicted.rough, index.ig.projected
         gated = _failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
                                                     projected))
         loose = (_failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
@@ -373,10 +393,12 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
 
     def verify(h, ig, model, cfg, index):
         # the memo-free body runs on a copy of the graph and the wave's
-        # index, with the memos emptied; the model is shared
+        # index, with the memos and the wave's predictions emptied; the
+        # model is shared
         ig_copy, index_copy = copy.deepcopy((ig, index), {id(model): model})
         index_copy.strains.clear()
         index_copy.refits.clear()
+        index_copy.predicted.clear()
         before = len(ig.nodes), len(ig.links)
         start = seen["refits"]
         want = scalar_verify(h, ig_copy, model, cfg, index_copy)
@@ -491,42 +513,53 @@ def _count_calls(monkeypatch, name):
 
 
 def test_an_unfillable_essential_slot_fails_both_sides_before_any_strain(monkeypatch):
-    # no segment lies within the rough gate of the nose or the mouth
+    # no segment lies within the rough gate of the nose or the mouth; a
+    # circle inserted after the snapshot sits on ear_1
     model, mnode, index = _face_scene(with_segments=False)
+    index.ig.add_node("circle", frame=mnode.part("ear_1").frame, status="verified")
     cfg = make_config()
     assert scalar_match_slots(index, model, mnode, IDENTITY, cfg, False)[0] is None
-    predicted = _count_calls(monkeypatch, "_predict")
+    scanned = _count_calls(monkeypatch, "_distance")
     strains = _count_calls(monkeypatch, "placement_strain")
-    got = rec._match_slots(index, model, mnode, IDENTITY, cfg, False, rough=True)
+    got = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
     assert got == ((None, {}), (None, {}))
     assert not strains
     essential = [slot for slot in mnode.parts if slot.essential and slot.variant_tag is None]
     assert len(essential) < len(mnode.parts)  # the ears are optional
-    assert [id(frame) for _, frame, _ in predicted] == [id(slot.frame) for slot in essential]
-    assert rec._match_slots(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
+    # the fresh circle is scanned for the essential circle slots only
+    circles = [slot for slot in essential if "circle" in model.abstract[slot.type_name]]
+    assert len(scanned) == len(circles) == 3
+    assert _match(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
     assert not strains
 
 
 def test_a_degenerate_optional_prediction_fails_both_sides(monkeypatch):
     model, mnode, index = _face_scene(with_segments=True)
     cfg = make_config()
-    (matched, _), (rough, _) = rec._match_slots(index, model, mnode, IDENTITY, cfg, False,
-                                                rough=True)
+    (matched, _), (rough, _) = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
     assert set(matched) == set(rough) == {"head", "eye_1", "eye_2", "nose", "mouth"}
     ear = mnode.part("ear_1").frame
-    predict = rec._predict
+    row = [slot.name for slot in mnode.parts].index("ear_1")
+    check, predict = rec.check_frames, scalar_predict
 
-    def degenerate_ear(transform, frame, projected):
+    def degenerate_ear(origins, axes):
+        # the stacked check rejects the ear's row of the one transform
+        ok, lengths = check(origins, axes)
+        ok[row] = False
+        return ok, lengths
+
+    def degenerate_scalar_ear(transform, frame, projected):
         if frame is ear:
             raise DegenerateFrameError("the ear's prediction has no valid frame")
         return predict(transform, frame, projected)
 
-    monkeypatch.setattr(rec, "_predict", degenerate_ear)
-    got = rec._match_slots(index, model, mnode, IDENTITY, cfg, False, rough=True)
+    monkeypatch.setattr(rec, "check_frames", degenerate_ear)
+    monkeypatch.setitem(globals(), "scalar_predict", degenerate_scalar_ear)
+    got = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
     assert got == ((None, {}), (None, {}))
     assert _failed_as_empty(scalar_match_slots(index, model, mnode, IDENTITY, cfg,
                                                False)) == (None, {})
-    assert rec._match_slots(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
+    assert _match(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
 
 
 def test_an_optional_member_that_fails_a_relation_is_unbound(monkeypatch):
@@ -574,8 +607,7 @@ def test_an_optional_member_that_fails_a_relation_is_unbound(monkeypatch):
 
 
 def _rough(model, mnode, index):
-    _, (rough, _) = rec._match_slots(index, model, mnode, IDENTITY, make_config(), False,
-                                     rough=True)
+    _, (rough, _) = _match(index, model, mnode, IDENTITY, make_config(), False, rough=True)
     return rough
 
 
@@ -740,17 +772,29 @@ def _segment(origin, half_axis):
     return Frame(origin, axes) if np.any(half_axis != 0) else None
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(dim=st.sampled_from([2, 3]),
        coords=st.lists(finite, min_size=12, max_size=12),
-       parallel=st.booleans())
-def test_segment_columns_match_the_scalar_kernels(dim, coords, parallel):
+       parallel=st.booleans(),
+       scale=st.sampled_from([1.0, 1e80, 1e-90]))
+def test_segment_columns_match_the_scalar_kernels(dim, coords, parallel, scale):
+    """Columns and scalar kernels agree, also at scales where the squared
+    products the kernels form would overflow (1e80) or underflow (1e-90),
+    and there the kernels give the scaled distance and the same angle."""
     ca, ha, cb, hb = (np.array(coords[k * 3:k * 3 + dim]) for k in range(4))
     if parallel:
         hb = 0.5 * ha
     a, b = _segment(ca, ha), _segment(cb, hb)
     assume(a is not None and b is not None)
     assume(a.primary_length > 0 and b.primary_length > 0)  # no underflow to zero
+    if scale != 1.0:
+        plain = boundary_distance(a, b), angle_between(a, b)
+        a, b = (Frame(f.origin * scale, f.axes * scale) for f in (a, b))
+        assume(a.primary_length > 0 and b.primary_length > 0)
+        reach = scale * max(1.0, *map(abs, coords))
+        assert boundary_distance(a, b) == pytest.approx(scale * plain[0], rel=1e-9,
+                                                        abs=1e-9 * reach)
+        assert angle_between(a, b) == pytest.approx(plain[1], abs=1e-9)
     cols = rec._Columns.of([a]), rec._Columns.of([b])
     assert cols[0].single[0] and cols[1].single[0]
     got = rec._segment_distances(*cols)[0]
@@ -842,3 +886,153 @@ def test_a_rank_deficient_camera_is_skipped_even_at_the_lowest_residual():
     got = rec._fit_camera(x, sets)
     (linear, trans), _ = fit_affine(x, sets[1])
     assert _bytes(got.linear, got.translation) == _bytes(linear, trans)
+
+
+# -- the stacked predictions and checks match the scalar ones byte for byte --------
+
+
+def _checked_or_none(origin, axes):
+    try:
+        # lengths whose squares overflow are the rows' own; Frame takes them
+        with np.errstate(over="ignore"):
+            return Frame(origin, axes)
+    except DegenerateFrameError:
+        return None
+
+
+def _edge_rows(dim):
+    """(origin, axes, whether Frame accepts it) for rows at the edges of its
+    checks: a NaN or infinite entry in the origin or the axes, and axes 0
+    and 1 whose dot product is just inside or just outside `_ORTHO_TOL`
+    times the product of their lengths (long axes) or times 1 (short)."""
+    rows = []
+    for bad in (math.nan, math.inf, -math.inf):
+        origin = np.ones(dim)
+        origin[-1] = bad
+        rows.append((origin, np.eye(dim), False))
+        axes = np.eye(dim)
+        axes[0, -1] = bad
+        rows.append((np.ones(dim), axes, False))
+    for length in (1e3, 1.0, 1e-3):
+        for factor in (0.5, 0.999, 1.001, 2.0):
+            axes = np.eye(dim) * length
+            axes[1, 0] = factor * _ORTHO_TOL * max(length * length, 1.0) / length
+            rows.append((np.zeros(dim), axes, factor < 1.0))
+    return rows
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_the_stacked_check_rejects_exactly_what_frame_rejects(dim):
+    """check_frames against Frame(...) row by row: random frames, some with
+    a zero axis, some skewed around the orthogonality tolerance, some
+    scaled to lengths whose squares overflow or underflow, and the edge
+    rows. A row that passes, built by Frame.from_checked, is the Frame
+    bit for bit, lengths included."""
+    rng = np.random.default_rng(dim)
+    rows = []
+    for k in range(400):
+        frame = random_frame(rng, dim)
+        axes = frame.axes.copy()
+        if k % 4 == 1:
+            axes[rng.integers(dim)] = 0.0
+        elif k % 4 == 2:
+            axes[1] += 10.0 ** rng.uniform(-12.0, -7.0) * rng.choice([-1.0, 1.0]) * axes[0]
+        elif k % 4 == 3:
+            axes *= 10.0 ** rng.uniform(-200.0, 200.0)
+        rows.append((frame.origin, axes, None))
+    rows += _edge_rows(dim)
+    ok, lengths = check_frames(np.array([r[0] for r in rows]), np.array([r[1] for r in rows]))
+    accepted = 0
+    for (origin, axes, expected), passed, length in zip(rows, ok.tolist(), lengths.tolist()):
+        want = _checked_or_none(origin, axes)
+        assert passed == (want is not None)
+        if expected is not None:
+            assert passed == expected
+        if want is not None:
+            got = Frame.from_checked(origin, axes, tuple(length))
+            assert _frame_bytes(got) == _frame_bytes(want)
+            assert got._length_tuple == want._length_tuple
+            assert got.primary_length == want.primary_length
+            accepted += 1
+    assert 0 < accepted < len(rows)
+
+
+@pytest.mark.parametrize("fixture, target, camera, distractors", [
+    ("face.json", "face", None, 128),
+    ("truck_flat.json", "truck1", None, 128),
+    ("truck.json", "truck1", "random", 0),
+], ids=["face", "truck_flat", "truck-random-camera"])
+def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target, camera,
+                                                     distractors):
+    """On bench-corpus scenes (seed 1, jitter 0.03), every slot that
+    `_predict_slots` predicts, in a wave's batch or alone for a refit, is
+    `apply_frame` or `project` of the slot frame bit for bit; a transform
+    has no queries exactly when one of its scalar predictions raises, and
+    its queries are its slots with an extent, in part order."""
+    scene, model = _scene(fixture, target, 0.03, seed=1, distractors=distractors, camera=camera)
+    predict = rec._predict_slots
+    seen = {"batches": 0, "predictions": 0}
+
+    def checked(index, model, mnode, transforms, cfg, projected, rough):
+        got = predict(index, model, mnode, transforms, cfg, projected, rough)
+        seen["batches"] += len(transforms) > 1
+        for transform, predicted in zip(transforms, got):
+            assert predicted.transform is transform and predicted.rough == rough
+            try:
+                want = [(slot, scalar_predict(transform, slot.frame, projected))
+                        for slot in mnode.parts]
+            except DegenerateFrameError:
+                assert predicted.queries() is None
+                continue
+            want = [(slot, pred) for slot, pred in want if pred.primary_length > 0]
+            queries = predicted.queries()
+            assert [q.slot for q in queries] == [slot for slot, _ in want]
+            for q, (_, pred) in zip(queries, want):
+                assert _frame_bytes(q.pred) == _frame_bytes(pred)
+                assert q.pred._length_tuple == pred._length_tuple
+                seen["predictions"] += 1
+        return got
+
+    monkeypatch.setattr(rec, "_predict_slots", checked)
+    rec.recognize(scene, model)
+    assert seen["batches"] > 0 and seen["predictions"] > 100
+
+
+def scalar_frame_from_segment(p1, p2):
+    """The segment frame as `frame_from_segment` built it before: the half
+    segment as the first axis, then canonicalized."""
+    p1, p2 = np.asarray(p1, float), np.asarray(p2, float)
+    axes = np.zeros((p1.size, p1.size))
+    axes[0] = (p2 - p1) / 2.0
+    return canonicalize_frame(Frame((p1 + p2) / 2.0, axes), "undirected-segment")
+
+
+def test_segment_frames_are_built_canonical():
+    """frame_from_segment, and the seeded frame of every segment of
+    bench-corpus scenes, equal the canonicalized frames of the old path bit
+    for bit: random segments in 2D and 3D, axis-aligned ones whose first
+    nonzero component is negative (their negation makes -0.0 entries), and
+    segments from the scenes. A half-extent that squares to 0 still raises."""
+    rng = np.random.default_rng(12)
+    ends = [(rng.normal(size=dim) * 10.0, rng.normal(size=dim) * 10.0)
+            for dim in (2, 3) for _ in range(200)]
+    ends += [(np.zeros(dim), np.eye(dim)[k] * sign) for dim in (2, 3) for k in range(dim)
+             for sign in (1.0, -1.0)]
+    for p1, p2 in ends:
+        want = canonicalize_frame(scalar_frame_from_segment(p1, p2), "undirected-segment")
+        got = frame_from_segment(p1, p2)
+        assert _frame_bytes(got) == _frame_bytes(want)
+        assert got._length_tuple == want._length_tuple
+    for fixture, target in (("face.json", "face"), ("truck_flat.json", "truck1")):
+        scene, model = _scene(fixture, target, 0.03, seed=1, distractors=128)
+        ig = rec.seed_image_graph(scene, model)
+        for node in ig.nodes.values():
+            prim = scene.primitives[node.prim_index]
+            if prim.kind == "linseg":
+                want = canonicalize_frame(scalar_frame_from_segment(prim.p1, prim.p2),
+                                          model.node("linseg").symmetry_class)
+                assert _frame_bytes(node.frame) == _frame_bytes(want)
+    tiny = (np.zeros(2), np.array([2e-170, -2e-170]))  # nonzero, but squares to 0
+    for make in (frame_from_segment, scalar_frame_from_segment):
+        with pytest.raises(DegenerateFrameError):
+            make(*tiny)

@@ -184,15 +184,22 @@ def _moved(scene, linear, shift):
 
 @pytest.mark.parametrize("fixture, target", [("face.json", "face"), ("truck_flat.json", "truck1")])
 def test_best_p_is_invariant_under_similarities(fixture, target):
-    # a rotation, a scale in e^-1..e^1 and a shift within 50 per axis
+    # a rotation, a scale in e^-1..e^1 and a shift within 50 per axis; and
+    # at seed 3 scales by 1e80 and 1e-90, where squared products of
+    # coordinates overflow and underflow
     rng = np.random.default_rng(6)
     for seed in (1, 2, 3):
         scene, model = _scene(fixture, target, 0.03, seed=seed, distractors=32)
         want = _best_p(recognize(scene, model), target)
         assert want > 0.0
+        moves = []
         for _ in range(4):
             linear = math.exp(rng.uniform(-1.0, 1.0)) * random_rotation(rng, scene.dim)
-            moved = _moved(scene, linear, rng.uniform(-50.0, 50.0, scene.dim))
+            moves.append((linear, rng.uniform(-50.0, 50.0, scene.dim)))
+        if seed == 3:
+            moves += [(scale * np.eye(scene.dim), np.zeros(scene.dim)) for scale in (1e80, 1e-90)]
+        for linear, shift in moves:
+            moved = _moved(scene, linear, shift)
             assert abs(_best_p(recognize(moved, model), target) - want) <= 1e-9
 
 
@@ -302,20 +309,30 @@ def test_clue_pairs_match_combinations_walk(distractors, pick):
 
 
 def test_near_returns_every_node_within_radius(seeded):
+    # each point asks for one type; the segment points fill more than one
+    # query block
     ig = seeded
     index = CandidateIndex(ig)
     rng = np.random.default_rng(3)
-    points = rng.uniform(index.cols.origins.min(axis=0), index.cols.origins.max(axis=0), size=(20, 2))
-    radii = rng.uniform(0.05, 1.0, size=20) * index.cols.lengths.max()
-    for p, r, (rows, d2) in zip(points, radii, index.near(points, radii)):
+    linsegs = len(index.of_types(frozenset({"linseg"}))[0])
+    n = 2 * (dualgraph.recognize._QUERY_PAIRS // linsegs) + 45
+    points = rng.uniform(index.cols.origins.min(axis=0), index.cols.origins.max(axis=0), size=(n, 2))
+    radii = rng.uniform(0.05, 1.0, size=n) * index.cols.lengths.max()
+    types = [frozenset({("linseg", "circle")[i % 2]}) for i in range(n)]
+    hits = index.near(points, radii, types)
+    for k, (p, r, t) in enumerate(zip(points, radii, types)):
+        rows, d2 = hits.of(k)
         scan = {n.key for n in ig.sorted_nodes()
-                if float(np.linalg.norm(n.frame.origin - p)) <= r}
+                if n.model_type in t and float(np.linalg.norm(n.frame.origin - p)) <= r}
         assert scan <= {index.nodes[i].key for i in rows}
+        assert all(index.nodes[i].model_type in t for i in rows)
+        assert rows.tolist() == sorted(rows.tolist())
         assert np.allclose(d2, [np.sum((index.nodes[i].frame.origin - p) ** 2) for i in rows])
 
 
 def _keys_near(index, point, radius):
-    ((rows, _),) = index.near([point], [radius])
+    rows, _ = index.near(np.array([point]), np.array([radius]),
+                         [frozenset({"linseg", "circle"})]).of(0)
     hits = [index.nodes[i] for i in rows] + index.fresh()
     return {n.key for n in hits
             if n.status != "pruned" and float(np.linalg.norm(n.frame.origin - point)) <= radius}
