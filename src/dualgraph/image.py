@@ -209,6 +209,8 @@ class ImageGraph:
         if not isinstance(obj, dict):
             raise SceneFormatError("image graph must be a JSON object")
         ig = ImageGraph(obj.get("scene", ""), model=model)
+        if not isinstance(ig.scene_id, str):
+            raise SceneFormatError(f"scene must be a name, got {ig.scene_id!r}")
         try:
             for raw in obj.get("nodes", []):
                 instance = raw["instance"]
@@ -241,6 +243,8 @@ class ImageGraph:
                 for key in ends:
                     if key not in ig.nodes:
                         raise SceneFormatError(f"link references missing node {key}")
+                    if type(key[1]) is not int:
+                        raise SceneFormatError(f"link end instance must be an int, got {key!r}")
                     if ig.nodes[key].status == "pruned":
                         raise SceneFormatError(f"link references pruned node {key}")
                 conditional = float(raw.get("conditional", 1.0))
@@ -255,6 +259,8 @@ class ImageGraph:
                 )
                 if type(link.carries_up) is not bool:
                     raise SceneFormatError(f"link carries_up must be a bool, got {link.carries_up!r}")
+                if link.slot is not None and not isinstance(link.slot, str):
+                    raise SceneFormatError(f"link slot must be a name, got {link.slot!r}")
                 if model is not None:
                     _check_link_fits(link, model)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:

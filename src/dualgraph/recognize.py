@@ -322,14 +322,9 @@ class CandidateIndex:
       group's slots, so an entry retires once a node it could bind has been
       inserted.
 
-    It also holds the wave's slot predictions. `predicted` maps each
-    hypothesis of the wave, by (group type, clue a, clue b), to the
-    `_Predicted` slots of its first, rough matching (`_predict_wave`):
-    every slot of every hypothesis of a group type is predicted in one
-    stacked step and queried against the snapshot, since a verify
-    predicts only a few slots at a time. `verify` takes its entry out.
-    The queries read only the snapshot, so they stay valid all wave; the
-    fresh nodes are scanned when a matching is made.
+    Slot queries (`_predict_slots`) read only the snapshot, so a wave's
+    predictions stay valid all wave; the fresh nodes are scanned when a
+    matching is made.
     """
 
     def __init__(self, ig: ImageGraph):
@@ -341,12 +336,12 @@ class CandidateIndex:
         self._typed: dict = {}
         self.strains: dict = {}
         self.refits: dict = {}
-        self.predicted: dict = {}
 
     def fresh(self) -> list:
-        """Candidates inserted since the snapshot, in insertion order."""
+        """Candidates inserted since the snapshot, in insertion order: nothing
+        is pruned within a wave, so every node that is not a shadow."""
         return [n for n in itertools.islice(self.ig.nodes.values(), self._seen, None)
-                if n.spec_slot is None and n.status != "pruned"]
+                if n.spec_slot is None]
 
     def of_types(self, types: frozenset):
         """(rows, origins) of the snapshot nodes whose model type is in
@@ -725,14 +720,14 @@ def _fit_round(model, heads, projected) -> list:
     return _fit_similarity_sets(sets)
 
 
-def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config,
+def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
                         index: CandidateIndex) -> list:
     """Pairs with a frontier member and close origins suggest groups.
 
     Keeps, per (group type, clue pair), the best-screening slot assignment
     with its fitted transform; a screening score is the product of the
     screening-relation conditionals and must reach cfg.screen_min. `index`
-    must be a snapshot of the graph as it is now.
+    must be a snapshot of its graph as it is now.
 
     Prefilter contract: column lower bounds of the screening strains
     (`_screening_bound`) pick a superset of the screenings that can pass;
@@ -749,7 +744,7 @@ def generate_hypotheses(ig: ImageGraph, model: ModelGraph, frontier, cfg: Config
     all of a round's in stacked calls; projected mode fits affine cameras,
     one set at a time.
     """
-    projected = ig.projected
+    projected = index.ig.projected
     pairs = _clue_pairs(index, frontier, cfg.gate_radius)
     passed: dict = {}
     for order, (entry, (ca, cb)) in enumerate(_screened(index, model, pairs, cfg,
@@ -802,59 +797,10 @@ class _Query(NamedTuple):
     d2: np.ndarray
 
 
-class _Slots(NamedTuple):
-    """One `_predict_slots` batch, kept as stacks until a matching reads
-    it: the predicted origins, axes and lengths of slot s under transform t
-    in row t * len(slots) + s, and the query radius of each row. Query
-    point p was row `queried[p]`, with `hits.of(p)`; `spans[t]` is the
-    range of transform t's query points, or None when a prediction of t is
-    degenerate."""
-
-    slots: list
-    tight: list
-    origins: np.ndarray
-    axes: np.ndarray
-    lengths: np.ndarray
-    radii: np.ndarray
-    queried: np.ndarray
-    spans: list
-    hits: _Hits
-
-    def queries(self, t):
-        """The `_Query` list of transform t, or None."""
-        if self.spans[t] is None:
-            return None
-        out = []
-        for point in range(*self.spans[t]):
-            k = int(self.queried[point])
-            s = k % len(self.slots)
-            pred = Frame.from_checked(self.origins[k], self.axes[k],
-                                      tuple(self.lengths[k].tolist()))
-            out.append(_Query(self.slots[s], pred, self.tight[s], float(self.radii[k]),
-                              *self.hits.of(point)))
-        return out
-
-
-class _Predicted(NamedTuple):
-    """The slots of a group under one transform, predicted and queried
-    (`_predict_slots`), row `t` of a `_Slots` batch. `queries()` gives a
-    `_Query` per slot with an extent, in part order, or None when a
-    prediction is degenerate (a frame `Frame` rejects). The query radius is
-    gate_radius predicted primary lengths when `rough`, so that a rough
-    matching can be made, and the tight radius otherwise."""
-
-    transform: object
-    rough: bool
-    batch: _Slots
-    t: int
-
-    def queries(self):
-        return self.batch.queries(self.t)
-
-
 def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> list:
-    """A `_Predicted` per transform, the one path by which slots are
-    predicted.
+    """Per transform, a `_Query` per slot whose prediction has an extent,
+    in part order, or None when a prediction of the transform is degenerate
+    (a frame `Frame` rejects): the one path by which slots are predicted.
 
     Every slot under every transform is predicted in one stacked step
     (`apply_similarities`, or `project_frames` in projected mode), bit for
@@ -862,7 +808,9 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     (`check_frames`). The predictions with an extent of the transforms
     whose predictions all pass are then queried against the snapshot
     together (`CandidateIndex.near`), for the nodes of a type that fits
-    their slot. Only a matching that reads them turns them into `Frame`s.
+    their slot. The query radius is gate_radius predicted primary lengths
+    when `rough`, so that a rough matching can be made, and the tight
+    radius otherwise.
     """
     slots = mnode.parts
     n = len(slots)
@@ -889,45 +837,51 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     fits = [model.abstract.get(slot.type_name, frozenset()) for slot in slots]
     hits = index.near(pred_origins[queried], radii[queried],
                       [fits[k % n] for k in queried.tolist()])
-    bounds = np.searchsorted(queried, np.arange(len(transforms) + 1) * n).tolist()
-    spans = [(first, last) if fine else None
-             for first, last, fine in zip(bounds, bounds[1:], whole.tolist())]
-    batch = _Slots(slots, tight, pred_origins, pred_axes, lengths, radii, queried, spans, hits)
-    return [_Predicted(transform, rough, batch, t) for t, transform in enumerate(transforms)]
+    out = [[] if fine else None for fine in whole.tolist()]
+    for point, k in enumerate(queried.tolist()):
+        s = k % n
+        pred = Frame.from_checked(pred_origins[k], pred_axes[k], tuple(lengths[k].tolist()))
+        out[k // n].append(_Query(slots[s], pred, tight[s], float(radii[k]), *hits.of(point)))
+    return out
 
 
-def _predict_wave(index, model, hypotheses, cfg, projected):
-    """Fill `index.predicted` with the slots of every hypothesis's first,
-    rough matching, one `_predict_slots` call per group type."""
+def _predict_wave(index, model, hypotheses, cfg, projected) -> list:
+    """The queries of every hypothesis's first, rough matching, in
+    hypothesis order: one `_predict_slots` call per group type, since a
+    verify predicts only a few slots at a time."""
     by_type: dict = {}
-    for h in hypotheses:
-        by_type.setdefault(h.group_type, []).append(h)
-    for group_type, group in by_type.items():
-        predicted = _predict_slots(index, model, model.node(group_type),
-                                   [h.transform for h in group], cfg, projected, rough=True)
-        for h, p in zip(group, predicted):
-            index.predicted[h.group_type, h.clue_a, h.clue_b] = p
+    for i, h in enumerate(hypotheses):
+        by_type.setdefault(h.group_type, []).append(i)
+    out = [None] * len(hypotheses)
+    for group_type, members in by_type.items():
+        queries = _predict_slots(index, model, model.node(group_type),
+                                 [hypotheses[i].transform for i in members], cfg, projected,
+                                 rough=True)
+        for i, q in zip(members, queries):
+            out[i] = q
+    return out
 
 
-def _match_slots(index, model, mnode, predicted, cfg):
-    """Greedily bind the closest unclaimed instances to the predicted slots.
+def _match_slots(index, model, mnode, queries, rough, cfg):
+    """Greedily bind the closest unclaimed instances to the predicted slots,
+    `queries` as `_predict_slots` gives them for one transform.
 
     The gated matching takes candidates within s_fail of their predicted
-    placement, ranked by placement strain. When `predicted.rough` the same
-    transform also gets a rough matching, where only the origin radius gate
-    applies (it tolerates the rotational slack of a rough transform),
-    ranked by origin offset over the predicted scale. Returns (gated,
-    rough), each (matched, strains) where matched maps slot name to member
-    keys, or (None, {}) when an essential slot cannot be filled; rough is
-    None unless its radius was queried.
+    placement, ranked by placement strain. When `rough` (the queries took
+    the rough radius) the same transform also gets a rough matching, where
+    only the origin radius gate applies (it tolerates the rotational slack
+    of a rough transform), ranked by origin offset over the predicted
+    scale. Returns (gated, rough), each (matched, strains) where matched
+    maps slot name to member keys, or (None, {}) when an essential slot
+    cannot be filled; the rough side is None unless `rough`.
 
     Fail fast: every slot arrives predicted and queried, and a degenerate
-    prediction fails both sides whichever slot it belongs to. The slots a
-    match cannot do without (`_essential`) come first. One with fewer
-    instances of a fitting type within its query radius, snapshot rows and
-    fresh nodes together, than its lower bound fails both sides before the
-    fresh nodes are scanned for any other slot and before any strain is
-    scored. The gated side then scores the essential slots first, and once
+    prediction (`queries` None) fails both sides whichever slot it belongs
+    to. The slots a match cannot do without (`_essential`) come first. One
+    with fewer instances of a fitting type within its query radius,
+    snapshot rows and fresh nodes together, than its lower bound fails both
+    sides before the fresh nodes are scanned for any other slot and before
+    any strain is scored. The gated side then scores the essential slots first, and once
     one of them has fewer candidates passing the exact gate than its lower
     bound, it fails and scores no further strain; the rough side goes on
     alone. Both shortcuts are exact: a slot binds only its own candidates,
@@ -944,9 +898,7 @@ def _match_slots(index, model, mnode, predicted, cfg):
     `_bind`); its placement strain, read only by the variant-tag
     tie-break, is computed only once it is bound.
     """
-    rough = predicted.rough
     failed = (None, {}), ((None, {}) if rough else None)
-    queries = predicted.queries()
     if queries is None:
         return failed
     gate = cfg.gate_radius
@@ -1150,8 +1102,8 @@ def _refit_matching(index, model, mnode, rough, transform, cfg, projected):
     hit = index.refits.get(key)
     if hit is None:
         refit = _refit(mnode, rough, index.ig, transform, projected)
-        (predicted,) = _predict_slots(index, model, mnode, [refit], cfg, projected, rough=False)
-        hit = refit, _match_slots(index, model, mnode, predicted, cfg)[0]
+        (queries,) = _predict_slots(index, model, mnode, [refit], cfg, projected, rough=False)
+        hit = refit, _match_slots(index, model, mnode, queries, False, cfg)[0]
         if refit is transform:
             return hit
         index.refits[key] = hit
@@ -1200,24 +1152,19 @@ def _has_group(ig, group_type, members: frozenset) -> bool:
     return False
 
 
-def verify(h: Hypothesis, ig: ImageGraph, model: ModelGraph, cfg: Config,
-           index: CandidateIndex):
-    """Top-down confirmation of one hypothesis.
+def verify(h: Hypothesis, queries, model: ModelGraph, cfg: Config, index: CandidateIndex):
+    """Top-down confirmation of one hypothesis in the graph of `index`, a
+    snapshot taken earlier in the same wave; `queries` are the slots of its
+    first, rough matching as the wave predicted them (`_predict_wave`).
 
     Success creates the group node, its member bundles, and any passing
     specialization instances, and returns the list of created nodes.
-    Failure creates nothing and returns None. `index` is a snapshot taken
-    earlier in the same wave; the slots of the first matching come from
-    `index.predicted` when the wave predicted them (`_predict_wave`).
+    Failure creates nothing and returns None.
     """
+    ig = index.ig
     projected = ig.projected
     mnode = model.node(h.group_type)
-
-    predicted = index.predicted.pop((h.group_type, h.clue_a, h.clue_b), None)
-    if predicted is None:
-        (predicted,) = _predict_slots(index, model, mnode, [h.transform], cfg, projected,
-                                      rough=True)
-    (matched, strains), (rough, _) = _match_slots(index, model, mnode, predicted, cfg)
+    (matched, strains), (rough, _) = _match_slots(index, model, mnode, queries, True, cfg)
     transform = h.transform
     if rough:
         refit, (re_matched, re_strains) = _refit_matching(index, model, mnode, rough,
@@ -1302,11 +1249,11 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
         if not frontier:
             break
         index = CandidateIndex(ig)
-        hypotheses = generate_hypotheses(ig, model, frontier, cfg, index)
-        _predict_wave(index, model, hypotheses, cfg, ig.projected)
+        hypotheses = generate_hypotheses(model, frontier, cfg, index)
+        predicted = _predict_wave(index, model, hypotheses, cfg, ig.projected)
         fresh = []
-        for h in hypotheses:
-            fresh.extend(verify(h, ig, model, cfg, index) or ())
+        for h, queries in zip(hypotheses, predicted):
+            fresh.extend(verify(h, queries, model, cfg, index) or ())
         if not fresh:
             break
         refresh_conditionals(ig, cfg)

@@ -168,6 +168,15 @@ CASES = [
      SceneFormatError),
     ("graph-link-conditional-negative", ImageGraph.from_json, _linked(conditional=-0.1),
      SceneFormatError),
+    ("graph-scene-int", ImageGraph.from_json, dict(_graph(), scene=3), SceneFormatError),
+    ("graph-link-slot-int-no-model", ImageGraph.from_json, _linked(slot=5), SceneFormatError),
+    ("graph-link-slots-int-and-name", lambda doc: ImageGraph.from_json(doc).to_bytes(),
+     dict(_linked(slot="x"), links=_linked(slot=5)["links"] + _linked(slot="x")["links"]),
+     SceneFormatError),
+    ("graph-link-end-bool", ImageGraph.from_json, _linked(to=["linseg", True]),
+     SceneFormatError),
+    ("graph-link-end-float", ImageGraph.from_json, _linked(to=["linseg", 1.0]),
+     SceneFormatError),
     ("graph-duplicate-node", ImageGraph.from_json,
      {"nodes": _graph()["nodes"] + _graph(p=0.25)["nodes"]}, SceneFormatError),
     ("graph-instance-bool", ImageGraph.from_json, _graph(instance=True), SceneFormatError),

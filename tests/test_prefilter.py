@@ -136,8 +136,8 @@ def scalar_fit_transform(m1, m2, i1, i2, projected):
     return best
 
 
-def scalar_generate_hypotheses(ig, model, frontier, cfg, index):
-    projected = ig.projected
+def scalar_generate_hypotheses(model, frontier, cfg, index):
+    projected = index.ig.projected
     fits = model.abstract
     best = {}
     for i, j in rec._clue_pairs(index, frontier, cfg.gate_radius):
@@ -267,14 +267,15 @@ def scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, group_fra
 
 def _match(index, model, mnode, transform, cfg, projected, rough=False):
     """`rec._match_slots` on the slots of one transform, predicted alone."""
-    (predicted,) = rec._predict_slots(index, model, mnode, [transform], cfg, projected, rough)
-    return rec._match_slots(index, model, mnode, predicted, cfg)
+    (queries,) = rec._predict_slots(index, model, mnode, [transform], cfg, projected, rough)
+    return rec._match_slots(index, model, mnode, queries, rough, cfg)
 
 
-def scalar_verify(h, ig, model, cfg, index):
+def scalar_verify(h, model, cfg, index):
     """`verify` without the wave's memos: the slot predictions, the refit
     and its matching, and every relation strain, computed afresh; a
     duplicate member set found by walking every node."""
+    ig = index.ig
     projected = ig.projected
     mnode = model.node(h.group_type)
     (matched, strains), (rough, _) = _match(index, model, mnode, h.transform, cfg, projected,
@@ -359,22 +360,31 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
     """Recognize with both versions compared at every call; returns the
     number of waves, of compared slot matchings, of gated matchings that
     bound a variant-tagged slot, of compared verify calls, and of refits
-    the memo served, and under "graph" the recognized graph."""
+    the memo served, and under "graph" the recognized graph.
+
+    A matching's transform is the verified hypothesis's when it is rough,
+    and else the refit's, which `_predict_slots` is given alone."""
     new_generate, new_match, new_verify = rec.generate_hypotheses, rec._match_slots, rec.verify
-    refit = rec._refit
+    new_predict, refit = rec._predict_slots, rec._refit
     seen = {"waves": 0, "matchings": 0, "variant_matchings": 0, "verifies": 0,
             "refit_hits": 0, "refits": 0}
+    transforms = {}
 
-    def generate(ig, model, frontier, cfg, index):
-        got = new_generate(ig, model, frontier, cfg, index)
-        want = scalar_generate_hypotheses(ig, model, frontier, cfg, index)
+    def generate(model, frontier, cfg, index):
+        got = new_generate(model, frontier, cfg, index)
+        want = scalar_generate_hypotheses(model, frontier, cfg, index)
         assert [_hypothesis_fields(h) for h in got] == [_hypothesis_fields(h) for h in want]
         seen["waves"] += 1
         return got
 
-    def match(index, model, mnode, predicted, cfg):
-        got = new_match(index, model, mnode, predicted, cfg)
-        transform, rough, projected = predicted.transform, predicted.rough, index.ig.projected
+    def predict(index, model, mnode, batch, cfg, projected, rough):
+        if not rough:
+            (transforms[False],) = batch
+        return new_predict(index, model, mnode, batch, cfg, projected, rough)
+
+    def match(index, model, mnode, queries, rough, cfg):
+        got = new_match(index, model, mnode, queries, rough, cfg)
+        transform, projected = transforms[rough], index.ig.projected
         gated = _failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
                                                     projected))
         loose = (_failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
@@ -391,25 +401,26 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
         seen["refits"] += 1
         return refit(*args)
 
-    def verify(h, ig, model, cfg, index):
-        # the memo-free body runs on a copy of the graph and the wave's
-        # index, with the memos and the wave's predictions emptied; the
-        # model is shared
-        ig_copy, index_copy = copy.deepcopy((ig, index), {id(model): model})
+    def verify(h, queries, model, cfg, index):
+        # the memo-free body runs on a copy of the wave's index and its
+        # graph, with the memos emptied; the model is shared
+        index_copy = copy.deepcopy(index, {id(model): model})
         index_copy.strains.clear()
         index_copy.refits.clear()
-        index_copy.predicted.clear()
+        ig, ig_copy = index.ig, index_copy.ig
         before = len(ig.nodes), len(ig.links)
+        transforms[True] = h.transform
         start = seen["refits"]
-        want = scalar_verify(h, ig_copy, model, cfg, index_copy)
+        want = scalar_verify(h, model, cfg, index_copy)
         middle = seen["refits"]
-        got = new_verify(h, ig, model, cfg, index)
+        got = new_verify(h, queries, model, cfg, index)
         assert _verified(got, ig, *before) == _verified(want, ig_copy, *before)
         seen["verifies"] += 1
         seen["refit_hits"] += (middle - start) - (seen["refits"] - middle)
         return got
 
     monkeypatch.setattr(rec, "generate_hypotheses", generate)
+    monkeypatch.setattr(rec, "_predict_slots", predict)
     monkeypatch.setattr(rec, "_match_slots", match)
     monkeypatch.setattr(rec, "_refit", counted_refit)
     monkeypatch.setattr(rec, "verify", verify)
@@ -968,34 +979,61 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     `_predict_slots` predicts, in a wave's batch or alone for a refit, is
     `apply_frame` or `project` of the slot frame bit for bit; a transform
     has no queries exactly when one of its scalar predictions raises, and
-    its queries are its slots with an extent, in part order."""
+    its queries are its slots with an extent, in part order, each with the
+    rough or the tight radius as asked. The rough calls are one per wave
+    and group type, on the transforms of the wave's hypotheses of that
+    type in order, and every other call is a one-transform refit: no
+    verify predicts alone."""
     scene, model = _scene(fixture, target, 0.03, seed=1, distractors=distractors, camera=camera)
-    predict = rec._predict_slots
-    seen = {"batches": 0, "predictions": 0}
+    generate, predict = rec.generate_hypotheses, rec._predict_slots
+    seen = {"batches": 0, "predictions": 0, "refits": 0}
+    waves, rough_calls = [], []
+
+    def generating(model, frontier, cfg, index):
+        hypotheses = generate(model, frontier, cfg, index)
+        waves.append(hypotheses)
+        return hypotheses
 
     def checked(index, model, mnode, transforms, cfg, projected, rough):
         got = predict(index, model, mnode, transforms, cfg, projected, rough)
         seen["batches"] += len(transforms) > 1
-        for transform, predicted in zip(transforms, got):
-            assert predicted.transform is transform and predicted.rough == rough
+        if rough:
+            rough_calls.append((len(waves), mnode.type_name, transforms))
+        else:
+            assert len(transforms) == 1
+            seen["refits"] += 1
+        assert len(got) == len(transforms)
+        for transform, queries in zip(transforms, got):
             try:
                 want = [(slot, scalar_predict(transform, slot.frame, projected))
                         for slot in mnode.parts]
             except DegenerateFrameError:
-                assert predicted.queries() is None
+                assert queries is None
                 continue
             want = [(slot, pred) for slot, pred in want if pred.primary_length > 0]
-            queries = predicted.queries()
             assert [q.slot for q in queries] == [slot for slot, _ in want]
             for q, (_, pred) in zip(queries, want):
                 assert _frame_bytes(q.pred) == _frame_bytes(pred)
                 assert q.pred._length_tuple == pred._length_tuple
+                assert q.radius == pred.primary_length * (cfg.gate_radius if rough else q.tight)
                 seen["predictions"] += 1
         return got
 
+    monkeypatch.setattr(rec, "generate_hypotheses", generating)
     monkeypatch.setattr(rec, "_predict_slots", checked)
     rec.recognize(scene, model)
-    assert seen["batches"] > 0 and seen["predictions"] > 100
+    assert seen["batches"] > 0 and seen["predictions"] > 100 and seen["refits"] > 0
+    want = []
+    for wave, hypotheses in enumerate(waves, start=1):
+        by_type = {}
+        for h in hypotheses:
+            by_type.setdefault(h.group_type, []).append(h.transform)
+        want += [(wave, group_type, batch) for group_type, batch in by_type.items()]
+    assert len(rough_calls) == len(want)
+    for (wave, group_type, batch), (want_wave, want_type, want_batch) in zip(rough_calls, want):
+        assert (wave, group_type) == (want_wave, want_type)
+        assert len(batch) == len(want_batch)
+        assert all(got is transform for got, transform in zip(batch, want_batch))
 
 
 def scalar_frame_from_segment(p1, p2):

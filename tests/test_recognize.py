@@ -224,19 +224,20 @@ def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distract
     def pruned(ig):
         return {key for key, node in ig.nodes.items() if node.status == "pruned"}
 
-    def generating(ig, model, frontier, cfg, index):
-        hypotheses = generate(ig, model, frontier, cfg, index)
+    def generating(model, frontier, cfg, index):
+        hypotheses = generate(model, frontier, cfg, index)
         for h in hypotheses:
             key = (h.group_type, frozenset((h.clue_a, h.clue_b)))
             assert key not in tried
             tried.add(key)
-        wave["pruned"] = pruned(ig)
+        wave["pruned"] = pruned(index.ig)
         assert all(n.status == "verified" for n in index.nodes)
         return hypotheses
 
-    def verifying(h, ig, model, cfg, index):
+    def verifying(h, queries, model, cfg, index):
+        ig = index.ig
         assert ig.nodes[h.clue_a].status != "pruned" and ig.nodes[h.clue_b].status != "pruned"
-        created = verify(h, ig, model, cfg, index)
+        created = verify(h, queries, model, cfg, index)
         assert pruned(ig) == wave["pruned"]
         assert all(n.spec_slot is None and n.status == "verified" for n in index.fresh())
         wave["verified"] = wave.get("verified", 0) + bool(created)
