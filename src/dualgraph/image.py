@@ -84,6 +84,18 @@ def _check_node_values(node: ImageNode):
         raise SceneFormatError(f"node spec_slot must be a name, got {node.spec_slot!r}")
 
 
+def _checked_residuals(residuals) -> dict:
+    """A link's residuals as a new dict: names mapped to numbers >= 0 (inf
+    allowed, as a degenerate frame's strain is)."""
+    if not isinstance(residuals, dict):
+        raise SceneFormatError(f"link residuals must be an object, got {residuals!r}")
+    for name, value in residuals.items():
+        if (not isinstance(name, str) or not isinstance(value, (int, float))
+                or isinstance(value, bool) or not value >= 0.0):
+            raise SceneFormatError(f"link residual {name!r} must be a number >= 0, got {value!r}")
+    return dict(residuals)
+
+
 def _check_link_fits(link: ImageLink, model):
     """Both ends of a link are of model types, and its slot names a part of
     its target's type."""
@@ -255,7 +267,7 @@ class ImageGraph:
                     conditional=conditional,
                     slot=raw.get("slot"),
                     carries_up=raw.get("carries_up", True),
-                    residuals=dict(raw.get("residuals", {})),
+                    residuals=_checked_residuals(raw.get("residuals", {})),
                 )
                 if type(link.carries_up) is not bool:
                     raise SceneFormatError(f"link carries_up must be a bool, got {link.carries_up!r}")

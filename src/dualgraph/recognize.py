@@ -47,7 +47,6 @@ from .geometry import (
     check_frames,
     fit_affine,
     fit_similarities,
-    fit_similarity,
     project,
     project_frames,
     similarity_of,
@@ -198,30 +197,6 @@ def _fit_camera(model_pts, image):
     return None if best is None else best[0]
 
 
-def _refit(mnode, matched, ig, transform, projected):
-    """Re-estimate the transform from every matched slot's origin.
-
-    A two-clue fit can leave rotational slack (tied axes carry no direction);
-    the matched set usually pins it down. Falls back to the original
-    transform when the refit is degenerate.
-    """
-    mpts = []
-    ipts = []
-    for name in sorted(matched):
-        mpts.append(mnode.part(name).frame.origin)
-        ipts.append(ig.nodes[matched[name][0]].frame.origin)
-    if len(mpts) < 2:
-        return transform
-    try:
-        if projected:
-            (linear, trans), _ = fit_affine(np.array(mpts), np.array(ipts))
-            return AffineCamera(linear, trans)
-        xform, _ = fit_similarity(np.array(mpts), np.array(ipts))
-        return xform
-    except (UnderConstrainedError, DegenerateFrameError):
-        return transform
-
-
 def _aligned_projection(camera, template: Frame) -> Frame:
     """Project a template so the result's rows follow the template's rows.
 
@@ -309,22 +284,20 @@ class CandidateIndex:
     to spare; every survivor then faces the exact scalar gate, so a decision
     never depends on the columns' rounding.
 
-    The same invariant lets the wave's pure steps be memoized here, for the
-    hypotheses that suggest a group already tried (every pair of an
-    object's parts suggests it):
-    - `strains` maps (function, target, tolerance, operand node keys) to a
-      relation strain (`_relation_strain`), shared by screening and the
-      relation check. A strain that reads the group frame (a row-resolved
-      relation of a projected scene) is never kept.
-    - `refits` maps (group type, rough matching, fresh fitting nodes) to
-      the refit transform and its gated matching (`_refit_matching`). The
-      last term counts the fresh candidates of a type that fits one of the
-      group's slots, so an entry retires once a node it could bind has been
-      inserted.
+    The same invariant lets a wave's relation strains be memoized here, for
+    the hypotheses that suggest a group already tried (every pair of an
+    object's parts suggests it): `strains` maps (function, target,
+    tolerance, operand node keys) to a relation strain (`_relation_strain`),
+    shared by screening and the relation check. A strain that reads the
+    group frame (a row-resolved relation of a projected scene) is never
+    kept.
 
     Slot queries (`_predict_slots`) read only the snapshot, so a wave's
     predictions stay valid all wave; the fresh nodes are scanned when a
-    matching is made.
+    matching is made. `_match_wave` makes every matching of the wave's
+    hypotheses before the first verify, from the snapshot alone, and
+    `verify` makes its own again only when a fresh node fits one of its
+    slots.
     """
 
     def __init__(self, ig: ImageGraph):
@@ -335,7 +308,6 @@ class CandidateIndex:
         self.cols = _Columns.of([n.frame for n in self.nodes])
         self._typed: dict = {}
         self.strains: dict = {}
-        self.refits: dict = {}
 
     def fresh(self) -> list:
         """Candidates inserted since the snapshot, in insertion order: nothing
@@ -847,8 +819,8 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
 
 def _predict_wave(index, model, hypotheses, cfg, projected) -> list:
     """The queries of every hypothesis's first, rough matching, in
-    hypothesis order: one `_predict_slots` call per group type, since a
-    verify predicts only a few slots at a time."""
+    hypothesis order: one `_predict_slots` call per group type, since one
+    hypothesis predicts only a few slots."""
     by_type: dict = {}
     for i, h in enumerate(hypotheses):
         by_type.setdefault(h.group_type, []).append(i)
@@ -1083,32 +1055,77 @@ def _match_score(matched, strains):
     return (0, -sum(len(v) for v in matched.values()), total)
 
 
-def _refit_matching(index, model, mnode, rough, transform, cfg, projected):
-    """(refit, gated side): the transform `_refit` estimates from the rough
-    matching and the gated matching it predicts.
+def _refits(ig, model, keys, projected) -> list:
+    """Per (group type, rough matching) key, the transform re-estimated from
+    every matched slot's origin (the first member of each slot), or None
+    when fewer than two slots are matched or the fit is degenerate.
 
-    Both depend on the hypothesis only through its rough matching, so they
-    are kept in `index.refits` per (group type, rough matching, fresh nodes
-    of a type that fits a slot): a node inserted since the snapshot can
-    change the gated matching only if it fits a slot, and frames and
-    statuses are fixed within a wave. A refit that fell back to
-    `transform` is not kept. The matched map is handed out as a copy,
-    since `_drop_relation_offenders` unbinds from it.
+    A two-clue fit can leave rotational slack (tied axes carry no
+    direction); the matched set usually pins it down. The fits run as
+    `_fit_round`'s do: plain similarities of one point count in one stacked
+    call, and each projected camera alone."""
+    usable = [c for c, (_, rough) in enumerate(keys) if len(rough) >= 2]
+    sets = []
+    for c in usable:
+        group_type, rough = keys[c]
+        mnode = model.node(group_type)
+        sets.append((np.array([mnode.part(name).frame.origin for name, _ in rough]),
+                     np.array([[ig.nodes[members[0]].frame.origin for _, members in rough]])))
+    fits = [_fit_camera(*pts) for pts in sets] if projected else _fit_similarity_sets(sets)
+    out = [None] * len(keys)
+    for c, fit in zip(usable, fits):
+        out[c] = fit
+    return out
+
+
+def _match_wave(index, model: ModelGraph, hypotheses, queries, cfg: Config) -> list:
+    """Per hypothesis, the matching `verify` binds: (matched, strains,
+    transform), or None when no matching fills the essential slots.
+
+    Each hypothesis gets its gated and rough matchings from its `queries`
+    (`_match_slots`). Each distinct (group type, rough matching) is then
+    refitted once (`_refits`), since every pair of an object's parts
+    suggests the same group and so often the same rough matching; the
+    refits of a group type are predicted in one `_predict_slots` call and
+    matched with the tight radius. A hypothesis takes its refit's gated
+    matching when `_match_score` ranks it strictly better than its own.
+
+    A degenerate refit is dropped. That is exact: the transform would fall
+    back to the hypothesis's, whose tight matching is the gated side of its
+    rough matching, and an equal score never wins. The matchings scan
+    `index.fresh()`, so called before the wave's first verify they read
+    the snapshot alone.
     """
-    fits = frozenset().union(*(model.abstract.get(slot.type_name, frozenset())
-                               for slot in mnode.parts))
-    fresh = sum(n.model_type in fits for n in index.fresh())
-    key = (mnode.type_name, tuple((name, tuple(rough[name])) for name in sorted(rough)), fresh)
-    hit = index.refits.get(key)
-    if hit is None:
-        refit = _refit(mnode, rough, index.ig, transform, projected)
-        (queries,) = _predict_slots(index, model, mnode, [refit], cfg, projected, rough=False)
-        hit = refit, _match_slots(index, model, mnode, queries, False, cfg)[0]
-        if refit is transform:
-            return hit
-        index.refits[key] = hit
-    refit, (matched, strains) = hit
-    return refit, (None if matched is None else dict(matched), strains)
+    projected = index.ig.projected
+    firsts, refits = [], {}
+    for h, q in zip(hypotheses, queries):
+        gated, (rough, _) = _match_slots(index, model, model.node(h.group_type), q, True, cfg)
+        key = None
+        if rough:
+            key = (h.group_type, tuple((name, tuple(rough[name])) for name in sorted(rough)))
+            refits[key] = None
+        firsts.append((gated, key))
+    keys = list(refits)
+    by_type: dict = {}
+    for key, refit in zip(keys, _refits(index.ig, model, keys, projected)):
+        if refit is not None:
+            by_type.setdefault(key[0], []).append((key, refit))
+    for group_type, members in by_type.items():
+        mnode = model.node(group_type)
+        predicted = _predict_slots(index, model, mnode, [refit for _, refit in members], cfg,
+                                   projected, rough=False)
+        for (key, refit), q in zip(members, predicted):
+            refits[key] = refit, _match_slots(index, model, mnode, q, False, cfg)[0]
+    out = []
+    for h, ((matched, strains), key) in zip(hypotheses, firsts):
+        transform = h.transform
+        hit = refits.get(key)
+        if hit is not None:
+            refit, (re_matched, re_strains) = hit
+            if _match_score(re_matched, re_strains) < _match_score(matched, strains):
+                matched, strains, transform = re_matched, re_strains, refit
+        out.append(None if matched is None else (matched, strains, transform))
+    return out
 
 
 def _drop_relation_offenders(index, mnode, matched, cfg, projected, group_frame):
@@ -1152,10 +1169,15 @@ def _has_group(ig, group_type, members: frozenset) -> bool:
     return False
 
 
-def verify(h: Hypothesis, queries, model: ModelGraph, cfg: Config, index: CandidateIndex):
+def verify(h: Hypothesis, queries, matching, model: ModelGraph, cfg: Config,
+           index: CandidateIndex):
     """Top-down confirmation of one hypothesis in the graph of `index`, a
-    snapshot taken earlier in the same wave; `queries` are the slots of its
-    first, rough matching as the wave predicted them (`_predict_wave`).
+    snapshot taken earlier in the same wave. `queries` are the slots of its
+    first, rough matching as the wave predicted them (`_predict_wave`), and
+    `matching` is what `_match_wave` chose from the snapshot. When a node
+    created earlier in the wave fits a slot of the group, the matching is
+    made again with the fresh nodes (`_match_wave` on this hypothesis
+    alone); otherwise no fresh node could change it.
 
     Success creates the group node, its member bundles, and any passing
     specialization instances, and returns the list of created nodes.
@@ -1164,15 +1186,13 @@ def verify(h: Hypothesis, queries, model: ModelGraph, cfg: Config, index: Candid
     ig = index.ig
     projected = ig.projected
     mnode = model.node(h.group_type)
-    (matched, strains), (rough, _) = _match_slots(index, model, mnode, queries, True, cfg)
-    transform = h.transform
-    if rough:
-        refit, (re_matched, re_strains) = _refit_matching(index, model, mnode, rough,
-                                                          h.transform, cfg, projected)
-        if _match_score(re_matched, re_strains) < _match_score(matched, strains):
-            matched, strains, transform = re_matched, re_strains, refit
-    if matched is None:
+    fits = frozenset().union(*(model.abstract.get(slot.type_name, frozenset())
+                               for slot in mnode.parts))
+    if any(n.model_type in fits for n in index.fresh()):
+        (matching,) = _match_wave(index, model, [h], [queries], cfg)
+    if matching is None:
         return None
+    matched, _, transform = matching
     try:
         if projected:
             frame = _aligned_projection(transform, mnode.frame_template)
@@ -1180,7 +1200,8 @@ def verify(h: Hypothesis, queries, model: ModelGraph, cfg: Config, index: Candid
             frame = transform.apply_frame(mnode.frame_template)
     except DegenerateFrameError:
         return None
-    matched = _drop_relation_offenders(index, mnode, matched, cfg, projected, frame)
+    # the matched map may be shared with other hypotheses; unbind from a copy
+    matched = _drop_relation_offenders(index, mnode, dict(matched), cfg, projected, frame)
     if matched is None or _has_group(ig, h.group_type,
                                      frozenset(k for keys in matched.values() for k in keys)):
         return None
@@ -1251,9 +1272,10 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
         index = CandidateIndex(ig)
         hypotheses = generate_hypotheses(model, frontier, cfg, index)
         predicted = _predict_wave(index, model, hypotheses, cfg, ig.projected)
+        matchings = _match_wave(index, model, hypotheses, predicted, cfg)
         fresh = []
-        for h, queries in zip(hypotheses, predicted):
-            fresh.extend(verify(h, queries, model, cfg, index) or ())
+        for h, queries, matching in zip(hypotheses, predicted, matchings):
+            fresh.extend(verify(h, queries, matching, model, cfg, index) or ())
         if not fresh:
             break
         refresh_conditionals(ig, cfg)

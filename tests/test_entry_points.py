@@ -173,6 +173,18 @@ CASES = [
     ("graph-link-slots-int-and-name", lambda doc: ImageGraph.from_json(doc).to_bytes(),
      dict(_linked(slot="x"), links=_linked(slot=5)["links"] + _linked(slot="x")["links"]),
      SceneFormatError),
+    ("graph-link-residuals-pairs", lambda doc: ImageGraph.from_json(doc).to_bytes(),
+     _linked(residuals=[[1, 2], ["a", 3]]), SceneFormatError),
+    ("graph-link-residual-string", ImageGraph.from_json, _linked(residuals={"a": "x"}),
+     SceneFormatError),
+    ("graph-link-residual-nan", ImageGraph.from_json, _linked(residuals={"a": NAN}),
+     SceneFormatError),
+    ("graph-link-residual-negative", ImageGraph.from_json, _linked(residuals={"a": -1.0}),
+     SceneFormatError),
+    ("graph-link-residual-bool", ImageGraph.from_json, _linked(residuals={"a": True}),
+     SceneFormatError),
+    ("graph-link-residual-int-name", ImageGraph.from_json, _linked(residuals={1: 2.0}),
+     SceneFormatError),
     ("graph-link-end-bool", ImageGraph.from_json, _linked(to=["linseg", True]),
      SceneFormatError),
     ("graph-link-end-float", ImageGraph.from_json, _linked(to=["linseg", 1.0]),
@@ -222,6 +234,8 @@ def test_the_graph_case_base_is_valid():
     ig = ImageGraph.from_json(_linked())
     assert [(l.source, l.target, l.conditional) for l in ig.links] == [
         (("linseg", 2), ("linseg", 1), 0.5)]
+    blob = ImageGraph.from_json(_linked(residuals={"a": 0, "b": float("inf")})).to_bytes()
+    assert ImageGraph.from_bytes(blob).links[0].residuals == {"a": 0, "b": float("inf")}
     _settled(_face_graph(lambda doc, link, member: None))
     ImageGraph.from_json(TRUCK_GRAPH_DOC, TRUCK_MODEL)
 
