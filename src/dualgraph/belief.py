@@ -192,15 +192,16 @@ def contextual_relation_strain(rel: RelationSpec, mnode, frames,
 
 
 def relation_strains(mnode, rels, frames, s_fail: float, projected: bool,
-                     group_frame=None):
+                     group_frame=None, memo=None):
     """Yield (rel, strain) for each relation of `rels` that can be scored.
 
     A relation is scored when `relation_usable` accepts it for the viewing
     mode and every operand has a frame in `frames` (a map from slot name to
-    frame); the others are skipped. A degenerate evaluation is charged as
-    infinite strain. Relations come out in the order of `rels`, so sums
-    over them keep their float order, and lazily, so a caller may stop at
-    the first failure without evaluating the rest.
+    frame); the others are skipped. Each strain comes from
+    `_relation_strain`, through `memo` when one is given. Relations come out
+    in the order of `rels`, so sums over them keep their float order, and
+    lazily, so a caller may stop at the first failure without evaluating
+    the rest.
     """
     for rel in rels:
         if not relation_usable(rel, mnode, projected):
@@ -209,12 +210,33 @@ def relation_strains(mnode, rels, frames, s_fail: float, projected: bool,
             operand_frames = [frames[op] for op in rel.operands]
         except KeyError:
             continue
+        yield rel, _relation_strain(memo, mnode, rel, operand_frames, s_fail, projected,
+                                    group_frame)
+
+
+def _relation_strain(memo, mnode, rel: RelationSpec, frames, s_fail: float, projected: bool,
+                     group_frame=None) -> float:
+    """The strain of a usable `rel` on its two operand frames, infinite where
+    the evaluation degenerates: the one path by which a relation is scored.
+
+    `memo` (a scene's `ImageGraph.strains`, or None) maps the relation's
+    `spec`, s_fail, the viewing mode and the id of each operand frame to
+    the strain and both frames, whose ids so stay unique. A frame is never
+    changed in place (`Frame`), so a node that moves gets a new key. The
+    memo is only looked up, never iterated. A row-resolved relation in a
+    projected scene given a group frame also reads that frame; its strain
+    is never kept."""
+    if memo is None or (projected and group_frame is not None and rel.function in ROW_RESOLVED):
         try:
-            s = contextual_relation_strain(rel, mnode, operand_frames, s_fail,
-                                           projected, group_frame)
+            return contextual_relation_strain(rel, mnode, frames, s_fail, projected, group_frame)
         except DegenerateFrameError:
-            s = math.inf
-        yield rel, s
+            return math.inf
+    a, b = frames
+    key = rel.spec + (s_fail, projected, id(a), id(b))
+    hit = memo.get(key)
+    if hit is None:
+        hit = memo[key] = (_relation_strain(None, mnode, rel, frames, s_fail, projected), a, b)
+    return hit[0]
 
 
 def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str) -> float:
@@ -327,7 +349,11 @@ class _GroupSlots:
 
 
 def refresh_conditionals(ig, cfg: Config | None = None):
-    """Re-derive every link conditional from the current frames."""
+    """Re-derive every link conditional from the current frames.
+
+    Relation strains go through the scene's memo (`ig.strains`, see
+    `_relation_strain`), so a relation whose operand frames have not been
+    replaced since it was last scored is not scored again."""
     cfg = cfg or Config()
     model = ig.require_model()
     for group in sorted(ig.active_nodes(), key=lambda n: n.key):
@@ -340,7 +366,7 @@ def refresh_conditionals(ig, cfg: Config | None = None):
         share = {name: 0.0 for name in slots.members}
         if slots.template is not None:
             for rel, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail,
-                                           ig.projected, group.frame):
+                                           ig.projected, group.frame, ig.strains):
                 for op in rel.operands:
                     share[op] += s / 2.0
         for gm in ig.links_to(group.key, "group-member"):
@@ -369,7 +395,7 @@ def refresh_conditionals(ig, cfg: Config | None = None):
             total = 0.0
             residuals = {}
             for rel, s in relation_strains(mnode, screens, frames, cfg.s_fail,
-                                           ig.projected, group.frame):
+                                           ig.projected, group.frame, ig.strains):
                 total += s
                 residuals["{}({})".format(rel.function, ",".join(rel.operands))] = s
             sl.conditional = cond_probability(total)

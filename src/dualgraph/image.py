@@ -115,7 +115,8 @@ class ImageGraph:
     in that order, so its floating-point sums are bit-stable.
 
     `projected` (a 3D model seen in a 2D scene through an affine camera) is
-    derived from the model and the node frames, and never serialized.
+    derived from the model and the node frames, and never serialized; nor
+    is `strains`, the scene's relation-strain memo (`belief._relation_strain`).
     """
 
     def __init__(self, scene_id: str = "", model=None, projected: bool = False):
@@ -126,6 +127,7 @@ class ImageGraph:
         self.links: list[ImageLink] = []
         self._incident: dict[tuple, list[ImageLink]] = {}
         self._counters: dict[str, int] = {}
+        self.strains: dict = {}
 
     def add_node(self, model_type: str, frame: Frame, **kw) -> ImageNode:
         n = self._counters.get(model_type, 0) + 1

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -37,6 +38,13 @@ class RelationSpec:
     operands: tuple
     target: object
     tolerance: float
+
+    @cached_property
+    def spec(self) -> tuple:
+        """(function, target, tolerance), hashable: equal for relations that
+        score equal strains on equal operand frames."""
+        target = self.target.tobytes() if isinstance(self.target, np.ndarray) else self.target
+        return self.function, target, self.tolerance
 
     @staticmethod
     def from_json(row, where: str) -> "RelationSpec":

@@ -24,7 +24,6 @@ from typing import NamedTuple
 import numpy as np
 
 from .belief import (
-    ROW_RESOLVED,
     bind_member,
     cond_probability,
     group_weight,
@@ -284,13 +283,9 @@ class CandidateIndex:
     to spare; every survivor then faces the exact scalar gate, so a decision
     never depends on the columns' rounding.
 
-    The same invariant lets a wave's relation strains be memoized here, for
-    the hypotheses that suggest a group already tried (every pair of an
-    object's parts suggests it): `strains` maps (function, target,
-    tolerance, operand node keys) to a relation strain (`_relation_strain`),
-    shared by screening and the relation check. A strain that reads the
-    group frame (a row-resolved relation of a projected scene) is never
-    kept.
+    Relation strains live in the scene's memo (`ig.strains`, keyed by
+    frame), which outlives the wave: screening, the relation check,
+    specialization and both refreshes of the wave share it.
 
     Slot queries (`_predict_slots`) read only the snapshot, so a wave's
     predictions stay valid all wave; the fresh nodes are scanned when a
@@ -307,7 +302,6 @@ class CandidateIndex:
         self._seen = len(ig.nodes)
         self.cols = _Columns.of([n.frame for n in self.nodes])
         self._typed: dict = {}
-        self.strains: dict = {}
 
     def fresh(self) -> list:
         """Candidates inserted since the snapshot, in insertion order: nothing
@@ -616,6 +610,7 @@ def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
         for (type_a, type_b), group in by_types.items():
             group = np.array(group)
             cols = (index.cols.take(block[group, 0]), index.cols.take(block[group, 1]))
+            bounds: dict = {}  # by spec and operand sides: entries often repeat a spec
             for e, entry in enumerate(midx_lookup(model.midx, type_a, type_b)):
                 mnode = model.node(entry.hypothesis)
                 s1, s2 = entry.slots
@@ -624,13 +619,15 @@ def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
                 for o, (ta, tb) in enumerate(((type_a, type_b), (type_b, type_a))):
                     if ta not in fits1 or tb not in fits2:
                         continue
-                    slot_cols = {s1: cols[o], s2: cols[1 - o]}
+                    sides = {s1: o, s2: 1 - o}
                     total = np.zeros(len(group))
                     for rel in entry.screening:
-                        op_a, op_b = rel.operands
-                        total += np.minimum(_screening_bound(rel, slot_cols[op_a],
-                                                             slot_cols[op_b],
-                                                             cfg.s_fail, projected), 1e6)
+                        side_a, side_b = (sides[op] for op in rel.operands)
+                        key = rel.spec + (side_a, side_b)
+                        if key not in bounds:
+                            bounds[key] = np.minimum(_screening_bound(
+                                rel, cols[side_a], cols[side_b], cfg.s_fail, projected), 1e6)
+                        total += bounds[key]
                     survivors.extend((p, e, o) for p in group[total <= limit].tolist())
         survivors.sort()
         for p, e, o in survivors:
@@ -639,41 +636,16 @@ def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
             yield entry, ((a, b) if o == 0 else (b, a))
 
 
-def _relation_strain(index, mnode, rel, a, b, s_fail, projected, group_frame=None) -> float:
-    """The strain relation_strains charges a usable `rel` on its operand
-    nodes `a` and `b`, computed once per wave and (function, target,
-    tolerance, operand keys) in `index.strains`: midx entries of one group
-    often repeat a spec (truck_flat's rectangle has three identical touch
-    entries), and the relation check of every hypothesis of an object reads
-    the same member pairs. The key names all the strain reads: a node's
-    frame is fixed within a wave, and s_fail and the viewing mode within a
-    run. Only a row-resolved relation in a projected scene given a group
-    frame also reads that frame; its strain is never kept."""
-    frames = {op: node.frame for op, node in zip(rel.operands, (a, b))}
-    if projected and group_frame is not None and rel.function in ROW_RESOLVED:
-        ((_, s),) = relation_strains(mnode, [rel], frames, s_fail, projected, group_frame)
-        return s
-    target = rel.target.tobytes() if isinstance(rel.target, np.ndarray) else rel.target
-    key = (rel.function, target, rel.tolerance, a.key, b.key)
-    s = index.strains.get(key)
-    if s is None:
-        ((_, s),) = relation_strains(mnode, [rel], frames, s_fail, projected)
-        index.strains[key] = s
-    return s
-
-
 def _screening_score(mnode, entry, ca, cb, cfg, projected, index) -> float:
     """Product of the conditionals of the entry's screening relations on the
-    clue frames, each strain through the wave's cache (`_relation_strain`).
-    A screening relation's operands are the entry's two slots (build_midx)."""
+    clue frames, each strain through the scene's memo: midx entries of one
+    group often repeat a spec (truck_flat's rectangle has several identical
+    touch entries). A screening relation's operands are the entry's two
+    slots (build_midx)."""
     s1, s2 = entry.slots
-    nodes = {s1: ca, s2: cb}
     score = 1.0
-    for rel in entry.screening:
-        if not relation_usable(rel, mnode, projected):
-            continue
-        a, b = (nodes[op] for op in rel.operands)
-        s = _relation_strain(index, mnode, rel, a, b, cfg.s_fail, projected)
+    for _, s in relation_strains(mnode, entry.screening, {s1: ca.frame, s2: cb.frame},
+                                 cfg.s_fail, projected, memo=index.ig.strains):
         score *= cond_probability(min(s, 1e6))
     return score
 
@@ -1131,16 +1103,14 @@ def _match_wave(index, model: ModelGraph, hypotheses, queries, cfg: Config) -> l
 def _drop_relation_offenders(index, mnode, matched, cfg, projected, group_frame):
     """Relations worse than s_fail fail the group outright when every
     operand is essential; otherwise the optional offender is unbound.
-    Strains come through the wave's cache (`_relation_strain`)."""
-    nodes = index.ig.nodes
+    Strains come through the scene's memo: the relation check of every
+    hypothesis of an object reads the same member pairs."""
+    ig = index.ig
     while True:
+        frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
         worst = None
-        for rel in mnode.relations:
-            if (not relation_usable(rel, mnode, projected)
-                    or any(op not in matched for op in rel.operands)):
-                continue
-            a, b = (nodes[matched[op][0]] for op in rel.operands)
-            s = _relation_strain(index, mnode, rel, a, b, cfg.s_fail, projected, group_frame)
+        for rel, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail, projected,
+                                       group_frame, ig.strains):
             if s > cfg.s_fail and (worst is None or s > worst[0]):
                 worst = (s, rel)
         if worst is None:
@@ -1237,7 +1207,7 @@ def _specialize(ig, model, group, matched, cfg, projected):
             total = 0.0
             passed = True
             for _, s in relation_strains(group_mnode, usable, frames, cfg.s_fail,
-                                         projected, group.frame):
+                                         projected, group.frame, ig.strains):
                 if s > cfg.s_fail:
                     passed = False
                     break

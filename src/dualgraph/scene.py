@@ -21,7 +21,9 @@ class Primitive:
     `strength` carries the detector's confidence in [0, 1]; a faint or partly
     occluded feature enters inference with a weaker data prior. Coordinates
     so large that the frame's origin or squared half-extent overflows are
-    rejected here, before any frame is built.
+    rejected here, before any frame is built, and so is an extent so small
+    that its square underflows to 0 (a frame needs a positive length).
+    Coincident segment endpoints and a zero radius are left to the parser.
     """
 
     kind: str
@@ -41,14 +43,18 @@ class Primitive:
             origin = [(a + b) / 2.0 for a, b in ends]
             halves = [(b - a) / 2.0 for a, b in ends]
             square = sum(h * h for h in halves)
+            extent = self.p1.tolist() != self.p2.tolist()
         else:
             self.center = np.asarray(self.center, float)
             self.radius = float(self.radius)
             origin = self.center.tolist()
             square = self.radius * self.radius
-        # plain floats overflow to inf without a warning
+            extent = self.radius != 0.0
+        # plain floats overflow to inf, and underflow to 0, without a warning
         if not all(map(math.isfinite, origin + [square])):
             raise SceneFormatError(f"{self.kind} coordinates are not finite or too large for a frame")
+        if extent and square == 0.0:
+            raise SceneFormatError(f"{self.kind} is too small for a frame")
 
     @property
     def dim(self) -> int:

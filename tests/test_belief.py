@@ -541,6 +541,45 @@ def test_refresh_conditionals_reflect_strain(cfg):
     assert untouched
 
 
+def _link_values(ig):
+    """Every link's conditional and residuals, bit for bit, in a fixed order."""
+    return sorted((l.kind, l.source, l.target, l.slot or "", l.conditional.hex(),
+                   sorted((name, value.hex()) for name, value in l.residuals.items()))
+                  for l in ig.links)
+
+
+def test_the_strain_memo_follows_frames_not_nodes(cfg, monkeypatch):
+    """The scene's relation-strain memo is keyed by operand frame: a second
+    refresh with nothing moved scores no relation, and once a member takes
+    a new frame every conditional and residual equals, bit for bit, those
+    of a memo-free copy of the graph refreshed alone."""
+    scene, model = _tiled_scene("face.json", "face", copies=4, jitter=0.03, seed=5)
+    ig = recognize(scene, model, cfg)
+    refresh_conditionals(ig, cfg)
+    calls = []
+    score = dualgraph.belief.contextual_relation_strain
+
+    def scoring(*args):
+        calls.append(args)
+        return score(*args)
+
+    monkeypatch.setattr(dualgraph.belief, "contextual_relation_strain", scoring)
+    refresh_conditionals(ig, cfg)
+    assert not calls
+    link = next(l for l in ig.links if l.kind == "group-member" and l.slot == "nose")
+    member = ig.nodes[link.source]
+    before = link.residuals["relations"]
+    turn = np.array([[math.cos(0.05), -math.sin(0.05)], [math.sin(0.05), math.cos(0.05)]])
+    member.frame = Frame(member.frame.origin + 0.02 * member.frame.primary_length,
+                         1.05 * member.frame.axes @ turn.T)
+    fresh = ImageGraph.from_bytes(ig.to_bytes(), model)
+    assert not fresh.strains
+    refresh_conditionals(ig, cfg)
+    assert calls and link.residuals["relations"] != before
+    refresh_conditionals(fresh, cfg)
+    assert _link_values(ig) == _link_values(fresh)
+
+
 def _old_slot_predictor(ig, mnode, group_frame):
     if ig.projected and group_frame.dim < mnode.frame_template.dim:
         T = frame_onto(_flatten_frame(mnode.frame_template), group_frame,

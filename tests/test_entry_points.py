@@ -88,6 +88,13 @@ def _scaled(factor):
     return doc
 
 
+def _with_primitive(prim):
+    """The truck_flat scene's document with `prim` appended."""
+    doc = json.loads(write_scene(FLAT_SCENE))
+    doc["primitives"].append(prim)
+    return doc
+
+
 def _recognize_parsed(doc):
     recognize(parse_scene(doc), FLAT_MODEL)
 
@@ -209,6 +216,13 @@ CASES = [
      SceneFormatError),
     ("scene-coordinates-1e154", _recognize_parsed, _scaled(1e154), SceneFormatError),
     ("scene-coordinates-1.2e154-built", _recognize_built, _scaled(1.2e154), SceneFormatError),
+    # a nonzero extent whose square underflows to 0 has no frame
+    ("scene-segment-3e-162-long", _recognize_parsed,
+     _with_primitive({"kind": "linseg", "p1": [0.0, 0.0, 0.0], "p2": [3e-162, 0.0, 0.0]}),
+     SceneFormatError),
+    ("scene-circle-radius-1e-200", _recognize_parsed,
+     _with_primitive({"kind": "circle", "center": [0.0, 0.0, 0.0], "radius": 1e-200}),
+     SceneFormatError),
     ("generate-n-scenes-string", generate_scenes, GeneratorSpec(MODEL, "face", n_scenes="3"),
      GenerationError),
     ("generate-distractors-float", generate_scenes,

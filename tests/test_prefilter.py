@@ -53,7 +53,6 @@ from dualgraph.geometry import (
     project,
     similarity_of,
 )
-from dualgraph.image import ImageGraph
 from dualgraph.model import RelationSpec, fixture_path, load_model_file, midx_lookup
 from dualgraph.scene import Primitive, Scene
 
@@ -435,9 +434,10 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
 
     def verify(h, queries, matching, model, cfg, index):
         # the batch- and memo-free body runs on a copy of the wave's index
-        # and its graph, with the memo emptied; the model is shared
+        # and its graph, with the graph's strain memo emptied; the model is
+        # shared
         index_copy = copy.deepcopy(index, {id(model): model})
-        index_copy.strains.clear()
+        index_copy.ig.strains.clear()
         ig, ig_copy = index.ig, index_copy.ig
         before = len(ig.nodes), len(ig.links)
         hits = seen["refit_hits"]
@@ -798,7 +798,7 @@ def test_a_transforms_tight_matching_is_the_gated_side_of_its_rough_one(monkeypa
 def test_projected_row_resolved_strains_with_a_group_frame_are_not_cached():
     """In a projected scene a group frame picks the rows that size-ratio,
     distance-ratio, angle and parallel read, so their strain with a group
-    frame is never served from, nor kept in, the screening cache."""
+    frame is never served from, nor kept in, the scene's strain memo."""
     model = load_model_file(fixture_path("truck.json"))
     mnode = model.node("box")
     cfg = make_config()
@@ -806,19 +806,17 @@ def test_projected_row_resolved_strains_with_a_group_frame_are_not_cached():
     differ = 0
     for rel in [r for r in mnode.relations if r.function in ROW_RESOLVED]:
         for _ in range(20):
-            ig = ImageGraph(projected=True)
-            a, b = (ig.add_node("face", frame=_planar_frame(rng)) for _ in range(2))
+            a, b = _planar_frame(rng), _planar_frame(rng)
             group_frame = _planar_frame(rng)
-            index = rec.CandidateIndex(ig)
-            frames = dict(zip(rel.operands, (a.frame, b.frame)))
+            frames = dict(zip(rel.operands, (a, b)))
             ((_, screening),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True)
             ((_, checked),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True,
                                                group_frame)
             differ += screening != checked
             for first in (None, group_frame), (group_frame, None):
-                index.strains.clear()
+                memo = {}
                 for g in first:
-                    got = rec._relation_strain(index, mnode, rel, a, b, cfg.s_fail, True, g)
+                    ((_, got),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True, g, memo)
                     assert got == (screening if g is None else checked)
     assert differ  # the group frame changes some of these strains
 
@@ -828,6 +826,57 @@ def _planar_frame(rng):
     t = rng.uniform(-math.pi, math.pi)
     rot = np.array([[math.cos(t), -math.sin(t)], [math.sin(t), math.cos(t)]])
     return Frame(rng.uniform(-1, 1, 2), np.diag(rng.uniform(0.2, 2.0, 2)) @ rot)
+
+
+def test_each_screening_bound_is_computed_once_per_spec_and_sides(monkeypatch):
+    """truck_flat's rectangle repeats the spec touch tol 0.12 in four midx
+    entries, each screened in both orientations; `_screened` computes each
+    column bound once per (block, type pair) and (spec, operand sides).
+    Checked over every wave of the seed-1 clutter truck_flat scene."""
+    scene, model = _scene("truck_flat.json", "truck1", 0.03, seed=1, distractors=128)
+    screened, bound = rec._screened, rec._screening_bound
+    want = []  # per (block, type pair) with a bound to compute: its distinct keys
+    naive = 0  # bounds one per (entry, orientation, screening relation)
+    calls = []  # (columns a, columns b, spec), which keeps the columns' ids unique
+
+    def screening(index, model, pairs, cfg, projected):
+        nonlocal naive
+        nodes = index.nodes
+        for start in range(0, len(pairs), rec._SCREEN_BLOCK):
+            types = {(nodes[i].model_type, nodes[j].model_type): None
+                     for i, j in pairs[start:start + rec._SCREEN_BLOCK]}
+            for type_a, type_b in types:
+                keys = set()
+                for entry in midx_lookup(model.midx, type_a, type_b):
+                    mnode = model.node(entry.hypothesis)
+                    s1, s2 = entry.slots
+                    fits1 = model.abstract.get(mnode.part(s1).type_name, frozenset())
+                    fits2 = model.abstract.get(mnode.part(s2).type_name, frozenset())
+                    for o, (ta, tb) in enumerate(((type_a, type_b), (type_b, type_a))):
+                        if ta in fits1 and tb in fits2:
+                            sides = {s1: o, s2: 1 - o}
+                            keys |= {rel.spec + tuple(sides[op] for op in rel.operands)
+                                     for rel in entry.screening}
+                            naive += len(entry.screening)
+                if keys:
+                    want.append(keys)
+        yield from screened(index, model, pairs, cfg, projected)
+
+    def bounding(rel, a, b, s_fail, projected):
+        calls.append((a, b, rel.spec))
+        return bound(rel, a, b, s_fail, projected)
+
+    monkeypatch.setattr(rec, "_screened", screening)
+    monkeypatch.setattr(rec, "_screening_bound", bounding)
+    rec.recognize(scene, model)
+    # a (block, type pair) takes its own two column sets, in the order of `want`
+    got = {}
+    for a, b, spec in calls:
+        got.setdefault(frozenset((id(a), id(b))), []).append((spec, id(a), id(b)))
+    got = list(got.values())
+    assert [len(keys) for keys in got] == [len(keys) for keys in want]
+    assert all(len(set(keys)) == len(keys) for keys in got)
+    assert len(calls) < naive
 
 
 # -- the bounds never exceed the scalar strains ----------------------------------
