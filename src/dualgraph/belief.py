@@ -221,21 +221,27 @@ def _relation_strain(memo, mnode, rel: RelationSpec, frames, s_fail: float, proj
 
     `memo` (a scene's `ImageGraph.strains`, or None) maps the relation's
     `spec`, s_fail, the viewing mode and the id of each operand frame to
-    the strain and both frames, whose ids so stay unique. A frame is never
-    changed in place (`Frame`), so a node that moves gets a new key. The
-    memo is only looked up, never iterated. A row-resolved relation in a
-    projected scene given a group frame also reads that frame; its strain
-    is never kept."""
-    if memo is None or (projected and group_frame is not None and rel.function in ROW_RESOLVED):
+    the strain and the frames it read, whose ids so stay unique. A frame is
+    never changed in place (`Frame`), so a node that moves gets a new key.
+    The memo is only looked up, never iterated. A row-resolved relation in
+    a projected scene given a group frame also reads that frame, the
+    group's type and the relation's operands (`_operand_image_dir`), so its
+    key adds all three."""
+    if memo is None:
         try:
             return contextual_relation_strain(rel, mnode, frames, s_fail, projected, group_frame)
         except DegenerateFrameError:
             return math.inf
     a, b = frames
     key = rel.spec + (s_fail, projected, id(a), id(b))
+    if projected and group_frame is not None and rel.function in ROW_RESOLVED:
+        key += (mnode.type_name, rel.operands, id(group_frame))
+    else:
+        group_frame = None  # not read, so not kept
     hit = memo.get(key)
     if hit is None:
-        hit = memo[key] = (_relation_strain(None, mnode, rel, frames, s_fail, projected), a, b)
+        hit = memo[key] = (_relation_strain(None, mnode, rel, frames, s_fail, projected,
+                                            group_frame), a, b, group_frame)
     return hit[0]
 
 

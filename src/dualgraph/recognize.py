@@ -95,89 +95,98 @@ def seed_image_graph(scene: Scene, model: ModelGraph,
 # -- transform fitting -------------------------------------------------------------
 
 
-def _fit_points(mframe: Frame, iframe: Frame, want: int):
-    """Correspondence points contributed by one clue.
+def _correspondence_sets(quads, projected) -> dict:
+    """Model points and every candidate image point set for taking each
+    quad's two model slot frames onto its two clue frames, built in columns
+    and grouped by tip shape.
 
-    The origin always corresponds; axis tips correspond only at ranks where
-    both the model slot and the image instance have an unambiguous axis
-    (tied lengths make the canonical direction an artifact). Returns the
-    model points and the image tip vectors to be sign-searched.
-    """
-    m_idx = unambiguous_axes(mframe, want)
-    i_idx = unambiguous_axes(iframe, want)
-    k = min(len(m_idx), len(i_idx))
-    mpts = [mframe.origin]
-    tips = []
-    for j in range(k):
-        mpts.append(mframe.origin + mframe.axes[m_idx[j]])
-        tips.append(iframe.axes[i_idx[j]])
-    return mpts, tips
+    The origins always correspond; axis tips correspond only at ranks where
+    both the model slot and the clue have an unambiguous axis (tied lengths
+    make the canonical direction an artifact), at most one rank per frame,
+    two in projected mode. Image axis directions are sign-ambiguous (a
+    segment has no arrow), so each sign assignment of the usable tips is one
+    candidate set. Projected mode also varies the tip order of each clue,
+    because shear can swap which image axis comes out longest, so rank no
+    longer pins the correspondence. Each frame's unambiguous axes are worked
+    out once: slot frames and clue frames repeat across quads.
 
-
-def _correspondences(m1, m2, i1, i2, projected):
-    """Model points and every candidate image point set for taking the two
-    model slot frames onto the clue frames.
-
-    Image axis directions are sign-ambiguous (a segment has no arrow), so
-    each sign assignment of the usable tips is one candidate set. Projected
-    mode also varies the tip order of each clue, because shear can swap
-    which image axis comes out longest, so rank no longer pins the
-    correspondence. Returns (model points (k, dm), image points (r, k, di)),
-    the r sets running over tip orders, then sign assignments.
+    Returns {(n1, n2): (members, model points (g, k, dm), image points
+    (g, r, k, di))}: the positions in `quads` whose clues have n1 and n2
+    usable tips, and per member its model points and its r image point
+    sets, running over tip orders, then sign assignments. A tip is
+    `origin + sign * axis`, the same float operations for every member.
     """
     want = 2 if projected else 1
-    mpts1, tips1 = _fit_points(m1, i1, want)
-    mpts2, tips2 = _fit_points(m2, i2, want)
-    n1, n2, dim = len(tips1), len(tips2), i1.dim
-    orders1 = list(itertools.permutations(tips1)) if projected and n1 > 1 else [tips1]
-    orders2 = list(itertools.permutations(tips2)) if projected and n2 > 1 else [tips2]
-    n_orders, n_signs = len(orders1) * len(orders2), 2 ** (n1 + n2)
-    tips = np.array([list(t1) + list(t2) for t1 in orders1 for t2 in orders2]
-                    ).reshape(n_orders, 1, n1 + n2, dim)
-    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n1 + n2))
-                     ).reshape(1, n_signs, n1 + n2, 1)
-    rows = n_orders * n_signs
-    signed = (signs * tips).reshape(rows, n1 + n2, dim)
-    image = np.empty((rows, n1 + n2 + 2, dim))
-    image[:, 0] = i1.origin
-    image[:, 1:n1 + 1] = i1.origin + signed[:, :n1]
-    image[:, n1 + 1] = i2.origin
-    image[:, n1 + 2:] = i2.origin + signed[:, n1:]
-    return np.array(mpts1 + mpts2), image
-
-
-def _first_lowest(residuals, usable):
-    """Index of the row the sequential search "keep the first usable row,
-    replace it only by a strictly lower residual" ends on, or None."""
-    rows = np.flatnonzero(usable)
-    if not len(rows):
-        return None
-    res = residuals[rows]
-    if np.isnan(res[0]):
-        return int(rows[0])
-    return int(rows[np.argmin(np.where(np.isnan(res), np.inf, res))])
-
-
-def _fit_similarity_sets(sets) -> list:
-    """Per (model points, image point sets), the best similarity or None.
-
-    Rows of one shape are fitted in one stacked call."""
+    frames = {id(frame): frame for quad in quads for frame in quad}
+    ranks = {key: unambiguous_axes(frame, want) for key, frame in frames.items()}
     by_shape: dict = {}
-    for c, (_, image) in enumerate(sets):
-        by_shape.setdefault(image.shape[1:], []).append(c)
-    out = [None] * len(sets)
-    for members in by_shape.values():
-        counts = [len(sets[c][1]) for c in members]
-        model = np.repeat(np.array([sets[c][0] for c in members]), counts, axis=0)
-        fit = fit_similarities(model, np.concatenate([sets[c][1] for c in members]))
-        start = 0
-        for c, count in zip(members, counts):
-            rows = slice(start, start + count)
-            best = _first_lowest(fit.residuals[rows], fit.ok[rows])
-            if best is not None:
-                out[c] = similarity_of(fit, start + best)
-            start += count
+    for c, (m1, m2, i1, i2) in enumerate(quads):
+        shape, model_tips, image_tips = [], [], []
+        for m, i in ((m1, i1), (m2, i2)):
+            m_idx, i_idx = ranks[id(m)], ranks[id(i)]
+            k = min(len(m_idx), len(i_idx))
+            shape.append(k)
+            model_tips += [m.axes[r] for r in m_idx[:k]]
+            image_tips += [i.axes[r] for r in i_idx[:k]]
+        by_shape.setdefault(tuple(shape), []).append((c, model_tips, image_tips))
+    out = {}
+    for (n1, n2), members in by_shape.items():
+        g, n = len(members), n1 + n2
+        m1o, m2o, i1o, i2o = (np.array([quads[c][f].origin for c, _, _ in members])
+                              for f in range(4))
+        dm, di = m1o.shape[1], i1o.shape[1]
+        model_tips = np.array([tips for _, tips, _ in members]).reshape(g, n, dm)
+        image_tips = np.array([tips for _, _, tips in members]).reshape(g, n, di)
+        model = np.empty((g, n + 2, dm))
+        model[:, 0] = m1o
+        model[:, 1:n1 + 1] = m1o[:, None] + model_tips[:, :n1]
+        model[:, n1 + 1] = m2o
+        model[:, n1 + 2:] = m2o[:, None] + model_tips[:, n1:]
+        orders1 = list(itertools.permutations(range(n1))) if projected else [range(n1)]
+        orders2 = list(itertools.permutations(range(n1, n))) if projected else [range(n1, n)]
+        orders = np.array([[*o1, *o2] for o1 in orders1 for o2 in orders2],
+                          dtype=int).reshape(len(orders1) * len(orders2), n)
+        signs = np.array(list(itertools.product((1.0, -1.0), repeat=n))).reshape(2 ** n, n, 1)
+        rows = len(orders) * 2 ** n
+        signed = (signs * image_tips[:, orders][:, :, None]).reshape(g, rows, n, di)
+        image = np.empty((g, rows, n + 2, di))
+        image[:, :, 0] = i1o[:, None]
+        image[:, :, 1:n1 + 1] = i1o[:, None, None] + signed[:, :, :n1]
+        image[:, :, n1 + 1] = i2o[:, None]
+        image[:, :, n1 + 2:] = i2o[:, None, None] + signed[:, :, n1:]
+        out[(n1, n2)] = [c for c, _, _ in members], model, image
     return out
+
+
+def _best_rows(residuals, usable):
+    """Per set (a row of the (sets, rows) arrays), the row that the
+    sequential search "keep the first usable row, replace it only by a
+    strictly lower residual" ends on, or -1 where no row is usable: the
+    first usable row when its residual is NaN or no usable residual is
+    below inf, else the first of the lowest, NaN counted as inf."""
+    sets = np.arange(len(residuals))
+    first = usable.argmax(axis=1)
+    ranked = np.where(usable & ~np.isnan(residuals), residuals, np.inf)
+    best = ranked.argmin(axis=1)
+    keep_first = np.isnan(residuals[sets, first]) | (ranked[sets, best] == np.inf)
+    return np.where(usable.any(axis=1), np.where(keep_first, first, best), -1)
+
+
+def _best_fits(model_pts, image_pts, projected) -> list:
+    """Per set i, the transform of its best row taking model_pts[i] (k, dm)
+    onto image_pts[i, r] (k, di), or None when no row gives a usable fit.
+
+    Plain mode fits every row of every set in one stacked
+    `fit_similarities` call and picks each set's row with `_best_rows`;
+    projected mode fits each set's affine cameras alone (`_fit_camera`)."""
+    if projected:
+        return [_fit_camera(x, y) for x, y in zip(model_pts, image_pts)]
+    sets, rows = image_pts.shape[:2]
+    fit = fit_similarities(np.repeat(model_pts, rows, axis=0),
+                           image_pts.reshape(sets * rows, *image_pts.shape[2:]))
+    best = _best_rows(fit.residuals.reshape(sets, rows), fit.ok.reshape(sets, rows))
+    return [None if b < 0 else similarity_of(fit, i * rows + b)
+            for i, b in enumerate(best.tolist())]
 
 
 def _fit_camera(model_pts, image):
@@ -287,11 +296,12 @@ class CandidateIndex:
     frame), which outlives the wave: screening, the relation check,
     specialization and both refreshes of the wave share it.
 
-    Slot queries (`_predict_slots`) read only the snapshot, so a wave's
-    predictions stay valid all wave; the fresh nodes are scanned when a
-    matching is made. `_match_wave` makes every matching of the wave's
-    hypotheses before the first verify, from the snapshot alone, and
-    `verify` makes its own again only when a fresh node fits one of its
+    Slot queries (`_predict_slots`) read only the snapshot. The fresh nodes
+    are counted for the essential slots when slots are predicted, and
+    scanned for every slot when a matching is made. `_predict_wave` and
+    `_match_wave` predict and match every hypothesis of the wave before the
+    first verify, from the snapshot alone, and `verify` predicts and
+    matches its hypothesis again only when a fresh node fits one of its
     slots.
     """
 
@@ -652,16 +662,19 @@ def _screening_score(mnode, entry, ca, cb, cfg, projected, index) -> float:
 
 def _fit_round(model, heads, projected) -> list:
     """The best transform of each (entry, clue a, clue b), or None where no
-    sign assignment (nor tip order) gives a usable fit."""
-    sets = []
+    sign assignment (nor tip order) gives a usable fit: the heads' sets are
+    built in columns by tip shape (`_correspondence_sets`) and fitted a
+    shape at a time (`_best_fits`)."""
+    quads = []
     for entry, ca, cb in heads:
         mnode = model.node(entry.hypothesis)
         s1, s2 = entry.slots
-        sets.append(_correspondences(mnode.part(s1).frame, mnode.part(s2).frame,
-                                     ca.frame, cb.frame, projected))
-    if projected:
-        return [_fit_camera(*pts) for pts in sets]
-    return _fit_similarity_sets(sets)
+        quads.append((mnode.part(s1).frame, mnode.part(s2).frame, ca.frame, cb.frame))
+    out = [None] * len(heads)
+    for members, model_pts, image_pts in _correspondence_sets(quads, projected).values():
+        for c, fit in zip(members, _best_fits(model_pts, image_pts, projected)):
+            out[c] = fit
+    return out
 
 
 def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
@@ -683,10 +696,11 @@ def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
     `_fit_round`).
 
     An assignment's fit tries every sign assignment of the clues' axis tips,
-    and in projected mode every tip order too (`_correspondences`); the
-    lowest residual wins, the first on a tie. Plain mode fits similarities,
-    all of a round's in stacked calls; projected mode fits affine cameras,
-    one set at a time.
+    and in projected mode every tip order too; the lowest residual wins, the
+    first on a tie. A round builds all of its point sets in columns, one
+    stack per tip shape (`_correspondence_sets`). Plain mode fits a stack's
+    similarities in one call and picks every set's best row at once
+    (`_best_rows`); projected mode fits affine cameras, one set at a time.
     """
     projected = index.ig.projected
     pairs = _clue_pairs(index, frontier, cfg.gate_radius)
@@ -744,7 +758,8 @@ class _Query(NamedTuple):
 def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> list:
     """Per transform, a `_Query` per slot whose prediction has an extent,
     in part order, or None when a prediction of the transform is degenerate
-    (a frame `Frame` rejects): the one path by which slots are predicted.
+    (a frame `Frame` rejects) or an essential slot is short: the one path
+    by which slots are predicted.
 
     Every slot under every transform is predicted in one stacked step
     (`apply_similarities`, or `project_frames` in projected mode), bit for
@@ -755,6 +770,14 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     their slot. The query radius is gate_radius predicted primary lengths
     when `rough`, so that a rough matching can be made, and the tight
     radius otherwise.
+
+    A slot that every match must fill by itself (`_essential`) is short
+    when it has fewer instances of a fitting type within its query radius
+    (with `_PREFILTER_SLACK`) than its lower bound: the snapshot rows the
+    query found, counted from the stacked hits, plus the fresh nodes, which
+    are scanned for the essential slots only. Neither side of a matching
+    could then fill it, since a slot binds only its own candidates within
+    that radius, so no `_Query` is built for such a transform.
     """
     slots = mnode.parts
     n = len(slots)
@@ -781,8 +804,23 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     fits = [model.abstract.get(slot.type_name, frozenset()) for slot in slots]
     hits = index.near(pred_origins[queried], radii[queried],
                       [fits[k % n] for k in queried.tolist()])
-    out = [[] if fine else None for fine in whole.tolist()]
-    for point, k in enumerate(queried.tolist()):
+    found = np.zeros(len(radii), dtype=int)
+    found[queried] = hits.stops - hits.starts
+    found = found.reshape(-1, n)
+    need = np.array([slot.multiplicity[0] if _essential(slot) else 0 for slot in slots])
+    fresh = index.fresh()
+    if fresh:
+        for t in np.flatnonzero(whole).tolist():
+            for s in np.flatnonzero(need * (primary[t] > 0)).tolist():
+                k = t * n + s
+                reach = radii[k] * (1.0 + _PREFILTER_SLACK)
+                found[t, s] += sum(node.model_type in fits[s]
+                                   and _distance(node.frame.origin, pred_origins[k]) <= reach
+                                   for node in fresh)
+    filled = whole & (found >= need).all(axis=1)
+    out = [[] if fine else None for fine in filled.tolist()]
+    for point in np.flatnonzero(filled[queried // n]).tolist():
+        k = int(queried[point])
         s = k % n
         pred = Frame.from_checked(pred_origins[k], pred_axes[k], tuple(lengths[k].tolist()))
         out[k // n].append(_Query(slots[s], pred, tight[s], float(radii[k]), *hits.of(point)))
@@ -791,8 +829,9 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
 
 def _predict_wave(index, model, hypotheses, cfg, projected) -> list:
     """The queries of every hypothesis's first, rough matching, in
-    hypothesis order: one `_predict_slots` call per group type, since one
-    hypothesis predicts only a few slots."""
+    hypothesis order, None where `_predict_slots` builds none: one
+    `_predict_slots` call per group type, since one hypothesis predicts
+    only a few slots."""
     by_type: dict = {}
     for i, h in enumerate(hypotheses):
         by_type.setdefault(h.group_type, []).append(i)
@@ -819,17 +858,15 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
     maps slot name to member keys, or (None, {}) when an essential slot
     cannot be filled; the rough side is None unless `rough`.
 
-    Fail fast: every slot arrives predicted and queried, and a degenerate
-    prediction (`queries` None) fails both sides whichever slot it belongs
-    to. The slots a match cannot do without (`_essential`) come first. One
-    with fewer instances of a fitting type within its query radius,
-    snapshot rows and fresh nodes together, than its lower bound fails both
-    sides before the fresh nodes are scanned for any other slot and before
-    any strain is scored. The gated side then scores the essential slots first, and once
-    one of them has fewer candidates passing the exact gate than its lower
-    bound, it fails and scores no further strain; the rough side goes on
-    alone. Both shortcuts are exact: a slot binds only its own candidates,
-    and gated candidates are rough ones.
+    Fail fast: every slot arrives predicted and queried, and `queries` None
+    fails both sides: a degenerate prediction, or an essential slot with
+    too few instances within its query radius (`_predict_slots`), so no
+    fresh node is scanned here and no strain is scored. The slots a match
+    cannot do without (`_essential`) come first. The gated side scores them
+    first, and once one of them has fewer candidates passing the exact gate
+    than its lower bound, it fails and scores no further strain; the rough
+    side goes on alone. The shortcut is exact: a slot binds only its own
+    candidates, and gated candidates are rough ones.
 
     Prefilter contract: the queries (`CandidateIndex.near`) narrow the
     snapshot to a superset of the instances of a fitting type within the
@@ -847,17 +884,6 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
         return failed
     gate = cfg.gate_radius
     fresh = index.fresh()
-
-    def candidates(queries):
-        """(query, extra) per query: the fresh nodes of a fitting type within
-        its radius (with slack)."""
-        out = []
-        for q in queries:
-            fits = model.abstract.get(q.slot.type_name, frozenset())
-            reach = q.radius * (1.0 + _PREFILTER_SLACK)
-            out.append((q, [n for n in fresh if n.model_type in fits
-                            and _distance(n.frame.origin, q.pred.origin) <= reach]))
-        return out
 
     def exact_distance(node, pred):
         """Origin distance of a candidate within the gate radius, else None."""
@@ -898,12 +924,14 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
                 out.append((s, slot.name, node.key, s, None))
         return None if len(out) < need else out
 
-    essential = [slot for slot in mnode.parts if _essential(slot)]
-    slots = candidates([q for q in queries if _essential(q.slot)])
-    found = {q.slot.name: len(q.rows) + len(extra) for q, extra in slots}
-    if any(found.get(slot.name, 0) < slot.multiplicity[0] for slot in essential):
-        return failed
-    slots += candidates([q for q in queries if not _essential(q.slot)])
+    # (query, extra) per query, essential slots first: extra holds the fresh
+    # nodes of a fitting type within its radius (with slack)
+    slots = []
+    for q in sorted(queries, key=lambda q: not _essential(q.slot)):
+        fits = model.abstract.get(q.slot.type_name, frozenset())
+        reach = q.radius * (1.0 + _PREFILTER_SLACK)
+        slots.append((q, [n for n in fresh if n.model_type in fits
+                          and _distance(n.frame.origin, q.pred.origin) <= reach]))
 
     gated = []
     for entry in slots:
@@ -1033,20 +1061,20 @@ def _refits(ig, model, keys, projected) -> list:
     when fewer than two slots are matched or the fit is degenerate.
 
     A two-clue fit can leave rotational slack (tied axes carry no
-    direction); the matched set usually pins it down. The fits run as
-    `_fit_round`'s do: plain similarities of one point count in one stacked
-    call, and each projected camera alone."""
-    usable = [c for c, (_, rough) in enumerate(keys) if len(rough) >= 2]
-    sets = []
-    for c in usable:
-        group_type, rough = keys[c]
-        mnode = model.node(group_type)
-        sets.append((np.array([mnode.part(name).frame.origin for name, _ in rough]),
-                     np.array([[ig.nodes[members[0]].frame.origin for _, members in rough]])))
-    fits = [_fit_camera(*pts) for pts in sets] if projected else _fit_similarity_sets(sets)
+    direction); the matched set usually pins it down. The keys are fitted
+    a point count at a time (`_best_fits`), each as a set of one row."""
+    by_count: dict = {}
+    for c, (_, rough) in enumerate(keys):
+        if len(rough) >= 2:
+            by_count.setdefault(len(rough), []).append(c)
     out = [None] * len(keys)
-    for c, fit in zip(usable, fits):
-        out[c] = fit
+    for members in by_count.values():
+        model_pts = np.array([[model.node(keys[c][0]).part(name).frame.origin
+                               for name, _ in keys[c][1]] for c in members])
+        image_pts = np.array([[[ig.nodes[first].frame.origin for _, (first, *_) in keys[c][1]]]
+                              for c in members])
+        for c, fit in zip(members, _best_fits(model_pts, image_pts, projected)):
+            out[c] = fit
     return out
 
 
@@ -1064,9 +1092,9 @@ def _match_wave(index, model: ModelGraph, hypotheses, queries, cfg: Config) -> l
 
     A degenerate refit is dropped. That is exact: the transform would fall
     back to the hypothesis's, whose tight matching is the gated side of its
-    rough matching, and an equal score never wins. The matchings scan
-    `index.fresh()`, so called before the wave's first verify they read
-    the snapshot alone.
+    rough matching, and an equal score never wins. The refits' predictions
+    and all the matchings scan `index.fresh()`, so called before the wave's
+    first verify they read the snapshot alone.
     """
     projected = index.ig.projected
     firsts, refits = [], {}
@@ -1139,15 +1167,14 @@ def _has_group(ig, group_type, members: frozenset) -> bool:
     return False
 
 
-def verify(h: Hypothesis, queries, matching, model: ModelGraph, cfg: Config,
-           index: CandidateIndex):
+def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: CandidateIndex):
     """Top-down confirmation of one hypothesis in the graph of `index`, a
-    snapshot taken earlier in the same wave. `queries` are the slots of its
-    first, rough matching as the wave predicted them (`_predict_wave`), and
-    `matching` is what `_match_wave` chose from the snapshot. When a node
-    created earlier in the wave fits a slot of the group, the matching is
-    made again with the fresh nodes (`_match_wave` on this hypothesis
-    alone); otherwise no fresh node could change it.
+    snapshot taken earlier in the same wave. `matching` is what
+    `_match_wave` chose from the snapshot. When a node created earlier in
+    the wave fits a slot of the group, the hypothesis is predicted and
+    matched again with the fresh nodes (`_predict_wave` and `_match_wave`
+    on this hypothesis alone), which also counts them for the essential
+    slots; otherwise no fresh node could change the matching.
 
     Success creates the group node, its member bundles, and any passing
     specialization instances, and returns the list of created nodes.
@@ -1159,7 +1186,8 @@ def verify(h: Hypothesis, queries, matching, model: ModelGraph, cfg: Config,
     fits = frozenset().union(*(model.abstract.get(slot.type_name, frozenset())
                                for slot in mnode.parts))
     if any(n.model_type in fits for n in index.fresh()):
-        (matching,) = _match_wave(index, model, [h], [queries], cfg)
+        (matching,) = _match_wave(index, model, [h],
+                                  _predict_wave(index, model, [h], cfg, projected), cfg)
     if matching is None:
         return None
     matched, _, transform = matching
@@ -1241,11 +1269,11 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
             break
         index = CandidateIndex(ig)
         hypotheses = generate_hypotheses(model, frontier, cfg, index)
-        predicted = _predict_wave(index, model, hypotheses, cfg, ig.projected)
-        matchings = _match_wave(index, model, hypotheses, predicted, cfg)
+        matchings = _match_wave(index, model, hypotheses,
+                                _predict_wave(index, model, hypotheses, cfg, ig.projected), cfg)
         fresh = []
-        for h, queries, matching in zip(hypotheses, predicted, matchings):
-            fresh.extend(verify(h, queries, matching, model, cfg, index) or ())
+        for h, matching in zip(hypotheses, matchings):
+            fresh.extend(verify(h, matching, model, cfg, index) or ())
         if not fresh:
             break
         refresh_conditionals(ig, cfg)

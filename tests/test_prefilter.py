@@ -10,12 +10,15 @@ refitted one fit at a time (`scalar_refit`) and its relations scored
 afresh when it is verified. The oracle tests run recognition with both
 versions side by side at every wave and demand equal results; the property
 tests check that each column bound stays at or below the scalar strain it
-stands in for, and that the stacked fits match the scalar ones byte for byte.
+stands in for, that the stacked fits match the scalar ones byte for byte,
+and that a fit round's column-built correspondence sets and best-row picks
+are the per-head ones (`_correspondences`, `_first_lowest`).
 The stacked slot predictions, their stacked `Frame` check and the seeded
 segment frames are held to their scalar forms byte for byte too.
 """
 
 import copy
+import dataclasses
 import itertools
 import math
 
@@ -25,6 +28,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
+import dualgraph.belief as belief
 import dualgraph.recognize as rec
 from dualgraph.belief import (
     ROW_RESOLVED,
@@ -52,6 +56,7 @@ from dualgraph.geometry import (
     frame_from_segment,
     project,
     similarity_of,
+    unambiguous_axes,
 )
 from dualgraph.model import RelationSpec, fixture_path, load_model_file, midx_lookup
 from dualgraph.scene import Primitive, Scene
@@ -91,6 +96,64 @@ def scalar_fit_similarity(model_pts, image_pts):
     return xform, residual
 
 
+def _fit_points(mframe, iframe, want):
+    """Correspondence points contributed by one clue, the way the
+    recognizer built them one head at a time.
+
+    The origin always corresponds; axis tips correspond only at ranks where
+    both the model slot and the image instance have an unambiguous axis
+    (tied lengths make the canonical direction an artifact). Returns the
+    model points and the image tip vectors to be sign-searched.
+    """
+    m_idx = unambiguous_axes(mframe, want)
+    i_idx = unambiguous_axes(iframe, want)
+    k = min(len(m_idx), len(i_idx))
+    mpts = [mframe.origin]
+    tips = []
+    for j in range(k):
+        mpts.append(mframe.origin + mframe.axes[m_idx[j]])
+        tips.append(iframe.axes[i_idx[j]])
+    return mpts, tips
+
+
+def _correspondences(m1, m2, i1, i2, projected):
+    """One head's model points (k, dm) and candidate image point sets
+    (r, k, di), the r sets running over tip orders, then sign assignments:
+    the per-head form of `rec._correspondence_sets`."""
+    want = 2 if projected else 1
+    mpts1, tips1 = _fit_points(m1, i1, want)
+    mpts2, tips2 = _fit_points(m2, i2, want)
+    n1, n2, dim = len(tips1), len(tips2), i1.dim
+    orders1 = list(itertools.permutations(tips1)) if projected and n1 > 1 else [tips1]
+    orders2 = list(itertools.permutations(tips2)) if projected and n2 > 1 else [tips2]
+    n_orders, n_signs = len(orders1) * len(orders2), 2 ** (n1 + n2)
+    tips = np.array([list(t1) + list(t2) for t1 in orders1 for t2 in orders2]
+                    ).reshape(n_orders, 1, n1 + n2, dim)
+    signs = np.array(list(itertools.product((1.0, -1.0), repeat=n1 + n2))
+                     ).reshape(1, n_signs, n1 + n2, 1)
+    rows = n_orders * n_signs
+    signed = (signs * tips).reshape(rows, n1 + n2, dim)
+    image = np.empty((rows, n1 + n2 + 2, dim))
+    image[:, 0] = i1.origin
+    image[:, 1:n1 + 1] = i1.origin + signed[:, :n1]
+    image[:, n1 + 1] = i2.origin
+    image[:, n1 + 2:] = i2.origin + signed[:, n1:]
+    return np.array(mpts1 + mpts2), image
+
+
+def _first_lowest(residuals, usable):
+    """Index of the row the sequential search "keep the first usable row,
+    replace it only by a strictly lower residual" ends on, or None: the
+    per-set form of `rec._best_rows`."""
+    rows = np.flatnonzero(usable)
+    if not len(rows):
+        return None
+    res = residuals[rows]
+    if np.isnan(res[0]):
+        return int(rows[0])
+    return int(rows[np.argmin(np.where(np.isnan(res), np.inf, res))])
+
+
 def scalar_fit_transform(m1, m2, i1, i2, projected):
     """Best transform taking the two model slot frames onto the clue frames.
 
@@ -101,8 +164,8 @@ def scalar_fit_transform(m1, m2, i1, i2, projected):
     axis comes out longest, so rank no longer pins the correspondence.
     """
     want = 2 if projected else 1
-    mpts1, tips1 = rec._fit_points(m1, i1, want)
-    mpts2, tips2 = rec._fit_points(m2, i2, want)
+    mpts1, tips1 = _fit_points(m1, i1, want)
+    mpts2, tips2 = _fit_points(m2, i2, want)
     model_pts = np.array(mpts1 + mpts2)
     if projected and len(tips1) > 1:
         orders1 = list(itertools.permutations(tips1))
@@ -432,7 +495,7 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
         seen["refit_hits"] -= len(keys)
         return new_refits(ig, model, keys, projected)
 
-    def verify(h, queries, matching, model, cfg, index):
+    def verify(h, matching, model, cfg, index):
         # the batch- and memo-free body runs on a copy of the wave's index
         # and its graph, with the graph's strain memo emptied; the model is
         # shared
@@ -442,7 +505,7 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
         before = len(ig.nodes), len(ig.links)
         hits = seen["refit_hits"]
         want = scalar_verify(h, model, cfg, index_copy)
-        got = new_verify(h, queries, matching, model, cfg, index)
+        got = new_verify(h, matching, model, cfg, index)
         assert _verified(got, ig, *before) == _verified(want, ig_copy, *before)
         seen["verifies"] += 1
         # neither the oracle's matchings nor a re-match share a wave's refit
@@ -685,8 +748,8 @@ def test_the_refit_memo_hands_out_a_fresh_matched_map(monkeypatch):
         return kept
 
     monkeypatch.setattr(rec, "_drop_relation_offenders", dropping)
-    for h, q in zip(hypotheses, queries):
-        rec.verify(h, q, matchings[0], model, cfg, index)
+    for h in hypotheses:
+        rec.verify(h, matchings[0], model, cfg, index)
     assert len(given) == 2 and given[0] is not given[1]
     assert all(matched is not matchings[0][0] for matched in given)
     assert "nose" in matchings[0][0]
@@ -710,10 +773,10 @@ def test_a_node_that_fits_a_slot_retires_the_refit_memo_entry(monkeypatch):
     def members(created):
         return {l.slot for l in ig.links_to(created[0].key, "group-member")}
 
-    created = rec.verify(h, queries, matching, model, cfg, index)
+    created = rec.verify(h, matching, model, cfg, index)
     assert not again and "ear_1" not in members(created)
     ig.add_node("circle", frame=ear, status="verified")
-    created = rec.verify(h, queries, matching, model, cfg, index)
+    created = rec.verify(h, matching, model, cfg, index)
     assert len(again) == 1 and "ear_1" in members(created)
 
 
@@ -759,10 +822,37 @@ def test_verify_matches_again_when_a_fresh_node_fits_a_slot(monkeypatch, transfo
     before = len(ig.nodes), len(ig.links)
     want = scalar_verify(h, model, cfg, index_copy)
     again = _count_calls(monkeypatch, "_match_wave")
-    got = rec.verify(h, queries, matching, model, cfg, index)
+    got = rec.verify(h, matching, model, cfg, index)
     assert len(again) == 1
     assert _verified(got, ig, *before) == _verified(want, index_copy.ig, *before)
     assert ear.key in {l.source for l in ig.links_to(got[0].key, "group-member")}
+
+
+def test_verify_predicts_again_a_hypothesis_the_snapshot_count_rejects(monkeypatch):
+    """The essential eye_2 slot has no circle in the snapshot, so the wave
+    builds no queries for the face hypothesis and matches nothing. A circle
+    on eye_2 inserted after the snapshot makes verify predict the
+    hypothesis again, count the circle, bind it, and agree with
+    `scalar_verify`. No bench scene takes this path."""
+    model = load_model_file(fixture_path("face.json"))
+    mnode = model.node("face")
+    scene = Scene(dim=2, primitives=_face_parts(mnode, True, ("head", "eye_1")), id="no-eye")
+    index = rec.CandidateIndex(rec.seed_image_graph(scene, model))
+    cfg = make_config()
+    (h,), (queries,) = _face_hypotheses(index, model, cfg)
+    assert queries is None
+    (matching,) = rec._match_wave(index, model, [h], [queries], cfg)
+    assert matching is None
+    ig = index.ig
+    eye = ig.add_node("circle", frame=mnode.part("eye_2").frame, status="verified")
+    index_copy = copy.deepcopy(index, {id(model): model})
+    before = len(ig.nodes), len(ig.links)
+    want = scalar_verify(h, model, cfg, index_copy)
+    again = _count_calls(monkeypatch, "_predict_wave")
+    got = rec.verify(h, matching, model, cfg, index)
+    assert len(again) == 1
+    assert _verified(got, ig, *before) == _verified(want, index_copy.ig, *before)
+    assert eye.key in {l.source for l in ig.links_to(got[0].key, "group-member")}
 
 
 @pytest.mark.parametrize("fixture, target", [("face.json", "face"), ("truck_flat.json", "truck1")])
@@ -795,30 +885,61 @@ def test_a_transforms_tight_matching_is_the_gated_side_of_its_rough_one(monkeypa
     assert seen["hypotheses"] > 50 and seen["matched"] > 0
 
 
-def test_projected_row_resolved_strains_with_a_group_frame_are_not_cached():
+def test_projected_row_resolved_strains_are_kept_per_group_frame(monkeypatch):
     """In a projected scene a group frame picks the rows that size-ratio,
-    distance-ratio, angle and parallel read, so their strain with a group
-    frame is never served from, nor kept in, the scene's strain memo."""
+    distance-ratio, angle and parallel read, through the group type's
+    template and the relation's operands, so the scene's strain memo keys
+    such a strain by all three as well: the same group frame is served from
+    the memo, while another group frame, other operands or another group
+    type is scored again and matches a memo-free strain bit for bit."""
     model = load_model_file(fixture_path("truck.json"))
-    mnode = model.node("box")
+    mnode = model.node("rectangle")
+    template = mnode.frame_template
+    # the same parts under a turned template, which resolves other rows
+    turn = Rotation.from_rotvec([0.0, 0.0, 0.7]).as_matrix()
+    other_type = dataclasses.replace(mnode, type_name="turned_rectangle", pinv_cache={},
+                                     frame_template=Frame(template.origin, template.axes @ turn.T))
     cfg = make_config()
+    scored = []
+    contextual = belief.contextual_relation_strain
+
+    def counted(*args):
+        scored.append(args)
+        return contextual(*args)
+
+    monkeypatch.setattr(belief, "contextual_relation_strain", counted)
+
+    def strain(node, rel, frames, group_frame, memo):
+        s = belief._relation_strain(memo, node, rel, frames, cfg.s_fail, True, group_frame)
+        return np.float64(s).tobytes()
+
+    crossed = {"side1": "side3", "side2": "side4", "side3": "side1", "side4": "side2"}
     rng = np.random.default_rng(11)
-    differ = 0
-    for rel in [r for r in mnode.relations if r.function in ROW_RESOLVED]:
+    differ = {"group frame": 0, "operands": 0, "group type": 0}
+    for rel in [r for r in mnode.relations
+                if r.function in ROW_RESOLVED and belief.relation_usable(r, mnode, True)]:
+        # the same spec on a side that crosses the second operand
+        first, second = rel.operands
+        crossing = RelationSpec(rel.function, (first, crossed[second]), rel.target,
+                                rel.tolerance)
         for _ in range(20):
-            a, b = _planar_frame(rng), _planar_frame(rng)
-            group_frame = _planar_frame(rng)
-            frames = dict(zip(rel.operands, (a, b)))
-            ((_, screening),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True)
-            ((_, checked),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True,
-                                               group_frame)
-            differ += screening != checked
-            for first in (None, group_frame), (group_frame, None):
-                memo = {}
-                for g in first:
-                    ((_, got),) = relation_strains(mnode, [rel], frames, cfg.s_fail, True, g, memo)
-                    assert got == (screening if g is None else checked)
-    assert differ  # the group frame changes some of these strains
+            a, b, group_frame, other_frame = (_planar_frame(rng) for _ in range(4))
+            cases = {"screening": (mnode, rel, None), "base": (mnode, rel, group_frame),
+                     "group frame": (mnode, rel, other_frame),
+                     "operands": (mnode, crossing, group_frame),
+                     "group type": (other_type, rel, group_frame)}
+            memo, got = {}, {}
+            for name, (node, r, g) in cases.items():
+                want = strain(node, r, (a, b), g, None)
+                scored.clear()
+                got[name] = strain(node, r, (a, b), g, memo)
+                assert len(scored) == 1 and got[name] == want, name
+                scored.clear()
+                assert strain(node, r, (a, b), g, memo) == want and not scored, name
+            for name in differ:
+                differ[name] += got[name] != got["base"]
+            assert len(memo) == len(cases)
+    assert all(differ.values()), differ  # each part of the key changes some strains
 
 
 def _planar_frame(rng):
@@ -1081,6 +1202,95 @@ def test_a_rank_deficient_camera_is_skipped_even_at_the_lowest_residual():
     assert _bytes(got.linear, got.translation) == _bytes(linear, trans)
 
 
+@st.composite
+def fit_frames(draw, dim):
+    """A frame for the correspondence sets: random lengths, at times one
+    axis near another (a factor 0.85 to 1 of it, so tied within 10% or just
+    not) and one of zero length, under a random rotation."""
+    lengths = draw(st.lists(st.floats(1e-3, 10.0), min_size=dim, max_size=dim))
+    i, j, k = draw(st.permutations(range(3)))
+    if draw(st.booleans()) and max(i, j) < dim:
+        lengths[j] = lengths[i] * draw(st.floats(0.85, 1.0))
+    if draw(st.booleans()) and k < dim:
+        lengths[k] = 0.0
+    angles = draw(st.lists(st.floats(-math.pi, math.pi), min_size=3, max_size=3))
+    if dim == 2:
+        c, s = math.cos(angles[0]), math.sin(angles[0])
+        rot = np.array([[c, -s], [s, c]])
+    else:
+        rot = Rotation.from_rotvec(angles).as_matrix()
+    origin = draw(st.lists(finite, min_size=dim, max_size=dim))
+    return Frame(np.array(origin), np.diag(lengths) @ rot)
+
+
+@st.composite
+def fit_rounds(draw):
+    """(quads, projected): a fit round's (model slot frame 1, model slot
+    frame 2, clue frame 1, clue frame 2), drawn from small pools so that
+    frames repeat across quads as slot and clue frames do. Plain mode views
+    2D or 3D models in a scene of their dimension, projected mode 3D models
+    in a 2D scene."""
+    projected = draw(st.booleans())
+    model_dim = 3 if projected else draw(st.sampled_from([2, 3]))
+    slots = draw(st.lists(fit_frames(model_dim), min_size=1, max_size=4))
+    clues = draw(st.lists(fit_frames(2 if projected else model_dim), min_size=1, max_size=4))
+    pick = st.tuples(*(st.sampled_from(pool) for pool in (slots, slots, clues, clues)))
+    return draw(st.lists(pick, min_size=1, max_size=8)), projected
+
+
+@settings(max_examples=300, deadline=None)
+@given(fit_round=fit_rounds())
+def test_column_built_sets_are_the_per_head_ones(fit_round):
+    """Each quad's stacked model points and image point sets equal the
+    per-head `_correspondences` byte for byte, under the tip shape of its
+    `_fit_points`, and each plain set's picked fit is the per-head stacked
+    fit's `_first_lowest` row, bit for bit."""
+    quads, projected = fit_round
+    want_tips = 2 if projected else 1
+    placed = []
+    for (n1, n2), (members, model_pts, image_pts) in rec._correspondence_sets(
+            quads, projected).items():
+        assert model_pts.shape[0] == image_pts.shape[0] == len(members)
+        fits = rec._best_fits(model_pts, image_pts, projected)
+        for c, got_model, got_image, fit in zip(members, model_pts, image_pts, fits):
+            m1, m2, i1, i2 = quads[c]
+            assert (len(_fit_points(m1, i1, want_tips)[1]),
+                    len(_fit_points(m2, i2, want_tips)[1])) == (n1, n2)
+            want_model, want_image = _correspondences(m1, m2, i1, i2, projected)
+            assert got_model.shape == want_model.shape and got_image.shape == want_image.shape
+            assert _bytes(got_model, got_image) == _bytes(want_model, want_image)
+            if projected:
+                want = rec._fit_camera(want_model, want_image)
+            else:
+                one = fit_similarities(np.repeat(want_model[None], len(want_image), axis=0),
+                                       want_image)
+                best = _first_lowest(one.residuals, one.ok)
+                want = None if best is None else similarity_of(one, best)
+            assert (fit is None) == (want is None)
+            if fit is not None:
+                assert _transform_bytes(fit) == _transform_bytes(want)
+            placed.append(c)
+    assert sorted(placed) == list(range(len(quads)))
+
+
+residual = st.one_of(st.sampled_from([0.0, 1.0, 2.0, math.nan, math.inf]),
+                     st.floats(0.0, 10.0))
+
+
+@settings(max_examples=500, deadline=None)
+@given(rows=st.integers(1, 6).flatmap(lambda r: st.lists(
+    st.tuples(st.lists(residual, min_size=r, max_size=r),
+              st.lists(st.booleans(), min_size=r, max_size=r)), min_size=1, max_size=6)))
+def test_the_best_row_pick_is_the_sequential_one(rows):
+    """`_best_rows` picks, per set, the row `_first_lowest` picks, or -1 for
+    none, on residuals with ties, NaN and inf entries and unusable rows."""
+    residuals = np.array([r for r, _ in rows])
+    usable = np.array([u for _, u in rows])
+    got = rec._best_rows(residuals, usable).tolist()
+    want = [_first_lowest(r, u) for r, u in zip(residuals, usable)]
+    assert got == [-1 if w is None else w for w in want]
+
+
 # -- the stacked predictions and checks match the scalar ones byte for byte --------
 
 
@@ -1150,6 +1360,25 @@ def test_the_stacked_check_rejects_exactly_what_frame_rejects(dim):
     assert 0 < accepted < len(rows)
 
 
+def q_tight(slot, cfg):
+    """A slot's tight query radius in predicted primary lengths."""
+    return min(cfg.gate_radius, slot.elasticity[0] * math.sqrt(cfg.s_fail))
+
+
+def scalar_found(index, model, slot, pred, radius):
+    """Brute-force count of the candidates, snapshot and fresh, of a type
+    that fits `slot` within `radius` predicted primary lengths (with the
+    prefilter slack) of its prediction: 0 for a prediction with no extent,
+    which is never queried."""
+    scale = pred.primary_length
+    if scale == 0:
+        return 0
+    fits = model.abstract.get(slot.type_name, frozenset())
+    reach = scale * radius * (1.0 + rec._PREFILTER_SLACK)
+    return sum(node.model_type in fits and rec._distance(node.frame.origin, pred.origin) <= reach
+               for node in index.nodes + index.fresh())
+
+
 @pytest.mark.parametrize("fixture, target, camera, distractors", [
     ("face.json", "face", None, 128),
     ("truck_flat.json", "truck1", None, 128),
@@ -1161,7 +1390,9 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     `_predict_slots` predicts, in a wave's batch of hypotheses or of
     refits, is `apply_frame` or `project` of the slot frame bit for bit; a
     transform has no queries exactly when one of its scalar predictions
-    raises, and its queries are its slots with an extent, in part order,
+    raises or a brute-force count over the snapshot and fresh nodes
+    (`scalar_found`) finds an essential slot short, and otherwise its
+    queries are its slots with an extent, in part order,
     each with the rough or the tight radius as asked. The rough calls are
     one per wave and group type, on the transforms of the wave's
     hypotheses of that type in order. Outside verify's re-match, which
@@ -1169,7 +1400,7 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     wave and group type too."""
     scene, model = _scene(fixture, target, 0.03, seed=1, distractors=distractors, camera=camera)
     generate, predict, verify = rec.generate_hypotheses, rec._predict_slots, rec.verify
-    seen = {"batches": 0, "predictions": 0, "refits": 0, "verifying": False}
+    seen = {"batches": 0, "predictions": 0, "refits": 0, "short": 0, "verifying": False}
     waves, rough_calls, refit_calls = [], [], []
 
     def generating(model, frontier, cfg, index):
@@ -1202,6 +1433,13 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
             except DegenerateFrameError:
                 assert queries is None
                 continue
+            short = [slot for slot, pred in want if scalar_found(
+                index, model, slot, pred, cfg.gate_radius if rough else q_tight(slot, cfg)
+            ) < (slot.multiplicity[0] if slot.essential and slot.variant_tag is None else 0)]
+            seen["short"] += bool(short)
+            if short:
+                assert queries is None
+                continue
             want = [(slot, pred) for slot, pred in want if pred.primary_length > 0]
             assert [q.slot for q in queries] == [slot for slot, _ in want]
             for q, (_, pred) in zip(queries, want):
@@ -1216,6 +1454,7 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     monkeypatch.setattr(rec, "verify", verifying)
     rec.recognize(scene, model)
     assert seen["batches"] > 0 and seen["predictions"] > 100 and seen["refits"] > 0
+    assert seen["short"] > 0
     assert len(set(refit_calls)) == len(refit_calls)
     want = []
     for wave, hypotheses in enumerate(waves, start=1):

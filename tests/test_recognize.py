@@ -234,10 +234,10 @@ def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distract
         assert all(n.status == "verified" for n in index.nodes)
         return hypotheses
 
-    def verifying(h, queries, matching, model, cfg, index):
+    def verifying(h, matching, model, cfg, index):
         ig = index.ig
         assert ig.nodes[h.clue_a].status != "pruned" and ig.nodes[h.clue_b].status != "pruned"
-        created = verify(h, queries, matching, model, cfg, index)
+        created = verify(h, matching, model, cfg, index)
         assert pruned(ig) == wave["pruned"]
         assert all(n.spec_slot is None and n.status == "verified" for n in index.fresh())
         wave["verified"] = wave.get("verified", 0) + bool(created)
