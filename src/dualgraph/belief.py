@@ -245,13 +245,20 @@ def _relation_strain(memo, mnode, rel: RelationSpec, frames, s_fail: float, proj
     return hit[0]
 
 
-def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str) -> float:
+def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str,
+                     limit: float = math.inf) -> float:
     """How badly an observed frame sits in a predicted slot.
 
     Origin deviation is measured relative to the predicted primary length,
     size deviation on a log scale, angle between primary directions in
     radians; each against its own tolerance. Circles skip the angle term.
     Degenerate predictions cost infinite strain.
+
+    A caller that only asks whether the strain is at most `limit` gets
+    inf, without the angle term, once the origin and size terms exceed it.
+    Every term is >= 0 and adding a float >= 0 never lowers a float sum, so
+    the full strain would exceed `limit` too; a strain within `limit` is
+    summed in the same order as without one, bit for bit.
     """
     sigma_o, sigma_s, sigma_a = elasticity
     try:
@@ -263,6 +270,8 @@ def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str) -> float:
     d = math.sqrt(float(diff @ diff))
     s = (d / (sigma_o * scale)) ** 2
     s += (math.log(obs_scale / scale) / sigma_s) ** 2
+    if s > limit:
+        return math.inf
     if sym != "circle":
         s += (angle_between(pred, obs) / sigma_a) ** 2
     return float(s)
@@ -286,14 +295,20 @@ def _template_pinv(mnode, flat: bool) -> np.ndarray:
     return p
 
 
+# First element of a placement strain's memo key; a relation's key starts
+# with its function name (`RelationSpec.spec`), never this.
+_PLACEMENT = "placement"
+
+
 class _GroupSlots:
     """A group's realized slots, gathered so they can be placed under any
     frame of the group.
 
     `frame` is the group's own frame; `members` maps each realized slot to
     its member node (the first group-member link per slot) and `frames` to
-    that member's frame; `placed` holds per slot its template frame, the
-    member's frame, the slot elasticity and the member's symmetry class.
+    that member's frame; `placed` holds per slot its name, its template
+    frame, the member's frame, the slot elasticity and the member's
+    symmetry class; `memo` is the scene's strain memo (`ig.strains`).
     In projected mode the group instance lives in 2D while the template is
     3D; planar templates flatten to the view plane, which is exact for the
     planar substructures whose ratios survive affine projection. A template
@@ -310,6 +325,7 @@ class _GroupSlots:
                 self.members[gm.slot] = ig.nodes[gm.source]
         self.frames = {name: member.frame for name, member in self.members.items()}
         self.frame = group.frame
+        self.memo = ig.strains
         self.flat = ig.projected and group.frame.dim < mnode.frame_template.dim
         try:
             self.template = _flatten_frame(mnode.frame_template) if self.flat else mnode.frame_template
@@ -346,20 +362,37 @@ class _GroupSlots:
         return preds
 
     def placement_strains(self, group_frame: Frame) -> dict:
-        """Placement strain of every realized slot by name, for the given group frame."""
-        preds = self.predictions(group_frame, [src for _, src, *_ in self.placed])
-        return {
-            name: math.inf if pred is None else placement_strain(pred, obs, elasticity, sym)
-            for pred, (name, _, obs, elasticity, sym) in zip(preds, self.placed)
-        }
+        """Placement strain of every realized slot by name, for the given
+        group frame, in `placed` order (callers sum it in that order).
+
+        Each strain is kept in the scene's memo, keyed by `_PLACEMENT`, the
+        group's type and `flat` (which fix the slot's template frame and
+        elasticity), the id of `group_frame`, the slot name, the id of the
+        member's frame and the member's symmetry class; the value keeps both
+        frames, so their ids stay unique. Frames are never changed in place
+        (`Frame`), so an entry holds as long as the memo. Only the slots
+        that miss are predicted, and a call that misses none maps no frame.
+        """
+        head = (_PLACEMENT, self.mnode.type_name, self.flat, id(group_frame))
+        keys = [head + (name, id(obs), sym) for name, _, obs, _, sym in self.placed]
+        hits = [self.memo.get(key) for key in keys]
+        missing = [i for i, hit in enumerate(hits) if hit is None]
+        if missing:
+            preds = self.predictions(group_frame, [self.placed[i][1] for i in missing])
+            for i, pred in zip(missing, preds):
+                _, _, obs, elasticity, sym = self.placed[i]
+                s = math.inf if pred is None else placement_strain(pred, obs, elasticity, sym)
+                hits[i] = self.memo[keys[i]] = (s, group_frame, obs)
+        return {name: hit[0] for (name, *_), hit in zip(self.placed, hits)}
 
 
 def refresh_conditionals(ig, cfg: Config | None = None):
     """Re-derive every link conditional from the current frames.
 
-    Relation strains go through the scene's memo (`ig.strains`, see
-    `_relation_strain`), so a relation whose operand frames have not been
-    replaced since it was last scored is not scored again."""
+    Relation and placement strains go through the scene's memo
+    (`ig.strains`, see `_relation_strain` and
+    `_GroupSlots.placement_strains`), so a relation or a slot whose frames
+    have not been replaced since it was last scored is not scored again."""
     cfg = cfg or Config()
     model = ig.require_model()
     for group in sorted(ig.active_nodes(), key=lambda n: n.key):

@@ -320,6 +320,13 @@ def eval_relation(function: str, frames, slack: float = 0.1):
     `slack` is only consulted by the boolean relations: radians for parallel;
     for touch and inside it is relative to the larger (resp. outer) primary
     length, which keeps the tests scale-invariant.
+
+    `touch` asks whether `boundary_distance` is within the slack. Origins
+    within it, or further apart than both extents can reach plus it,
+    decide at once; so do two full-rank 2D extents that overlap by more
+    than a margin along all four of their axes (`_extents_overlap`), given
+    a slack above that margin, which bounds what `_extent_distance` gives
+    intersecting extents (`_TOUCH_MARGIN`). Every other pair is measured.
     """
     if function not in RELATION_FUNCTIONS:
         raise ValueError(f"unknown relation function: {function}")
@@ -352,6 +359,9 @@ def eval_relation(function: str, frames, slack: float = 0.1):
         reach = math.sqrt(float(la @ la)) + math.sqrt(float(lb @ lb))
         if gap0 - reach > limit:
             return False  # even the closest corners cannot span the gap
+        margin = _TOUCH_MARGIN * max(1.0, reach)
+        if limit > margin and _extents_overlap(a, b, diff, margin):
+            return True  # they intersect, and boundary_distance is below margin
         return boundary_distance(a, b) <= limit
     if function == "inside":
         return _contains(a, b, slack * _primary_or_raise(a, "inside"))
@@ -622,8 +632,89 @@ def _extent_distance(a: Frame, b: Frame) -> float:
     return float(np.linalg.norm(gap))
 
 
+# Where two extents intersect, `_extent_distance` gives them less than this
+# times max(1, reach), reach being the sum of their axis-length norms. Its
+# sweep minimizes f(u) = |gap|^2/2 + reg |u|^2/2 over the unit box, with
+# reg = 1e-12 tr (tr, the sum of the squared axis lengths, is at most
+# reach^2), and stops once no bound's multiplier pulls inward by more than
+# kkt_tol = 1e-10 max(1, tr). By convexity its f is then within
+# 2 n kkt_tol of the optimum (n = 4 coordinates, each ranging over 2), and
+# an intersection point has gap 0 and |u|^2 <= 4, so
+# |gap|^2 <= 4 reg + 16 kkt_tol, and |gap| <= 4.2e-5 max(1, reach). (The
+# error measured where extents just touch is smaller: about 3e-7 of their
+# lengths.) The same margin on the overlaps of `_extents_overlap` dwarfs
+# the rounding of its plain-float sums.
+_TOUCH_MARGIN = 1e-4
+
+
+def _extents_overlap(a: Frame, b: Frame, diff, margin: float) -> bool:
+    """Whether two 2D extents with no zero axis overlap by more than
+    `margin` along each of their four axes; `diff` is b's origin minus a's.
+
+    This is the separating-axis test for oriented boxes (Gottschalk, Lin &
+    Manocha, "OBBTree", 1996), in plain floats: two rectangles are disjoint
+    exactly when one of their edge normals, their axes, separates them. A
+    segment's extent has a normal the axes miss, so a frame with a zero
+    axis, or a 3D pair, gets False here and is measured instead.
+    """
+    if a.dim != 2 or 0.0 in a._length_tuple or 0.0 in b._length_tuple:
+        return False
+    (a0x, a0y), (a1x, a1y) = a.axes.tolist()
+    (b0x, b0y), (b1x, b1y) = b.axes.tolist()
+    dx, dy = diff.tolist()
+    for (ux, uy), length in zip(((a0x, a0y), (a1x, a1y), (b0x, b0y), (b1x, b1y)),
+                                a._length_tuple + b._length_tuple):
+        ra = abs(ux * a0x + uy * a0y) + abs(ux * a1x + uy * a1y)
+        rb = abs(ux * b0x + uy * b0y) + abs(ux * b1x + uy * b1y)
+        if not (ra + rb - abs(ux * dx + uy * dy)) / length > margin:
+            return False
+    return True
+
+
+# Relative band about each bound of `_contains` within which the plain-float
+# test defers to the numpy one. Both form the same differences and unit
+# axes; only their dot products may round differently, by a few ulps of the
+# summed magnitudes, far inside the band.
+_CONTAINS_BAND = 1e-9
+
+
 def _contains(outer: Frame, inner: Frame, slack: float) -> bool:
-    """Origin and axis extremes of `inner` all inside `outer`'s extent plus slack."""
+    """Origin and axis extremes of `inner` all inside `outer`'s extent plus slack.
+
+    For a full-rank `outer`, each point's coordinate along each of its unit
+    axes is compared with that axis's length plus slack in plain floats. A
+    point clearly outside gives False, and all clearly inside give True. A
+    comparison within `_CONTAINS_BAND` of its bound plus the magnitudes it
+    sums, or a rank-deficient `outer`, leaves the answer to
+    `_contains_exact`.
+    """
+    lengths = outer._length_tuple
+    if 0.0 in lengths:
+        return _contains_exact(outer, inner, slack)
+    units = [[c / length for c in axis] for axis, length in zip(outer.axes.tolist(), lengths)]
+    bounds = [length + slack for length in lengths]
+    ref = outer.origin.tolist()
+    origin = inner.origin.tolist()
+    pts = [origin]
+    for axis in inner.axes.tolist():
+        pts.append([o + c for o, c in zip(origin, axis)])
+        pts.append([o - c for o, c in zip(origin, axis)])
+    unsure = False
+    for p in pts:
+        v = [c - r for c, r in zip(p, ref)]
+        for u, bound in zip(units, bounds):
+            terms = [x * y for x, y in zip(u, v)]
+            rel = abs(sum(terms))
+            band = _CONTAINS_BAND * (bound + sum(map(abs, terms)))
+            if rel > bound + band:
+                return False
+            if rel >= bound - band:
+                unsure = True
+    return _contains_exact(outer, inner, slack) if unsure else True
+
+
+def _contains_exact(outer: Frame, inner: Frame, slack: float) -> bool:
+    """`_contains` in numpy, for any rank of `outer`: the exact answer."""
     pts = [inner.origin]
     for axis in inner.axes:
         pts.append(inner.origin + axis)

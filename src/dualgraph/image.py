@@ -16,11 +16,14 @@ Serialized form (sorted, reproducible):
 
 {
   "scene": "<scene id>",
-  "nodes": [{"type", "instance", "frame", "p", "status", "weight",
-             "strength"?, "prim"?, "spec_slot"?}],
+  "nodes": [{"type", "instance", "frame": {"origin", "axes"}, "p", "status",
+             "weight", "strength"?, "prim"?, "spec_slot"?}],
   "links": [{"kind", "from": [type, instance], "to": [type, instance],
              "conditional", "slot"?, "carries_up"?, "residuals"?}]
 }
+
+Loading accepts these keys and no others, and takes a number (p, weight,
+strength, conditional, a frame coordinate) only as a JSON number.
 """
 
 from __future__ import annotations
@@ -34,6 +37,13 @@ from .geometry import Frame
 
 NODE_STATUSES = ("hypothesized", "verified", "pruned")
 LINK_KINDS = ("part-of", "group-member", "specializes")
+
+# The keys of the serialized form, each object's in the order `to_json` writes them
+GRAPH_KEYS = ("scene", "nodes", "links")
+NODE_KEYS = ("type", "instance", "frame", "p", "status", "weight", "strength", "prim",
+             "spec_slot")
+LINK_KEYS = ("kind", "from", "to", "conditional", "slot", "carries_up", "residuals")
+FRAME_KEYS = ("origin", "axes")
 
 
 @dataclass
@@ -84,14 +94,44 @@ def _check_node_values(node: ImageNode):
         raise SceneFormatError(f"node spec_slot must be a name, got {node.spec_slot!r}")
 
 
+def _check_keys(obj, keys, what: str):
+    """`obj` is a JSON object whose keys are all among `keys`."""
+    if not isinstance(obj, dict):
+        raise SceneFormatError(f"{what} must be an object, got {obj!r}")
+    for key in obj:
+        if key not in keys:
+            raise SceneFormatError(f"unknown {what} key {key!r}")
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(obj: dict, key: str, default: float, what: str) -> float:
+    """`obj[key]` (or `default`) as a float, when it is a JSON number."""
+    value = obj.get(key, default)
+    if not _is_number(value):
+        raise SceneFormatError(f"{what} {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _checked_frame(obj) -> Frame:
+    """A node's frame: an origin vector and a list of axis vectors of numbers."""
+    _check_keys(obj, FRAME_KEYS, "frame")
+    axes = obj["axes"]
+    for row in [obj["origin"]] + (axes if isinstance(axes, list) else [axes]):
+        if not isinstance(row, list) or not all(map(_is_number, row)):
+            raise SceneFormatError(f"frame rows must be lists of numbers, got {row!r}")
+    return Frame.from_json(obj)
+
+
 def _checked_residuals(residuals) -> dict:
     """A link's residuals as a new dict: names mapped to numbers >= 0 (inf
     allowed, as a degenerate frame's strain is)."""
     if not isinstance(residuals, dict):
         raise SceneFormatError(f"link residuals must be an object, got {residuals!r}")
     for name, value in residuals.items():
-        if (not isinstance(name, str) or not isinstance(value, (int, float))
-                or isinstance(value, bool) or not value >= 0.0):
+        if not isinstance(name, str) or not _is_number(value) or not value >= 0.0:
             raise SceneFormatError(f"link residual {name!r} must be a number >= 0, got {value!r}")
     return dict(residuals)
 
@@ -116,7 +156,10 @@ class ImageGraph:
 
     `projected` (a 3D model seen in a 2D scene through an affine camera) is
     derived from the model and the node frames, and never serialized; nor
-    is `strains`, the scene's relation-strain memo (`belief._relation_strain`).
+    is `strains`, the scene's strain memo: relation strains
+    (`belief._relation_strain`) and group placement strains
+    (`belief._GroupSlots.placement_strains`), each keyed by the ids of the
+    frames it read, which it keeps.
     """
 
     def __init__(self, scene_id: str = "", model=None, projected: bool = False):
@@ -220,24 +263,24 @@ class ImageGraph:
 
     @staticmethod
     def from_json(obj: dict, model=None) -> "ImageGraph":
-        if not isinstance(obj, dict):
-            raise SceneFormatError("image graph must be a JSON object")
+        _check_keys(obj, GRAPH_KEYS, "image graph")
         ig = ImageGraph(obj.get("scene", ""), model=model)
         if not isinstance(ig.scene_id, str):
             raise SceneFormatError(f"scene must be a name, got {ig.scene_id!r}")
         try:
             for raw in obj.get("nodes", []):
+                _check_keys(raw, NODE_KEYS, "node")
                 instance = raw["instance"]
                 if type(instance) is not int or instance < 1:
                     raise SceneFormatError(f"node instance must be an int >= 1, got {instance!r}")
                 node = ImageNode(
                     model_type=raw["type"],
                     instance=instance,
-                    frame=Frame.from_json(raw["frame"]),
-                    probability=float(raw.get("p", 0.0)),
+                    frame=_checked_frame(raw["frame"]),
+                    probability=_number(raw, "p", 0.0, "node"),
                     status=raw.get("status", "hypothesized"),
-                    template_weight=float(raw.get("weight", 1.0)),
-                    strength=float(raw.get("strength", 0.0)),
+                    template_weight=_number(raw, "weight", 1.0, "node"),
+                    strength=_number(raw, "strength", 0.0, "node"),
                     prim_index=raw.get("prim"),
                     spec_slot=raw.get("spec_slot"),
                 )
@@ -253,6 +296,7 @@ class ImageGraph:
                     ig._counters.get(node.model_type, 0), node.instance
                 )
             for raw in obj.get("links", []):
+                _check_keys(raw, LINK_KEYS, "link")
                 ends = tuple(raw["from"]), tuple(raw["to"])
                 for key in ends:
                     if key not in ig.nodes:
@@ -261,7 +305,7 @@ class ImageGraph:
                         raise SceneFormatError(f"link end instance must be an int, got {key!r}")
                     if ig.nodes[key].status == "pruned":
                         raise SceneFormatError(f"link references pruned node {key}")
-                conditional = float(raw.get("conditional", 1.0))
+                conditional = _number(raw, "conditional", 1.0, "link")
                 if not 0.0 <= conditional <= 1.0:
                     raise SceneFormatError(f"link conditional must lie in [0, 1], got {conditional!r}")
                 link = ig.add_link(

@@ -873,7 +873,8 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
     query radius. A gated candidate must also lie within sigma_o *
     sqrt(s_fail) predicted primary lengths, since `_origin_bound` shows no
     farther one can pass, and is scored by placement_strain only when its
-    origin bound is within s_fail; then it faces the exact gate. A rough
+    origin bound is within s_fail; then it faces the exact gate, whose
+    placement_strain stops at s_fail (its `limit`). A rough
     candidate waits in a `_Nearest` stream behind a lower bound of its rank
     and gets its exact distance only when it could bind next (see
     `_bind`); its placement strain, read only by the variant-tag
@@ -919,7 +920,7 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
         out = []
         for node in close:
             sym = model.node(node.model_type).symmetry_class
-            s = placement_strain(pred, node.frame, slot.elasticity, sym)
+            s = placement_strain(pred, node.frame, slot.elasticity, sym, cfg.s_fail)
             if s <= cfg.s_fail:
                 out.append((s, slot.name, node.key, s, None))
         return None if len(out) < need else out

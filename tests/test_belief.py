@@ -8,6 +8,7 @@ a template weight of 6, settling at exactly 0.75 because the data springs pin
 every primitive at 0.9.
 """
 
+import copy
 import math
 import os
 import subprocess
@@ -42,7 +43,7 @@ from dualgraph.belief import (
 from dualgraph.config import Config
 from dualgraph.errors import DegenerateFrameError
 from dualgraph.generate import _climb_to_substance, _slot_map
-from dualgraph.geometry import AffineMap, Frame, frame_onto
+from dualgraph.geometry import RELATION_FUNCTIONS, AffineMap, Frame, frame_onto
 from dualgraph.image import ImageGraph
 from dualgraph.model import RelationSpec, builtin_library, load_model, load_model_file
 from dualgraph.recognize import recognize
@@ -754,3 +755,97 @@ def test_relax_raises_no_local_strain(recognized_graphs, cfg, monkeypatch):
             else:
                 assert node.frame is start
     assert moved > steps / 2
+
+
+# -- the placement gate and the placement-strain memo ------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), dim=st.sampled_from((2, 3)),
+       sym=st.sampled_from(("none", "undirected-segment", "rectangle", "box", "circle")),
+       spread=st.sampled_from((0.01, 0.3, 1.0, 3.0)),
+       edge=st.sampled_from(("above", "at", "below", "random")))
+def test_a_limited_placement_strain_is_the_full_one_or_above_the_limit(seed, dim, sym, spread,
+                                                                        edge):
+    rng = np.random.default_rng(seed)
+    lengths = rng.uniform(0.1, 2.0, dim)
+    if sym == "undirected-segment":
+        lengths[1:] = 0.0
+    pred = Frame(rng.normal(0.0, 1.0, dim), lengths[:, None] * random_rotation(rng, dim))
+    obs = Frame(pred.origin + rng.normal(0.0, spread, dim),
+                np.exp(rng.normal(0.0, spread)) * pred.axes @ random_rotation(rng, dim).T)
+    elasticity = tuple(rng.uniform(0.05, 0.5, 3))
+    full = placement_strain(pred, obs, elasticity, sym)
+    if edge == "random" or not math.isfinite(full):  # a degenerate pair costs inf
+        limit = rng.uniform(0.0, 2.0 * min(full, 50.0))
+    else:
+        limit = {"above": math.nextafter(full, math.inf), "at": full,
+                 "below": math.nextafter(full, 0.0)}[edge]
+    got = placement_strain(pred, obs, elasticity, sym, limit)
+    if full <= limit:
+        assert got.hex() == full.hex()
+    else:
+        assert got > limit
+
+
+def _nudged_copy(graph, rng):
+    """A copy of a recognized graph with every group nudged off its fit."""
+    ig = ImageGraph.from_bytes(graph.to_bytes(), graph.model)
+    for node in ig.sorted_nodes():
+        if not node.is_primitive:
+            shift = rng.normal(0.0, 0.05 * node.frame.primary_length, node.frame.dim)
+            node.frame = Frame(node.frame.origin + shift, node.frame.axes)
+    return ig
+
+
+def test_refresh_after_relax_equals_a_memo_free_refresh(recognized_graphs, cfg, monkeypatch):
+    """Refresh, relax and refresh again through the scene's memo write the
+    same conditionals, residuals and frames, bit for bit, as a copy whose
+    memo is emptied before each call, and score fewer placement strains."""
+    calls = []
+    strain = dualgraph.belief.placement_strain
+
+    def counted(*args):
+        calls.append(args)
+        return strain(*args)
+
+    monkeypatch.setattr(dualgraph.belief, "placement_strain", counted)
+    rng = np.random.default_rng(31)
+    moved = 0
+    for graph in recognized_graphs:
+        ig = _nudged_copy(graph, rng)
+        bare = copy.deepcopy(ig)
+        start = {key: node.frame for key, node in ig.nodes.items()}
+        counts = []
+        for g, forget in ((ig, False), (bare, True)):
+            del calls[:]
+            for step in (refresh_conditionals, lambda g, cfg: relax_frames(g, g.active_nodes(), cfg),
+                         refresh_conditionals):
+                if forget:
+                    g.strains.clear()
+                step(g, cfg)
+            counts.append(len(calls))
+        moved += sum(node.frame is not start[key] for key, node in ig.nodes.items())
+        assert _link_values(ig) == _link_values(bare)
+        assert ig.to_bytes() == bare.to_bytes()
+        assert counts[0] < counts[1]
+    assert moved > 10
+
+
+def test_placement_keys_never_meet_relation_keys(recognized_graphs, cfg):
+    seen = set()
+    for graph in recognized_graphs:
+        ig = ImageGraph.from_bytes(graph.to_bytes(), graph.model)
+        refresh_conditionals(ig, cfg)
+        relax_frames(ig, ig.active_nodes(), cfg)
+        for key, value in ig.strains.items():
+            if key[0] == dualgraph.belief._PLACEMENT:
+                _, type_name, flat, group_id, slot, member_id, sym = key
+                strain, group_frame, member_frame = value
+                assert (id(group_frame), id(member_frame)) == (group_id, member_id)
+                assert slot in ig.model.node(type_name).slot_names() and type(flat) is bool
+            else:
+                assert key[0] in RELATION_FUNCTIONS
+            seen.add(key[0] == dualgraph.belief._PLACEMENT)
+    assert dualgraph.belief._PLACEMENT not in RELATION_FUNCTIONS
+    assert seen == {True, False}

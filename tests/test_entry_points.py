@@ -169,6 +169,30 @@ CASES = [
     ("graph-prim-negative", ImageGraph.from_json, _graph(prim=-1), SceneFormatError),
     ("graph-prim-float", ImageGraph.from_json, _graph(prim=1.0), SceneFormatError),
     ("graph-spec-slot", ImageGraph.from_json, _graph(spec_slot=3), SceneFormatError),
+    # numbers only as JSON numbers: these loaded, and to_bytes wrote them as floats
+    ("graph-p-string", ImageGraph.from_json, _graph(p="0.5"), SceneFormatError),
+    ("graph-p-bool", ImageGraph.from_json, _graph(p=True), SceneFormatError),
+    ("graph-weight-string", ImageGraph.from_json, _graph(weight="2"), SceneFormatError),
+    ("graph-strength-bool", ImageGraph.from_json, _graph(strength=True), SceneFormatError),
+    ("graph-origin-strings", ImageGraph.from_json, _graph(frame=dict(FRAME, origin=["1", "2"])),
+     SceneFormatError),
+    ("graph-axis-bool", ImageGraph.from_json, _graph(frame=dict(FRAME, axes=[[True, 0], [0, 1]])),
+     SceneFormatError),
+    ("graph-axes-flat", ImageGraph.from_json, _graph(frame=dict(FRAME, axes=[1, 0])),
+     SceneFormatError),
+    ("graph-link-conditional-string", ImageGraph.from_json, _linked(conditional="0.2"),
+     SceneFormatError),
+    ("graph-link-conditional-bool", ImageGraph.from_json, _linked(conditional=True),
+     SceneFormatError),
+    # unknown keys: these loaded, and the misspelled link kept conditional 1.0
+    ("graph-key-unknown", ImageGraph.from_json, dict(_graph(), name="s"), SceneFormatError),
+    ("graph-node-key-unknown", ImageGraph.from_json, _graph(probability=0.5), SceneFormatError),
+    ("graph-frame-key-unknown", ImageGraph.from_json, _graph(frame=dict(FRAME, scale=2)),
+     SceneFormatError),
+    ("graph-link-key-misspelled", ImageGraph.from_json, _linked(conditonal=0.2),
+     SceneFormatError),
+    ("graph-frame-list", ImageGraph.from_json, _graph(frame=[[0, 0], [[1, 0], [0, 1]]]),
+     SceneFormatError),
     ("graph-link-conditional-nan", ImageGraph.from_json, _linked(conditional=NAN),
      SceneFormatError),
     ("graph-link-conditional-above-one", ImageGraph.from_json, _linked(conditional=1.5),
@@ -250,6 +274,11 @@ def test_the_graph_case_base_is_valid():
         (("linseg", 2), ("linseg", 1), 0.5)]
     blob = ImageGraph.from_json(_linked(residuals={"a": 0, "b": float("inf")})).to_bytes()
     assert ImageGraph.from_bytes(blob).links[0].residuals == {"a": 0, "b": float("inf")}
+    # every key to_json writes loads, and the document comes back byte for byte
+    full = ImageGraph.from_json(_linked(slot="x", carries_up=False, residuals={"a": 0.5}))
+    full.nodes[("linseg", 1)].spec_slot = "side1"
+    blob = full.to_bytes()
+    assert ImageGraph.from_bytes(blob).to_bytes() == blob
     _settled(_face_graph(lambda doc, link, member: None))
     ImageGraph.from_json(TRUCK_GRAPH_DOC, TRUCK_MODEL)
 

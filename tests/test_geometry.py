@@ -11,10 +11,14 @@ from dualgraph.errors import (
     ArityError,
     DegenerateFrameError,
 )
+from dualgraph import geometry
 from dualgraph.geometry import (
     AffineCamera,
     Frame,
+    _contains,
+    _contains_exact,
     _extent_distance,
+    _extents_overlap,
     angle_between,
     boundary_distance,
     canonicalize_frame,
@@ -397,6 +401,173 @@ def test_segment_distance_matches_active_set(pair):
         # length) leaves it a few 1e-7 of the lengths off; there the
         # closed form must be at least as close to the exact distance.
         assert abs(closed - exact) <= abs(solver - exact) + tol
+
+
+# -- touch and inside: plain-float decisions against the exact paths ---------
+
+_SCALES = (1.0, 1e80, 1e-90)
+
+
+def _old_touch(a: Frame, b: Frame, slack: float) -> bool:
+    """eval_relation's touch branch before it decided clear overlaps itself."""
+    limit = slack * max(a.primary_length, b.primary_length)
+    diff = b.origin - a.origin
+    gap0 = math.sqrt(float(diff @ diff))
+    if gap0 <= limit:
+        return True
+    reach = math.sqrt(float(a.lengths @ a.lengths)) + math.sqrt(float(b.lengths @ b.lengths))
+    if gap0 - reach > limit:
+        return False
+    return boundary_distance(a, b) <= limit
+
+
+def _old_contains(outer: Frame, inner: Frame, slack: float) -> bool:
+    """_contains as it was: the numpy body, for every outer frame."""
+    pts = [inner.origin]
+    for axis in inner.axes:
+        pts.append(inner.origin + axis)
+        pts.append(inner.origin - axis)
+    basis = outer.unit_dirs()
+    lengths = np.array(sorted(outer.lengths, reverse=True))
+    for p in pts:
+        rel = basis @ (np.asarray(p) - outer.origin)
+        if np.any(np.abs(rel) > lengths + slack):
+            return False
+    return True
+
+
+def _turned(lengths, angle):
+    c, s = math.cos(angle), math.sin(angle)
+    return np.array([[lengths[0] * c, lengths[0] * s], [-lengths[1] * s, lengths[1] * c]])
+
+
+_length = st.floats(0.05, 2.0)
+_angle = st.floats(0.0, 2.0 * math.pi)
+
+
+@st.composite
+def _frame_parts(draw):
+    """(origin, axes) of a 2D frame at unit scale: full rank, or a segment."""
+    second = draw(st.sampled_from((0.0, None)))
+    lengths = (draw(_length), draw(_length) if second is None else 0.0)
+    if draw(st.booleans()):  # axis-aligned frames meet edge to edge
+        angle = draw(st.sampled_from((0.0, math.pi / 2)))
+    else:
+        angle = draw(_angle)
+    return np.array([draw(_coord), draw(_coord)]), _turned(lengths, angle)
+
+
+def _support(axes, u) -> float:
+    """Half-width of an extent along the unit direction u."""
+    return float(np.abs(axes @ u).sum())
+
+
+@st.composite
+def touch_pairs(draw):
+    """(a, b, slack): two 2D frames placed apart at random, edge to edge
+    along an axis of the first (tangent, or overlapping or apart by at most
+    1e-9 of the scale), or overlapping, at a scale of 1, 1e80 or 1e-90."""
+    (oa, axa), (ob, axb) = draw(_frame_parts()), draw(_frame_parts())
+    kind = draw(st.sampled_from(("random", "edge", "overlap")))
+    if kind != "random":
+        k = draw(st.sampled_from([i for i in range(2) if axa[i] @ axa[i] > 0]))
+        u = axa[k] / math.sqrt(float(axa[k] @ axa[k]))
+        v = np.array([-u[1], u[0]])
+        reach = _support(axa, u) + _support(axb, u)
+        if kind == "edge":
+            along = reach * (1.0 + draw(st.sampled_from((0.0, 1e-9, -1e-9, 1e-12, -1e-12))))
+        else:
+            along = reach * draw(_unit)
+        ob = oa + draw(st.sampled_from((1.0, -1.0))) * along * u + draw(_coord) * 0.3 * v
+    scale = draw(st.sampled_from(_SCALES))
+    slack = draw(st.sampled_from((1e-6, 1e-4, 0.01, 0.1, 0.3)))
+    return Frame(oa * scale, axa * scale), Frame(ob * scale, axb * scale), slack
+
+
+@given(touch_pairs())
+@settings(max_examples=600, deadline=None)
+def test_touch_equals_the_measured_branch(pair):
+    a, b, slack = pair
+    assert eval_relation("touch", [a, b], slack) == _old_touch(a, b, slack)
+    assert eval_relation("touch", [b, a], slack) == _old_touch(b, a, slack)
+
+
+@st.composite
+def inside_pairs(draw):
+    """(outer, inner, slack): 2D frames of either rank, the inner one placed
+    at random or with an axis end on the outer bound (within 1e-12 or 1e-6
+    of it, or on it), at a scale of 1, 1e80 or 1e-90."""
+    (oo, axo), (oi, axi) = draw(_frame_parts()), draw(_frame_parts())
+    slack = draw(st.sampled_from((0.0, 1e-3, 0.1)))
+    if draw(st.booleans()):
+        k = draw(st.sampled_from([i for i in range(2) if axo[i] @ axo[i] > 0]))
+        length = math.sqrt(float(axo[k] @ axo[k]))
+        u = axo[k] / length
+        v = np.array([-u[1], u[0]])
+        bound = (length + slack) * (1.0 + draw(st.sampled_from((0.0, 1e-12, -1e-12, 1e-6,
+                                                               -1e-6))))
+        end = oo + bound * u + draw(_unit) * 0.5 * v
+        oi = end - draw(st.sampled_from((1.0, -1.0))) * axi[draw(st.integers(0, 1))]
+    scale = draw(st.sampled_from(_SCALES))
+    return Frame(oo * scale, axo * scale), Frame(oi * scale, axi * scale), slack * scale
+
+
+@given(inside_pairs())
+@settings(max_examples=600, deadline=None)
+def test_contains_equals_its_numpy_body(pair):
+    outer, inner, slack = pair
+    assert _contains(outer, inner, slack) == _old_contains(outer, inner, slack)
+    assert _contains_exact(outer, inner, slack) == _old_contains(outer, inner, slack)
+
+
+def test_touch_decides_clear_overlaps_without_measuring(monkeypatch):
+    def unmeasured(a, b):
+        raise AssertionError("boundary_distance called")
+
+    a = frame_from_circle([0.0, 0.0], 1.0)
+    b = Frame([1.5, 0.2], _turned((0.6, 0.3), 0.4))
+    assert _old_touch(a, b, 0.01) is True
+    monkeypatch.setattr(geometry, "boundary_distance", unmeasured)
+    assert eval_relation("touch", [a, b], 0.01) is True
+    # a slack under the margin, or a segment, is measured
+    with pytest.raises(AssertionError):
+        eval_relation("touch", [a, b], 1e-6)
+    with pytest.raises(AssertionError):
+        eval_relation("touch", [a, frame_from_segment([0.5, -2.0], [1.5, 2.0])], 0.01)
+
+
+def test_separating_axes_alone_do_not_decide_segments():
+    # Each segment's extent covers the other's along both segment axes, yet
+    # they lie about 0.8 apart: a segment's edge normal is not among its axes.
+    a = frame_from_segment([-1.0, 0.0], [1.0, 0.0])
+    h = 1.0 / math.sqrt(2.0)
+    b = frame_from_segment([-h, 1.5 - h], [h, 1.5 + h])
+    assert boundary_distance(a, b) == pytest.approx(1.5 - h)
+    diff = b.origin - a.origin
+    assert not _extents_overlap(a, b, diff, 0.0)
+    assert eval_relation("touch", [a, b], 0.1) is False
+    for u in (a.axes[0], b.axes[0]):  # both axes show overlap
+        u = u / np.linalg.norm(u)
+        assert _support(a.axes, u) + _support(b.axes, u) > abs(float(diff @ u))
+
+
+def test_contains_defers_rank_deficient_and_borderline_cases(monkeypatch):
+    calls = []
+
+    def exact(outer, inner, slack):
+        calls.append(outer)
+        return _old_contains(outer, inner, slack)
+
+    monkeypatch.setattr(geometry, "_contains_exact", exact)
+    outer = Frame([0.0, 0.0], np.diag([2.0, 1.0]))
+    assert _contains(outer, Frame([0.5, 0.0], np.diag([0.5, 0.5])), 0.0) is True
+    assert _contains(outer, Frame([2.0, 0.0], np.diag([0.5, 0.5])), 0.0) is False
+    assert not calls
+    assert _contains(outer, Frame([1.5, 0.0], np.diag([0.5, 0.5])), 0.0) is True
+    assert len(calls) == 1  # an axis end on the bound
+    segment = frame_from_segment([-2.0, 0.0], [2.0, 0.0])
+    assert _contains(segment, frame_from_segment([-1.0, 0.0], [1.0, 0.0]), 0.1) is True
+    assert calls[-1] is segment
 
 
 # -- transforms ---------------------------------------------------------------
