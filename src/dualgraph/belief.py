@@ -75,10 +75,6 @@ def relation_strain(rel: RelationSpec, frames, s_fail: float) -> float:
     if rel.function in SCALAR_RELATIONS:
         observed = eval_relation(rel.function, frames)
         return float(((observed - rel.target) / rel.tolerance) ** 2)
-    if rel.function == "pose":
-        observed = eval_relation("pose", frames)
-        diff = np.asarray(observed, float) - np.asarray(rel.target, float)
-        return float(diff @ diff) / float(rel.tolerance) ** 2
     ok = eval_relation(rel.function, frames, slack=rel.tolerance)
     return 0.0 if ok else float(s_fail)
 

@@ -23,7 +23,6 @@ RELATION_FUNCTIONS = (
     "size-ratio",
     "distance-ratio",
     "angle",
-    "pose",
     "parallel",
     "touch",
     "inside",
@@ -35,6 +34,14 @@ RELATION_FUNCTIONS = (
 AFFINE_SAFE = {"parallel", "touch", "inside"}
 
 _ORTHO_TOL = 1e-9
+
+
+# The types of a JSON number as `json` loads it; a bool is not one
+_JSON_NUMBERS = frozenset((int, float))
+
+
+def _is_number(value) -> bool:
+    return type(value) in _JSON_NUMBERS
 
 
 @dataclass
@@ -138,8 +145,17 @@ class Frame:
         return {"origin": self.origin.tolist(), "axes": self.axes.tolist()}
 
     @staticmethod
-    def from_json(obj: dict) -> "Frame":
-        return Frame(np.asarray(obj["origin"], float), np.asarray(obj["axes"], float))
+    def from_json(obj) -> "Frame":
+        """The frame of a JSON object with exactly the keys "origin", a list
+        of numbers, and "axes", a list of such lists. TypeError for any
+        other document, ValueError for ragged rows, and `Frame`'s checks."""
+        if not isinstance(obj, dict) or obj.keys() != {"origin", "axes"}:
+            raise TypeError(f"a frame is an object of origin and axes, got {obj!r}")
+        axes = obj["axes"]
+        for row in [obj["origin"], *axes] if isinstance(axes, list) else [axes]:
+            if not isinstance(row, list) or not set(map(type, row)) <= _JSON_NUMBERS:
+                raise TypeError(f"frame rows must be lists of numbers, got {row!r}")
+        return Frame(np.asarray(obj["origin"], float), np.asarray(axes, float))
 
 
 def check_frames(origins: np.ndarray, axes: np.ndarray):
@@ -316,7 +332,7 @@ def _primary_or_raise(f: Frame, what: str) -> float:
 def eval_relation(function: str, frames, slack: float = 0.1):
     """Evaluate one relation function on a pair of frames.
 
-    Scalar relations return floats, `pose` a vector, boolean relations a bool.
+    Scalar relations return floats, boolean relations a bool.
     `slack` is only consulted by the boolean relations: radians for parallel;
     for touch and inside it is relative to the larger (resp. outer) primary
     length, which keeps the tests scale-invariant.
@@ -345,8 +361,6 @@ def eval_relation(function: str, frames, slack: float = 0.1):
         return angle_between(a, b)
     if function == "parallel":
         return angle_between(a, b) <= slack
-    if function == "pose":
-        return pose_vector(a, b)
     if function == "touch":
         scale = max(_primary_or_raise(a, "touch"), _primary_or_raise(b, "touch"))
         limit = slack * scale
@@ -461,19 +475,6 @@ def angle_between(a: Frame, b: Frame) -> float:
             if best is None or ang < best:
                 best = ang
     return best
-
-
-def pose_vector(a: Frame, b: Frame) -> np.ndarray:
-    """Relative origin of b in a's coordinates, per-axis length units.
-
-    Zero-length axes of `a` are measured in units of its primary length.
-    """
-    basis = a.unit_dirs()
-    lengths = np.array(sorted(a.lengths, reverse=True))
-    primary = _primary_or_raise(a, "pose")
-    units = np.where(lengths > 0, lengths, primary)
-    rel = basis @ (b.origin - a.origin)
-    return rel / units
 
 
 def boundary_distance(a: Frame, b: Frame) -> float:

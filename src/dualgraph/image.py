@@ -33,7 +33,7 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import SceneFormatError
-from .geometry import Frame
+from .geometry import Frame, _is_number
 
 NODE_STATUSES = ("hypothesized", "verified", "pruned")
 LINK_KINDS = ("part-of", "group-member", "specializes")
@@ -43,7 +43,6 @@ GRAPH_KEYS = ("scene", "nodes", "links")
 NODE_KEYS = ("type", "instance", "frame", "p", "status", "weight", "strength", "prim",
              "spec_slot")
 LINK_KEYS = ("kind", "from", "to", "conditional", "slot", "carries_up", "residuals")
-FRAME_KEYS = ("origin", "axes")
 
 
 @dataclass
@@ -103,26 +102,12 @@ def _check_keys(obj, keys, what: str):
             raise SceneFormatError(f"unknown {what} key {key!r}")
 
 
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _number(obj: dict, key: str, default: float, what: str) -> float:
     """`obj[key]` (or `default`) as a float, when it is a JSON number."""
     value = obj.get(key, default)
     if not _is_number(value):
         raise SceneFormatError(f"{what} {key} must be a number, got {value!r}")
     return float(value)
-
-
-def _checked_frame(obj) -> Frame:
-    """A node's frame: an origin vector and a list of axis vectors of numbers."""
-    _check_keys(obj, FRAME_KEYS, "frame")
-    axes = obj["axes"]
-    for row in [obj["origin"]] + (axes if isinstance(axes, list) else [axes]):
-        if not isinstance(row, list) or not all(map(_is_number, row)):
-            raise SceneFormatError(f"frame rows must be lists of numbers, got {row!r}")
-    return Frame.from_json(obj)
 
 
 def _checked_residuals(residuals) -> dict:
@@ -276,7 +261,7 @@ class ImageGraph:
                 node = ImageNode(
                     model_type=raw["type"],
                     instance=instance,
-                    frame=_checked_frame(raw["frame"]),
+                    frame=Frame.from_json(raw["frame"]),
                     probability=_number(raw, "p", 0.0, "node"),
                     status=raw.get("status", "hypothesized"),
                     template_weight=_number(raw, "weight", 1.0, "node"),

@@ -21,6 +21,7 @@ from .geometry import (
     RELATION_FUNCTIONS,
     SYMMETRY_CLASSES,
     Frame,
+    _is_number,
     canonicalize_frame,
 )
 
@@ -29,6 +30,18 @@ SCALAR_RELATIONS = ("size-ratio", "distance-ratio", "angle")
 
 DEFAULT_ELASTICITY = (0.25, 0.25, 0.25)
 
+# The keys a model document may hold: at its top level, in a node, in a part
+DOCUMENT_KEYS = ("root", "nodes", "dim")
+NODE_KEYS = ("type", "frame", "symmetry", "parts", "relations", "specialize", "lower_loa",
+             "higher_loa")
+PART_KEYS = ("name", "type", "variant", "frame", "multiplicity", "essential", "elasticity")
+
+
+def _check_keys(obj: dict, keys, where: str, path: str = ""):
+    for key in obj:
+        if key not in keys:
+            raise ModelFormatError(f"{where}: unknown key {key!r}", path=path)
+
 
 @dataclass
 class RelationSpec:
@@ -36,15 +49,14 @@ class RelationSpec:
 
     function: str
     operands: tuple
-    target: object
+    target: float | bool
     tolerance: float
 
     @cached_property
     def spec(self) -> tuple:
-        """(function, target, tolerance), hashable: equal for relations that
-        score equal strains on equal operand frames."""
-        target = self.target.tobytes() if isinstance(self.target, np.ndarray) else self.target
-        return self.function, target, self.tolerance
+        """(function, target, tolerance): equal for relations that score
+        equal strains on equal operand frames."""
+        return self.function, self.target, self.tolerance
 
     @staticmethod
     def from_json(row, where: str) -> "RelationSpec":
@@ -59,11 +71,9 @@ class RelationSpec:
         if function in BOOLEAN_RELATIONS:
             if not isinstance(target, bool):
                 raise ModelFormatError(f"{where}: {function} target must be a boolean")
-        elif function == "pose":
-            target = np.asarray(target, dtype=float)
-        elif isinstance(target, bool) or not isinstance(target, (int, float)) or not np.isfinite(target):
+        elif not _is_number(target) or not np.isfinite(target):
             raise ModelFormatError(f"{where}: {function} target must be a finite number")
-        if not isinstance(tol, (int, float)) or isinstance(tol, bool) or not 0 < tol < np.inf:
+        if not _is_number(tol) or not 0 < tol < np.inf:
             raise ModelFormatError(f"{where}: tolerance must be a positive finite number")
         return RelationSpec(function, tuple(operands), target, float(tol))
 
@@ -90,6 +100,7 @@ class PartLink:
         if not isinstance(obj, dict) or not isinstance(obj.get("name"), str):
             raise ModelFormatError(f"{where}: part entry needs a name, got {obj!r}")
         name = obj["name"]
+        _check_keys(obj, PART_KEYS, f"{where} part {name}")
         type_name = obj.get("type", name)
         if not isinstance(type_name, str) or not isinstance(obj.get("variant"), (str, type(None))):
             raise ModelFormatError(f"{where}: type and variant of part {name!r} must be names")
@@ -99,20 +110,25 @@ class PartLink:
         mult = obj.get("multiplicity", 1)
         if mult == "many":
             multiplicity = (1, None)
-        elif isinstance(mult, int):
+        elif type(mult) is int:
             multiplicity = (mult, mult)
-        elif isinstance(mult, list) and len(mult) == 2:
-            multiplicity = (int(mult[0]), None if mult[1] is None else int(mult[1]))
+        elif (isinstance(mult, list) and len(mult) == 2 and type(mult[0]) is int
+              and (mult[1] is None or type(mult[1]) is int)):
+            multiplicity = tuple(mult)
         else:
             raise ModelFormatError(f"{where}: bad multiplicity {mult!r} on part {name!r}")
         elasticity = tuple(obj.get("elasticity", DEFAULT_ELASTICITY))
-        if len(elasticity) != 3 or any(not 0 < e < np.inf for e in elasticity):
+        if len(elasticity) != 3 or any(not _is_number(e) or not 0 < e < np.inf
+                                       for e in elasticity):
             raise ModelFormatError(f"{where}: elasticity must be 3 positive finite numbers on {name!r}")
+        essential = obj.get("essential", True)
+        if not isinstance(essential, bool):
+            raise ModelFormatError(f"{where}: essential must be true or false on {name!r}")
         return PartLink(
             name=name,
             type_name=type_name,
             frame=frame,
-            essential=bool(obj.get("essential", True)),
+            essential=essential,
             variant_tag=obj.get("variant"),
             multiplicity=multiplicity,
             elasticity=elasticity,
@@ -240,11 +256,6 @@ def _hierarchy_cycles(g: ModelGraph, edges_of, label: str) -> list:
     return violations
 
 
-def _finite_vector(value, dim: int) -> bool:
-    v = np.asarray(value, dtype=float)
-    return v.shape == (dim,) and bool(np.isfinite(v).all())
-
-
 def validate(g: ModelGraph) -> list:
     """Check the structural invariants; returns a list of violation strings.
 
@@ -284,10 +295,6 @@ def validate(g: ModelGraph) -> list:
                 if ref not in g.nodes:
                     violations.append(f"node {name}: {rel_name} reference {ref!r} is undefined")
 
-        for spec in node.relations + [s for specs in node.specialize_relations.values()
-                                      for s in specs]:
-            if spec.function == "pose" and not _finite_vector(spec.target, g.dim):
-                violations.append(f"node {name}: pose target must be a finite vector of {g.dim} numbers, got {spec.target!r}")
         for spec in node.relations:
             for operand in spec.operands:
                 if operand not in seen_slots:
@@ -322,6 +329,7 @@ def _node_from_json(obj, dim: int) -> ModelNode:
         raise ModelFormatError(f"node entry needs a type, got {obj!r}")
     name = obj["type"]
     where = f"node {name}"
+    _check_keys(obj, NODE_KEYS, where)
     symmetry = obj.get("symmetry", "none")
     if "frame" in obj:
         frame = Frame.from_json(obj["frame"])
@@ -346,7 +354,11 @@ def _node_from_json(obj, dim: int) -> ModelNode:
 
 
 def load_model(data, path: Optional[str] = None) -> ModelGraph:
-    """Parse a model-graph document (bytes, text, or parsed dict) and validate it."""
+    """Parse a model-graph document (bytes, text, or parsed dict) and validate it.
+
+    A key outside DOCUMENT_KEYS, NODE_KEYS, PART_KEYS or a frame's origin
+    and axes is rejected, and so is a number, flag or count that is not a
+    JSON number, boolean or int."""
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
@@ -356,6 +368,7 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
         doc = data
     if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:
         raise ModelFormatError("model document needs top-level 'root' and 'nodes'", path=path)
+    _check_keys(doc, DOCUMENT_KEYS, "model document", path)
     dim = doc.get("dim", 2)
     if dim not in (2, 3):
         raise ModelFormatError(f"model dim must be 2 or 3, got {dim!r}", path=path)

@@ -7,6 +7,12 @@ compares structures. The driver alternates bottom-up grouping hypotheses
 verification (predict the group's slots, find the parts, bind them),
 then lets belief propagation, relaxation, and pruning settle each wave.
 
+A wave climbs one level of the parts hierarchy: it hypothesizes, predicts,
+matches and binds from the snapshot of the graph taken when it begins
+(`CandidateIndex`), never from the nodes it makes itself. A node made in a
+wave joins the next frontier, so a group that can take it as a part is
+hypothesized, and binds it, one wave later.
+
 A 3D model viewed in a 2D scene runs in projected mode: hypothesis
 transforms are fitted affine cameras, predictions are projections, and only
 affine-invariant relations are scored.
@@ -283,9 +289,9 @@ class CandidateIndex:
 
     Holds the candidates in key order and their frames' `_Columns`, taken
     once the graph has settled (after relax and prune). Frames and statuses
-    only change between waves, and nodes are never removed from `ig.nodes`,
-    so within a wave the snapshot stays valid, its nodes stay candidates,
-    and the candidates inserted after it are exactly `fresh()`.
+    only change between waves, so within a wave the snapshot stays valid
+    and its nodes stay candidates. The nodes the wave inserts are not
+    candidates until the next snapshot.
 
     Prefilter contract: whatever is computed from the columns only narrows
     the candidates to a superset of those that pass, with `_PREFILTER_SLACK`
@@ -295,29 +301,14 @@ class CandidateIndex:
     Relation strains live in the scene's memo (`ig.strains`, keyed by
     frame), which outlives the wave: screening, the relation check,
     specialization and both refreshes of the wave share it.
-
-    Slot queries (`_predict_slots`) read only the snapshot. The fresh nodes
-    are counted for the essential slots when slots are predicted, and
-    scanned for every slot when a matching is made. `_predict_wave` and
-    `_match_wave` predict and match every hypothesis of the wave before the
-    first verify, from the snapshot alone, and `verify` predicts and
-    matches its hypothesis again only when a fresh node fits one of its
-    slots.
     """
 
     def __init__(self, ig: ImageGraph):
         self.ig = ig
         self.nodes = [n for n in ig.sorted_nodes()
                       if n.spec_slot is None and n.status != "pruned"]
-        self._seen = len(ig.nodes)
         self.cols = _Columns.of([n.frame for n in self.nodes])
         self._typed: dict = {}
-
-    def fresh(self) -> list:
-        """Candidates inserted since the snapshot, in insertion order: nothing
-        is pruned within a wave, so every node that is not a shadow."""
-        return [n for n in itertools.islice(self.ig.nodes.values(), self._seen, None)
-                if n.spec_slot is None]
 
     def of_types(self, types: frozenset):
         """(rows, origins) of the snapshot nodes whose model type is in
@@ -337,9 +328,8 @@ class CandidateIndex:
         measured against that set's nodes only (`of_types`), in blocks of
         at most `_QUERY_PAIRS` (point, node) pairs, or one point.
 
-        A superset of the exact answer among the snapshot nodes: callers
-        re-check only the exact distance on what comes back, and treat every
-        fresh() node as a candidate too.
+        A superset of the exact answer: callers re-check only the exact
+        distance on what comes back.
         """
         starts = np.zeros(len(radii), dtype=int)
         stops = np.zeros(len(radii), dtype=int)
@@ -772,12 +762,11 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     radius otherwise.
 
     A slot that every match must fill by itself (`_essential`) is short
-    when it has fewer instances of a fitting type within its query radius
-    (with `_PREFILTER_SLACK`) than its lower bound: the snapshot rows the
-    query found, counted from the stacked hits, plus the fresh nodes, which
-    are scanned for the essential slots only. Neither side of a matching
-    could then fill it, since a slot binds only its own candidates within
-    that radius, so no `_Query` is built for such a transform.
+    when the query finds fewer instances of a fitting type within its
+    radius (with `_PREFILTER_SLACK`) than its lower bound. Neither side of
+    a matching could then fill it, since a slot binds only its own
+    candidates within that radius, so no `_Query` is built for such a
+    transform.
     """
     slots = mnode.parts
     n = len(slots)
@@ -808,15 +797,6 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     found[queried] = hits.stops - hits.starts
     found = found.reshape(-1, n)
     need = np.array([slot.multiplicity[0] if _essential(slot) else 0 for slot in slots])
-    fresh = index.fresh()
-    if fresh:
-        for t in np.flatnonzero(whole).tolist():
-            for s in np.flatnonzero(need * (primary[t] > 0)).tolist():
-                k = t * n + s
-                reach = radii[k] * (1.0 + _PREFILTER_SLACK)
-                found[t, s] += sum(node.model_type in fits[s]
-                                   and _distance(node.frame.origin, pred_origins[k]) <= reach
-                                   for node in fresh)
     filled = whole & (found >= need).all(axis=1)
     out = [[] if fine else None for fine in filled.tolist()]
     for point in np.flatnonzero(filled[queried // n]).tolist():
@@ -861,12 +841,12 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
     Fail fast: every slot arrives predicted and queried, and `queries` None
     fails both sides: a degenerate prediction, or an essential slot with
     too few instances within its query radius (`_predict_slots`), so no
-    fresh node is scanned here and no strain is scored. The slots a match
-    cannot do without (`_essential`) come first. The gated side scores them
-    first, and once one of them has fewer candidates passing the exact gate
-    than its lower bound, it fails and scores no further strain; the rough
-    side goes on alone. The shortcut is exact: a slot binds only its own
-    candidates, and gated candidates are rough ones.
+    strain is scored. The slots a match cannot do without (`_essential`)
+    come first. The gated side scores them first, and once one of them has
+    fewer candidates passing the exact gate than its lower bound, it fails
+    and scores no further strain; the rough side goes on alone. The
+    shortcut is exact: a slot binds only its own candidates, and gated
+    candidates are rough ones.
 
     Prefilter contract: the queries (`CandidateIndex.near`) narrow the
     snapshot to a superset of the instances of a fitting type within the
@@ -884,7 +864,6 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
     if queries is None:
         return failed
     gate = cfg.gate_radius
-    fresh = index.fresh()
 
     def exact_distance(node, pred):
         """Origin distance of a candidate within the gate radius, else None."""
@@ -901,7 +880,7 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
                 functools.partial(placement_strain, pred, node.frame, slot.elasticity, sym),
                 None)
 
-    def gated_entries(q, extra):
+    def gated_entries(q):
         """The slot's candidates that pass the exact gate, or None as soon
         as too few can for an essential slot."""
         slot, pred = q.slot, q.pred
@@ -910,7 +889,7 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
         if rough:
             rows = rows[q.d2 <= (q.tight * scale * (1.0 + _PREFILTER_SLACK)) ** 2]
         close = []
-        for node in [index.nodes[i] for i in rows.tolist()] + extra:
+        for node in [index.nodes[i] for i in rows.tolist()]:
             d = exact_distance(node, pred)
             if d is not None and _origin_bound(d, slot.elasticity[0], scale) <= cfg.s_fail:
                 close.append(node)
@@ -925,18 +904,10 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
                 out.append((s, slot.name, node.key, s, None))
         return None if len(out) < need else out
 
-    # (query, extra) per query, essential slots first: extra holds the fresh
-    # nodes of a fitting type within its radius (with slack)
-    slots = []
-    for q in sorted(queries, key=lambda q: not _essential(q.slot)):
-        fits = model.abstract.get(q.slot.type_name, frozenset())
-        reach = q.radius * (1.0 + _PREFILTER_SLACK)
-        slots.append((q, [n for n in fresh if n.model_type in fits
-                          and _distance(n.frame.origin, q.pred.origin) <= reach]))
-
+    queries = sorted(queries, key=lambda q: not _essential(q.slot))
     gated = []
-    for entry in slots:
-        passed = gated_entries(*entry)
+    for q in queries:
+        passed = gated_entries(q)
         if passed is None:
             gated = failed[0]
             break
@@ -946,10 +917,9 @@ def _match_slots(index, model, mnode, queries, rough, cfg):
     if not rough:
         return gated, None
     loose = []
-    for q, extra in slots:
+    for q in queries:
         pred = q.pred
         resolve = functools.partial(rough_entry, q.slot, pred)
-        loose.extend(e for e in map(resolve, extra) if e is not None)
         # rows ascend in key order, so (lower bound, row) is (lower bound, key)
         lower = np.sqrt(q.d2) / pred.primary_length * (1.0 - _PREFILTER_SLACK)
         order = np.lexsort((q.rows, lower))
@@ -1093,9 +1063,7 @@ def _match_wave(index, model: ModelGraph, hypotheses, queries, cfg: Config) -> l
 
     A degenerate refit is dropped. That is exact: the transform would fall
     back to the hypothesis's, whose tight matching is the gated side of its
-    rough matching, and an equal score never wins. The refits' predictions
-    and all the matchings scan `index.fresh()`, so called before the wave's
-    first verify they read the snapshot alone.
+    rough matching, and an equal score never wins.
     """
     projected = index.ig.projected
     firsts, refits = [], {}
@@ -1170,12 +1138,8 @@ def _has_group(ig, group_type, members: frozenset) -> bool:
 
 def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: CandidateIndex):
     """Top-down confirmation of one hypothesis in the graph of `index`, a
-    snapshot taken earlier in the same wave. `matching` is what
-    `_match_wave` chose from the snapshot. When a node created earlier in
-    the wave fits a slot of the group, the hypothesis is predicted and
-    matched again with the fresh nodes (`_predict_wave` and `_match_wave`
-    on this hypothesis alone), which also counts them for the essential
-    slots; otherwise no fresh node could change the matching.
+    snapshot taken earlier in the same wave: `matching` is what
+    `_match_wave` chose from the snapshot, and binds only its nodes.
 
     Success creates the group node, its member bundles, and any passing
     specialization instances, and returns the list of created nodes.
@@ -1184,11 +1148,6 @@ def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: Candi
     ig = index.ig
     projected = ig.projected
     mnode = model.node(h.group_type)
-    fits = frozenset().union(*(model.abstract.get(slot.type_name, frozenset())
-                               for slot in mnode.parts))
-    if any(n.model_type in fits for n in index.fresh()):
-        (matching,) = _match_wave(index, model, [h],
-                                  _predict_wave(index, model, [h], cfg, projected), cfg)
     if matching is None:
         return None
     matched, _, transform = matching
@@ -1258,8 +1217,9 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
     """Build the image graph for a scene: seed, then hypothesize/verify waves
     with belief settling in between, until a wave adds nothing. A hypothesis
     needs no re-check: its clue pair holds a node of the wave before, no
-    other hypothesis has that pair and type, and nothing is pruned within a
-    wave."""
+    other hypothesis has that pair and type, nothing is pruned within a
+    wave, and a wave binds only the nodes of its snapshot, never one it
+    made itself."""
     cfg = cfg or Config()
     if scene.dim == 3 and model.dim == 2:
         raise SceneFormatError("cannot explain a 3D scene with a flat model")

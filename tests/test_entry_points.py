@@ -50,14 +50,6 @@ def _linked(**fields):
     return doc
 
 
-def _face_with_pose(target):
-    """face.json with one more face relation: a pose of eye_2 seen from eye_1."""
-    doc = json.loads(Path(fixture_path("face.json")).read_bytes())
-    (face,) = [n for n in doc["nodes"] if n["type"] == "face"]
-    face["relations"].append(["pose", "eye_1", "eye_2", target, 1.0])
-    return doc
-
-
 MODEL = load_model_file(fixture_path("face.json"))
 (SCENE,) = generate_scenes(GeneratorSpec(MODEL, "face", jitter=0.0, n_distractors=2, seed=1))
 SCENE_DOC = json.loads(write_scene(SCENE))
@@ -145,13 +137,30 @@ CASES = [
      ModelFormatError),
     ("model-tolerance", load_model, _model(relations=[["size-ratio", "p", "q", 1.0, NAN]]),
      ModelFormatError),
-    ("model-pose-nan", load_model, _face_with_pose([NAN, 0.0]),
-     (ModelFormatError, ModelValidationError)),
-    ("model-pose-matrix", load_model, _face_with_pose([[0.0, 0.0]]),
-     (ModelFormatError, ModelValidationError)),
-    ("model-pose-long", load_model, _face_with_pose([0.0] * 7),
-     (ModelFormatError, ModelValidationError)),
-    ("model-pose-scalar", load_model, _face_with_pose(0.0), (ModelFormatError, ModelValidationError)),
+    # the pose relation is gone from the model format
+    ("model-pose", load_model, _model(relations=[["pose", "p", "q", [0.5, 0.0], 1.0]]),
+     ModelFormatError),
+    # numbers only as JSON numbers, flags as booleans, counts as ints: these loaded
+    ("model-origin-string-and-bool", load_model, _model(frame=dict(FRAME, origin=["0", True])),
+     ModelFormatError),
+    ("model-part-axis-string", load_model,
+     _model(parts=[dict(PART, frame=dict(FRAME, axes=[["1", 0], [0, 1]]))]), ModelFormatError),
+    ("model-elasticity-bool", load_model, _model(parts=[dict(PART, elasticity=[0.2, True, 0.25])]),
+     ModelFormatError),
+    ("model-essential-string", load_model, _model(parts=[dict(PART, essential="no")]),
+     ModelFormatError),
+    ("model-multiplicity-bool", load_model, _model(parts=[dict(PART, multiplicity=True)]),
+     ModelFormatError),
+    ("model-multiplicity-strings", load_model, _model(parts=[dict(PART, multiplicity=["1", "2"])]),
+     ModelFormatError),
+    ("model-multiplicity-float", load_model, _model(parts=[dict(PART, multiplicity=[1, 2.0])]),
+     ModelFormatError),
+    # unknown keys: these were dropped silently
+    ("model-key-unknown", load_model, dict(_model(), name="m"), ModelFormatError),
+    ("model-node-key-unknown", load_model, _model(colour="red"), ModelFormatError),
+    ("model-part-key-unknown", load_model, _model(parts=[dict(PART, essental=False)]),
+     ModelFormatError),
+    ("model-frame-key-unknown", load_model, _model(frame=dict(FRAME, scale=2)), ModelFormatError),
     ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),
     ("model-root-unknown", load_model, dict(_model(), root="c"), ModelValidationError),
     ("graph-nodes", ImageGraph.from_json, {"nodes": 3}, SceneFormatError),
@@ -263,7 +272,9 @@ CASES = [
 def test_the_model_case_base_is_valid():
     assert load_model(_model()).midx == {}
     assert load_model(_model(relations=[["size-ratio", "p", "q", 1.0, 0.1]])).midx
-    assert load_model(_face_with_pose([0.5, 0.0])).node("face").relations[-1].function == "pose"
+    part = dict(PART, essential=False, multiplicity=[0, None], elasticity=[0.2, 1, 0.25],
+                variant="v")
+    assert load_model(_model(parts=[part, dict(PART, name="q", multiplicity="many")]))
 
 
 def test_the_graph_case_base_is_valid():

@@ -27,7 +27,6 @@ from dualgraph.geometry import (
     fit_similarity,
     frame_from_circle,
     frame_from_segment,
-    pose_vector,
     project,
     symmetry_orbit,
 )
@@ -226,13 +225,6 @@ def test_inside_relation():
     assert eval_relation("inside", [outer, inner], slack=0.01) is True
     poking = frame_from_segment([-1.0, 0.5], [3.0, 0.5])
     assert eval_relation("inside", [outer, poking], slack=0.01) is False
-
-
-def test_pose_vector_units():
-    a = Frame([0.0, 0.0], np.diag([2.0, 1.0]))
-    b = Frame([1.0, 0.5], np.diag([0.2, 0.1]))
-    v = pose_vector(a, b)
-    assert v == pytest.approx([0.5, 0.5])
 
 
 def test_relation_errors():

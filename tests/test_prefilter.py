@@ -5,9 +5,9 @@ memos of hypothesis generation and verification change no result.
 the scalar recognizer steps they replaced: every clue pair and midx entry
 screened by relation_strains, every screening that passes fitted one sign
 assignment at a time (`scalar_fit_transform`), every instance within the
-gate radius scored by placement_strain, and every hypothesis matched,
-refitted one fit at a time (`scalar_refit`) and its relations scored
-afresh when it is verified. The oracle tests run recognition with both
+gate radius in the wave's snapshot scored by placement_strain, and every
+hypothesis matched, refitted one fit at a time (`scalar_refit`) and its
+relations scored afresh when it is verified. The oracle tests run recognition with both
 versions side by side at every wave and demand equal results; the property
 tests check that each column bound stays at or below the scalar strain it
 stands in for, that the stacked fits match the scalar ones byte for byte,
@@ -249,12 +249,11 @@ def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_ga
             return None, {}
     live = [(slot, predictions[slot.name]) for slot in mnode.parts
             if predictions[slot.name].primary_length > 0]
-    everyone = index.nodes + index.fresh()
     candidates = []
     for slot, pred in live:
         scale = pred.primary_length
         fits = model.abstract.get(slot.type_name, frozenset())
-        for node in everyone:
+        for node in index.nodes:
             if node.status == "pruned" or node.spec_slot is not None:
                 continue
             if node.model_type not in fits:
@@ -508,7 +507,7 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
         got = new_verify(h, matching, model, cfg, index)
         assert _verified(got, ig, *before) == _verified(want, ig_copy, *before)
         seen["verifies"] += 1
-        # neither the oracle's matchings nor a re-match share a wave's refit
+        # the oracle's matchings share no refit of the wave
         seen["refit_hits"] = hits
         return got
 
@@ -617,22 +616,14 @@ def _count_calls(monkeypatch, name):
 
 
 def test_an_unfillable_essential_slot_fails_both_sides_before_any_strain(monkeypatch):
-    # no segment lies within the rough gate of the nose or the mouth; a
-    # circle inserted after the snapshot sits on ear_1
+    # no segment lies within the rough gate of the nose or the mouth
     model, mnode, index = _face_scene(with_segments=False)
-    index.ig.add_node("circle", frame=mnode.part("ear_1").frame, status="verified")
     cfg = make_config()
     assert scalar_match_slots(index, model, mnode, IDENTITY, cfg, False)[0] is None
-    scanned = _count_calls(monkeypatch, "_distance")
     strains = _count_calls(monkeypatch, "placement_strain")
     got = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
     assert got == ((None, {}), (None, {}))
     assert not strains
-    essential = [slot for slot in mnode.parts if slot.essential and slot.variant_tag is None]
-    assert len(essential) < len(mnode.parts)  # the ears are optional
-    # the fresh circle is scanned for the essential circle slots only
-    circles = [slot for slot in essential if "circle" in model.abstract[slot.type_name]]
-    assert len(scanned) == len(circles) == 3
     assert _match(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
     assert not strains
 
@@ -755,31 +746,6 @@ def test_the_refit_memo_hands_out_a_fresh_matched_map(monkeypatch):
     assert "nose" in matchings[0][0]
 
 
-def test_a_node_that_fits_a_slot_retires_the_refit_memo_entry(monkeypatch):
-    """The wave's matching stands until a node that fits one of the group's
-    slots is inserted after the snapshot: a shadow node or a node of a type
-    no slot takes leaves it, and a circle, which can be an ear, makes
-    verify match again and bind it."""
-    model, mnode, index = _face_scene(with_segments=True)
-    cfg = make_config()
-    (h,), (queries,) = _face_hypotheses(index, model, cfg)
-    (matching,) = rec._match_wave(index, model, [h], [queries], cfg)
-    assert "ear_1" not in matching[0]
-    ig, ear = index.ig, mnode.part("ear_1").frame
-    ig.add_node("circle", frame=ear, status="verified", spec_slot="c_1")
-    ig.add_node("face", frame=ear, status="verified")
-    again = _count_calls(monkeypatch, "_match_wave")
-
-    def members(created):
-        return {l.slot for l in ig.links_to(created[0].key, "group-member")}
-
-    created = rec.verify(h, matching, model, cfg, index)
-    assert not again and "ear_1" not in members(created)
-    ig.add_node("circle", frame=ear, status="verified")
-    created = rec.verify(h, matching, model, cfg, index)
-    assert len(again) == 1 and "ear_1" in members(created)
-
-
 def test_a_refit_that_falls_back_is_not_kept(monkeypatch):
     """A refit from one slot, or onto coincident image points, is dropped,
     and a hypothesis whose refit is dropped keeps its gated matching and
@@ -799,60 +765,6 @@ def test_a_refit_that_falls_back_is_not_kept(monkeypatch):
     assert not tight and transform is IDENTITY
     gated, _ = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
     assert (matched, strains) == gated
-
-
-@pytest.mark.parametrize("transform", [
-    IDENTITY,
-    SimilarityTransform(np.array([[math.cos(0.05), -math.sin(0.05)],
-                                  [math.sin(0.05), math.cos(0.05)]]), 1.02, np.array([0.03, -0.02])),
-], ids=["identity", "slack"])
-def test_verify_matches_again_when_a_fresh_node_fits_a_slot(monkeypatch, transform):
-    """The fallback path, which no bench or golden scene takes: a circle on
-    ear_1 inserted after the snapshot makes verify match again, bind the
-    circle, and agree with `scalar_verify`, which matches at the time of
-    the call."""
-    model, mnode, index = _face_scene(with_segments=True)
-    cfg = make_config()
-    (h,), (queries,) = _face_hypotheses(index, model, cfg, (transform,))
-    (matching,) = rec._match_wave(index, model, [h], [queries], cfg)
-    assert "ear_1" not in matching[0]
-    ig = index.ig
-    ear = ig.add_node("circle", frame=mnode.part("ear_1").frame, status="verified")
-    index_copy = copy.deepcopy(index, {id(model): model})
-    before = len(ig.nodes), len(ig.links)
-    want = scalar_verify(h, model, cfg, index_copy)
-    again = _count_calls(monkeypatch, "_match_wave")
-    got = rec.verify(h, matching, model, cfg, index)
-    assert len(again) == 1
-    assert _verified(got, ig, *before) == _verified(want, index_copy.ig, *before)
-    assert ear.key in {l.source for l in ig.links_to(got[0].key, "group-member")}
-
-
-def test_verify_predicts_again_a_hypothesis_the_snapshot_count_rejects(monkeypatch):
-    """The essential eye_2 slot has no circle in the snapshot, so the wave
-    builds no queries for the face hypothesis and matches nothing. A circle
-    on eye_2 inserted after the snapshot makes verify predict the
-    hypothesis again, count the circle, bind it, and agree with
-    `scalar_verify`. No bench scene takes this path."""
-    model = load_model_file(fixture_path("face.json"))
-    mnode = model.node("face")
-    scene = Scene(dim=2, primitives=_face_parts(mnode, True, ("head", "eye_1")), id="no-eye")
-    index = rec.CandidateIndex(rec.seed_image_graph(scene, model))
-    cfg = make_config()
-    (h,), (queries,) = _face_hypotheses(index, model, cfg)
-    assert queries is None
-    (matching,) = rec._match_wave(index, model, [h], [queries], cfg)
-    assert matching is None
-    ig = index.ig
-    eye = ig.add_node("circle", frame=mnode.part("eye_2").frame, status="verified")
-    index_copy = copy.deepcopy(index, {id(model): model})
-    before = len(ig.nodes), len(ig.links)
-    want = scalar_verify(h, model, cfg, index_copy)
-    again = _count_calls(monkeypatch, "_predict_wave")
-    got = rec.verify(h, matching, model, cfg, index)
-    assert len(again) == 1
-    assert _verified(got, ig, *before) == _verified(want, index_copy.ig, *before)
-    assert eye.key in {l.source for l in ig.links_to(got[0].key, "group-member")}
 
 
 @pytest.mark.parametrize("fixture, target", [("face.json", "face"), ("truck_flat.json", "truck1")])
@@ -1366,8 +1278,7 @@ def q_tight(slot, cfg):
 
 
 def scalar_found(index, model, slot, pred, radius):
-    """Brute-force count of the candidates, snapshot and fresh, of a type
-    that fits `slot` within `radius` predicted primary lengths (with the
+    """Brute-force count of the snapshot's candidates of a type that fits `slot` within `radius` predicted primary lengths (with the
     prefilter slack) of its prediction: 0 for a prediction with no extent,
     which is never queried."""
     scale = pred.primary_length
@@ -1376,7 +1287,7 @@ def scalar_found(index, model, slot, pred, radius):
     fits = model.abstract.get(slot.type_name, frozenset())
     reach = scale * radius * (1.0 + rec._PREFILTER_SLACK)
     return sum(node.model_type in fits and rec._distance(node.frame.origin, pred.origin) <= reach
-               for node in index.nodes + index.fresh())
+               for node in index.nodes)
 
 
 @pytest.mark.parametrize("fixture, target, camera, distractors", [
@@ -1390,17 +1301,16 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     `_predict_slots` predicts, in a wave's batch of hypotheses or of
     refits, is `apply_frame` or `project` of the slot frame bit for bit; a
     transform has no queries exactly when one of its scalar predictions
-    raises or a brute-force count over the snapshot and fresh nodes
+    raises or a brute-force count over the snapshot's nodes
     (`scalar_found`) finds an essential slot short, and otherwise its
-    queries are its slots with an extent, in part order,
-    each with the rough or the tight radius as asked. The rough calls are
-    one per wave and group type, on the transforms of the wave's
-    hypotheses of that type in order. Outside verify's re-match, which
-    predicts one hypothesis and its refit, the refit calls are one per
-    wave and group type too."""
+    queries are its slots with an extent, in part order, each with the
+    rough or the tight radius as asked. The rough calls are one per wave
+    and group type, on the transforms of the wave's hypotheses of that
+    type in order, and the refit calls are one per wave and group type
+    too."""
     scene, model = _scene(fixture, target, 0.03, seed=1, distractors=distractors, camera=camera)
-    generate, predict, verify = rec.generate_hypotheses, rec._predict_slots, rec.verify
-    seen = {"batches": 0, "predictions": 0, "refits": 0, "short": 0, "verifying": False}
+    generate, predict = rec.generate_hypotheses, rec._predict_slots
+    seen = {"batches": 0, "predictions": 0, "refits": 0, "short": 0}
     waves, rough_calls, refit_calls = [], [], []
 
     def generating(model, frontier, cfg, index):
@@ -1408,19 +1318,10 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
         waves.append(hypotheses)
         return hypotheses
 
-    def verifying(*args):
-        seen["verifying"] = True
-        try:
-            return verify(*args)
-        finally:
-            seen["verifying"] = False
-
     def checked(index, model, mnode, transforms, cfg, projected, rough):
         got = predict(index, model, mnode, transforms, cfg, projected, rough)
         seen["batches"] += len(transforms) > 1
-        if seen["verifying"]:
-            assert len(transforms) == 1
-        elif rough:
+        if rough:
             rough_calls.append((len(waves), mnode.type_name, transforms))
         else:
             refit_calls.append((len(waves), mnode.type_name))
@@ -1451,7 +1352,6 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
 
     monkeypatch.setattr(rec, "generate_hypotheses", generating)
     monkeypatch.setattr(rec, "_predict_slots", checked)
-    monkeypatch.setattr(rec, "verify", verifying)
     rec.recognize(scene, model)
     assert seen["batches"] > 0 and seen["predictions"] > 100 and seen["refits"] > 0
     assert seen["short"] > 0

@@ -14,14 +14,14 @@ from dualgraph.config import Config
 from dualgraph.generate import GeneratorSpec, generate_scenes
 from dualgraph.geometry import Frame
 from dualgraph.image import ImageGraph
-from dualgraph.model import ModelGraph, fixture_path, load_model_file
+from dualgraph.model import ModelGraph, fixture_path, load_model, load_model_file
 from dualgraph.recognize import (
     CandidateIndex,
     _clue_pairs,
     recognize,
     seed_image_graph,
 )
-from dualgraph.scene import Scene
+from dualgraph.scene import Primitive, Scene
 
 
 def _scene(fixture, target, jitter, seed, distractors=32, camera=None):
@@ -210,8 +210,9 @@ WAVE_SCENES = [c[:5] for c in GOLDEN] + [
 @pytest.mark.parametrize("fixture, target, jitter, distractors, camera", WAVE_SCENES,
                          ids=[f"{c[0]}-{c[1]}-{c[3]}-{c[4]}" for c in WAVE_SCENES])
 def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distractors, camera):
-    # recognize verifies every hypothesis once, unchecked, and takes every
-    # candidate as a clue, on these grounds
+    # recognize verifies every hypothesis once, unchecked, takes every
+    # candidate as a clue, and binds only the nodes of the wave's snapshot,
+    # on these grounds
     if distractors == "tiled":
         scene, model = _tiled_scene(fixture, target, copies=4, jitter=jitter, seed=5)
     else:
@@ -231,6 +232,7 @@ def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distract
             assert key not in tried
             tried.add(key)
         wave["pruned"] = pruned(index.ig)
+        wave["snapshot"] = len(index.ig.nodes)
         assert all(n.status == "verified" for n in index.nodes)
         return hypotheses
 
@@ -239,7 +241,12 @@ def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distract
         assert ig.nodes[h.clue_a].status != "pruned" and ig.nodes[h.clue_b].status != "pruned"
         created = verify(h, matching, model, cfg, index)
         assert pruned(ig) == wave["pruned"]
-        assert all(n.spec_slot is None and n.status == "verified" for n in index.fresh())
+        new = itertools.islice(ig.nodes.values(), wave["snapshot"], None)
+        assert all(n.spec_slot is not None or n.status == "verified" for n in new)
+        if created:
+            # the group binds no node made in its own wave
+            snapshot = {n.key for n in index.nodes}
+            assert all(l.source in snapshot for l in ig.links_to(created[0].key, "group-member"))
         wave["verified"] = wave.get("verified", 0) + bool(created)
         return created
 
@@ -247,6 +254,71 @@ def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distract
     monkeypatch.setattr(dualgraph.recognize, "verify", verifying)
     recognize(scene, model)
     assert wave["verified"] and len(tried) > wave["verified"]
+
+
+def _circle(origin, radius):
+    return {"origin": origin, "axes": [[radius, 0], [0, radius]]}
+
+
+# `trio` takes a `pair` in its optional slot `t`, and both are made of
+# circles, so one wave can build a pair next to a trio whose `t` slot it
+# fits; midx indexes trio under (circle, circle) and (circle, pair)
+RISING_MODEL = {
+    "root": "trio",
+    "nodes": [
+        {"type": "circle", "symmetry": "circle", "frame": _circle([0, 0], 1)},
+        {"type": "pair", "symmetry": "rectangle",
+         "frame": {"origin": [0, 0], "axes": [[0.9, 0], [0, 0.4]]},
+         "parts": [{"name": "c_1", "type": "circle", "frame": _circle([-0.5, 0], 0.4)},
+                   {"name": "c_2", "type": "circle", "frame": _circle([0.5, 0], 0.4)}],
+         "relations": [["distance-ratio", "c_1", "c_2", 2.5, 0.1],
+                       ["size-ratio", "c_1", "c_2", 1.0, 0.2]]},
+        {"type": "trio", "frame": _circle([0, 0], 2),
+         "parts": [{"name": "a", "type": "circle", "frame": _circle([-1, 0], 1)},
+                   {"name": "b", "type": "circle", "frame": _circle([1, 0], 1)},
+                   {"name": "t", "type": "pair", "essential": False,
+                    "frame": {"origin": [0, 2.5], "axes": [[0.9, 0], [0, 0.4]]}}],
+         "relations": [["distance-ratio", "a", "b", 2.0, 0.1],
+                       ["size-ratio", "a", "b", 1.0, 0.2],
+                       ["size-ratio", "t", "a", 0.9, 0.2]]},
+    ],
+}
+
+
+def test_a_wave_binds_only_nodes_of_its_snapshot(monkeypatch):
+    """The pair that wave 1 builds fits the `t` slot of the trio that wave 1
+    also builds, but a wave binds only what its snapshot holds: the pair
+    joins a trio in wave 2, through the (circle, pair) clues."""
+    model = load_model(RISING_MODEL)
+    prims = [Primitive("circle", center=c, radius=r) for c, r in (
+        ((-1, 0), 1.0), ((1, 0), 1.0), ((-0.5, 2.5), 0.4), ((0.5, 2.5), 0.4))]
+    generate, verify = dualgraph.recognize.generate_hypotheses, dualgraph.recognize.verify
+    waves = []
+    born = {}  # node key -> the wave that made it, 0 for the seeds
+    bound = []  # (wave, group, slot, member) per group-member link a verify made
+
+    def generating(model, frontier, cfg, index):
+        born.update((n.key, 0) for n in index.nodes if n.key not in born)
+        waves.append(len(waves) + 1)
+        return generate(model, frontier, cfg, index)
+
+    def verifying(h, matching, model, cfg, index):
+        created = verify(h, matching, model, cfg, index)
+        if created:
+            wave, group = waves[-1], created[0]
+            links = index.ig.links_to(group.key, "group-member")
+            assert all(born[l.source] < wave for l in links)
+            bound.extend((wave, group.model_type, l.slot, l.source) for l in links)
+            born.update((n.key, wave) for n in created)
+        return created
+
+    monkeypatch.setattr(dualgraph.recognize, "generate_hypotheses", generating)
+    monkeypatch.setattr(dualgraph.recognize, "verify", verifying)
+    ig = recognize(Scene(dim=2, primitives=prims, id="rising"), model)
+    pairs = {n.key for n in ig.nodes.values() if n.model_type == "pair"}
+    assert pairs and all(born[key] == 1 for key in pairs)
+    assert {(wave, slot) for wave, group, slot, member in bound if member in pairs} == {(2, "t")}
+    assert (1, "trio", "a") in {(wave, group, slot) for wave, group, slot, _ in bound}
 
 
 def test_recognize_reads_the_model_tables_without_rebuilding(monkeypatch):
@@ -334,8 +406,7 @@ def test_near_returns_every_node_within_radius(seeded):
 def _keys_near(index, point, radius):
     rows, _ = index.near(np.array([point]), np.array([radius]),
                          [frozenset({"linseg", "circle"})]).of(0)
-    hits = [index.nodes[i] for i in rows] + index.fresh()
-    return {n.key for n in hits
+    return {n.key for n in (index.nodes[i] for i in rows)
             if n.status != "pruned" and float(np.linalg.norm(n.frame.origin - point)) <= radius}
 
 
@@ -344,9 +415,10 @@ def test_index_sees_added_pruned_and_moved_nodes(seeded):
     index = CandidateIndex(ig)
     far = np.array([1e3, 1e3])
 
-    # a node inserted after the snapshot is still a candidate in this wave
+    # a node inserted after the snapshot is no candidate until the next wave
     added = ig.add_node("linseg", frame=Frame(far, np.diag([0.5, 0.0])), status="verified")
-    assert added.key in _keys_near(index, far, 1.0)
+    assert added.key not in _keys_near(index, far, 1.0)
+    assert added.key in _keys_near(CandidateIndex(ig), far, 1.0)
 
     # next wave: a pruned node is gone from the snapshot
     victim = ig.sorted_nodes()[0]
