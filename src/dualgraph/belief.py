@@ -187,58 +187,47 @@ def contextual_relation_strain(rel: RelationSpec, mnode, frames,
     return relation_strain_projected(rel, mnode, frames, s_fail, group_frame)
 
 
-def relation_strains(mnode, rels, frames, s_fail: float, projected: bool,
-                     group_frame=None, memo=None):
-    """Yield (rel, strain) for each relation of `rels` that can be scored.
+def relation_strains(ig, mnode, rels, frames, s_fail: float, group_frame=None):
+    """Yield (rel, strain) for each relation of `rels` that can be scored in
+    the scene of `ig`: the one path by which a relation is scored.
 
     A relation is scored when `relation_usable` accepts it for the viewing
-    mode and every operand has a frame in `frames` (a map from slot name to
-    frame); the others are skipped. Each strain comes from
-    `_relation_strain`, through `memo` when one is given. Relations come out
-    in the order of `rels`, so sums over them keep their float order, and
+    mode (`ig.projected`) and every operand has a frame in `frames` (a map
+    from slot name to frame); the others are skipped. A strain is infinite
+    where the evaluation degenerates, and is kept in the scene's memo
+    (`ig.strains`), keyed by the relation's `spec`, s_fail and its two
+    operand frames. A frame hashes by identity and is never changed in
+    place (`Frame`), so a node that moves gets a new key. A row-resolved
+    relation in a projected scene given a group frame also reads that
+    frame, the group's type and the relation's operands
+    (`_operand_image_dir`), so its key adds all three. Relations come out in
+    the order of `rels`, so sums over them keep their float order, and
     lazily, so a caller may stop at the first failure without evaluating
     the rest.
     """
+    projected = ig.projected
+    memo = ig.strains
     for rel in rels:
         if not relation_usable(rel, mnode, projected):
             continue
         try:
-            operand_frames = [frames[op] for op in rel.operands]
+            a, b = operand_frames = [frames[op] for op in rel.operands]
         except KeyError:
             continue
-        yield rel, _relation_strain(memo, mnode, rel, operand_frames, s_fail, projected,
-                                    group_frame)
-
-
-def _relation_strain(memo, mnode, rel: RelationSpec, frames, s_fail: float, projected: bool,
-                     group_frame=None) -> float:
-    """The strain of a usable `rel` on its two operand frames, infinite where
-    the evaluation degenerates: the one path by which a relation is scored.
-
-    `memo` (a scene's `ImageGraph.strains`, or None) maps the relation's
-    `spec`, s_fail, the viewing mode and the id of each operand frame to
-    the strain and the frames it read, whose ids so stay unique. A frame is
-    never changed in place (`Frame`), so a node that moves gets a new key.
-    The memo is only looked up, never iterated. A row-resolved relation in
-    a projected scene given a group frame also reads that frame, the
-    group's type and the relation's operands (`_operand_image_dir`), so its
-    key adds all three."""
-    if memo is None:
-        try:
-            return contextual_relation_strain(rel, mnode, frames, s_fail, projected, group_frame)
-        except DegenerateFrameError:
-            return math.inf
-    a, b = frames
-    key = rel.spec + (s_fail, projected, id(a), id(b))
-    if projected and group_frame is not None and rel.function in ROW_RESOLVED:
-        key += (mnode.type_name, rel.operands, id(group_frame))
-    else:
-        group_frame = None  # not read, so not kept
-    hit = memo.get(key)
-    if hit is None:
-        hit = memo[key] = (_relation_strain(None, mnode, rel, frames, s_fail, projected,
-                                            group_frame), a, b, group_frame)
-    return hit[0]
+        key = rel.spec + (s_fail, a, b)
+        row_frame = None
+        if projected and group_frame is not None and rel.function in ROW_RESOLVED:
+            key += (mnode.type_name, rel.operands, group_frame)
+            row_frame = group_frame
+        s = memo.get(key)
+        if s is None:
+            try:
+                s = contextual_relation_strain(rel, mnode, operand_frames, s_fail, projected,
+                                               row_frame)
+            except DegenerateFrameError:
+                s = math.inf
+            memo[key] = s
+        yield rel, s
 
 
 def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str,
@@ -328,34 +317,16 @@ class _GroupSlots:
             self.pinv = _template_pinv(mnode, self.flat)
         except DegenerateFrameError:
             self.template = None
-        self.placed = [
-            (name, self.slot_frame(name), member.frame, mnode.part(name).elasticity,
-             model.node(member.model_type).symmetry_class)
-            for name, member in self.members.items()
-        ]
-
-    def slot_frame(self, name: str) -> Frame | None:
-        frame = self.mnode.part(name).frame
-        if not self.flat:
-            return frame
-        try:
-            return _flatten_frame(frame)
-        except DegenerateFrameError:
-            return None
-
-    def predictions(self, group_frame: Frame, slot_frames) -> list:
-        """Scene placements of `slot_frames` for the given group frame, each
-        None where the template, the slot frame or the mapped frame degenerates."""
-        if self.template is None:
-            return [None] * len(slot_frames)
-        T = frame_onto(self.template, group_frame, self.pinv)
-        preds = []
-        for src in slot_frames:
-            try:
-                preds.append(None if src is None else T.apply_frame(src))
-            except DegenerateFrameError:
-                preds.append(None)
-        return preds
+        self.placed = []
+        for name, member in self.members.items():
+            src = mnode.part(name).frame
+            if self.flat:
+                try:
+                    src = _flatten_frame(src)
+                except DegenerateFrameError:
+                    src = None
+            self.placed.append((name, src, member.frame, mnode.part(name).elasticity,
+                                model.node(member.model_type).symmetry_class))
 
     def placement_strains(self, group_frame: Frame) -> dict:
         """Placement strain of every realized slot by name, for the given
@@ -363,30 +334,36 @@ class _GroupSlots:
 
         Each strain is kept in the scene's memo, keyed by `_PLACEMENT`, the
         group's type and `flat` (which fix the slot's template frame and
-        elasticity), the id of `group_frame`, the slot name, the id of the
-        member's frame and the member's symmetry class; the value keeps both
-        frames, so their ids stay unique. Frames are never changed in place
-        (`Frame`), so an entry holds as long as the memo. Only the slots
-        that miss are predicted, and a call that misses none maps no frame.
+        elasticity), `group_frame`, the slot name, the member's frame and
+        the member's symmetry class. Frames hash by identity and are never
+        changed in place (`Frame`), so an entry holds as long as the memo.
+        Only the slots that miss are predicted, and a call that misses none
+        maps no frame. A slot whose template, slot frame or predicted frame
+        degenerates costs infinite strain.
         """
-        head = (_PLACEMENT, self.mnode.type_name, self.flat, id(group_frame))
-        keys = [head + (name, id(obs), sym) for name, _, obs, _, sym in self.placed]
-        hits = [self.memo.get(key) for key in keys]
-        missing = [i for i, hit in enumerate(hits) if hit is None]
+        head = (_PLACEMENT, self.mnode.type_name, self.flat, group_frame)
+        keys = [head + (name, obs, sym) for name, _, obs, _, sym in self.placed]
+        strains = [self.memo.get(key) for key in keys]
+        missing = [i for i, s in enumerate(strains) if s is None]
         if missing:
-            preds = self.predictions(group_frame, [self.placed[i][1] for i in missing])
-            for i, pred in zip(missing, preds):
-                _, _, obs, elasticity, sym = self.placed[i]
+            T = None if self.template is None else frame_onto(self.template, group_frame,
+                                                              self.pinv)
+            for i in missing:
+                _, src, obs, elasticity, sym = self.placed[i]
+                try:
+                    pred = None if T is None or src is None else T.apply_frame(src)
+                except DegenerateFrameError:
+                    pred = None
                 s = math.inf if pred is None else placement_strain(pred, obs, elasticity, sym)
-                hits[i] = self.memo[keys[i]] = (s, group_frame, obs)
-        return {name: hit[0] for (name, *_), hit in zip(self.placed, hits)}
+                strains[i] = self.memo[keys[i]] = s
+        return {name: s for (name, *_), s in zip(self.placed, strains)}
 
 
 def refresh_conditionals(ig, cfg: Config | None = None):
     """Re-derive every link conditional from the current frames.
 
     Relation and placement strains go through the scene's memo
-    (`ig.strains`, see `_relation_strain` and
+    (`ig.strains`, see `relation_strains` and
     `_GroupSlots.placement_strains`), so a relation or a slot whose frames
     have not been replaced since it was last scored is not scored again."""
     cfg = cfg or Config()
@@ -400,8 +377,8 @@ def refresh_conditionals(ig, cfg: Config | None = None):
         s_slot = slots.placement_strains(group.frame)
         share = {name: 0.0 for name in slots.members}
         if slots.template is not None:
-            for rel, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail,
-                                           ig.projected, group.frame, ig.strains):
+            for rel, s in relation_strains(ig, mnode, mnode.relations, frames, cfg.s_fail,
+                                           group.frame):
                 for op in rel.operands:
                     share[op] += s / 2.0
         for gm in ig.links_to(group.key, "group-member"):
@@ -429,8 +406,7 @@ def refresh_conditionals(ig, cfg: Config | None = None):
                 continue
             total = 0.0
             residuals = {}
-            for rel, s in relation_strains(mnode, screens, frames, cfg.s_fail,
-                                           ig.projected, group.frame, ig.strains):
+            for rel, s in relation_strains(ig, mnode, screens, frames, cfg.s_fail, group.frame):
                 total += s
                 residuals["{}({})".format(rel.function, ",".join(rel.operands))] = s
             sl.conditional = cond_probability(total)
@@ -586,8 +562,9 @@ def _offer(offers, depth, key, d):
 
 
 def _bundle_links(ig, link):
-    """Expand one doomed link to its whole slot bundle (and its shadow node)."""
-    doomed = {id(link): link}
+    """Expand one doomed link to its whole slot bundle (and its shadow node).
+    A link hashes by identity, so `doomed` is an insertion-ordered set of links."""
+    doomed = {link: None}
     spec_nodes = []
     group_key = None
     slot = link.slot
@@ -603,12 +580,12 @@ def _bundle_links(ig, link):
     if group_key is not None and slot is not None:
         for l in ig.links_to(group_key):
             if l.slot == slot and l.kind in ("group-member", "part-of"):
-                doomed[id(l)] = l
+                doomed[l] = None
                 if l.kind == "part-of" and ig.nodes[l.source].spec_slot is not None:
                     spec_nodes.append(ig.nodes[l.source])
                     for sl in ig.links_from(l.source, "specializes"):
-                        doomed[id(sl)] = sl
-    return list(doomed.values()), spec_nodes
+                        doomed[sl] = None
+    return list(doomed), spec_nodes
 
 
 def prune(ig, cfg: Config | None = None):
@@ -736,29 +713,6 @@ def _fitted_frame(slots: _GroupSlots) -> Frame | None:
     return Frame(origin, axes)
 
 
-def _local_strain(ig, node, own, frame: Frame, cfg: Config) -> float:
-    """Strain of the terms touching one node's frame, with the node at `frame`:
-    its slots (`own`, its `_GroupSlots`), its memberships, and the relations
-    they take part in. The other terms are read from the graph; a pruned
-    group has no links, so it adds none."""
-    total = sum(own.placement_strains(frame).values(), 0.0)
-    sym = ig.model.node(node.model_type).symmetry_class
-    for gm in ig.links_from(node.key, "group-member"):
-        group = ig.nodes[gm.target]
-        slots = _GroupSlots(ig, group)
-        (pred,) = slots.predictions(group.frame, [slots.slot_frame(gm.slot)])
-        if pred is None:
-            return math.inf
-        total += placement_strain(pred, frame, slots.mnode.part(gm.slot).elasticity, sym)
-        frames = {name: frame if member is node else member.frame
-                  for name, member in slots.members.items()}
-        rels = [rel for rel in slots.mnode.relations if gm.slot in rel.operands]
-        for _, s in relation_strains(slots.mnode, rels, frames, cfg.s_fail, ig.projected,
-                                     group.frame):
-            total += s
-    return total
-
-
 def total_strain(ig, cfg: Config | None = None) -> float:
     """Placement strain of every realized slot plus every evaluable relation."""
     cfg = cfg or Config()
@@ -770,35 +724,41 @@ def total_strain(ig, cfg: Config | None = None) -> float:
             continue
         slots = _GroupSlots(ig, group)
         total += sum(slots.placement_strains(group.frame).values())
-        for _, s in relation_strains(mnode, mnode.relations, slots.frames, cfg.s_fail,
-                                     ig.projected, group.frame):
+        for _, s in relation_strains(ig, mnode, mnode.relations, slots.frames, cfg.s_fail,
+                                     group.frame):
             total += s
     return total
 
 
 def relax_frames(ig, nodes, cfg: Config | None = None):
     """Move each group frame among `nodes` to its closed-form fit where that
-    lowers strain.
+    lowers the placement strain of the group's own slots.
 
-    One pass, in key order, over the movable nodes: those neither primitive
-    (primitives anchor the data) nor shadow. A node takes its `_fitted_frame`
-    only when that raises exp(-s/2) of its full local strain s
-    (`_local_strain`: its slots, its memberships and their relations, boolean
-    ones included), so s never rises, and a move too small to change that
-    factor is not made. Shadows among `nodes` then mirror their sources; pass
-    a wave's fresh nodes, and every shadow of a node moved is among them.
+    `nodes` are a wave's fresh nodes, which are members of no group: a wave
+    binds only nodes of its snapshot, so a node's own slots hold every
+    strain its frame takes part in. One pass, in key order, over the
+    movable nodes: those neither primitive (primitives anchor the data) nor
+    shadow. A node takes its `_fitted_frame` only when that raises exp(-s/2)
+    of s, the summed `placement_strains` of its slots, so s never rises, and
+    a move too small to change that factor is not made. Shadows among
+    `nodes` then mirror their sources, and every shadow of a node moved is
+    among them. No setting of `cfg` bears on the fit.
     """
-    cfg = cfg or Config()
     ig.require_model()
     nodes = sorted(nodes, key=lambda n: n.key)
     for node in nodes:
         if node.is_primitive or ig.links_from(node.key, "specializes"):
             continue
         mnode = ig.model.nodes.get(node.model_type)
-        own = _GroupSlots(ig, node) if mnode is not None and mnode.parts else None
-        fitted = own and _fitted_frame(own)
-        if fitted and (cond_probability(_local_strain(ig, node, own, fitted, cfg))
-                       > cond_probability(_local_strain(ig, node, own, node.frame, cfg))):
+        if mnode is None or not mnode.parts:
+            continue
+        slots = _GroupSlots(ig, node)
+        fitted = _fitted_frame(slots)
+        if fitted is None:
+            continue
+        s_fitted, s_kept = (sum(slots.placement_strains(frame).values(), 0.0)
+                            for frame in (fitted, node.frame))
+        if cond_probability(s_fitted) > cond_probability(s_kept):
             node.frame = fitted
     for node in nodes:
         shadows = ig.links_from(node.key, "specializes")

@@ -44,7 +44,7 @@ def _is_number(value) -> bool:
     return type(value) in _JSON_NUMBERS
 
 
-@dataclass
+@dataclass(eq=False)
 class Frame:
     """Oriented placement: origin plus orthogonal axes (rows), lengths = half-extents.
 
@@ -59,7 +59,8 @@ class Frame:
 
     `origin` and `axes` are never mutated in place after construction: the
     axis lengths are cached here, so code that moves a frame builds a new one,
-    and nodes that sit at the same place share one frame.
+    and nodes that sit at the same place share one frame. A frame compares
+    and hashes by identity, so a strain memo can key on the frames it read.
     """
 
     origin: np.ndarray

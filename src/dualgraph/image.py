@@ -142,9 +142,9 @@ class ImageGraph:
     `projected` (a 3D model seen in a 2D scene through an affine camera) is
     derived from the model and the node frames, and never serialized; nor
     is `strains`, the scene's strain memo: relation strains
-    (`belief._relation_strain`) and group placement strains
-    (`belief._GroupSlots.placement_strains`), each keyed by the ids of the
-    frames it read, which it keeps.
+    (`belief.relation_strains`) and group placement strains
+    (`belief._GroupSlots.placement_strains`), each a float keyed by the
+    frames it read (a `Frame` hashes by identity) and by strings.
     """
 
     def __init__(self, scene_id: str = "", model=None, projected: bool = False):
@@ -198,11 +198,11 @@ class ImageGraph:
         return [l for l in self.incident(key) if l.target == key and kind in (None, l.kind)]
 
     def remove_links(self, doomed) -> list[ImageLink]:
-        doomed = set(id(l) for l in doomed)
-        removed = [l for l in self.links if id(l) in doomed]
-        self.links = [l for l in self.links if id(l) not in doomed]
+        doomed = set(doomed)  # links hash by identity
+        removed = [l for l in self.links if l in doomed]
+        self.links = [l for l in self.links if l not in doomed]
         for key in {k for l in removed for k in (l.source, l.target)}:
-            self._incident[key] = [l for l in self._incident[key] if id(l) not in doomed]
+            self._incident[key] = [l for l in self._incident[key] if l not in doomed]
         return removed
 
     def sorted_nodes(self) -> list[ImageNode]:

@@ -358,7 +358,7 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
 
     A key outside DOCUMENT_KEYS, NODE_KEYS, PART_KEYS or a frame's origin
     and axes is rejected, and so is a number, flag or count that is not a
-    JSON number, boolean or int."""
+    JSON number, boolean or int, and a `dim` that is not the int 2 or 3."""
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)
@@ -370,9 +370,8 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
         raise ModelFormatError("model document needs top-level 'root' and 'nodes'", path=path)
     _check_keys(doc, DOCUMENT_KEYS, "model document", path)
     dim = doc.get("dim", 2)
-    if dim not in (2, 3):
-        raise ModelFormatError(f"model dim must be 2 or 3, got {dim!r}", path=path)
-    dim = int(dim)
+    if type(dim) is not int or dim not in (2, 3):
+        raise ModelFormatError(f"model dim must be the int 2 or 3, got {dim!r}", path=path)
     nodes = {}
     try:
         for obj in doc["nodes"]:

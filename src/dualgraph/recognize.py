@@ -123,13 +123,13 @@ def _correspondence_sets(quads, projected) -> dict:
     `origin + sign * axis`, the same float operations for every member.
     """
     want = 2 if projected else 1
-    frames = {id(frame): frame for quad in quads for frame in quad}
-    ranks = {key: unambiguous_axes(frame, want) for key, frame in frames.items()}
+    ranks = {frame: unambiguous_axes(frame, want)
+             for frame in dict.fromkeys(itertools.chain.from_iterable(quads))}
     by_shape: dict = {}
     for c, (m1, m2, i1, i2) in enumerate(quads):
         shape, model_tips, image_tips = [], [], []
         for m, i in ((m1, i1), (m2, i2)):
-            m_idx, i_idx = ranks[id(m)], ranks[id(i)]
+            m_idx, i_idx = ranks[m], ranks[i]
             k = min(len(m_idx), len(i_idx))
             shape.append(k)
             model_tips += [m.axes[r] for r in m_idx[:k]]
@@ -298,9 +298,10 @@ class CandidateIndex:
     to spare; every survivor then faces the exact scalar gate, so a decision
     never depends on the columns' rounding.
 
-    Relation strains live in the scene's memo (`ig.strains`, keyed by
-    frame), which outlives the wave: screening, the relation check,
-    specialization and both refreshes of the wave share it.
+    Relation and placement strains live in the scene's memo (`ig.strains`,
+    keyed by the frames they read), which outlives the wave: screening, the
+    relation check, specialization, relaxation and both refreshes of the
+    wave share it.
     """
 
     def __init__(self, ig: ImageGraph):
@@ -636,7 +637,7 @@ def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
             yield entry, ((a, b) if o == 0 else (b, a))
 
 
-def _screening_score(mnode, entry, ca, cb, cfg, projected, index) -> float:
+def _screening_score(mnode, entry, ca, cb, cfg, index) -> float:
     """Product of the conditionals of the entry's screening relations on the
     clue frames, each strain through the scene's memo: midx entries of one
     group often repeat a spec (truck_flat's rectangle has several identical
@@ -644,8 +645,8 @@ def _screening_score(mnode, entry, ca, cb, cfg, projected, index) -> float:
     slots (build_midx)."""
     s1, s2 = entry.slots
     score = 1.0
-    for _, s in relation_strains(mnode, entry.screening, {s1: ca.frame, s2: cb.frame},
-                                 cfg.s_fail, projected, memo=index.ig.strains):
+    for _, s in relation_strains(index.ig, mnode, entry.screening,
+                                 {s1: ca.frame, s2: cb.frame}, cfg.s_fail):
         score *= cond_probability(min(s, 1e6))
     return score
 
@@ -698,7 +699,7 @@ def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
     for order, (entry, (ca, cb)) in enumerate(_screened(index, model, pairs, cfg,
                                                         projected)):
         mnode = model.node(entry.hypothesis)
-        score = _screening_score(mnode, entry, ca, cb, cfg, projected, index)
+        score = _screening_score(mnode, entry, ca, cb, cfg, index)
         if score < cfg.screen_min:
             continue
         key = (entry.hypothesis, frozenset((ca.key, cb.key)))
@@ -733,14 +734,13 @@ def _essential(slot) -> bool:
 
 class _Query(NamedTuple):
     """One slot whose prediction has an extent, with the snapshot rows of a
-    fitting type within `radius` of the predicted origin and their squared
-    distances (`CandidateIndex.near`). `tight` is the gated query radius in
-    predicted primary lengths."""
+    fitting type within the query radius of the predicted origin and their
+    squared distances (`CandidateIndex.near`). `tight` is the gated query
+    radius in predicted primary lengths."""
 
     slot: object
     pred: Frame
     tight: float
-    radius: float
     rows: np.ndarray
     d2: np.ndarray
 
@@ -803,7 +803,7 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
         k = int(queried[point])
         s = k % n
         pred = Frame.from_checked(pred_origins[k], pred_axes[k], tuple(lengths[k].tolist()))
-        out[k // n].append(_Query(slots[s], pred, tight[s], float(radii[k]), *hits.of(point)))
+        out[k // n].append(_Query(slots[s], pred, tight[s], *hits.of(point)))
     return out
 
 
@@ -1097,7 +1097,7 @@ def _match_wave(index, model: ModelGraph, hypotheses, queries, cfg: Config) -> l
     return out
 
 
-def _drop_relation_offenders(index, mnode, matched, cfg, projected, group_frame):
+def _drop_relation_offenders(index, mnode, matched, cfg, group_frame):
     """Relations worse than s_fail fail the group outright when every
     operand is essential; otherwise the optional offender is unbound.
     Strains come through the scene's memo: the relation check of every
@@ -1106,8 +1106,8 @@ def _drop_relation_offenders(index, mnode, matched, cfg, projected, group_frame)
     while True:
         frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
         worst = None
-        for rel, s in relation_strains(mnode, mnode.relations, frames, cfg.s_fail, projected,
-                                       group_frame, ig.strains):
+        for rel, s in relation_strains(ig, mnode, mnode.relations, frames, cfg.s_fail,
+                                       group_frame):
             if s > cfg.s_fail and (worst is None or s > worst[0]):
                 worst = (s, rel)
         if worst is None:
@@ -1146,20 +1146,19 @@ def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: Candi
     Failure creates nothing and returns None.
     """
     ig = index.ig
-    projected = ig.projected
     mnode = model.node(h.group_type)
     if matching is None:
         return None
     matched, _, transform = matching
     try:
-        if projected:
+        if ig.projected:
             frame = _aligned_projection(transform, mnode.frame_template)
         else:
             frame = transform.apply_frame(mnode.frame_template)
     except DegenerateFrameError:
         return None
     # the matched map may be shared with other hypotheses; unbind from a copy
-    matched = _drop_relation_offenders(index, mnode, dict(matched), cfg, projected, frame)
+    matched = _drop_relation_offenders(index, mnode, dict(matched), cfg, frame)
     if matched is None or _has_group(ig, h.group_type,
                                      frozenset(k for keys in matched.values() for k in keys)):
         return None
@@ -1171,11 +1170,11 @@ def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: Candi
             shadow = bind_member(ig, group.key, name, key)
             if shadow is not None:
                 created.append(shadow)
-    created.extend(_specialize(ig, model, group, matched, cfg, projected))
+    created.extend(_specialize(ig, model, group, matched, cfg))
     return created
 
 
-def _specialize(ig, model, group, matched, cfg, projected):
+def _specialize(ig, model, group, matched, cfg):
     """Screen stored child relations on the matched parts; passing children
     become specialization instances, failing ones are never added."""
     created = []
@@ -1187,15 +1186,15 @@ def _specialize(ig, model, group, matched, cfg, projected):
         mnode = model.node(type_name)
         for child_name in sorted(mnode.specialize_relations):
             rels = mnode.specialize_relations[child_name]
-            usable = [r for r in rels if relation_usable(r, group_mnode, projected)]
+            usable = [r for r in rels if relation_usable(r, group_mnode, ig.projected)]
             if not usable:
                 continue
             if not all(all(op in frames for op in r.operands) for r in usable):
                 continue
             total = 0.0
             passed = True
-            for _, s in relation_strains(group_mnode, usable, frames, cfg.s_fail,
-                                         projected, group.frame, ig.strains):
+            for _, s in relation_strains(ig, group_mnode, usable, frames, cfg.s_fail,
+                                         group.frame):
                 if s > cfg.s_fail:
                     passed = False
                     break

@@ -12,6 +12,8 @@ from .errors import SceneFormatError
 from .geometry import Frame, frame_from_circle, frame_from_segment
 
 PRIMITIVE_KINDS = ("linseg", "circle")
+# the keys of a scene document; parse_scene rejects any other
+SCENE_KEYS = ("dim", "primitives", "id")
 
 
 @dataclass
@@ -133,7 +135,8 @@ def _parse_primitive(obj, dim, where) -> Primitive:
 
 
 def parse_scene(data) -> Scene:
-    """Parse a scene document (bytes, text, or an already-decoded dict)."""
+    """Parse a scene document (bytes, text, or an already-decoded dict):
+    the keys `dim` (the int 2 or 3), `primitives` and `id`, and no others."""
     if isinstance(data, (bytes, bytearray, str)):
         try:
             data = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
@@ -141,9 +144,12 @@ def parse_scene(data) -> Scene:
             raise SceneFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise SceneFormatError("scene document must be a JSON object")
+    for key in data:
+        if key not in SCENE_KEYS:
+            raise SceneFormatError(f"unknown key {key!r}", key)
     dim = data.get("dim")
-    if dim not in (2, 3):
-        raise SceneFormatError("dim must be 2 or 3", "dim")
+    if type(dim) is not int or dim not in (2, 3):
+        raise SceneFormatError("dim must be the int 2 or 3", "dim")
     prims_raw = data.get("primitives", [])
     if not isinstance(prims_raw, list):
         raise SceneFormatError("expected a list", "primitives")
@@ -153,7 +159,7 @@ def parse_scene(data) -> Scene:
     prims = [
         _parse_primitive(obj, dim, f"primitives[{i}]") for i, obj in enumerate(prims_raw)
     ]
-    return Scene(dim=int(dim), primitives=prims, id=scene_id)
+    return Scene(dim=dim, primitives=prims, id=scene_id)
 
 
 def _num(x: float):

@@ -161,6 +161,8 @@ CASES = [
     ("model-part-key-unknown", load_model, _model(parts=[dict(PART, essental=False)]),
      ModelFormatError),
     ("model-frame-key-unknown", load_model, _model(frame=dict(FRAME, scale=2)), ModelFormatError),
+    # dim only as the int 2 or 3: 2.0 loaded as 2
+    ("model-dim-float", load_model, dict(_model(), dim=2.0), ModelFormatError),
     ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),
     ("model-root-unknown", load_model, dict(_model(), root="c"), ModelValidationError),
     ("graph-nodes", ImageGraph.from_json, {"nodes": 3}, SceneFormatError),
@@ -247,6 +249,10 @@ CASES = [
      _face_graph(lambda d, l, m: l.update(carries_up="no")), SceneFormatError),
     ("graph-link-to-pruned", _settled, _face_graph(lambda d, l, m: m.update(status="pruned")),
      SceneFormatError),
+    # a misspelled top-level key parsed as an empty scene, and dim 2.0 as 2
+    ("scene-key-misspelled", parse_scene,
+     {"dim": SCENE_DOC["dim"], "primitves": SCENE_DOC["primitives"]}, SceneFormatError),
+    ("scene-dim-float", parse_scene, dict(SCENE_DOC, dim=2.0), SceneFormatError),
     ("scene-coordinates-1e154", _recognize_parsed, _scaled(1e154), SceneFormatError),
     ("scene-coordinates-1.2e154-built", _recognize_built, _scaled(1.2e154), SceneFormatError),
     # a nonzero extent whose square underflows to 0 has no frame

@@ -58,6 +58,7 @@ from dualgraph.geometry import (
     similarity_of,
     unambiguous_axes,
 )
+from dualgraph.image import ImageGraph
 from dualgraph.model import RelationSpec, fixture_path, load_model_file, midx_lookup
 from dualgraph.scene import Primitive, Scene
 
@@ -215,8 +216,8 @@ def scalar_generate_hypotheses(model, frontier, cfg, index):
                     continue
                 frames = {s1: ca.frame, s2: cb.frame}
                 score = 1.0
-                for _, s in relation_strains(mnode, entry.screening, frames,
-                                             cfg.s_fail, projected):
+                for _, s in relation_strains(ImageGraph(projected=projected), mnode,
+                                             entry.screening, frames, cfg.s_fail):
                     score *= cond_probability(min(s, 1e6))
                 if score < cfg.screen_min:
                     continue
@@ -313,8 +314,8 @@ def scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, group_fra
     while True:
         frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
         worst = None
-        for rel, s in relation_strains(mnode, mnode.relations, frames,
-                                       cfg.s_fail, projected, group_frame):
+        for rel, s in relation_strains(ImageGraph(projected=projected), mnode,
+                                       mnode.relations, frames, cfg.s_fail, group_frame):
             if s > cfg.s_fail and (worst is None or s > worst[0]):
                 worst = (s, rel)
         if worst is None:
@@ -393,7 +394,7 @@ def scalar_verify(h, model, cfg, index):
             shadow = bind_member(ig, group.key, name, key)
             if shadow is not None:
                 created.append(shadow)
-    created.extend(rec._specialize(ig, model, group, matched, cfg, projected))
+    created.extend(rec._specialize(ig, model, group, matched, cfg))
     return created
 
 
@@ -671,8 +672,8 @@ def test_an_optional_member_that_fails_a_relation_is_unbound(monkeypatch):
     placement = placement_strain(slot.frame, small, slot.elasticity, "circle")
     (size_ratio,) = [r for r in mnode.relations
                      if r.function == "size-ratio" and r.operands == ("head", "ear_2")]
-    ((_, relation),) = relation_strains(mnode, [size_ratio], {
-        "head": mnode.part("head").frame, "ear_2": small}, cfg.s_fail, False)
+    ((_, relation),) = relation_strains(ImageGraph(), mnode, [size_ratio], {
+        "head": mnode.part("head").frame, "ear_2": small}, cfg.s_fail)
     assert 7.6 < placement < cfg.s_fail < 11.0 < relation < 11.2
     prims = _face_parts(mnode, True, ("head", "eye_1", "eye_2", "ear_1")) + [
         Primitive("circle", center=small.origin, radius=small.primary_length)]
@@ -821,8 +822,9 @@ def test_projected_row_resolved_strains_are_kept_per_group_frame(monkeypatch):
 
     monkeypatch.setattr(belief, "contextual_relation_strain", counted)
 
-    def strain(node, rel, frames, group_frame, memo):
-        s = belief._relation_strain(memo, node, rel, frames, cfg.s_fail, True, group_frame)
+    def strain(node, rel, frames, group_frame, ig):
+        ((_, s),) = relation_strains(ig, node, [rel], dict(zip(rel.operands, frames)),
+                                     cfg.s_fail, group_frame)
         return np.float64(s).tobytes()
 
     crossed = {"side1": "side3", "side2": "side4", "side3": "side1", "side4": "side2"}
@@ -840,17 +842,19 @@ def test_projected_row_resolved_strains_are_kept_per_group_frame(monkeypatch):
                      "group frame": (mnode, rel, other_frame),
                      "operands": (mnode, crossing, group_frame),
                      "group type": (other_type, rel, group_frame)}
-            memo, got = {}, {}
+            if not belief.relation_usable(crossing, mnode, True):
+                del cases["operands"]  # a relation projection spoils is never scored
+            ig, got = ImageGraph(projected=True), {}
             for name, (node, r, g) in cases.items():
-                want = strain(node, r, (a, b), g, None)
+                want = strain(node, r, (a, b), g, ImageGraph(projected=True))
                 scored.clear()
-                got[name] = strain(node, r, (a, b), g, memo)
+                got[name] = strain(node, r, (a, b), g, ig)
                 assert len(scored) == 1 and got[name] == want, name
                 scored.clear()
-                assert strain(node, r, (a, b), g, memo) == want and not scored, name
+                assert strain(node, r, (a, b), g, ig) == want and not scored, name
             for name in differ:
-                differ[name] += got[name] != got["base"]
-            assert len(memo) == len(cases)
+                differ[name] += name in got and got[name] != got["base"]
+            assert len(ig.strains) == len(cases)
     assert all(differ.values()), differ  # each part of the key changes some strains
 
 
@@ -949,7 +953,8 @@ def frame_pairs(draw):
 
 
 def _scalar_strain(rel, a, b, s_fail, projected=False):
-    ((_, s),) = relation_strains(None, [rel], {"a": a, "b": b}, s_fail, projected)
+    ((_, s),) = relation_strains(ImageGraph(projected=projected), None, [rel], {"a": a, "b": b},
+                                 s_fail)
     return min(s, 1e6)
 
 
@@ -1277,17 +1282,18 @@ def q_tight(slot, cfg):
     return min(cfg.gate_radius, slot.elasticity[0] * math.sqrt(cfg.s_fail))
 
 
-def scalar_found(index, model, slot, pred, radius):
-    """Brute-force count of the snapshot's candidates of a type that fits `slot` within `radius` predicted primary lengths (with the
-    prefilter slack) of its prediction: 0 for a prediction with no extent,
-    which is never queried."""
+def scalar_rows(index, model, slot, pred, radius):
+    """Brute force: the snapshot rows of the candidates of a type that fits
+    `slot` within `radius` predicted primary lengths (with the prefilter
+    slack) of its prediction, ascending; none for a prediction with no
+    extent, which is never queried."""
     scale = pred.primary_length
     if scale == 0:
-        return 0
+        return []
     fits = model.abstract.get(slot.type_name, frozenset())
     reach = scale * radius * (1.0 + rec._PREFILTER_SLACK)
-    return sum(node.model_type in fits and rec._distance(node.frame.origin, pred.origin) <= reach
-               for node in index.nodes)
+    return [row for row, node in enumerate(index.nodes)
+            if node.model_type in fits and rec._distance(node.frame.origin, pred.origin) <= reach]
 
 
 @pytest.mark.parametrize("fixture, target, camera, distractors", [
@@ -1301,10 +1307,10 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     `_predict_slots` predicts, in a wave's batch of hypotheses or of
     refits, is `apply_frame` or `project` of the slot frame bit for bit; a
     transform has no queries exactly when one of its scalar predictions
-    raises or a brute-force count over the snapshot's nodes
-    (`scalar_found`) finds an essential slot short, and otherwise its
-    queries are its slots with an extent, in part order, each with the
-    rough or the tight radius as asked. The rough calls are one per wave
+    raises or a brute-force search of the snapshot's nodes (`scalar_rows`)
+    finds an essential slot short, and otherwise its queries are its slots
+    with an extent, in part order, each holding the rows that search finds
+    within the rough or the tight radius as asked. The rough calls are one per wave
     and group type, on the transforms of the wave's hypotheses of that
     type in order, and the refit calls are one per wave and group type
     too."""
@@ -1334,9 +1340,9 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
             except DegenerateFrameError:
                 assert queries is None
                 continue
-            short = [slot for slot, pred in want if scalar_found(
+            short = [slot for slot, pred in want if len(scalar_rows(
                 index, model, slot, pred, cfg.gate_radius if rough else q_tight(slot, cfg)
-            ) < (slot.multiplicity[0] if slot.essential and slot.variant_tag is None else 0)]
+            )) < (slot.multiplicity[0] if slot.essential and slot.variant_tag is None else 0)]
             seen["short"] += bool(short)
             if short:
                 assert queries is None
@@ -1346,7 +1352,8 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
             for q, (_, pred) in zip(queries, want):
                 assert _frame_bytes(q.pred) == _frame_bytes(pred)
                 assert q.pred._length_tuple == pred._length_tuple
-                assert q.radius == pred.primary_length * (cfg.gate_radius if rough else q.tight)
+                radius = cfg.gate_radius if rough else q.tight
+                assert q.rows.tolist() == scalar_rows(index, model, q.slot, pred, radius)
                 seen["predictions"] += 1
         return got
 

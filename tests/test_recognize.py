@@ -211,14 +211,15 @@ WAVE_SCENES = [c[:5] for c in GOLDEN] + [
                          ids=[f"{c[0]}-{c[1]}-{c[3]}-{c[4]}" for c in WAVE_SCENES])
 def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distractors, camera):
     # recognize verifies every hypothesis once, unchecked, takes every
-    # candidate as a clue, and binds only the nodes of the wave's snapshot,
-    # on these grounds
+    # candidate as a clue, binds only the nodes of the wave's snapshot, and
+    # relaxes only groups that are members of no group, on these grounds
     if distractors == "tiled":
         scene, model = _tiled_scene(fixture, target, copies=4, jitter=jitter, seed=5)
     else:
         scene, model = _scene(fixture, target, jitter, seed=5, distractors=distractors,
                               camera=camera)
     generate, verify = dualgraph.recognize.generate_hypotheses, dualgraph.recognize.verify
+    relax = dualgraph.recognize.relax_frames
     tried = set()
     wave = {}
 
@@ -250,10 +251,17 @@ def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distract
         wave["verified"] = wave.get("verified", 0) + bool(created)
         return created
 
+    def relaxing(ig, nodes, cfg):
+        # so a node's own slots hold every strain its frame takes part in
+        assert not any(ig.links_from(n.key, "group-member") for n in nodes)
+        wave["relaxed"] = wave.get("relaxed", 0) + len(nodes)
+        return relax(ig, nodes, cfg)
+
     monkeypatch.setattr(dualgraph.recognize, "generate_hypotheses", generating)
     monkeypatch.setattr(dualgraph.recognize, "verify", verifying)
+    monkeypatch.setattr(dualgraph.recognize, "relax_frames", relaxing)
     recognize(scene, model)
-    assert wave["verified"] and len(tried) > wave["verified"]
+    assert wave["verified"] and len(tried) > wave["verified"] and wave["relaxed"]
 
 
 def _circle(origin, radius):
@@ -293,6 +301,7 @@ def test_a_wave_binds_only_nodes_of_its_snapshot(monkeypatch):
     prims = [Primitive("circle", center=c, radius=r) for c, r in (
         ((-1, 0), 1.0), ((1, 0), 1.0), ((-0.5, 2.5), 0.4), ((0.5, 2.5), 0.4))]
     generate, verify = dualgraph.recognize.generate_hypotheses, dualgraph.recognize.verify
+    relax = dualgraph.recognize.relax_frames
     waves = []
     born = {}  # node key -> the wave that made it, 0 for the seeds
     bound = []  # (wave, group, slot, member) per group-member link a verify made
