@@ -730,7 +730,7 @@ def total_strain(ig, cfg: Config | None = None) -> float:
     return total
 
 
-def relax_frames(ig, nodes, cfg: Config | None = None):
+def relax_frames(ig, nodes):
     """Move each group frame among `nodes` to its closed-form fit where that
     lowers the placement strain of the group's own slots.
 
@@ -742,7 +742,7 @@ def relax_frames(ig, nodes, cfg: Config | None = None):
     of s, the summed `placement_strains` of its slots, so s never rises, and
     a move too small to change that factor is not made. Shadows among
     `nodes` then mirror their sources, and every shadow of a node moved is
-    among them. No setting of `cfg` bears on the fit.
+    among them.
     """
     ig.require_model()
     nodes = sorted(nodes, key=lambda n: n.key)

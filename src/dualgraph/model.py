@@ -131,7 +131,8 @@ class PartLink:
             essential=essential,
             variant_tag=obj.get("variant"),
             multiplicity=multiplicity,
-            elasticity=elasticity,
+            # an int beyond the float range raises OverflowError here
+            elasticity=tuple(map(float, elasticity)),
         )
 
 

@@ -20,7 +20,6 @@ affine-invariant relations are scored.
 
 from __future__ import annotations
 
-import functools
 import heapq
 import itertools
 import math
@@ -725,18 +724,19 @@ def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
 # -- verification -------------------------------------------------------------------
 
 
-def _essential(slot) -> bool:
-    """Whether every match must fill this slot by itself: essential and in
-    no variant tag (model validation gives such a slot a multiplicity lower
-    bound of at least 1)."""
-    return slot.essential and slot.variant_tag is None
+def _need(slot) -> int:
+    """How many members every match must bind to this slot by itself: its
+    multiplicity lower bound when it is essential and in no variant tag
+    (model validation makes that at least 1), else 0."""
+    return slot.multiplicity[0] if slot.essential and slot.variant_tag is None else 0
 
 
 class _Query(NamedTuple):
     """One slot whose prediction has an extent, with the snapshot rows of a
-    fitting type within the query radius of the predicted origin and their
-    squared distances (`CandidateIndex.near`). `tight` is the gated query
-    radius in predicted primary lengths."""
+    fitting type within gate_radius predicted primary lengths of the
+    predicted origin and their squared distances (`CandidateIndex.near`).
+    `tight` is the radius of the gated matching in the same units, at most
+    gate_radius."""
 
     slot: object
     pred: Frame
@@ -745,7 +745,7 @@ class _Query(NamedTuple):
     d2: np.ndarray
 
 
-def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> list:
+def _predict_slots(index, model, mnode, transforms, cfg, projected) -> list:
     """Per transform, a `_Query` per slot whose prediction has an extent,
     in part order, or None when a prediction of the transform is degenerate
     (a frame `Frame` rejects) or an essential slot is short: the one path
@@ -757,16 +757,14 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     (`check_frames`). The predictions with an extent of the transforms
     whose predictions all pass are then queried against the snapshot
     together (`CandidateIndex.near`), for the nodes of a type that fits
-    their slot. The query radius is gate_radius predicted primary lengths
-    when `rough`, so that a rough matching can be made, and the tight
-    radius otherwise.
+    their slot, within gate_radius predicted primary lengths: the radius of
+    the rough matching, which holds the tight radius of the gated one.
 
-    A slot that every match must fill by itself (`_essential`) is short
-    when the query finds fewer instances of a fitting type within its
-    radius (with `_PREFILTER_SLACK`) than its lower bound. Neither side of
-    a matching could then fill it, since a slot binds only its own
-    candidates within that radius, so no `_Query` is built for such a
-    transform.
+    A slot that every match must fill by itself (`_need`) is short
+    when the query finds fewer instances of a fitting type within the gate
+    radius (with `_PREFILTER_SLACK`) than its lower bound. Neither matching
+    could then fill it, since a slot binds only its own candidates within
+    that radius, so no `_Query` is built for such a transform.
     """
     slots = mnode.parts
     n = len(slots)
@@ -788,7 +786,7 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     gate = cfg.gate_radius
     tight = [min(gate, slot.elasticity[0] * math.sqrt(cfg.s_fail)) for slot in slots]
     primary = lengths.max(axis=1).reshape(-1, n)
-    radii = (primary * gate if rough else primary * np.array(tight)).reshape(-1)
+    radii = (primary * gate).reshape(-1)
     queried = np.flatnonzero(whole[:, None] & (primary > 0))
     fits = [model.abstract.get(slot.type_name, frozenset()) for slot in slots]
     hits = index.near(pred_origins[queried], radii[queried],
@@ -796,7 +794,7 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     found = np.zeros(len(radii), dtype=int)
     found[queried] = hits.stops - hits.starts
     found = found.reshape(-1, n)
-    need = np.array([slot.multiplicity[0] if _essential(slot) else 0 for slot in slots])
+    need = np.array([_need(slot) for slot in slots])
     filled = whole & (found >= need).all(axis=1)
     out = [[] if fine else None for fine in filled.tolist()]
     for point in np.flatnonzero(filled[queried // n]).tolist():
@@ -807,152 +805,121 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected, rough) -> li
     return out
 
 
-def _predict_wave(index, model, hypotheses, cfg, projected) -> list:
-    """The queries of every hypothesis's first, rough matching, in
-    hypothesis order, None where `_predict_slots` builds none: one
-    `_predict_slots` call per group type, since one hypothesis predicts
-    only a few slots."""
-    by_type: dict = {}
-    for i, h in enumerate(hypotheses):
-        by_type.setdefault(h.group_type, []).append(i)
-    out = [None] * len(hypotheses)
-    for group_type, members in by_type.items():
-        queries = _predict_slots(index, model, model.node(group_type),
-                                 [hypotheses[i].transform for i in members], cfg, projected,
-                                 rough=True)
-        for i, q in zip(members, queries):
-            out[i] = q
-    return out
+def _gated_matching(index, model, mnode, queries, cfg):
+    """The gated matching of one transform, `queries` as `_predict_slots`
+    gives them: `_bind`'s (matched, strains), matched mapping slot name to
+    member keys and strains holding their placement strains, or (None, {})
+    when an essential slot cannot be filled. A candidate lies within the
+    tight radius of its slot and within s_fail of its predicted placement,
+    and ranks by placement strain.
 
+    Fail fast: `queries` None (a degenerate prediction, or an essential
+    slot short within the gate radius) fails before any strain is scored,
+    and so does an essential slot (`_need`) with fewer candidates
+    that could pass the exact gate than its lower bound, since every slot's
+    candidates are gathered before any is scored. The essential slots are
+    then scored first, and once one of them has fewer candidates passing
+    the exact gate than its lower bound, the matching fails and scores no
+    further strain. The shortcut is exact: a slot binds only its own
+    candidates.
 
-def _match_slots(index, model, mnode, queries, rough, cfg):
-    """Greedily bind the closest unclaimed instances to the predicted slots,
-    `queries` as `_predict_slots` gives them for one transform.
-
-    The gated matching takes candidates within s_fail of their predicted
-    placement, ranked by placement strain. When `rough` (the queries took
-    the rough radius) the same transform also gets a rough matching, where
-    only the origin radius gate applies (it tolerates the rotational slack
-    of a rough transform), ranked by origin offset over the predicted
-    scale. Returns (gated, rough), each (matched, strains) where matched
-    maps slot name to member keys, or (None, {}) when an essential slot
-    cannot be filled; the rough side is None unless `rough`.
-
-    Fail fast: every slot arrives predicted and queried, and `queries` None
-    fails both sides: a degenerate prediction, or an essential slot with
-    too few instances within its query radius (`_predict_slots`), so no
-    strain is scored. The slots a match cannot do without (`_essential`)
-    come first. The gated side scores them first, and once one of them has
-    fewer candidates passing the exact gate than its lower bound, it fails
-    and scores no further strain; the rough side goes on alone. The
-    shortcut is exact: a slot binds only its own candidates, and gated
-    candidates are rough ones.
-
-    Prefilter contract: the queries (`CandidateIndex.near`) narrow the
-    snapshot to a superset of the instances of a fitting type within the
-    query radius. A gated candidate must also lie within sigma_o *
-    sqrt(s_fail) predicted primary lengths, since `_origin_bound` shows no
-    farther one can pass, and is scored by placement_strain only when its
-    origin bound is within s_fail; then it faces the exact gate, whose
-    placement_strain stops at s_fail (its `limit`). A rough
-    candidate waits in a `_Nearest` stream behind a lower bound of its rank
-    and gets its exact distance only when it could bind next (see
-    `_bind`); its placement strain, read only by the variant-tag
-    tie-break, is computed only once it is bound.
+    Prefilter contract: the query rows (`CandidateIndex.near`) are narrowed
+    to the tight radius with `_PREFILTER_SLACK`. A candidate must also lie
+    within sigma_o * sqrt(s_fail) predicted primary lengths, since
+    `_origin_bound` shows no farther one can pass, and is scored by
+    placement_strain only when its origin bound is within s_fail; then it
+    faces the exact gate, whose placement_strain stops at s_fail (its
+    `limit`).
     """
-    failed = (None, {}), ((None, {}) if rough else None)
     if queries is None:
-        return failed
-    gate = cfg.gate_radius
-
-    def exact_distance(node, pred):
-        """Origin distance of a candidate within the gate radius, else None."""
-        d = _distance(node.frame.origin, pred.origin)
-        return None if d > gate * pred.primary_length else d
-
-    def rough_entry(slot, pred, node):
-        """The exact rough candidate, or None when it fails a gate."""
-        d = exact_distance(node, pred)
-        if d is None:
-            return None
-        sym = model.node(node.model_type).symmetry_class
-        return (d / pred.primary_length, slot.name, node.key,
-                functools.partial(placement_strain, pred, node.frame, slot.elasticity, sym),
-                None)
-
-    def gated_entries(q):
-        """The slot's candidates that pass the exact gate, or None as soon
-        as too few can for an essential slot."""
-        slot, pred = q.slot, q.pred
-        scale = pred.primary_length
-        rows = q.rows
-        if rough:
-            rows = rows[q.d2 <= (q.tight * scale * (1.0 + _PREFILTER_SLACK)) ** 2]
-        close = []
-        for node in [index.nodes[i] for i in rows.tolist()]:
-            d = exact_distance(node, pred)
-            if d is not None and _origin_bound(d, slot.elasticity[0], scale) <= cfg.s_fail:
-                close.append(node)
-        need = slot.multiplicity[0] if _essential(slot) else 0
-        if len(close) < need:
-            return None
-        out = []
-        for node in close:
+        return None, {}
+    gate, s_fail = cfg.gate_radius, cfg.s_fail
+    close = []
+    for q in sorted(queries, key=lambda q: not _need(q.slot)):
+        scale = q.pred.primary_length
+        nodes = []
+        for row in q.rows[q.d2 <= (q.tight * scale * (1.0 + _PREFILTER_SLACK)) ** 2].tolist():
+            node = index.nodes[row]
+            d = _distance(node.frame.origin, q.pred.origin)
+            if d <= gate * scale and _origin_bound(d, q.slot.elasticity[0], scale) <= s_fail:
+                nodes.append(node)
+        if len(nodes) < _need(q.slot):
+            return None, {}
+        close.append((q, nodes))
+    entries = []
+    for q, nodes in close:
+        slot = q.slot
+        passed = 0
+        for node in nodes:
             sym = model.node(node.model_type).symmetry_class
-            s = placement_strain(pred, node.frame, slot.elasticity, sym, cfg.s_fail)
-            if s <= cfg.s_fail:
-                out.append((s, slot.name, node.key, s, None))
-        return None if len(out) < need else out
+            s = placement_strain(q.pred, node.frame, slot.elasticity, sym, s_fail)
+            if s <= s_fail:
+                entries.append((s, slot.name, node.key, None))
+                passed += 1
+        if passed < _need(slot):
+            return None, {}
+    return _bind(mnode, entries)
 
-    queries = sorted(queries, key=lambda q: not _essential(q.slot))
-    gated = []
+
+def _rough_matching(index, mnode, queries, cfg):
+    """The rough matching of one transform, `queries` as `_predict_slots`
+    gives them: matched, mapping slot name to member keys, or None when an
+    essential slot cannot be filled. It only picks the members a refit is
+    fitted from, so it ranks and never scores: only the origin radius gate
+    applies (it tolerates the rotational slack of a rough transform), and a
+    candidate ranks by its origin offset over the predicted scale.
+
+    A candidate waits in a `_Nearest` stream behind a lower bound of its
+    rank and gets its exact rank only when it could bind next (see
+    `_bind`).
+    """
+    if queries is None:
+        return None
+    streams = []
     for q in queries:
-        passed = gated_entries(q)
-        if passed is None:
-            gated = failed[0]
-            break
-        gated.extend(passed)
-    else:
-        gated = _bind(mnode, gated)
-    if not rough:
-        return gated, None
-    loose = []
-    for q in queries:
-        pred = q.pred
-        resolve = functools.partial(rough_entry, q.slot, pred)
+        scale = q.pred.primary_length
         # rows ascend in key order, so (lower bound, row) is (lower bound, key)
-        lower = np.sqrt(q.d2) / pred.primary_length * (1.0 - _PREFILTER_SLACK)
+        lower = np.sqrt(q.d2) / scale * (1.0 - _PREFILTER_SLACK)
         order = np.lexsort((q.rows, lower))
-        stream = _Nearest(q.slot.name, lower[order].tolist(),
-                          [index.nodes[i] for i in q.rows[order].tolist()], resolve)
-        head = stream.entry(0)
+        head = _Nearest(q.slot.name, q.pred, cfg.gate_radius * scale, lower[order].tolist(),
+                        [index.nodes[i] for i in q.rows[order].tolist()]).entry(0)
         if head is not None:
-            loose.append(head)
-    return gated, _bind(mnode, loose)
+            streams.append(head)
+    return _bind(mnode, streams)[0]
 
 
 class _Nearest:
-    """One slot's candidates in ascending order of (lower bound of rank, key);
-    `resolve(node)` gives a candidate's exact `_bind` entry, or None when it
-    fails its exact gate."""
+    """One slot's rough candidates for the prediction `pred`, in ascending
+    order of (lower bound of rank, key); a candidate beyond `reach` of the
+    predicted origin fails the gate."""
 
-    __slots__ = ("name", "lower", "nodes", "resolve")
+    __slots__ = ("name", "pred", "reach", "lower", "nodes")
 
-    def __init__(self, name, lower, nodes, resolve):
-        self.name, self.lower, self.nodes, self.resolve = name, lower, nodes, resolve
+    def __init__(self, name, pred, reach, lower, nodes):
+        self.name, self.pred, self.reach, self.lower, self.nodes = name, pred, reach, lower, nodes
 
     def entry(self, pos):
         """The pending candidate at `pos` as a `_bind` entry, None past the end."""
         if pos == len(self.nodes):
             return None
-        return (self.lower[pos], self.name, self.nodes[pos].key, None, (self, pos))
+        return (self.lower[pos], self.name, self.nodes[pos].key, (self, pos))
+
+    def resolve(self, pos):
+        """The candidate at `pos` as an exact `_bind` entry, ranked by origin
+        offset over the predicted scale, or None when it fails the gate."""
+        node = self.nodes[pos]
+        d = _distance(node.frame.origin, self.pred.origin)
+        if d > self.reach:
+            return None
+        return (d / self.pred.primary_length, self.name, node.key, None)
 
 
 def _bind(mnode, candidates):
-    """Greedy binding of (rank, slot name, key, strain, pending) candidates in
-    rank order (ties by slot name, then key), one winner per variant tag,
-    then the essential-slot check, which returns (None, {}) on failure. A
-    strain may be a callable, evaluated only when its candidate is bound.
+    """Greedy binding of (rank, slot name, key, pending) candidates in rank
+    order (ties by slot name, then key), one winner per variant tag: the
+    tagged slot with the best rank it bound. Then the essential-slot check,
+    which returns (None, {}) on failure. Returns (matched, ranks), each
+    mapping slot name to its bound keys and their ranks in binding order.
 
     A pending candidate is the head (stream, pos) of a `_Nearest` stream and
     carries a lower bound of its rank. When it comes first while its slot
@@ -965,11 +932,11 @@ def _bind(mnode, candidates):
     """
     heapq.heapify(candidates)
     matched: dict = {}
-    strains: dict = {}
+    ranks: dict = {}
     used = set()
     limits = {slot.name: slot.multiplicity for slot in mnode.parts}
     while candidates:
-        _, name, key, s, pending = heapq.heappop(candidates)
+        rank, name, key, pending = heapq.heappop(candidates)
         hi = limits[name][1]
         if hi is not None and len(matched.get(name, [])) >= hi:
             continue
@@ -978,17 +945,17 @@ def _bind(mnode, candidates):
             follow = stream.entry(pos + 1)
             if follow is not None:
                 heapq.heappush(candidates, follow)
-            exact = None if key in used else stream.resolve(stream.nodes[pos])
+            exact = None if key in used else stream.resolve(pos)
             if exact is not None:
                 heapq.heappush(candidates, exact)
             continue
         if key in used:
             continue
         matched.setdefault(name, []).append(key)
-        strains.setdefault(name, []).append(s() if callable(s) else s)
+        ranks.setdefault(name, []).append(rank)
         used.add(key)
 
-    # one winner per variant tag: keep the best-strained tagged slot
+    # one winner per variant tag: keep the best-ranked tagged slot
     tags: dict = {}
     for slot in mnode.parts:
         if slot.variant_tag is not None and slot.name in matched:
@@ -996,11 +963,11 @@ def _bind(mnode, candidates):
     for tag, names in sorted(tags.items()):
         if len(names) < 2:
             continue
-        keep = min(names, key=lambda n: (min(strains[n]), n))
+        keep = min(names, key=lambda n: (min(ranks[n]), n))
         for name in names:
             if name != keep:
                 matched.pop(name)
-                strains.pop(name)
+                ranks.pop(name)
 
     covered = set()
     for slot in mnode.parts:
@@ -1015,7 +982,7 @@ def _bind(mnode, candidates):
             continue
         if slot.essential and have < slot.multiplicity[0]:
             return None, {}
-    return matched, strains
+    return matched, ranks
 
 
 def _match_score(matched, strains):
@@ -1049,42 +1016,53 @@ def _refits(ig, model, keys, projected) -> list:
     return out
 
 
-def _match_wave(index, model: ModelGraph, hypotheses, queries, cfg: Config) -> list:
+def _match_wave(index, model: ModelGraph, hypotheses, cfg: Config) -> list:
     """Per hypothesis, the matching `verify` binds: (matched, strains,
     transform), or None when no matching fills the essential slots.
 
-    Each hypothesis gets its gated and rough matchings from its `queries`
-    (`_match_slots`). Each distinct (group type, rough matching) is then
-    refitted once (`_refits`), since every pair of an object's parts
-    suggests the same group and so often the same rough matching; the
-    refits of a group type are predicted in one `_predict_slots` call and
-    matched with the tight radius. A hypothesis takes its refit's gated
-    matching when `_match_score` ranks it strictly better than its own.
+    Each hypothesis's slots are predicted from the snapshot, one
+    `_predict_slots` call per group type since one hypothesis predicts only
+    a few slots, and its queries get a gated and a rough matching
+    (`_gated_matching`, `_rough_matching`). Each distinct (group type,
+    rough matching) is then refitted once (`_refits`), since every pair of
+    an object's parts suggests the same group and so often the same rough
+    matching; the refits are predicted the same way and get a gated
+    matching. A hypothesis takes its refit's gated matching when
+    `_match_score` ranks it strictly better than its own.
 
     A degenerate refit is dropped. That is exact: the transform would fall
-    back to the hypothesis's, whose tight matching is the gated side of its
-    rough matching, and an equal score never wins.
+    back to the hypothesis's, whose gated matching it has already, and an
+    equal score never wins.
     """
     projected = index.ig.projected
+
+    def predicted(pairs):
+        """The queries of each (group type, transform) pair, in order."""
+        by_type: dict = {}
+        for i, (group_type, _) in enumerate(pairs):
+            by_type.setdefault(group_type, []).append(i)
+        out = [None] * len(pairs)
+        for group_type, members in by_type.items():
+            queries = _predict_slots(index, model, model.node(group_type),
+                                     [pairs[i][1] for i in members], cfg, projected)
+            for i, q in zip(members, queries):
+                out[i] = q
+        return out
+
     firsts, refits = [], {}
-    for h, q in zip(hypotheses, queries):
-        gated, (rough, _) = _match_slots(index, model, model.node(h.group_type), q, True, cfg)
+    for h, q in zip(hypotheses, predicted([(h.group_type, h.transform) for h in hypotheses])):
+        mnode = model.node(h.group_type)
+        rough = _rough_matching(index, mnode, q, cfg)
         key = None
         if rough:
             key = (h.group_type, tuple((name, tuple(rough[name])) for name in sorted(rough)))
             refits[key] = None
-        firsts.append((gated, key))
+        firsts.append((_gated_matching(index, model, mnode, q, cfg), key))
     keys = list(refits)
-    by_type: dict = {}
-    for key, refit in zip(keys, _refits(index.ig, model, keys, projected)):
-        if refit is not None:
-            by_type.setdefault(key[0], []).append((key, refit))
-    for group_type, members in by_type.items():
-        mnode = model.node(group_type)
-        predicted = _predict_slots(index, model, mnode, [refit for _, refit in members], cfg,
-                                   projected, rough=False)
-        for (key, refit), q in zip(members, predicted):
-            refits[key] = refit, _match_slots(index, model, mnode, q, False, cfg)[0]
+    fitted = [(key, refit) for key, refit in zip(keys, _refits(index.ig, model, keys, projected))
+              if refit is not None]
+    for (key, refit), q in zip(fitted, predicted([(key[0], refit) for key, refit in fitted])):
+        refits[key] = refit, _gated_matching(index, model, model.node(key[0]), q, cfg)
     out = []
     for h, ((matched, strains), key) in zip(hypotheses, firsts):
         transform = h.transform
@@ -1229,8 +1207,7 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
             break
         index = CandidateIndex(ig)
         hypotheses = generate_hypotheses(model, frontier, cfg, index)
-        matchings = _match_wave(index, model, hypotheses,
-                                _predict_wave(index, model, hypotheses, cfg, ig.projected), cfg)
+        matchings = _match_wave(index, model, hypotheses, cfg)
         fresh = []
         for h, matching in zip(hypotheses, matchings):
             fresh.extend(verify(h, matching, model, cfg, index) or ())
@@ -1238,7 +1215,7 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
             break
         refresh_conditionals(ig, cfg)
         propagate(ig, fresh, cfg)
-        relax_frames(ig, fresh, cfg)
+        relax_frames(ig, fresh)
         refresh_conditionals(ig, cfg)
         propagate(ig, fresh, cfg)
         prune(ig, cfg)

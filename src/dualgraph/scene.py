@@ -89,14 +89,21 @@ class Scene:
 def _check_vector(value, length, where):
     if not isinstance(value, (list, tuple)) or len(value) != length:
         raise SceneFormatError(f"expected a {length}-vector", where)
-    out = []
-    for i, item in enumerate(value):
-        if isinstance(item, bool) or not isinstance(item, (int, float)):
-            raise SceneFormatError("expected a number", f"{where}[{i}]")
-        if not math.isfinite(item):
-            raise SceneFormatError("coordinate is not finite", f"{where}[{i}]")
-        out.append(float(item))
-    return out
+    return [_finite(item, "coordinate", f"{where}[{i}]") for i, item in enumerate(value)]
+
+
+def _finite(value, what, where) -> float:
+    """A JSON number as a finite float; an int beyond the float range is
+    rejected like inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SceneFormatError(f"{what} must be a number", where)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise SceneFormatError(f"{what} is not finite", where)
+    return value
 
 
 def _parse_primitive(obj, dim, where) -> Primitive:
@@ -105,9 +112,7 @@ def _parse_primitive(obj, dim, where) -> Primitive:
     kind = obj.get("kind")
     if kind not in PRIMITIVE_KINDS:
         raise SceneFormatError(f"unknown primitive kind {kind!r}", f"{where}.kind")
-    strength = obj.get("strength", 1.0)
-    if isinstance(strength, bool) or not isinstance(strength, (int, float)):
-        raise SceneFormatError("strength must be a number", f"{where}.strength")
+    strength = _finite(obj.get("strength", 1.0), "strength", f"{where}.strength")
     if not (0.0 <= strength <= 1.0):
         raise SceneFormatError("strength must lie in [0, 1]", f"{where}.strength")
     allowed = {"kind", "strength"}
@@ -122,16 +127,14 @@ def _parse_primitive(obj, dim, where) -> Primitive:
         p2 = _check_vector(obj["p2"], dim, f"{where}.p2")
         if p1 == p2:
             raise SceneFormatError("linseg endpoints coincide", where)
-        return Primitive("linseg", p1=p1, p2=p2, strength=float(strength))
+        return Primitive("linseg", p1=p1, p2=p2, strength=strength)
     if "center" not in obj or "radius" not in obj:
         raise SceneFormatError("circle needs center and radius", where)
     center = _check_vector(obj["center"], dim, f"{where}.center")
-    radius = obj["radius"]
-    if isinstance(radius, bool) or not isinstance(radius, (int, float)):
-        raise SceneFormatError("radius must be a number", f"{where}.radius")
-    if not math.isfinite(radius) or radius <= 0:
-        raise SceneFormatError("radius must be positive and finite", f"{where}.radius")
-    return Primitive("circle", center=center, radius=float(radius), strength=float(strength))
+    radius = _finite(obj["radius"], "radius", f"{where}.radius")
+    if radius <= 0:
+        raise SceneFormatError("radius must be positive", f"{where}.radius")
+    return Primitive("circle", center=center, radius=radius, strength=strength)
 
 
 def parse_scene(data) -> Scene:

@@ -364,7 +364,7 @@ def test_relax_exact_rectangle_is_noop(cfg):
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     before = rect.frame.copy()
     assert total_strain(ig, cfg) < 1e-12
-    relax_frames(ig, ig.active_nodes(), cfg)
+    relax_frames(ig, ig.active_nodes())
     assert np.allclose(rect.frame.origin, before.origin, atol=1e-6)
     assert np.allclose(rect.frame.axes, before.axes, atol=1e-6)
 
@@ -378,7 +378,7 @@ def test_relax_jittered_rectangle_reduces_strain(cfg):
     rect.frame = Frame(rect.frame.origin + np.array([0.1, -0.08, 0.0]),
                        rect.frame.axes * 1.1)
     s0 = total_strain(ig, cfg)
-    relax_frames(ig, ig.active_nodes(), cfg)
+    relax_frames(ig, ig.active_nodes())
     assert total_strain(ig, cfg) < s0
 
 
@@ -387,7 +387,7 @@ def test_relax_moves_shadows_with_parents(cfg):
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     rect.frame = Frame(rect.frame.origin + np.array([0.2, 0.0, 0.0]), rect.frame.axes)
-    relax_frames(ig, ig.active_nodes(), cfg)
+    relax_frames(ig, ig.active_nodes())
     for shadow in (n for n in ig.nodes.values() if n.spec_slot):
         parent = ig.nodes[ig.links_from(shadow.key, "specializes")[0].target]
         assert np.allclose(shadow.frame.origin, parent.frame.origin)
@@ -401,7 +401,7 @@ def test_relax_rejects_degenerate_steps(cfg):
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     rect.frame = Frame(rect.frame.origin, rect.frame.axes * 0.2)
-    relax_frames(ig, ig.active_nodes(), cfg)
+    relax_frames(ig, ig.active_nodes())
     assert np.isfinite(rect.frame.axes).all()
     assert rect.frame.primary_length > 0
 
@@ -437,7 +437,7 @@ def test_relax_fits_a_displaced_group_back_onto_its_members(case, seed):
     stretch[:pinned] = rng.uniform(0.8, 1.25, (pinned, 1))
     group.frame = Frame(truth.origin + rng.normal(0.0, 0.3 * truth.primary_length, dim),
                         stretch * truth.axes @ random_rotation(rng, dim).T)
-    relax_frames(ig, ig.active_nodes(), cfg)
+    relax_frames(ig, ig.active_nodes())
     assert max(_GroupSlots(ig, group).placement_strains(group.frame).values()) < 1e-20
     if pinned == np.count_nonzero(model.node(type_name).frame_template.lengths):
         assert np.abs(group.frame.origin - truth.origin).max() < 1e-12
@@ -473,7 +473,7 @@ def test_relax_keeps_a_frame_its_members_cannot_pin(cfg):
     bind_member(ig, lone.key, slot, member.key)
     start = lone.frame
     assert dualgraph.belief._fitted_frame(_GroupSlots(ig, lone)) is None
-    relax_frames(ig, [lone], cfg)
+    relax_frames(ig, [lone])
     assert lone.frame is start
 
 
@@ -486,7 +486,7 @@ def test_relax_moves_only_the_listed_groups(cfg):
     for rect in rects:
         rect.frame = Frame(rect.frame.origin + np.array([0.1, -0.08, 0.0]), rect.frame.axes * 1.1)
     displaced = rects[1].frame
-    relax_frames(ig, [rects[0]], cfg)
+    relax_frames(ig, [rects[0]])
     assert np.abs(rects[0].frame.origin - truth[0].origin).max() < 1e-12
     assert np.abs(rects[0].frame.axes - truth[0].axes).max() < 1e-12
     assert rects[1].frame is displaced
@@ -720,7 +720,7 @@ def test_relax_raises_no_local_strain(recognized_graphs, cfg):
                 take = fitted is not None and cond_probability(after) > cond_probability(before)
                 assert not take or after <= before
                 want[node.key] = (start, fitted, take)
-        relax_frames(ig, tops, cfg)
+        relax_frames(ig, tops)
         for node in ig.nodes.values():
             assert np.isfinite(node.frame.origin).all() and np.isfinite(node.frame.axes).all()
         assert want
@@ -801,7 +801,7 @@ def test_refresh_after_relax_equals_a_memo_free_refresh(recognized_graphs, cfg, 
         counts = []
         for g, forget in ((ig, False), (bare, True)):
             del calls[:]
-            for step in (refresh_conditionals, lambda g, cfg: relax_frames(g, g.active_nodes(), cfg),
+            for step in (refresh_conditionals, lambda g, cfg: relax_frames(g, g.active_nodes()),
                          refresh_conditionals):
                 if forget:
                     g.strains.clear()
@@ -819,7 +819,7 @@ def test_placement_keys_never_meet_relation_keys(recognized_graphs, cfg):
     for graph in recognized_graphs:
         ig = ImageGraph.from_bytes(graph.to_bytes(), graph.model)
         refresh_conditionals(ig, cfg)
-        relax_frames(ig, ig.active_nodes(), cfg)
+        relax_frames(ig, ig.active_nodes())
         for key, value in ig.strains.items():
             assert type(value) is float
             if key[0] == dualgraph.belief._PLACEMENT:

@@ -161,6 +161,9 @@ CASES = [
     ("model-part-key-unknown", load_model, _model(parts=[dict(PART, essental=False)]),
      ModelFormatError),
     ("model-frame-key-unknown", load_model, _model(frame=dict(FRAME, scale=2)), ModelFormatError),
+    # an int beyond the float range loaded, and recognize overflowed in placement_strain
+    ("model-elasticity-int-beyond-float", load_model,
+     _model(parts=[dict(PART, elasticity=[0.25, 10**400, 0.25])]), ModelFormatError),
     # dim only as the int 2 or 3: 2.0 loaded as 2
     ("model-dim-float", load_model, dict(_model(), dim=2.0), ModelFormatError),
     ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),
@@ -253,6 +256,14 @@ CASES = [
     ("scene-key-misspelled", parse_scene,
      {"dim": SCENE_DOC["dim"], "primitves": SCENE_DOC["primitives"]}, SceneFormatError),
     ("scene-dim-float", parse_scene, dict(SCENE_DOC, dim=2.0), SceneFormatError),
+    # a JSON int beyond the float range raised a raw OverflowError
+    ("scene-center-int-beyond-float", parse_scene,
+     _with_primitive({"kind": "circle", "center": [0, 10**400, 0], "radius": 1}), SceneFormatError),
+    ("scene-radius-int-beyond-float", parse_scene,
+     _with_primitive({"kind": "circle", "center": [0, 0, 0], "radius": 10**400}), SceneFormatError),
+    ("scene-p1-int-beyond-float", parse_scene,
+     json.dumps(_with_primitive({"kind": "linseg", "p1": [-10**400, 0, 0], "p2": [0, 0, 0]})),
+     SceneFormatError),
     ("scene-coordinates-1e154", _recognize_parsed, _scaled(1e154), SceneFormatError),
     ("scene-coordinates-1.2e154-built", _recognize_built, _scaled(1.2e154), SceneFormatError),
     # a nonzero extent whose square underflows to 0 has no frame
@@ -308,8 +319,10 @@ def test_malformed_input_raises_a_package_error(entry, arg, error):
 
 # -- fuzzing -------------------------------------------------------------------
 
+# ints beyond +-2**1024 are JSON numbers too, but no float holds them
 json_values = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.integers(min_value=2**1024)
+    | st.integers(max_value=-2**1024) | st.floats() | st.text(max_size=6),
     lambda inner: st.lists(inner, max_size=4)
     | st.dictionaries(st.text(max_size=6), inner, max_size=4),
     max_leaves=12,

@@ -5,7 +5,8 @@ memos of hypothesis generation and verification change no result.
 the scalar recognizer steps they replaced: every clue pair and midx entry
 screened by relation_strains, every screening that passes fitted one sign
 assignment at a time (`scalar_fit_transform`), every instance within the
-gate radius in the wave's snapshot scored by placement_strain, and every
+gate radius in the wave's snapshot scored by placement_strain (a rough
+matching ranks by origin offset alone and scores nothing), and every
 hypothesis matched, refitted one fit at a time (`scalar_refit`) and its
 relations scored afresh when it is verified. The oracle tests run recognition with both
 versions side by side at every wave and demand equal results; the property
@@ -242,6 +243,10 @@ def scalar_predict(transform, frame, projected):
 
 
 def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_gate=True):
+    """The gated matching, or with `strain_gate` False the rough one, of
+    one transform: (matched, ranks), where a gated candidate ranks by its
+    placement strain and a rough one by its origin offset over the
+    predicted scale, and a variant tag keeps its best-ranked slot."""
     predictions = {}
     for slot in mnode.parts:
         try:
@@ -262,25 +267,26 @@ def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_ga
             d = rec._distance(node.frame.origin, pred.origin)
             if d > cfg.gate_radius * scale:
                 continue
-            sym = model.node(node.model_type).symmetry_class
-            s = placement_strain(pred, node.frame, slot.elasticity, sym)
-            if strain_gate and s > cfg.s_fail:
-                continue
-            rank = s if strain_gate else d / scale
-            candidates.append((rank, slot.name, node.key, s))
-    candidates.sort(key=lambda c: (c[0], c[1], c[2]))
+            rank = d / scale
+            if strain_gate:
+                sym = model.node(node.model_type).symmetry_class
+                rank = placement_strain(pred, node.frame, slot.elasticity, sym)
+                if rank > cfg.s_fail:
+                    continue
+            candidates.append((rank, slot.name, node.key))
+    candidates.sort()
     matched = {}
-    strains = {}
+    ranks = {}
     used = set()
     limits = {slot.name: slot.multiplicity for slot in mnode.parts}
-    for _, name, key, s in candidates:
+    for rank, name, key in candidates:
         if key in used:
             continue
         lo, hi = limits[name]
         if hi is not None and len(matched.get(name, [])) >= hi:
             continue
         matched.setdefault(name, []).append(key)
-        strains.setdefault(name, []).append(s)
+        ranks.setdefault(name, []).append(rank)
         used.add(key)
     tags = {}
     for slot in mnode.parts:
@@ -289,11 +295,11 @@ def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_ga
     for tag, names in sorted(tags.items()):
         if len(names) < 2:
             continue
-        keep = min(names, key=lambda n: (min(strains[n]), n))
+        keep = min(names, key=lambda n: (min(ranks[n]), n))
         for name in names:
             if name != keep:
                 matched.pop(name)
-                strains.pop(name)
+                ranks.pop(name)
     covered = set()
     for slot in mnode.parts:
         if (slot.variant_tag is not None
@@ -303,11 +309,11 @@ def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_ga
         have = len(matched.get(slot.name, []))
         if slot.variant_tag is not None:
             if slot.essential and slot.variant_tag not in covered:
-                return None, strains
+                return None, ranks
             continue
         if slot.essential and have < slot.multiplicity[0]:
-            return None, strains
-    return matched, strains
+            return None, ranks
+    return matched, ranks
 
 
 def scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, group_frame=None):
@@ -328,10 +334,11 @@ def scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, group_fra
         matched.pop(sorted(optional)[0])
 
 
-def _match(index, model, mnode, transform, cfg, projected, rough=False):
-    """`rec._match_slots` on the slots of one transform, predicted alone."""
-    (queries,) = rec._predict_slots(index, model, mnode, [transform], cfg, projected, rough)
-    return rec._match_slots(index, model, mnode, queries, rough, cfg)
+def _match(index, model, mnode, transform, cfg, projected):
+    """The gated and the rough matching of one transform, predicted alone."""
+    (queries,) = rec._predict_slots(index, model, mnode, [transform], cfg, projected)
+    return (rec._gated_matching(index, model, mnode, queries, cfg),
+            rec._rough_matching(index, mnode, queries, cfg))
 
 
 def scalar_refit(mnode, matched, ig, transform, projected):
@@ -359,8 +366,7 @@ def scalar_verify(h, model, cfg, index):
     ig = index.ig
     projected = ig.projected
     mnode = model.node(h.group_type)
-    (matched, strains), (rough, _) = _match(index, model, mnode, h.transform, cfg, projected,
-                                            rough=True)
+    (matched, strains), rough = _match(index, model, mnode, h.transform, cfg, projected)
     transform = h.transform
     if rough:
         refit = scalar_refit(mnode, rough, ig, h.transform, projected)
@@ -413,9 +419,10 @@ def _hypothesis_fields(h):
 
 
 def _failed_as_empty(side):
-    """A failed side as `_match_slots` returns it: (None, {}). The scalar
-    step keeps the strains of its partial binding, which `verify` never
-    reads: a failed side only reaches `_match_score`, which ignores them."""
+    """A failed gated matching as `_gated_matching` returns it: (None, {}).
+    The scalar step keeps the strains of its partial binding, which
+    `verify` never reads: a failed matching only reaches `_match_score`,
+    which ignores them."""
     matched, strains = side
     return (None, {}) if matched is None else (matched, strains)
 
@@ -439,16 +446,18 @@ def _verified(created, ig, nodes_before, links_before):
 
 def _run_side_by_side(monkeypatch, scene, model, cfg):
     """Recognize with both versions compared at every call; returns the
-    number of waves, of compared slot matchings, of gated matchings that
-    bound a variant-tagged slot, of compared verify calls, and of rough
-    matchings that shared their refit with an earlier one of their
-    `_match_wave` call, and under "graph" the recognized graph.
+    number of waves, of compared gated matchings, of those that bound a
+    variant-tagged slot, of compared verify calls, and of rough matchings
+    that shared their refit with an earlier one of their `_match_wave`
+    call, and under "graph" the recognized graph. A gated matching is
+    compared whole, a rough one by the members it binds, which is all that
+    `_match_wave` reads of it.
 
     A matching's transform is the one its queries were predicted from:
     every query list `_predict_slots` returns is mapped to its transform,
-    the rough ones of a wave's hypotheses and the tight ones of its refits
-    alike."""
-    new_generate, new_match, new_verify = rec.generate_hypotheses, rec._match_slots, rec.verify
+    those of a wave's hypotheses and of its refits alike."""
+    new_generate, new_verify = rec.generate_hypotheses, rec.verify
+    new_gated, new_rough = rec._gated_matching, rec._rough_matching
     new_predict, new_refits = rec._predict_slots, rec._refits
     seen = {"waves": 0, "matchings": 0, "variant_matchings": 0, "verifies": 0,
             "refit_hits": 0}
@@ -463,32 +472,38 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
         seen["waves"] += 1
         return got
 
-    def predict(index, model, mnode, batch, cfg, projected, rough):
-        got = new_predict(index, model, mnode, batch, cfg, projected, rough)
+    def predict(index, model, mnode, batch, cfg, projected):
+        got = new_predict(index, model, mnode, batch, cfg, projected)
         for transform, queries in zip(batch, got):
             if queries is not None:
                 transforms[id(queries)] = queries, transform
         return got
 
-    def match(index, model, mnode, queries, rough, cfg):
-        got = new_match(index, model, mnode, queries, rough, cfg)
-        failed = (None, {}), ((None, {}) if rough else None)
-        if queries is None:  # a degenerate prediction, as the batched tests pin
-            assert got == failed
-        else:
-            _, transform = transforms[id(queries)]
-            projected = index.ig.projected
-            gated = _failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
-                                                        projected))
-            loose = (_failed_as_empty(scalar_match_slots(index, model, mnode, transform, cfg,
-                                                         projected, strain_gate=False))
-                     if rough else None)
-            assert got == (gated, loose)
+    def scalar(index, mnode, queries, cfg, strain_gate):
+        """The scalar matching of the transform `queries` were predicted
+        from, or None for no queries: a degenerate prediction or a short
+        essential slot, as the batched tests pin."""
+        if queries is None:
+            return None
+        _, transform = transforms[id(queries)]
+        return scalar_match_slots(index, model, mnode, transform, cfg, index.ig.projected,
+                                  strain_gate)
+
+    def gated(index, model, mnode, queries, cfg):
+        got = new_gated(index, model, mnode, queries, cfg)
+        want = scalar(index, mnode, queries, cfg, True)
+        assert got == ((None, {}) if want is None else _failed_as_empty(want))
         seen["matchings"] += 1
-        seen["refit_hits"] += rough and got[1][0] is not None
-        matched = got[0][0] or {}
+        matched = got[0] or {}
         if any(slot.variant_tag is not None and slot.name in matched for slot in mnode.parts):
             seen["variant_matchings"] += 1
+        return got
+
+    def rough(index, mnode, queries, cfg):
+        got = new_rough(index, mnode, queries, cfg)
+        want = scalar(index, mnode, queries, cfg, False)
+        assert got == (None if want is None else want[0])
+        seen["refit_hits"] += got is not None
         return got
 
     def refits(ig, model, keys, projected):
@@ -514,7 +529,8 @@ def _run_side_by_side(monkeypatch, scene, model, cfg):
 
     monkeypatch.setattr(rec, "generate_hypotheses", generate)
     monkeypatch.setattr(rec, "_predict_slots", predict)
-    monkeypatch.setattr(rec, "_match_slots", match)
+    monkeypatch.setattr(rec, "_gated_matching", gated)
+    monkeypatch.setattr(rec, "_rough_matching", rough)
     monkeypatch.setattr(rec, "_refits", refits)
     monkeypatch.setattr(rec, "verify", verify)
     seen["graph"] = rec.recognize(scene, model, cfg)
@@ -617,14 +633,11 @@ def _count_calls(monkeypatch, name):
 
 
 def test_an_unfillable_essential_slot_fails_both_sides_before_any_strain(monkeypatch):
-    # no segment lies within the rough gate of the nose or the mouth
+    # no segment lies within the gate radius of the nose or the mouth
     model, mnode, index = _face_scene(with_segments=False)
     cfg = make_config()
     assert scalar_match_slots(index, model, mnode, IDENTITY, cfg, False)[0] is None
     strains = _count_calls(monkeypatch, "placement_strain")
-    got = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
-    assert got == ((None, {}), (None, {}))
-    assert not strains
     assert _match(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
     assert not strains
 
@@ -632,7 +645,7 @@ def test_an_unfillable_essential_slot_fails_both_sides_before_any_strain(monkeyp
 def test_a_degenerate_optional_prediction_fails_both_sides(monkeypatch):
     model, mnode, index = _face_scene(with_segments=True)
     cfg = make_config()
-    (matched, _), (rough, _) = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
+    (matched, _), rough = _match(index, model, mnode, IDENTITY, cfg, False)
     assert set(matched) == set(rough) == {"head", "eye_1", "eye_2", "nose", "mouth"}
     ear = mnode.part("ear_1").frame
     row = [slot.name for slot in mnode.parts].index("ear_1")
@@ -651,11 +664,9 @@ def test_a_degenerate_optional_prediction_fails_both_sides(monkeypatch):
 
     monkeypatch.setattr(rec, "check_frames", degenerate_ear)
     monkeypatch.setitem(globals(), "scalar_predict", degenerate_scalar_ear)
-    got = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
-    assert got == ((None, {}), (None, {}))
+    assert _match(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
     assert _failed_as_empty(scalar_match_slots(index, model, mnode, IDENTITY, cfg,
                                                False)) == (None, {})
-    assert _match(index, model, mnode, IDENTITY, cfg, False) == ((None, {}), None)
 
 
 def test_an_optional_member_that_fails_a_relation_is_unbound(monkeypatch):
@@ -703,32 +714,33 @@ def test_an_optional_member_that_fails_a_relation_is_unbound(monkeypatch):
 
 
 def _rough(model, mnode, index):
-    _, (rough, _) = _match(index, model, mnode, IDENTITY, make_config(), False, rough=True)
-    return rough
+    return _match(index, model, mnode, IDENTITY, make_config(), False)[1]
 
 
-def _face_hypotheses(index, model, cfg, transforms=(IDENTITY,)):
+def _face_hypotheses(index, transforms=(IDENTITY,)):
     """Face hypotheses with `transforms`, each suggested by the head and
-    eye_1 primitives, and their rough queries as the wave predicts them."""
+    eye_1 primitives."""
     head, eye = (n.key for n in index.nodes[:2])
-    hypotheses = [rec.Hypothesis("face", head, eye, ("head", "eye_1"), t, 1.0)
-                  for t in transforms]
-    return hypotheses, rec._predict_wave(index, model, hypotheses, cfg, False)
+    return [rec.Hypothesis("face", head, eye, ("head", "eye_1"), t, 1.0) for t in transforms]
 
 
 def test_the_refit_memo_hands_out_a_fresh_matched_map(monkeypatch):
-    """Hypotheses with one rough matching share one refit and its tight
+    """Hypotheses with one rough matching share one refit and its gated
     matching, and each verify unbinds from its own copy of the matched map,
     even when the wave hands two hypotheses one matching."""
     model, mnode, index = _face_scene(with_segments=True)
     cfg = make_config()
-    hypotheses, queries = _face_hypotheses(index, model, cfg, (IDENTITY, IDENTITY))
+    hypotheses = _face_hypotheses(index, (IDENTITY, IDENTITY))
     refits = _count_calls(monkeypatch, "_refits")
-    matches = _count_calls(monkeypatch, "_match_slots")
-    matchings = rec._match_wave(index, model, hypotheses, queries, cfg)
+    predictions = _count_calls(monkeypatch, "_predict_slots")
+    gated = _count_calls(monkeypatch, "_gated_matching")
+    rough = _count_calls(monkeypatch, "_rough_matching")
+    matchings = rec._match_wave(index, model, hypotheses, cfg)
     ((_, _, keys, _),) = refits
     assert len(keys) == 1
-    assert [call[-2] for call in matches] == [True, True, False]  # rough, rough, one tight
+    # one prediction of the hypotheses and one of the shared refit
+    assert [len(call[3]) for call in predictions] == [2, 1]
+    assert len(rough) == 2 and len(gated) == 3
     assert all("nose" in matched for matched, _, _ in matchings)
     given = []
     drop = rec._drop_relation_offenders
@@ -760,12 +772,50 @@ def test_a_refit_that_falls_back_is_not_kept(monkeypatch):
     one, coincident, usable = rec._refits(index.ig, model, keys, False)
     assert one is None and coincident is None and usable is not None
     monkeypatch.setattr(rec, "_refits", lambda ig, model, keys, projected: [None] * len(keys))
-    (h,), (queries,) = _face_hypotheses(index, model, cfg)
-    tight = _count_calls(monkeypatch, "_predict_slots")
-    (matched, strains, transform), = rec._match_wave(index, model, [h], [queries], cfg)
-    assert not tight and transform is IDENTITY
-    gated, _ = _match(index, model, mnode, IDENTITY, cfg, False, rough=True)
+    predictions = _count_calls(monkeypatch, "_predict_slots")
+    (matched, strains, transform), = rec._match_wave(index, model, _face_hypotheses(index), cfg)
+    assert len(predictions) == 1 and transform is IDENTITY  # no refit is predicted
+    gated, _ = _match(index, model, mnode, IDENTITY, cfg, False)
     assert (matched, strains) == gated
+
+
+def test_a_rough_matching_keeps_its_best_ranked_variant():
+    """truck.json's trunk-a and trunk-b share a variant tag. `near` sits by
+    trunk-a's origin with trunk-b's shape, and `fit` is trunk-b a little
+    off its origin. Each ranks first in its own slot, so a matching binds
+    both, and the tie-break keeps the tagged slot with the best rank: the
+    rough matching, which ranks by origin offset over the predicted scale,
+    keeps trunk-a, whose placement strain is the worse, and the gated one,
+    which ranks by placement strain, keeps trunk-b."""
+    model = load_model_file(fixture_path("truck.json"))
+    mnode = model.node("truck")
+    ig = ImageGraph(scene_id="trunks", model=model)
+    short = np.diag([1.2, 1.0, 1.0])
+    cab, near, fit = (ig.add_node("box", frame=Frame(np.array([x, 0.0, 0.0]), axes),
+                                  status="verified")
+                      for x, axes in ((-2.0, np.eye(3)), (1.05, short), (0.32, short)))
+    index = rec.CandidateIndex(ig)
+    cfg = make_config()
+    identity = SimilarityTransform(np.eye(3), 1.0, np.zeros(3))
+
+    def rank(name, node):
+        frame = mnode.part(name).frame
+        return rec._distance(node.frame.origin, frame.origin) / frame.primary_length
+
+    def strain(name, node):
+        slot = mnode.part(name)
+        return placement_strain(slot.frame, node.frame, slot.elasticity, "box")
+
+    assert rank("trunk-a", near) < rank("trunk-b", fit) < min(rank("trunk-a", fit),
+                                                              rank("trunk-b", near))
+    assert strain("trunk-b", fit) < strain("trunk-a", near) < min(strain("trunk-a", fit),
+                                                                  strain("trunk-b", near))
+    assert strain("trunk-b", near) < cfg.s_fail
+    (matched, _), rough = _match(index, model, mnode, identity, cfg, False)
+    assert rough == {"cab": [cab.key], "trunk-a": [near.key]}
+    assert rough == scalar_match_slots(index, model, mnode, identity, cfg, False,
+                                       strain_gate=False)[0]
+    assert matched == {"cab": [cab.key], "trunk-b": [fit.key]}
 
 
 @pytest.mark.parametrize("fixture, target", [("face.json", "face"), ("truck_flat.json", "truck1")])
@@ -773,29 +823,28 @@ def test_a_refit_that_falls_back_is_not_kept(monkeypatch):
 def test_a_transforms_tight_matching_is_the_gated_side_of_its_rough_one(monkeypatch, fixture,
                                                                         target, jitter):
     """Why `_match_wave` may drop a degenerate refit: the transform would
-    fall back to the hypothesis's own, and the tight matching of that
-    transform, predicted alone, is the gated side of its rough matching,
-    which an equal score never beats. Checked for every hypothesis of the
-    seed-1 clutter bench scenes, at the snapshot of each wave."""
+    fall back to the hypothesis's own, and the gated matching of that
+    transform, predicted alone, is the one the wave made from the queries
+    of its rough matching, which an equal score never beats. Checked for
+    every transform the seed-1 clutter bench scenes predict, at the
+    snapshot of each wave."""
     scene, model = _scene(fixture, target, jitter, seed=1, distractors=128)
-    generate = rec.generate_hypotheses
-    seen = {"hypotheses": 0, "matched": 0}
+    predict = rec._predict_slots
+    seen = {"transforms": 0, "matched": 0}
 
-    def generating(model, frontier, cfg, index):
-        hypotheses = generate(model, frontier, cfg, index)
-        projected = index.ig.projected
-        for h, queries in zip(hypotheses, rec._predict_wave(index, model, hypotheses, cfg,
-                                                            projected)):
-            mnode = model.node(h.group_type)
-            gated, _ = rec._match_slots(index, model, mnode, queries, True, cfg)
-            assert _match(index, model, mnode, h.transform, cfg, projected) == (gated, None)
-            seen["hypotheses"] += 1
+    def predicting(index, model, mnode, transforms, cfg, projected):
+        got = predict(index, model, mnode, transforms, cfg, projected)
+        for transform, queries in zip(transforms, got):
+            (alone,) = predict(index, model, mnode, [transform], cfg, projected)
+            gated = rec._gated_matching(index, model, mnode, queries, cfg)
+            assert rec._gated_matching(index, model, mnode, alone, cfg) == gated
+            seen["transforms"] += 1
             seen["matched"] += gated[0] is not None
-        return hypotheses
+        return got
 
-    monkeypatch.setattr(rec, "generate_hypotheses", generating)
+    monkeypatch.setattr(rec, "_predict_slots", predicting)
     rec.recognize(scene, model)
-    assert seen["hypotheses"] > 50 and seen["matched"] > 0
+    assert seen["transforms"] > 50 and seen["matched"] > 0
 
 
 def test_projected_row_resolved_strains_are_kept_per_group_frame(monkeypatch):
@@ -1278,7 +1327,7 @@ def test_the_stacked_check_rejects_exactly_what_frame_rejects(dim):
 
 
 def q_tight(slot, cfg):
-    """A slot's tight query radius in predicted primary lengths."""
+    """A slot's gated matching radius in predicted primary lengths."""
     return min(cfg.gate_radius, slot.elasticity[0] * math.sqrt(cfg.s_fail))
 
 
@@ -1310,25 +1359,31 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     raises or a brute-force search of the snapshot's nodes (`scalar_rows`)
     finds an essential slot short, and otherwise its queries are its slots
     with an extent, in part order, each holding the rows that search finds
-    within the rough or the tight radius as asked. The rough calls are one per wave
-    and group type, on the transforms of the wave's hypotheses of that
-    type in order, and the refit calls are one per wave and group type
-    too."""
+    within the gate radius and the slot's tight radius (`q_tight`). The hypothesis
+    calls are one per wave and group type, on the transforms of the wave's
+    hypotheses of that type in order, and the refit calls, made once the
+    wave's refits are fitted, are one per wave and group type too."""
     scene, model = _scene(fixture, target, 0.03, seed=1, distractors=distractors, camera=camera)
-    generate, predict = rec.generate_hypotheses, rec._predict_slots
+    generate, predict, fit = rec.generate_hypotheses, rec._predict_slots, rec._refits
     seen = {"batches": 0, "predictions": 0, "refits": 0, "short": 0}
-    waves, rough_calls, refit_calls = [], [], []
+    waves, hypothesis_calls, refit_calls = [], [], []
+    refitting = []
 
     def generating(model, frontier, cfg, index):
         hypotheses = generate(model, frontier, cfg, index)
         waves.append(hypotheses)
+        refitting.clear()
         return hypotheses
 
-    def checked(index, model, mnode, transforms, cfg, projected, rough):
-        got = predict(index, model, mnode, transforms, cfg, projected, rough)
+    def refits(*args):
+        refitting.append(True)
+        return fit(*args)
+
+    def checked(index, model, mnode, transforms, cfg, projected):
+        got = predict(index, model, mnode, transforms, cfg, projected)
         seen["batches"] += len(transforms) > 1
-        if rough:
-            rough_calls.append((len(waves), mnode.type_name, transforms))
+        if not refitting:
+            hypothesis_calls.append((len(waves), mnode.type_name, transforms))
         else:
             refit_calls.append((len(waves), mnode.type_name))
             seen["refits"] += len(transforms)
@@ -1341,7 +1396,7 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
                 assert queries is None
                 continue
             short = [slot for slot, pred in want if len(scalar_rows(
-                index, model, slot, pred, cfg.gate_radius if rough else q_tight(slot, cfg)
+                index, model, slot, pred, cfg.gate_radius
             )) < (slot.multiplicity[0] if slot.essential and slot.variant_tag is None else 0)]
             seen["short"] += bool(short)
             if short:
@@ -1352,16 +1407,19 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
             for q, (_, pred) in zip(queries, want):
                 assert _frame_bytes(q.pred) == _frame_bytes(pred)
                 assert q.pred._length_tuple == pred._length_tuple
-                radius = cfg.gate_radius if rough else q.tight
-                assert q.rows.tolist() == scalar_rows(index, model, q.slot, pred, radius)
+                assert q.rows.tolist() == scalar_rows(index, model, q.slot, pred, cfg.gate_radius)
+                assert q.tight == q_tight(q.slot, cfg)
                 seen["predictions"] += 1
         return got
 
     monkeypatch.setattr(rec, "generate_hypotheses", generating)
+    monkeypatch.setattr(rec, "_refits", refits)
     monkeypatch.setattr(rec, "_predict_slots", checked)
     rec.recognize(scene, model)
     assert seen["batches"] > 0 and seen["predictions"] > 100 and seen["refits"] > 0
-    assert seen["short"] > 0
+    # truck_flat's distractor segments leave no essential slot short within
+    # the gate radius; the other two scenes have short transforms
+    assert seen["short"] > 0 or fixture == "truck_flat.json"
     assert len(set(refit_calls)) == len(refit_calls)
     want = []
     for wave, hypotheses in enumerate(waves, start=1):
@@ -1369,8 +1427,9 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
         for h in hypotheses:
             by_type.setdefault(h.group_type, []).append(h.transform)
         want += [(wave, group_type, batch) for group_type, batch in by_type.items()]
-    assert len(rough_calls) == len(want)
-    for (wave, group_type, batch), (want_wave, want_type, want_batch) in zip(rough_calls, want):
+    assert len(hypothesis_calls) == len(want)
+    for (wave, group_type, batch), (want_wave, want_type, want_batch) in zip(hypothesis_calls,
+                                                                             want):
         assert (wave, group_type) == (want_wave, want_type)
         assert len(batch) == len(want_batch)
         assert all(got is transform for got, transform in zip(batch, want_batch))

@@ -251,11 +251,11 @@ def test_the_wave_invariants_hold(monkeypatch, fixture, target, jitter, distract
         wave["verified"] = wave.get("verified", 0) + bool(created)
         return created
 
-    def relaxing(ig, nodes, cfg):
+    def relaxing(ig, nodes):
         # so a node's own slots hold every strain its frame takes part in
         assert not any(ig.links_from(n.key, "group-member") for n in nodes)
         wave["relaxed"] = wave.get("relaxed", 0) + len(nodes)
-        return relax(ig, nodes, cfg)
+        return relax(ig, nodes)
 
     monkeypatch.setattr(dualgraph.recognize, "generate_hypotheses", generating)
     monkeypatch.setattr(dualgraph.recognize, "verify", verifying)
