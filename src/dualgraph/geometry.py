@@ -142,9 +142,6 @@ class Frame:
                 basis.append(v / n)
         return np.array(basis)
 
-    def to_json(self) -> dict:
-        return {"origin": self.origin.tolist(), "axes": self.axes.tolist()}
-
     @staticmethod
     def from_json(obj) -> "Frame":
         """The frame of a JSON object with exactly the keys "origin", a list

@@ -22,8 +22,11 @@ Serialized form (sorted, reproducible):
              "conditional", "slot"?, "carries_up"?, "residuals"?}]
 }
 
-Loading accepts these keys and no others, and takes a number (p, weight,
-strength, conditional, a frame coordinate) only as a JSON number.
+`ImageGraph.to_bytes` is the one writer of this form. It writes the layout
+of `json.dumps(indent=2)` (ASCII, NaN and the infinities by name) and a
+newline, directly from the nodes and links. Loading accepts these keys and
+no others, and takes a number (p, weight, strength, conditional, a frame
+coordinate, a residual) only as a JSON number.
 """
 
 from __future__ import annotations
@@ -38,11 +41,42 @@ from .geometry import Frame, _is_number
 NODE_STATUSES = ("hypothesized", "verified", "pruned")
 LINK_KINDS = ("part-of", "group-member", "specializes")
 
-# The keys of the serialized form, each object's in the order `to_json` writes them
+# The keys of the serialized form, each object's in the order `to_bytes` writes them
 GRAPH_KEYS = ("scene", "nodes", "links")
 NODE_KEYS = ("type", "instance", "frame", "p", "status", "weight", "strength", "prim",
              "spec_slot")
 LINK_KEYS = ("kind", "from", "to", "conditional", "slot", "carries_up", "residuals")
+
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_number(value) -> str:
+    """A number as `json.dumps` writes it: an int in full, a float by its
+    repr, NaN and the infinities by name."""
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if math.isfinite(value):
+        return float.__repr__(value)
+    return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+
+
+def _node_head(dim: int) -> str:
+    """A node's lines up to its weight, for a `dim`-dimensional frame, with a
+    `%s` for each value: type, instance, the frame's origin and its axes row
+    by row, p, status and weight. Frame entries are finite floats (`Frame`
+    checks them), so `%s` writes each as its repr."""
+    def numbers(indent: int) -> str:
+        return "[\n" + ",\n".join([" " * (indent + 2) + "%s"] * dim) + "\n" + " " * indent + "]"
+    axes = "[\n" + ",\n".join([" " * 10 + numbers(10)] * dim) + "\n        ]"
+    return ('    {\n      "type": %s,\n      "instance": %s,\n      "frame": {\n'
+            '        "origin": ' + numbers(8) + ',\n        "axes": ' + axes + '\n      },\n'
+            '      "p": %s,\n      "status": %s,\n      "weight": %s')
+
+
+# keyed by the number of frame entries, origin and axes together
+_NODE_HEADS = {dim + dim * dim: _node_head(dim) for dim in (2, 3)}
+_LINK_HEAD = ('    {\n      "kind": %s,\n      "from": [\n        %s,\n        %s\n      ],\n'
+              '      "to": [\n        %s,\n        %s\n      ],\n      "conditional": %s')
 
 
 @dataclass
@@ -111,14 +145,15 @@ def _number(obj: dict, key: str, default: float, what: str) -> float:
 
 
 def _checked_residuals(residuals) -> dict:
-    """A link's residuals as a new dict: names mapped to numbers >= 0 (inf
-    allowed, as a degenerate frame's strain is)."""
+    """A link's residuals as a new dict: names mapped to floats >= 0 (inf
+    allowed, as a degenerate frame's strain is). An int beyond the float
+    range raises OverflowError."""
     if not isinstance(residuals, dict):
         raise SceneFormatError(f"link residuals must be an object, got {residuals!r}")
     for name, value in residuals.items():
         if not isinstance(name, str) or not _is_number(value) or not value >= 0.0:
             raise SceneFormatError(f"link residual {name!r} must be a number >= 0, got {value!r}")
-    return dict(residuals)
+    return {name: float(value) for name, value in residuals.items()}
 
 
 def _check_link_fits(link: ImageLink, model):
@@ -208,43 +243,48 @@ class ImageGraph:
     def sorted_nodes(self) -> list[ImageNode]:
         return sorted(self.nodes.values(), key=lambda n: n.key)
 
-    def to_json(self) -> dict:
-        nodes = []
-        for n in self.sorted_nodes():
-            obj = {
-                "type": n.model_type,
-                "instance": n.instance,
-                "frame": n.frame.to_json(),
-                "p": n.probability,
-                "status": n.status,
-                "weight": n.template_weight,
-            }
-            if n.strength:
-                obj["strength"] = n.strength
-            if n.prim_index is not None:
-                obj["prim"] = n.prim_index
-            if n.spec_slot is not None:
-                obj["spec_slot"] = n.spec_slot
-            nodes.append(obj)
-        links = []
-        for l in sorted(self.links, key=lambda l: (l.kind, l.source, l.target, l.slot or "")):
-            obj = {
-                "kind": l.kind,
-                "from": list(l.source),
-                "to": list(l.target),
-                "conditional": l.conditional,
-            }
-            if l.slot is not None:
-                obj["slot"] = l.slot
-            if not l.carries_up:
-                obj["carries_up"] = False
-            if l.residuals:
-                obj["residuals"] = {k: l.residuals[k] for k in sorted(l.residuals)}
-            links.append(obj)
-        return {"scene": self.scene_id, "nodes": nodes, "links": links}
-
     def to_bytes(self) -> bytes:
-        return (json.dumps(self.to_json(), indent=2) + "\n").encode("utf-8")
+        """The serialized form in one pass: byte for byte what
+        `json.dumps(<the documented object>, indent=2)` and a newline give."""
+        out = ['{\n  "scene": ', _json_string(self.scene_id), ',\n  "nodes": ']
+        nodes = self.sorted_nodes()
+        out.append("[\n" if nodes else "[]")
+        for i, n in enumerate(nodes):
+            if i:
+                out.append(",\n")
+            coords = n.frame.origin.tolist() + n.frame.axes.ravel().tolist()
+            out.append(_NODE_HEADS[len(coords)] % (
+                _json_string(n.model_type), n.instance, *coords,
+                _json_number(n.probability), _json_string(n.status),
+                _json_number(n.template_weight)))
+            if n.strength:
+                out += (',\n      "strength": ', _json_number(n.strength))
+            if n.prim_index is not None:
+                out += (',\n      "prim": ', int.__repr__(n.prim_index))
+            if n.spec_slot is not None:
+                out += (',\n      "spec_slot": ', _json_string(n.spec_slot))
+            out.append("\n    }")
+        out.append('\n  ],\n  "links": ' if nodes else ',\n  "links": ')
+        links = sorted(self.links, key=lambda l: (l.kind, l.source, l.target, l.slot or ""))
+        out.append("[\n" if links else "[]")
+        for i, l in enumerate(links):
+            if i:
+                out.append(",\n")
+            (source, i_source), (target, i_target) = l.source, l.target
+            out.append(_LINK_HEAD % (_json_string(l.kind), _json_string(source), i_source,
+                                     _json_string(target), i_target, _json_number(l.conditional)))
+            if l.slot is not None:
+                out += (',\n      "slot": ', _json_string(l.slot))
+            if not l.carries_up:
+                out.append(',\n      "carries_up": false')
+            if l.residuals:
+                out.append(',\n      "residuals": {\n')
+                out.append(",\n".join([f"        {_json_string(k)}: {_json_number(v)}"
+                                        for k, v in sorted(l.residuals.items())]))
+                out.append("\n      }")
+            out.append("\n    }")
+        out.append("\n  ]\n}\n" if links else "\n}\n")
+        return "".join(out).encode("ascii")
 
     @staticmethod
     def from_json(obj: dict, model=None) -> "ImageGraph":

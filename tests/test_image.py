@@ -1,5 +1,7 @@
 """Image graph construction and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,49 @@ from hypothesis import strategies as st
 
 from dualgraph.errors import SceneFormatError
 from dualgraph.geometry import Frame
-from dualgraph.image import LINK_KINDS, ImageGraph
+from dualgraph.image import LINK_KINDS, NODE_STATUSES, ImageGraph
+
+
+def graph_document(ig):
+    """The serialized form of `ig` as a JSON object, built key by key."""
+    nodes = []
+    for n in ig.sorted_nodes():
+        obj = {
+            "type": n.model_type,
+            "instance": n.instance,
+            "frame": {"origin": n.frame.origin.tolist(), "axes": n.frame.axes.tolist()},
+            "p": n.probability,
+            "status": n.status,
+            "weight": n.template_weight,
+        }
+        if n.strength:
+            obj["strength"] = n.strength
+        if n.prim_index is not None:
+            obj["prim"] = n.prim_index
+        if n.spec_slot is not None:
+            obj["spec_slot"] = n.spec_slot
+        nodes.append(obj)
+    links = []
+    for l in sorted(ig.links, key=lambda l: (l.kind, l.source, l.target, l.slot or "")):
+        obj = {
+            "kind": l.kind,
+            "from": list(l.source),
+            "to": list(l.target),
+            "conditional": l.conditional,
+        }
+        if l.slot is not None:
+            obj["slot"] = l.slot
+        if not l.carries_up:
+            obj["carries_up"] = False
+        if l.residuals:
+            obj["residuals"] = {k: l.residuals[k] for k in sorted(l.residuals)}
+        links.append(obj)
+    return {"scene": ig.scene_id, "nodes": nodes, "links": links}
+
+
+def graph_oracle(ig) -> bytes:
+    """What `ig.to_bytes()` must write: `graph_document` through `json.dumps`."""
+    return (json.dumps(graph_document(ig), indent=2) + "\n").encode("utf-8")
 
 
 def seg_frame(x0, y0, x1, y1):
@@ -118,7 +162,7 @@ def test_bad_link_kind_rejected():
 
 def test_from_json_rejects_bad_status():
     ig, *_ = tiny_graph()
-    doc = __import__("json").loads(ig.to_bytes())
+    doc = json.loads(ig.to_bytes())
     doc["nodes"][0]["status"] = "imaginary"
     with pytest.raises(SceneFormatError):
         ImageGraph.from_json(doc)
@@ -126,7 +170,7 @@ def test_from_json_rejects_bad_status():
 
 def test_from_json_rejects_dangling_link():
     ig, *_ = tiny_graph()
-    doc = __import__("json").loads(ig.to_bytes())
+    doc = json.loads(ig.to_bytes())
     doc["links"][0]["from"] = ["ghost", 7]
     with pytest.raises(SceneFormatError):
         ImageGraph.from_json(doc)
@@ -134,7 +178,7 @@ def test_from_json_rejects_dangling_link():
 
 def test_from_json_rejects_bad_kind():
     ig, *_ = tiny_graph()
-    doc = __import__("json").loads(ig.to_bytes())
+    doc = json.loads(ig.to_bytes())
     doc["links"][0]["kind"] = "sibling"
     with pytest.raises(SceneFormatError):
         ImageGraph.from_json(doc)
@@ -176,3 +220,49 @@ def test_link_index_follows_adds_removes_and_reload(ops):
     again = ImageGraph.from_bytes(ig.to_bytes())
     assert again.to_bytes() == ig.to_bytes()
     assert_index_matches_links(again)
+
+
+# names with non-ASCII, quote, backslash and control characters
+NAMES = st.text(max_size=6) | st.sampled_from(
+    ["", "\u00e9t\u00e9", '"', "\\", "\x00\n\t\x7f", "\U0001f69a"])
+# every number the writer meets: NaN and the infinities by name, the float
+# extremes by repr, and ints in full
+NUMBERS = (st.floats() | st.integers() | st.integers(min_value=2**1024)
+           | st.sampled_from([float("nan"), float("inf"), -float("inf"), -0.0, 5e-324, 1e308]))
+# diagonal axes are orthogonal; the bound keeps each squared length finite
+COORDS = st.floats(min_value=-1e150, max_value=1e150)
+
+
+@st.composite
+def frames(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    origin = draw(st.lists(COORDS, min_size=dim, max_size=dim))
+    return Frame(np.array(origin), np.diag(draw(st.lists(COORDS, min_size=dim, max_size=dim))))
+
+
+@st.composite
+def graphs(draw):
+    """An image graph built directly, with any names, numbers and optional keys."""
+    ig = ImageGraph(scene_id=draw(NAMES))
+    for _ in range(draw(st.integers(0, 4))):
+        ig.add_node(draw(NAMES), draw(frames()), probability=draw(NUMBERS),
+                    status=draw(st.sampled_from(NODE_STATUSES) | NAMES),
+                    template_weight=draw(NUMBERS),
+                    strength=draw(st.just(0.0) | NUMBERS),
+                    prim_index=draw(st.none() | st.integers(min_value=0)),
+                    spec_slot=draw(st.none() | NAMES))
+    ends = st.sampled_from(sorted(ig.nodes)) if ig.nodes else st.tuples(NAMES, st.integers(1))
+    for _ in range(draw(st.integers(0, 4))):
+        ig.add_link(draw(st.sampled_from(LINK_KINDS)), draw(ends), draw(ends),
+                    conditional=draw(NUMBERS), slot=draw(st.none() | NAMES),
+                    carries_up=draw(st.booleans()),
+                    residuals=draw(st.dictionaries(NAMES, NUMBERS, max_size=3)))
+    return ig
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs())
+def test_to_bytes_writes_what_json_dumps_writes(ig):
+    blob = ig.to_bytes()
+    assert blob == graph_oracle(ig)
+    assert blob.isascii() and blob.endswith(b"\n")
