@@ -70,11 +70,19 @@ def relation_usable(rel: RelationSpec, mnode, projected: bool) -> bool:
     return False
 
 
+def _square(x: float) -> float:
+    """x ** 2, or inf beyond the float range, as a degenerate frame's strain is."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def relation_strain(rel: RelationSpec, frames, s_fail: float) -> float:
     """Strain of one relation evaluated on observed frames."""
     if rel.function in SCALAR_RELATIONS:
         observed = eval_relation(rel.function, frames)
-        return float(((observed - rel.target) / rel.tolerance) ** 2)
+        return float(_square((observed - rel.target) / rel.tolerance))
     ok = eval_relation(rel.function, frames, slack=rel.tolerance)
     return 0.0 if ok else float(s_fail)
 
@@ -161,19 +169,19 @@ def relation_strain_projected(rel: RelationSpec, mnode, frames, s_fail: float,
         if f == "distance-ratio":
             diff = b.origin - a.origin
             gap = math.sqrt(float(diff @ diff))
-            best = min(best, ((gap / la - rel.target) / rel.tolerance) ** 2)
+            best = min(best, _square((gap / la - rel.target) / rel.tolerance))
             continue
         for j in rows_b:
             lb = float(b.lengths[j])
             if f == "size-ratio":
-                s = ((la / lb - rel.target) / rel.tolerance) ** 2
+                s = _square((la / lb - rel.target) / rel.tolerance)
             else:
                 cosv = abs(float(a.axes[i] @ b.axes[j])) / (la * lb)
                 ang = math.acos(min(1.0, cosv))
                 if f == "parallel":
                     s = 0.0 if ang <= rel.tolerance else float(s_fail)
                 else:
-                    s = ((ang - rel.target) / rel.tolerance) ** 2
+                    s = _square((ang - rel.target) / rel.tolerance)
             best = min(best, s)
     return float(best)
 
@@ -237,7 +245,7 @@ def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str,
     Origin deviation is measured relative to the predicted primary length,
     size deviation on a log scale, angle between primary directions in
     radians; each against its own tolerance. Circles skip the angle term.
-    Degenerate predictions cost infinite strain.
+    Degenerate predictions and overflowing terms cost infinite strain.
 
     A caller that only asks whether the strain is at most `limit` gets
     inf, without the angle term, once the origin and size terms exceed it.
@@ -253,12 +261,12 @@ def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str,
         return math.inf
     diff = pred.origin - obs.origin
     d = math.sqrt(float(diff @ diff))
-    s = (d / (sigma_o * scale)) ** 2
-    s += (math.log(obs_scale / scale) / sigma_s) ** 2
+    s = _square(d / (sigma_o * scale))
+    s += _square(math.log(obs_scale / scale) / sigma_s)
     if s > limit:
         return math.inf
     if sym != "circle":
-        s += (angle_between(pred, obs) / sigma_a) ** 2
+        s += _square(angle_between(pred, obs) / sigma_a)
     return float(s)
 
 
@@ -736,13 +744,14 @@ def relax_frames(ig, nodes):
 
     `nodes` are a wave's fresh nodes, which are members of no group: a wave
     binds only nodes of its snapshot, so a node's own slots hold every
-    strain its frame takes part in. One pass, in key order, over the
-    movable nodes: those neither primitive (primitives anchor the data) nor
-    shadow. A node takes its `_fitted_frame` only when that raises exp(-s/2)
-    of s, the summed `placement_strains` of its slots, so s never rises, and
-    a move too small to change that factor is not made. Shadows among
-    `nodes` then mirror their sources, and every shadow of a node moved is
-    among them.
+    strain its frame takes part in. It reads links and frames, never a
+    conditional, and runs before the wave's only refresh. One pass, in key
+    order, over the movable nodes: those neither primitive (primitives
+    anchor the data) nor shadow. A node takes its `_fitted_frame` only when
+    that raises exp(-s/2) of s, the summed `placement_strains` of its
+    slots, so s never rises, and a move too small to change that factor is
+    not made. Shadows among `nodes` then mirror their sources, and every
+    shadow of a node moved is among them.
     """
     ig.require_model()
     nodes = sorted(nodes, key=lambda n: n.key)

@@ -5,7 +5,7 @@ a lookup by type name or by the hypothesis index key, never a traversal that
 compares structures. The driver alternates bottom-up grouping hypotheses
 (two nearby instances suggest a group via the index) with top-down
 verification (predict the group's slots, find the parts, bind them),
-then lets belief propagation, relaxation, and pruning settle each wave.
+then settles each wave once: relax, refresh, propagate belief, prune.
 
 A wave climbs one level of the parts hierarchy: it hypothesizes, predicts,
 matches and binds from the snapshot of the graph taken when it begins
@@ -299,8 +299,8 @@ class CandidateIndex:
 
     Relation and placement strains live in the scene's memo (`ig.strains`,
     keyed by the frames they read), which outlives the wave: screening, the
-    relation check, specialization, relaxation and both refreshes of the
-    wave share it.
+    relation check, specialization, and the wave's relaxation and refresh
+    share it.
     """
 
     def __init__(self, ig: ImageGraph):
@@ -1192,11 +1192,11 @@ def _specialize(ig, model, group, matched, cfg):
 
 def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> ImageGraph:
     """Build the image graph for a scene: seed, then hypothesize/verify waves
-    with belief settling in between, until a wave adds nothing. A hypothesis
-    needs no re-check: its clue pair holds a node of the wave before, no
-    other hypothesis has that pair and type, nothing is pruned within a
-    wave, and a wave binds only the nodes of its snapshot, never one it
-    made itself."""
+    until a wave adds nothing, each settled once (relax, refresh, propagate,
+    prune). A hypothesis needs no re-check: its clue pair holds a node of
+    the wave before, no other hypothesis has that pair and type, nothing is
+    pruned within a wave, and a wave binds only the nodes of its snapshot,
+    never one it made itself."""
     cfg = cfg or Config()
     if scene.dim == 3 and model.dim == 2:
         raise SceneFormatError("cannot explain a 3D scene with a flat model")
@@ -1213,8 +1213,6 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
             fresh.extend(verify(h, matching, model, cfg, index) or ())
         if not fresh:
             break
-        refresh_conditionals(ig, cfg)
-        propagate(ig, fresh, cfg)
         relax_frames(ig, fresh)
         refresh_conditionals(ig, cfg)
         propagate(ig, fresh, cfg)

@@ -781,9 +781,10 @@ def _nudged_copy(graph, rng):
 
 
 def test_refresh_after_relax_equals_a_memo_free_refresh(recognized_graphs, cfg, monkeypatch):
-    """Refresh, relax and refresh again through the scene's memo write the
-    same conditionals, residuals and frames, bit for bit, as a copy whose
-    memo is emptied before each call, and score fewer placement strains."""
+    """Relax, then refresh through the scene's memo, as a wave settles,
+    write the same conditionals, residuals and frames, bit for bit, as a
+    copy whose memo is emptied before each call, and score fewer placement
+    strains: the refresh reuses those relax scored for the frame it kept."""
     calls = []
     strain = dualgraph.belief.placement_strain
 
@@ -801,8 +802,7 @@ def test_refresh_after_relax_equals_a_memo_free_refresh(recognized_graphs, cfg, 
         counts = []
         for g, forget in ((ig, False), (bare, True)):
             del calls[:]
-            for step in (refresh_conditionals, lambda g, cfg: relax_frames(g, g.active_nodes()),
-                         refresh_conditionals):
+            for step in (lambda g, cfg: relax_frames(g, g.active_nodes()), refresh_conditionals):
                 if forget:
                     g.strains.clear()
                 step(g, cfg)

@@ -3,6 +3,7 @@ never a raw TypeError, ValueError, KeyError or decoding error."""
 
 import copy
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -323,6 +324,43 @@ def test_malformed_input_raises_a_package_error(entry, arg, error):
         entry(arg)
 
 
+def _tightened(doc, tolerance=None, elasticity=None):
+    """A copy of a model document with every relation tolerance, or every
+    part's elasticity, replaced."""
+    doc = copy.deepcopy(doc)
+    for node in doc["nodes"]:
+        if tolerance is not None:
+            for row in node.get("relations", []) + sum(node.get("specialize", {}).values(), []):
+                row[4] = tolerance
+        if elasticity is not None:
+            for part in node.get("parts", []):
+                part["elasticity"] = elasticity
+    return doc
+
+
+# tolerances and elasticities load as any positive finite number, but these
+# make a squared strain term too large for a float; `**` raised a raw
+# OverflowError on them, and the strain is now inf
+TIGHT = [{"tolerance": 1e-160}, {"tolerance": 1e-300}, {"elasticity": [1e-300, 0.25, 0.25]},
+         {"elasticity": [0.25, 1e-300, 0.25]}, {"elasticity": [0.25, 0.25, 1e-300]}]
+TIGHT_SCENES = [("face.json", "face", None), ("truck_flat.json", "truck1", None),
+                ("truck.json", "truck1", None), ("truck.json", "truck1", "random")]
+
+
+@pytest.mark.parametrize("fixture, target, camera", TIGHT_SCENES,
+                         ids=[f"{c[0]}-{c[2]}" for c in TIGHT_SCENES])
+@pytest.mark.parametrize("tight", TIGHT, ids=[str(t) for t in TIGHT])
+def test_a_strain_beyond_the_float_range_is_infinite(fixture, target, camera, tight):
+    doc = json.loads(Path(fixture_path(fixture)).read_bytes())
+    (scene,) = generate_scenes(GeneratorSpec(load_model(doc), target, jitter=0.03, seed=1,
+                                             camera=camera))
+    model = load_model(_tightened(doc, **tight))
+    ig = recognize(scene, model)
+    assert not any(math.isnan(s) for s in ig.strains.values())
+    blob = ig.to_bytes()
+    assert ImageGraph.from_bytes(blob, model).to_bytes() == blob
+
+
 # -- fuzzing -------------------------------------------------------------------
 
 # ints beyond +-2**1024 are JSON numbers too, but no float holds them
@@ -335,23 +373,44 @@ json_values = st.recursive(
 )
 
 
+# what a number leaf may become: no float holds the ints, and the rest are
+# numbers only in name
+edge_numbers = st.one_of(
+    st.integers(min_value=2**1024), st.integers(max_value=-2**1024),
+    st.sampled_from([math.nan, math.inf, -math.inf, True, False]),
+    st.integers().map(str) | st.floats().map(repr),
+)
+
+
+def _paths(node, path=()):
+    """The path to every value inside a document, each parent before its children."""
+    items = (node.items() if isinstance(node, dict) else enumerate(node)
+             if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
 @st.composite
 def mutated(draw, doc):
-    """A deep copy of `doc` with one to three subtrees replaced or deleted."""
+    """A deep copy of `doc` with one to three of its values, drawn alike from
+    all of them, replaced or deleted; a number it replaces may become an
+    edge number."""
     doc = copy.deepcopy(doc)
     for _ in range(draw(st.integers(1, 3))):
-        parent, key, node = None, None, doc
-        while (isinstance(node, (dict, list)) and node
-               and (parent is None or draw(st.integers(0, 4)) > 0)):
-            key = draw(st.sampled_from(sorted(node) if isinstance(node, dict)
-                                       else range(len(node))))
-            parent, node = node, node[key]
-        if parent is None:
+        paths = list(_paths(doc))
+        if not paths:
             continue
+        *head, key = draw(st.sampled_from(paths))
+        parent = doc
+        for step in head:
+            parent = parent[step]
+        node = parent[key]
         if isinstance(parent, dict) and draw(st.integers(0, 3)) == 0:
             del parent[key]
         else:
-            parent[key] = draw(json_values)
+            number = isinstance(node, (int, float)) and not isinstance(node, bool)
+            parent[key] = draw(edge_numbers | json_values if number else json_values)
     return doc
 
 
