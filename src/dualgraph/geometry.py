@@ -515,7 +515,9 @@ def _segment_distance(ca, ha, cb, hb) -> float:
     When the longest component of ha, hb and r = ca - cb lies outside
     `_SAFE_RANGE`, all three are scaled by the power of two that brings it
     into [0.5, 1), and the distance is scaled back; inside the range
-    nothing is scaled.
+    nothing is scaled. A half axis whose squared length still underflows to
+    zero, next to a longest component up to 2**200 times its size, is taken
+    as its center point; the error is at most that half axis's length.
     """
     if len(ca) == 2:
         ca, ha, cb, hb = (*ca, 0.0), (*ha, 0.0), (*cb, 0.0), (*hb, 0.0)
@@ -540,19 +542,24 @@ def _segment_distance(ca, ha, cb, hb) -> float:
     ny = az * bx - ax * bz
     nz = ax * by - ay * bx
     denom = nx * nx + ny * ny + nz * nz
-    s = 0.0
-    if denom > 0.0:
-        # (n x hb) . r
-        num = ((ny * bz - nz * by) * rx + (nz * bx - nx * bz) * ry
-               + (nx * by - ny * bx) * rz)
-        s = min(1.0, max(-1.0, num / denom))
-    t = (b * s + f) / e
-    if t < -1.0:
-        t = -1.0
-        s = min(1.0, max(-1.0, (-b - c) / a))
-    elif t > 1.0:
-        t = 1.0
-        s = min(1.0, max(-1.0, (b - c) / a))
+    if a == 0.0 or e == 0.0:
+        # a half axis whose square underflows is a point at this scale
+        s = min(1.0, max(-1.0, -c / a)) if a > 0.0 else 0.0
+        t = min(1.0, max(-1.0, f / e)) if e > 0.0 else 0.0
+    else:
+        s = 0.0
+        if denom > 0.0:
+            # (n x hb) . r
+            num = ((ny * bz - nz * by) * rx + (nz * bx - nx * bz) * ry
+                   + (nx * by - ny * bx) * rz)
+            s = min(1.0, max(-1.0, num / denom))
+        t = (b * s + f) / e
+        if t < -1.0:
+            t = -1.0
+            s = min(1.0, max(-1.0, (-b - c) / a))
+        elif t > 1.0:
+            t = 1.0
+            s = min(1.0, max(-1.0, (b - c) / a))
     dx = rx + s * ax - t * bx
     dy = ry + s * ay - t * by
     dz = rz + s * az - t * bz

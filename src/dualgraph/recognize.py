@@ -466,13 +466,20 @@ def _segment_distances(a: _Columns, b: _Columns):
     num = ((ny * bz - nz * by) * rx + (nz * bx - nx * bz) * ry
            + (nx * by - ny * bx) * rz)
     parallel = denom == 0.0
+    a_point, b_point = a_ == 0.0, e == 0.0
+    point = a_point | b_point
+    a_ = np.where(a_point, 1.0, a_)
+    e = np.where(b_point, 1.0, e)
     s = np.where(parallel, 0.0,
                  np.minimum(1.0, np.maximum(-1.0, num / np.where(parallel, 1.0, denom))))
     t = (b_ * s + f) / e
-    low, high = t < -1.0, t > 1.0
+    low, high = ~point & (t < -1.0), ~point & (t > 1.0)
     s = np.where(low, np.minimum(1.0, np.maximum(-1.0, (-b_ - c) / a_)), s)
     s = np.where(high, np.minimum(1.0, np.maximum(-1.0, (b_ - c) / a_)), s)
     t = np.where(low, -1.0, np.where(high, 1.0, t))
+    # a half axis whose square underflows is a point at this scale
+    s = np.where(point, np.where(a_point, 0.0, np.minimum(1.0, np.maximum(-1.0, -c / a_))), s)
+    t = np.where(point, np.where(b_point, 0.0, np.minimum(1.0, np.maximum(-1.0, f / e))), t)
     dx = rx + s * ax - t * bx
     dy = ry + s * ay - t * by
     dz = rz + s * az - t * bz

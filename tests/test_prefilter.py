@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -1057,6 +1057,12 @@ def _segment(origin, half_axis):
        coords=st.lists(finite, min_size=12, max_size=12),
        parallel=st.booleans(),
        scale=st.sampled_from([1.0, 1e80, 1e-90]))
+# a half axis whose square underflows once the scene is rescaled to its longest
+# component: second segment tiny, then first segment tiny and off the other's line
+@example(dim=2, coords=[0.0, 0.0, 0.0, 0.0, 3.0, 0.0, 0.0, 0.0, 0.0, 0.0, 7.267758854042544e-162, 0.0],
+         parallel=False, scale=1e80)
+@example(dim=2, coords=[1.0, 5.0, 0.0, 7.267758854042544e-162, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 0.0],
+         parallel=False, scale=1e80)
 def test_segment_columns_match_the_scalar_kernels(dim, coords, parallel, scale):
     """Columns and scalar kernels agree, also at scales where the squared
     products the kernels form would overflow (1e80) or underflow (1e-90),
