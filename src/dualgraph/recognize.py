@@ -47,6 +47,7 @@ from .geometry import (
     AffineCamera,
     Frame,
     apply_similarities,
+    canonical_scale,
     canonicalize_frame,
     check_frames,
     fit_affine,
@@ -292,6 +293,12 @@ class CandidateIndex:
     and its nodes stay candidates. The nodes the wave inserts are not
     candidates until the next snapshot.
 
+    The slot gate of `_predict_slots` reads two more columns, one row per
+    node: `circles`, whether the node's model type has the circle symmetry
+    class, and `scales`, the node frame's `canonical_scale` under that
+    class, bit for bit, or NaN where the frame is too flat for its class
+    (placement_strain then charges infinite strain).
+
     Prefilter contract: whatever is computed from the columns only narrows
     the candidates to a superset of those that pass, with `_PREFILTER_SLACK`
     to spare; every survivor then faces the exact scalar gate, so a decision
@@ -308,6 +315,11 @@ class CandidateIndex:
         self.nodes = [n for n in ig.sorted_nodes()
                       if n.spec_slot is None and n.status != "pruned"]
         self.cols = _Columns.of([n.frame for n in self.nodes])
+        model = ig.require_model()
+        syms = [model.node(n.model_type).symmetry_class for n in self.nodes]
+        self.circles = np.array([sym == "circle" for sym in syms], dtype=bool)
+        self.scales = np.array([_canonical_scale_or_nan(n.frame, sym)
+                                for n, sym in zip(self.nodes, syms)], dtype=float)
         self._typed: dict = {}
 
     def of_types(self, types: frozenset):
@@ -372,6 +384,14 @@ class _Hits(NamedTuple):
         """(rows, d2) of query point k."""
         part = slice(self.starts[k], self.stops[k])
         return self.rows[part], self.d2[part]
+
+
+def _canonical_scale_or_nan(frame, sym) -> float:
+    """canonical_scale, or NaN for a frame too flat for its class."""
+    try:
+        return canonical_scale(frame, sym)
+    except DegenerateFrameError:
+        return math.nan
 
 
 def _distance(p, q) -> float:
@@ -496,20 +516,30 @@ def _screening_bound(rel, a: _Columns, b: _Columns, s_fail: float,
     parallel only where both frames have a single nonzero axis (so no tied
     axes). touch charges s_fail where the origins lie further apart than
     both extents can reach, and for two segments where their distance
-    exceeds the limit. Everything else, and every relation but touch in
-    projected mode (whose strains are row-resolved), is bounded by 0. A
+    exceeds the limit; inside charges s_fail where b's origin lies further
+    from a's than a's extent plus slack reaches. Everything else, and every
+    relation but touch and inside in projected mode (whose strains are
+    row-resolved), is bounded by 0. A
     degenerate frame, which the scalar path charges as infinite strain, is
     bounded by 0 or s_fail.
     """
     f = rel.function
     zero = np.zeros(len(a.lengths))
+    if f == "inside":
+        # a point of b inside a's extent plus slack lies within a's rss plus
+        # sqrt(dim) slack of a's origin, whatever a's rank
+        slack = rel.tolerance * a.lengths
+        reach = a.rss + math.sqrt(a.origins.shape[1]) * slack
+        apart = _row_norms(b.origins - a.origins) > reach * (1.0 + _PREFILTER_SLACK)
+        return np.where(apart, s_fail, 0.0)
     if f == "touch":
         limit = rel.tolerance * np.maximum(a.lengths, b.lengths)
         gap = _row_norms(b.origins - a.origins)
         apart = gap > (a.rss + b.rss + limit) * (1.0 + _PREFILTER_SLACK)
-        both = a.single & b.single
-        if both.any():
-            apart |= both & (_segment_distances(a, b) > limit * (1.0 + _PREFILTER_SLACK))
+        both = np.flatnonzero(a.single & b.single & ~apart)
+        if len(both):
+            apart[both] = (_segment_distances(a.take(both), b.take(both))
+                           > limit[both] * (1.0 + _PREFILTER_SLACK))
         return np.where(apart, s_fail, 0.0)
     if projected:
         return zero
@@ -595,52 +625,74 @@ def _clue_pairs(index: CandidateIndex, frontier, gate_radius: float) -> list:
     return out
 
 
-# Clue pairs screened per block of columns: bounds the arrays and the
-# survivor list held at once.
-_SCREEN_BLOCK = 256
-
-
 def _screened(index: CandidateIndex, model: ModelGraph, pairs, cfg: Config,
               projected: bool):
-    """Yield (midx entry, ordered clue nodes) for every screening the column
-    bounds cannot rule out, in the scalar order: pair, then midx entry, then
-    orientation. A superset of the screenings that reach cfg.screen_min."""
+    """Yield (midx entry, ordered clue nodes, signature) for every screening
+    the column bounds cannot rule out, in the scalar order: pair, then midx
+    entry, then orientation. A superset of the screenings that reach
+    cfg.screen_min. The wave's pairs are screened in one block, a type pair
+    at a time (`_screen_type_pair`). The signature is the entry's
+    `_screening_signature`."""
     nodes = index.nodes
+    pairs = np.array(pairs, dtype=int).reshape(-1, 2)
+    by_types: dict = {}
+    for p, (i, j) in enumerate(pairs.tolist()):
+        by_types.setdefault((nodes[i].model_type, nodes[j].model_type), []).append(p)
+    survivors = []
+    screens: dict = {}  # by type pair: its midx entries and their signatures
+    for types, group in by_types.items():
+        entries = midx_lookup(model.midx, *types)
+        screens[types] = entries, [_screening_signature(e, projected) for e in entries]
+        survivors += _screen_type_pair(index, model, cfg, projected, types, entries,
+                                       pairs, np.array(group))
+    survivors.sort()
+    for p, e, o in survivors:
+        a, b = nodes[pairs[p, 0]], nodes[pairs[p, 1]]
+        entries, signatures = screens[a.model_type, b.model_type]
+        yield entries[e], ((a, b) if o == 0 else (b, a)), signatures[e]
+
+
+def _screen_type_pair(index, model, cfg, projected, types, entries, pairs, group) -> list:
+    """(pair, entry, orientation) of every screening of the pairs `group`,
+    all of model types `types`, that the column bounds cannot rule out.
+    Each column bound is computed once per (spec, operand sides)."""
     limit = _screen_limit(cfg.screen_min)
-    fits = model.abstract
-    for start in range(0, len(pairs), _SCREEN_BLOCK):
-        block = np.array(pairs[start:start + _SCREEN_BLOCK], dtype=int)
-        by_types: dict = {}
-        for p, (i, j) in enumerate(block.tolist()):
-            by_types.setdefault((nodes[i].model_type, nodes[j].model_type), []).append(p)
-        survivors = []
-        for (type_a, type_b), group in by_types.items():
-            group = np.array(group)
-            cols = (index.cols.take(block[group, 0]), index.cols.take(block[group, 1]))
-            bounds: dict = {}  # by spec and operand sides: entries often repeat a spec
-            for e, entry in enumerate(midx_lookup(model.midx, type_a, type_b)):
-                mnode = model.node(entry.hypothesis)
-                s1, s2 = entry.slots
-                fits1 = fits.get(mnode.part(s1).type_name, frozenset())
-                fits2 = fits.get(mnode.part(s2).type_name, frozenset())
-                for o, (ta, tb) in enumerate(((type_a, type_b), (type_b, type_a))):
-                    if ta not in fits1 or tb not in fits2:
-                        continue
-                    sides = {s1: o, s2: 1 - o}
-                    total = np.zeros(len(group))
-                    for rel in entry.screening:
-                        side_a, side_b = (sides[op] for op in rel.operands)
-                        key = rel.spec + (side_a, side_b)
-                        if key not in bounds:
-                            bounds[key] = np.minimum(_screening_bound(
-                                rel, cols[side_a], cols[side_b], cfg.s_fail, projected), 1e6)
-                        total += bounds[key]
-                    survivors.extend((p, e, o) for p in group[total <= limit].tolist())
-        survivors.sort()
-        for p, e, o in survivors:
-            a, b = nodes[block[p, 0]], nodes[block[p, 1]]
-            entry = midx_lookup(model.midx, a.model_type, b.model_type)[e]
-            yield entry, ((a, b) if o == 0 else (b, a))
+    type_a, type_b = types
+    cols = (index.cols.take(pairs[group, 0]), index.cols.take(pairs[group, 1]))
+    bounds: dict = {}  # by spec and operand sides: entries often repeat a spec
+    survivors = []
+    for e, entry in enumerate(entries):
+        mnode = model.node(entry.hypothesis)
+        s1, s2 = entry.slots
+        fits1 = model.abstract.get(mnode.part(s1).type_name, frozenset())
+        fits2 = model.abstract.get(mnode.part(s2).type_name, frozenset())
+        for o, (ta, tb) in enumerate(((type_a, type_b), (type_b, type_a))):
+            if ta not in fits1 or tb not in fits2:
+                continue
+            sides = {s1: o, s2: 1 - o}
+            total = np.zeros(len(group))
+            for rel in entry.screening:
+                side_a, side_b = (sides[op] for op in rel.operands)
+                key = rel.spec + (side_a, side_b)
+                if key not in bounds:
+                    bounds[key] = np.minimum(_screening_bound(
+                        rel, cols[side_a], cols[side_b], cfg.s_fail, projected), 1e6)
+                total += bounds[key]
+            survivors.extend((p, e, o) for p in group[total <= limit].tolist())
+    return survivors
+
+
+def _screening_signature(entry, projected: bool) -> tuple:
+    """What a screening score reads besides its two ordered clue frames:
+    the group type and, per screening relation in order, its spec and the
+    clue each operand takes (0 for the entry's first slot, 1 for its
+    second); in projected mode also the operand names, since
+    `relation_usable` reads those slots' model frames. Entries of equal
+    signature score equal on equal clues (`_screening_score`)."""
+    first = entry.slots[0]
+    return (entry.hypothesis, *(
+        rel.spec + tuple(int(op != first) for op in rel.operands)
+        + (rel.operands if projected else ()) for rel in entry.screening))
 
 
 def _screening_score(mnode, entry, ca, cb, cfg, index) -> float:
@@ -685,7 +737,9 @@ def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
 
     Prefilter contract: column lower bounds of the screening strains
     (`_screening_bound`) pick a superset of the screenings that can pass;
-    only those are scored exactly by relation_strains. Each key then takes
+    only those are scored exactly by relation_strains, each distinct one
+    once: screenings of equal `_screening_signature` on the same ordered
+    clues share one `_screening_score`. Each key then takes
     its passing assignments in order of score (ties by first occurrence) and
     keeps the first with a usable fit: the assignment the scalar rule "fit
     every one, keep a strictly better score" would keep. Fits run in rounds:
@@ -702,10 +756,13 @@ def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
     projected = index.ig.projected
     pairs = _clue_pairs(index, frontier, cfg.gate_radius)
     passed: dict = {}
-    for order, (entry, (ca, cb)) in enumerate(_screened(index, model, pairs, cfg,
-                                                        projected)):
-        mnode = model.node(entry.hypothesis)
-        score = _screening_score(mnode, entry, ca, cb, cfg, index)
+    scores: dict = {}  # by signature and ordered clue keys; only looked up
+    for order, (entry, (ca, cb), signature) in enumerate(_screened(index, model, pairs, cfg,
+                                                                   projected)):
+        score = scores.get((signature, ca.key, cb.key))
+        if score is None:
+            score = _screening_score(model.node(entry.hypothesis), entry, ca, cb, cfg, index)
+            scores[signature, ca.key, cb.key] = score
         if score < cfg.screen_min:
             continue
         key = (entry.hypothesis, frozenset((ca.key, cb.key)))
@@ -741,15 +798,16 @@ def _need(slot) -> int:
 class _Query(NamedTuple):
     """One slot whose prediction has an extent, with the snapshot rows of a
     fitting type within gate_radius predicted primary lengths of the
-    predicted origin and their squared distances (`CandidateIndex.near`).
-    `tight` is the radius of the gated matching in the same units, at most
-    gate_radius."""
+    predicted origin and their squared distances (`CandidateIndex.near`),
+    which the rough matching ranks, and `gated`: those of the rows that the
+    slot gate of `_predict_slots` keeps, the only ones the gated matching
+    scores. Rows ascend."""
 
     slot: object
     pred: Frame
-    tight: float
     rows: np.ndarray
     d2: np.ndarray
+    gated: np.ndarray
 
 
 def _predict_slots(index, model, mnode, transforms, cfg, projected) -> list:
@@ -772,6 +830,11 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected) -> list:
     radius (with `_PREFILTER_SLACK`) than its lower bound. Neither matching
     could then fill it, since a slot binds only its own candidates within
     that radius, so no `_Query` is built for such a transform.
+
+    Every row the queries found then faces the slot gate in one column pass
+    over the stack (`_slot_gate`), which keeps a superset of the rows that
+    can pass the gated matching's exact gate: those within the slot's tight
+    radius whose placement strain can stay within s_fail.
     """
     slots = mnode.parts
     n = len(slots)
@@ -791,7 +854,6 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected) -> list:
     ok, lengths = check_frames(pred_origins, pred_axes)
     whole = ok.reshape(-1, n).all(axis=1)
     gate = cfg.gate_radius
-    tight = [min(gate, slot.elasticity[0] * math.sqrt(cfg.s_fail)) for slot in slots]
     primary = lengths.max(axis=1).reshape(-1, n)
     radii = (primary * gate).reshape(-1)
     queried = np.flatnonzero(whole[:, None] & (primary > 0))
@@ -804,12 +866,58 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected) -> list:
     need = np.array([_need(slot) for slot in slots])
     filled = whole & (found >= need).all(axis=1)
     out = [[] if fine else None for fine in filled.tolist()]
-    for point in np.flatnonzero(filled[queried // n]).tolist():
+    points = np.flatnonzero(filled[queried // n])
+    gated, ends = _slot_gate(index, slots, cfg, hits, points, queried[points] % n,
+                             lengths[queried[points]])
+    start = 0
+    for point, end in zip(points.tolist(), ends.tolist()):
         k = int(queried[point])
-        s = k % n
         pred = Frame.from_checked(pred_origins[k], pred_axes[k], tuple(lengths[k].tolist()))
-        out[k // n].append(_Query(slots[s], pred, tight[s], *hits.of(point)))
+        out[k // n].append(_Query(slots[k % n], pred, *hits.of(point), gated[start:end]))
+        start = end
     return out
+
+
+@np.errstate(all="ignore")  # an overflowing term is inf and fails, as in placement_strain
+def _slot_gate(index, slots, cfg, hits, points, slot_of, lengths):
+    """(gated, ends): the rows of `hits` that can pass the gated matching's
+    exact gate, decided in one column pass over all the rows of the query
+    points `points` (whose slots are `slot_of` and whose predictions have
+    axis lengths `lengths`), point after point, and the end in `gated` of
+    each point's rows.
+
+    A row is kept when its squared distance lies within the slot's tight
+    radius, min(gate_radius, sigma_o * sqrt(s_fail)) predicted primary
+    lengths, and a lower bound of placement_strain's origin and size terms
+    stays within s_fail. Both terms read the canonical scale of the
+    prediction for the candidate's symmetry class (the mean nonzero length
+    for a circle, else the primary length), and the size term the
+    candidate's (`CandidateIndex.scales`); a candidate too flat for its
+    class is dropped, since its strain is infinite. The bound gives up
+    `_PREFILTER_SLACK` of each term, which covers every rounding difference
+    between the columns and the scalar kernel.
+    """
+    counts = hits.stops[points] - hits.starts[points]
+    owner = np.repeat(np.arange(len(points)), counts)
+    # the rows of each point in turn, whatever order `near` found them in
+    at = np.arange(len(owner)) + np.repeat(hits.starts[points] - (counts.cumsum() - counts),
+                                           counts)
+    sigma = np.array([slot.elasticity[:2] for slot in slots])[slot_of]
+    tight = np.minimum(cfg.gate_radius, sigma[:, 0] * math.sqrt(cfg.s_fail))
+    primary = lengths.max(axis=1)
+    reach = tight * primary * (1.0 + _PREFILTER_SLACK)
+    close = np.flatnonzero(hits.d2[at] <= (reach * reach)[owner])
+    at, owner = at[close], owner[close]
+    rows, d2 = hits.rows[at], hits.d2[at]
+    spread = lengths > 0
+    mean = np.where(spread, lengths, 0.0).sum(axis=1) / spread.sum(axis=1)
+    scale = np.where(index.circles[rows], mean[owner], primary[owner])
+    origin = (np.sqrt(d2) / (sigma[owner, 0] * scale)) ** 2
+    log_ratio = np.abs(np.log(index.scales[rows] / scale))
+    size = (np.maximum(log_ratio * (1.0 - _PREFILTER_SLACK) - _PREFILTER_SLACK, 0.0)
+            / sigma[owner, 1]) ** 2
+    keep = (origin + size) * (1.0 - _PREFILTER_SLACK) <= cfg.s_fail
+    return rows[keep], np.cumsum(np.bincount(owner[keep], minlength=len(points)))
 
 
 def _gated_matching(index, model, mnode, queries, cfg):
@@ -822,30 +930,28 @@ def _gated_matching(index, model, mnode, queries, cfg):
 
     Fail fast: `queries` None (a degenerate prediction, or an essential
     slot short within the gate radius) fails before any strain is scored,
-    and so does an essential slot (`_need`) with fewer candidates
-    that could pass the exact gate than its lower bound, since every slot's
-    candidates are gathered before any is scored. The essential slots are
-    then scored first, and once one of them has fewer candidates passing
-    the exact gate than its lower bound, the matching fails and scores no
+    and so does an essential slot (`_need`) with fewer gated rows
+    (`_Query.gated`) than its lower bound. The essential slots are then
+    scored first, and once one of them has fewer candidates passing the
+    exact gate than its lower bound, the matching fails and scores no
     further strain. The shortcut is exact: a slot binds only its own
     candidates.
 
-    Prefilter contract: the query rows (`CandidateIndex.near`) are narrowed
-    to the tight radius with `_PREFILTER_SLACK`. A candidate must also lie
-    within sigma_o * sqrt(s_fail) predicted primary lengths, since
-    `_origin_bound` shows no farther one can pass, and is scored by
-    placement_strain only when its origin bound is within s_fail; then it
-    faces the exact gate, whose placement_strain stops at s_fail (its
-    `limit`).
+    Prefilter contract: only a query's gated rows are looked at, a superset
+    of those that can pass the exact gate (`_slot_gate`). A gated row's
+    candidate must lie within gate_radius predicted primary lengths by its
+    exact distance, and is scored by placement_strain only when its origin
+    bound (`_origin_bound`) is within s_fail; then it faces the exact gate,
+    whose placement_strain stops at s_fail (its `limit`).
     """
-    if queries is None:
+    if queries is None or any(len(q.gated) < _need(q.slot) for q in queries):
         return None, {}
     gate, s_fail = cfg.gate_radius, cfg.s_fail
     close = []
     for q in sorted(queries, key=lambda q: not _need(q.slot)):
         scale = q.pred.primary_length
         nodes = []
-        for row in q.rows[q.d2 <= (q.tight * scale * (1.0 + _PREFILTER_SLACK)) ** 2].tolist():
+        for row in q.gated.tolist():
             node = index.nodes[row]
             d = _distance(node.frame.origin, q.pred.origin)
             if d <= gate * scale and _origin_bound(d, q.slot.elasticity[0], scale) <= s_fail:

@@ -15,17 +15,25 @@ PRIMITIVE_KINDS = ("linseg", "circle")
 # the keys of a scene document; parse_scene rejects any other
 SCENE_KEYS = ("dim", "primitives", "id")
 
+# The range of a scene: every coordinate and radius at most 2**500 in
+# magnitude, and every nonzero extent (a segment's half-length, a radius) at
+# least 2**-500. Recognition squares coordinate differences and axis lengths
+# (gate radii, `touch`'s reach, the extent solver's Gram matrix); inside the
+# range none of those squares overflows, and no squared extent falls below
+# the normal floats, where the extent solver's regularizer underflows to 0.
+SCENE_RANGE = 2.0 ** 500
+
 
 @dataclass
 class Primitive:
     """One observed feature: a line segment or a circle.
 
     `strength` carries the detector's confidence in [0, 1]; a faint or partly
-    occluded feature enters inference with a weaker data prior. Coordinates
-    so large that the frame's origin or squared half-extent overflows are
-    rejected here, before any frame is built, and so is an extent so small
-    that its square underflows to 0 (a frame needs a positive length).
-    Coincident segment endpoints and a zero radius are left to the parser.
+    occluded feature enters inference with a weaker data prior. A primitive
+    outside the scene range (`SCENE_RANGE`) is rejected here, before any
+    frame is built: a coordinate or radius that is not finite or exceeds
+    2**500 in magnitude, and a nonzero extent below 2**-500. Coincident
+    segment endpoints and a zero radius are left to the parser.
     """
 
     kind: str
@@ -41,22 +49,22 @@ class Primitive:
         if self.kind == "linseg":
             self.p1 = np.asarray(self.p1, float)
             self.p2 = np.asarray(self.p2, float)
-            ends = list(zip(self.p1.tolist(), self.p2.tolist()))
-            origin = [(a + b) / 2.0 for a, b in ends]
-            halves = [(b - a) / 2.0 for a, b in ends]
-            square = sum(h * h for h in halves)
+            coords = self.p1.tolist() + self.p2.tolist()
+            halves = [(b - a) / 2.0 for a, b in zip(self.p1.tolist(), self.p2.tolist())]
             extent = self.p1.tolist() != self.p2.tolist()
         else:
             self.center = np.asarray(self.center, float)
             self.radius = float(self.radius)
-            origin = self.center.tolist()
-            square = self.radius * self.radius
+            coords = self.center.tolist() + [self.radius]
+            halves = [self.radius]
             extent = self.radius != 0.0
-        # plain floats overflow to inf, and underflow to 0, without a warning
-        if not all(map(math.isfinite, origin + [square])):
-            raise SceneFormatError(f"{self.kind} coordinates are not finite or too large for a frame")
-        if extent and square == 0.0:
-            raise SceneFormatError(f"{self.kind} is too small for a frame")
+        # NaN fails the comparison too
+        if not all(abs(c) <= SCENE_RANGE for c in coords):
+            raise SceneFormatError(f"{self.kind} coordinates must be finite and at most "
+                                   "2**500 in magnitude")
+        if extent and sum(h * h for h in halves) < SCENE_RANGE ** -2:
+            raise SceneFormatError(f"{self.kind} is too small: a nonzero extent must be at "
+                                   "least 2**-500")
 
     @property
     def dim(self) -> int:

@@ -69,10 +69,10 @@ FLAT_MODEL = load_model_file(fixture_path("truck_flat.json"))
                                               n_distractors=8, seed=3))
 
 
-def _scaled(factor):
-    """The truck_flat scene's document with every coordinate times `factor`;
-    from about 1e154 on, a segment's squared half-length overflows."""
-    doc = json.loads(write_scene(FLAT_SCENE))
+def _scaled(factor, scene=FLAT_SCENE):
+    """The scene's document, truck_flat's by default, with every coordinate
+    times `factor`; the scene range ends at 2**500 (about 3.3e150)."""
+    doc = json.loads(write_scene(scene))
     for prim in doc["primitives"]:
         for key in ("p1", "p2", "center"):
             if key in prim:
@@ -91,6 +91,10 @@ def _with_primitive(prim):
 
 def _recognize_parsed(doc):
     recognize(parse_scene(doc), FLAT_MODEL)
+
+
+def _recognize_face(doc):
+    recognize(parse_scene(doc), MODEL)
 
 
 def _recognize_built(doc):
@@ -271,6 +275,28 @@ CASES = [
      SceneFormatError),
     ("scene-coordinates-1e154", _recognize_parsed, _scaled(1e154), SceneFormatError),
     ("scene-coordinates-1.2e154-built", _recognize_built, _scaled(1.2e154), SceneFormatError),
+    # past 2**500: these were accepted, and recognize could overflow in the
+    # clue pairs, the candidate query, touch's reach and the extent solver
+    ("scene-face-coordinates-1e154", _recognize_face, _scaled(1e154, SCENE), SceneFormatError),
+    ("scene-coordinates-1e153", _recognize_parsed, _scaled(1e153), SceneFormatError),
+    ("scene-center-2**501", parse_scene,
+     _with_primitive({"kind": "circle", "center": [0.0, 2.0**501, 0.0], "radius": 1.0}),
+     SceneFormatError),
+    ("scene-radius-2**501", parse_scene,
+     _with_primitive({"kind": "circle", "center": [0.0, 0.0, 0.0], "radius": 2.0**501}),
+     SceneFormatError),
+    ("scene-p2-2**501-built", lambda p2: Primitive("linseg", p1=[0.0, 0.0], p2=p2),
+     [-(2.0**501), 1.0], SceneFormatError),
+    # below 2**-500: these were accepted, and the extent solver's Gram
+    # entries were subnormal, so its regularizer underflowed to 0 and touch
+    # failed between rectangles that touch (truck_flat at 1e-157 lost its truck)
+    ("scene-coordinates-1e-157", _recognize_parsed, _scaled(1e-157), SceneFormatError),
+    ("scene-segment-half-2**-501", parse_scene,
+     _with_primitive({"kind": "linseg", "p1": [0.0, 0.0, 0.0], "p2": [2.0**-500, 0.0, 0.0]}),
+     SceneFormatError),
+    ("scene-radius-2**-501-built", lambda radius: Primitive("circle", center=[0.0, 0.0],
+                                                            radius=radius),
+     2.0**-501, SceneFormatError),
     # a nonzero extent whose square underflows to 0 has no frame
     ("scene-segment-3e-162-long", _recognize_parsed,
      _with_primitive({"kind": "linseg", "p1": [0.0, 0.0, 0.0], "p2": [3e-162, 0.0, 0.0]}),

@@ -60,7 +60,13 @@ from dualgraph.geometry import (
     unambiguous_axes,
 )
 from dualgraph.image import ImageGraph
-from dualgraph.model import RelationSpec, fixture_path, load_model_file, midx_lookup
+from dualgraph.model import (
+    RelationSpec,
+    fixture_path,
+    load_model,
+    load_model_file,
+    midx_lookup,
+)
 from dualgraph.scene import Primitive, Scene
 
 from conftest import random_frame
@@ -916,21 +922,21 @@ def _planar_frame(rng):
 
 def test_each_screening_bound_is_computed_once_per_spec_and_sides(monkeypatch):
     """truck_flat's rectangle repeats the spec touch tol 0.12 in four midx
-    entries, each screened in both orientations; `_screened` computes each
-    column bound once per (block, type pair) and (spec, operand sides).
-    Checked over every wave of the seed-1 clutter truck_flat scene."""
+    entries, each screened in both orientations; `_screened` screens a
+    wave's pairs in one block and computes each column bound once per
+    (wave, type pair) and (spec, operand sides). Checked over every wave of
+    the seed-1 clutter truck_flat scene."""
     scene, model = _scene("truck_flat.json", "truck1", 0.03, seed=1, distractors=128)
     screened, bound = rec._screened, rec._screening_bound
-    want = []  # per (block, type pair) with a bound to compute: its distinct keys
+    want = []  # per (wave, type pair) with a bound to compute: its distinct keys
     naive = 0  # bounds one per (entry, orientation, screening relation)
     calls = []  # (columns a, columns b, spec), which keeps the columns' ids unique
 
     def screening(index, model, pairs, cfg, projected):
         nonlocal naive
         nodes = index.nodes
-        for start in range(0, len(pairs), rec._SCREEN_BLOCK):
-            types = {(nodes[i].model_type, nodes[j].model_type): None
-                     for i, j in pairs[start:start + rec._SCREEN_BLOCK]}
+        if pairs:
+            types = {(nodes[i].model_type, nodes[j].model_type): None for i, j in pairs}
             for type_a, type_b in types:
                 keys = set()
                 for entry in midx_lookup(model.midx, type_a, type_b):
@@ -955,7 +961,7 @@ def test_each_screening_bound_is_computed_once_per_spec_and_sides(monkeypatch):
     monkeypatch.setattr(rec, "_screened", screening)
     monkeypatch.setattr(rec, "_screening_bound", bounding)
     rec.recognize(scene, model)
-    # a (block, type pair) takes its own two column sets, in the order of `want`
+    # a (wave, type pair) takes its own two column sets, in the order of `want`
     got = {}
     for a, b, spec in calls:
         got.setdefault(frozenset((id(a), id(b))), []).append((spec, id(a), id(b)))
@@ -1029,20 +1035,56 @@ def test_origin_bound_never_exceeds_placement_strain(pair, sym, sigma, s_fail):
 
 @settings(max_examples=600, deadline=None)
 @given(pair=frame_pairs(),
-       function=st.sampled_from(["size-ratio", "distance-ratio", "touch", "angle", "parallel"]),
+       function=st.sampled_from(["size-ratio", "distance-ratio", "touch", "inside", "angle",
+                                 "parallel"]),
        target=st.floats(0.0, 3.0), tolerance=st.floats(0.01, 2.0),
        s_fail=st.floats(0.1, 50.0), swap=st.booleans())
 def test_screening_bounds_never_exceed_the_scalar_strain(pair, function, target, tolerance,
                                                          s_fail, swap):
     a, b = pair[::-1] if swap else pair
-    if function in ("touch", "parallel"):
+    if function in ("touch", "inside", "parallel"):
         target = True
     elif function == "angle":
         target = min(target, math.pi / 2)
     rel = RelationSpec(function, ("a", "b"), target, tolerance)
     assert _bound(rel, a, b, s_fail) <= _scalar_strain(rel, a, b, s_fail)
-    if function == "touch":
+    if function in ("touch", "inside"):
         assert _bound(rel, a, b, s_fail, True) <= _scalar_strain(rel, a, b, s_fail, True)
+
+
+@settings(max_examples=600, deadline=None)
+@given(pair=frame_pairs(), tolerance=st.floats(1e-6, 2.0), s_fail=st.floats(0.1, 50.0),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=3, max_size=3),
+       direction=st.none() | st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+       stretch=st.one_of(st.floats(0.999, 1.001), st.floats(0.0, 3.0)),
+       inner_size=st.sampled_from([0.0, 1e-3, 1.0]), scale=st.sampled_from([1.0, 1e-90, 1e150]))
+def test_the_inside_bound_never_exceeds_the_scalar_strain(pair, tolerance, s_fail, signs,
+                                                          direction, stretch, inner_size, scale):
+    """The inner origin sits `stretch` times the distance to a corner of
+    the outer extent plus slack, or, in a given direction, `stretch` times
+    the bound's reach (outer rss plus sqrt(dim) slack), so many cases lie
+    at the edge of the relation or of the bound; outers of every rank, zero
+    axes included, inners down to a point, and scenes rescaled to either
+    end of the range."""
+    outer, inner = (Frame(f.origin * scale, f.axes * scale) for f in pair)
+    dim = outer.dim
+    slack = tolerance * outer.primary_length
+    if direction is None:
+        corner = (np.array(signs[:dim])[:, None] * outer.unit_dirs()).T @ (
+            np.array(sorted(outer.lengths, reverse=True)) + slack)
+        offset = corner * stretch
+    else:
+        direction = np.array(direction[:dim])
+        assume(np.linalg.norm(direction) > 1e-3)
+        reach = math.sqrt(float(outer.lengths @ outer.lengths)) + math.sqrt(dim) * slack
+        offset = direction / np.linalg.norm(direction) * reach * stretch
+    inner = Frame(outer.origin + offset, inner.axes * inner_size)
+    rel = RelationSpec("inside", ("a", "b"), True, tolerance)
+    for projected in (False, True):
+        bound = _bound(rel, outer, inner, s_fail, projected)
+        assert bound <= _scalar_strain(rel, outer, inner, s_fail, projected)
+        if direction is not None and stretch > 1.0 + 1e-5 and outer.primary_length > 0:
+            assert bound == s_fail
 
 
 def _segment(origin, half_axis):
@@ -1351,6 +1393,20 @@ def scalar_rows(index, model, slot, pred, radius):
             if node.model_type in fits and rec._distance(node.frame.origin, pred.origin) <= reach]
 
 
+def exact_rows(index, model, slot, pred, cfg):
+    """The snapshot rows of the candidates of a type that fits `slot` that
+    pass the gated matching's exact gate: within gate_radius predicted
+    primary lengths of `pred` by `_distance`, and a placement strain within
+    s_fail."""
+    scale = pred.primary_length
+    fits = model.abstract.get(slot.type_name, frozenset())
+    return [row for row, node in enumerate(index.nodes)
+            if node.model_type in fits
+            and rec._distance(node.frame.origin, pred.origin) <= cfg.gate_radius * scale
+            and placement_strain(pred, node.frame, slot.elasticity,
+                                 model.node(node.model_type).symmetry_class) <= cfg.s_fail]
+
+
 @pytest.mark.parametrize("fixture, target, camera, distractors", [
     ("face.json", "face", None, 128),
     ("truck_flat.json", "truck1", None, 128),
@@ -1365,13 +1421,15 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     raises or a brute-force search of the snapshot's nodes (`scalar_rows`)
     finds an essential slot short, and otherwise its queries are its slots
     with an extent, in part order, each holding the rows that search finds
-    within the gate radius and the slot's tight radius (`q_tight`). The hypothesis
+    within the gate radius, and gated rows (`_Query.gated`) that lie within
+    the slot's tight radius (`q_tight`) and hold every row that passes the
+    exact gate (`exact_rows`). The hypothesis
     calls are one per wave and group type, on the transforms of the wave's
     hypotheses of that type in order, and the refit calls, made once the
     wave's refits are fitted, are one per wave and group type too."""
     scene, model = _scene(fixture, target, 0.03, seed=1, distractors=distractors, camera=camera)
     generate, predict, fit = rec.generate_hypotheses, rec._predict_slots, rec._refits
-    seen = {"batches": 0, "predictions": 0, "refits": 0, "short": 0}
+    seen = {"batches": 0, "predictions": 0, "refits": 0, "short": 0, "gated": 0, "rows": 0}
     waves, hypothesis_calls, refit_calls = [], [], []
     refitting = []
 
@@ -1412,9 +1470,15 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
             assert [q.slot for q in queries] == [slot for slot, _ in want]
             for q, (_, pred) in zip(queries, want):
                 assert _frame_bytes(q.pred) == _frame_bytes(pred)
+                seen["rows"] += len(q.rows)
                 assert q.pred._length_tuple == pred._length_tuple
                 assert q.rows.tolist() == scalar_rows(index, model, q.slot, pred, cfg.gate_radius)
-                assert q.tight == q_tight(q.slot, cfg)
+                gated = q.gated.tolist()
+                assert gated == sorted(set(gated))
+                assert set(gated) <= set(scalar_rows(index, model, q.slot, pred,
+                                                     q_tight(q.slot, cfg)))
+                assert set(gated) >= set(exact_rows(index, model, q.slot, pred, cfg))
+                seen["gated"] += len(gated)
                 seen["predictions"] += 1
         return got
 
@@ -1423,6 +1487,7 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
     monkeypatch.setattr(rec, "_predict_slots", checked)
     rec.recognize(scene, model)
     assert seen["batches"] > 0 and seen["predictions"] > 100 and seen["refits"] > 0
+    assert seen["gated"] < seen["rows"]
     # truck_flat's distractor segments leave no essential slot short within
     # the gate radius; the other two scenes have short transforms
     assert seen["short"] > 0 or fixture == "truck_flat.json"
@@ -1439,6 +1504,152 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
         assert (wave, group_type) == (want_wave, want_type)
         assert len(batch) == len(want_batch)
         assert all(got is transform for got, transform in zip(batch, want_batch))
+
+
+# one node type per symmetry class, and a group with one optional slot of each
+GATE_TYPES = {"c": "circle", "s": "undirected-segment", "r": "rectangle", "b": "box",
+              "n": "none"}
+
+
+def _frame_doc(frame):
+    return {"origin": frame.origin.tolist(), "axes": frame.axes.tolist()}
+
+
+@st.composite
+def gate_scenes(draw):
+    """A 3D model whose group "g" has one optional slot per symmetry class,
+    with random slot frames (zero and tied lengths included) and
+    elasticities; a similarity at a scale from 1e-90 to 1e150; and
+    candidates of every class placed about the predictions at the edge of
+    the strain gate: origin and size offsets up to 1.2 times what s_fail
+    allows, elongated circles (whose canonical scale is their mean radius)
+    and frames too flat for their class among them."""
+    scale = 10.0 ** draw(st.integers(-90, 150))
+    s_fail = draw(st.floats(1.0, 25.0))
+    part_frames, parts = {}, []
+    for t in GATE_TYPES:
+        frame = draw(frames(3))
+        assume(frame.primary_length > 0)
+        part_frames[t] = frame
+        sigma = draw(st.tuples(st.floats(0.05, 2.0), st.floats(0.05, 2.0), st.floats(0.05, 2.0)))
+        parts.append({"name": f"p_{t}", "type": t, "essential": False,
+                      "frame": _frame_doc(frame), "elasticity": list(sigma)})
+    unit = {"origin": [0, 0, 0], "axes": np.eye(3).tolist()}
+    model = load_model({"root": "g", "dim": 3, "nodes": [
+        *({"type": t, "symmetry": sym, "frame": unit} for t, sym in GATE_TYPES.items()),
+        {"type": "g", "symmetry": "none", "frame": unit, "parts": parts}]})
+    rot = Rotation.from_rotvec(draw(st.lists(st.floats(-3.0, 3.0), min_size=3,
+                                             max_size=3))).as_matrix()
+    shift = np.array(draw(st.lists(finite, min_size=3, max_size=3))) * scale
+    transform = SimilarityTransform(rot, scale * math.exp(draw(st.floats(-1.0, 1.0))), shift)
+    ig = ImageGraph(scene_id="gate", model=model)
+    for _ in range(draw(st.integers(1, 12))):
+        t = draw(st.sampled_from(sorted(GATE_TYPES)))
+        pred = transform.apply_frame(part_frames[t])
+        sigma_o, sigma_s, _ = model.node("g").part(f"p_{t}").elasticity
+        reach = math.sqrt(s_fail)
+        direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
+        assume(np.linalg.norm(direction) > 1e-3)
+        offset = draw(st.floats(0.0, 1.2)) * sigma_o * reach * pred.primary_length
+        lengths = pred.primary_length * np.exp(draw(st.floats(-1.2, 1.2)) * sigma_s * reach
+                                               * np.array([1.0, *draw(st.tuples(
+                                                   st.floats(0.0, 1.0), st.floats(0.0, 1.0)))]))
+        flat = draw(st.integers(0, 2))
+        if flat:
+            lengths[-flat:] = 0.0
+        turn = Rotation.from_rotvec(draw(st.lists(st.floats(-3.0, 3.0), min_size=3,
+                                                  max_size=3))).as_matrix()
+        origin = pred.origin + direction / np.linalg.norm(direction) * offset
+        ig.add_node(t, frame=Frame(origin, np.diag(lengths) @ turn), status="verified")
+    return model, transform, make_config(s_fail=s_fail), rec.CandidateIndex(ig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=gate_scenes())
+def test_every_candidate_that_passes_the_exact_gate_survives_the_slot_gate(case):
+    model, transform, cfg, index = case
+    (queries,) = rec._predict_slots(index, model, model.node("g"), [transform], cfg, False)
+    assert queries is not None
+    for q in queries:
+        gated = q.gated.tolist()
+        assert set(gated) <= set(q.rows.tolist())
+        assert set(gated) >= set(exact_rows(index, model, q.slot, q.pred, cfg))
+
+
+def _scored_once(monkeypatch, scene, model):
+    """Recognize `scene`, checking that generate_hypotheses scores a
+    screening once per wave for each signature and ordered clue pair, and
+    that every screening that shares the score has the score of its own
+    entry, scored without the memo. Returns, per wave and distinct key, the
+    per-entry scores of its screenings."""
+    screened, score = rec._screened, rec._screening_score
+    waves = []
+    scored = []  # per wave: the number of _screening_score calls
+
+    def per_entry(index, entry, ca, cb, cfg):
+        s1, s2 = entry.slots
+        out = 1.0
+        for _, s in relation_strains(ImageGraph(projected=index.ig.projected),
+                                     model.node(entry.hypothesis), entry.screening,
+                                     {s1: ca.frame, s2: cb.frame}, cfg.s_fail):
+            out *= cond_probability(min(s, 1e6))
+        return out
+
+    def screening(index, model, pairs, cfg, projected):
+        waves.append({})
+        scored.append(0)
+        for entry, (ca, cb), signature in screened(index, model, pairs, cfg, projected):
+            want = per_entry(index, entry, ca, cb, cfg)
+            waves[-1].setdefault((signature, ca.key, cb.key), []).append(want)
+            yield entry, (ca, cb), signature
+
+    def scoring(mnode, entry, ca, cb, cfg, index):
+        got = score(mnode, entry, ca, cb, cfg, index)
+        assert got == per_entry(index, entry, ca, cb, cfg)
+        scored[-1] += 1
+        return got
+
+    monkeypatch.setattr(rec, "_screened", screening)
+    monkeypatch.setattr(rec, "_screening_score", scoring)
+    rec.recognize(scene, model)
+    assert scored == [len(keys) for keys in waves]
+    for keys in waves:
+        assert all(len(set(scores)) == 1 for scores in keys.values())
+    return waves
+
+
+@pytest.mark.parametrize("fixture, target, camera, distractors", [
+    ("face.json", "face", None, 32),
+    ("truck_flat.json", "truck1", None, 32),
+    ("truck.json", "truck1", "random", 0),
+], ids=["face", "truck_flat", "truck-random-camera"])
+def test_each_distinct_screening_is_scored_once(monkeypatch, fixture, target, camera,
+                                                distractors):
+    scene, model = _scene(fixture, target, 0.03, seed=1, distractors=distractors, camera=camera)
+    waves = _scored_once(monkeypatch, scene, model)
+    shared = [scores for keys in waves for scores in keys.values() if len(scores) > 1]
+    assert shared or camera is not None  # plain scenes repeat screenings
+
+
+def test_screenings_that_read_their_clues_the_other_way_round_are_scored_apart(monkeypatch):
+    """The group's entries (a, b) and (a, c) screen by the same size-ratio
+    spec, but (a, c)'s relation takes its operands in the other order, so
+    on the same ordered clues the two score differently."""
+    seg = {"origin": [0, 0], "axes": [[1, 0], [0, 0]]}
+    model = load_model({"root": "pair", "dim": 2, "nodes": [
+        {"type": "linseg", "symmetry": "undirected-segment", "frame": seg},
+        {"type": "pair", "symmetry": "none", "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]},
+         "parts": [{"name": "a", "type": "linseg", "frame": seg},
+                   {"name": "b", "type": "linseg",
+                    "frame": {"origin": [0, 1], "axes": [[0.5, 0], [0, 0]]}},
+                   {"name": "c", "type": "linseg",
+                    "frame": {"origin": [0, -1], "axes": [[2, 0], [0, 0]]}}],
+         "relations": [["size-ratio", "a", "b", 2.0, 2.0], ["size-ratio", "c", "a", 2.0, 2.0]]}]})
+    scene = Scene(dim=2, primitives=[Primitive("linseg", p1=[0.0, 0.0], p2=[2.0, 0.0]),
+                                     Primitive("linseg", p1=[0.0, 1.0], p2=[1.0, 1.0])])
+    (keys,) = _scored_once(monkeypatch, scene, model)[:1]
+    assert len(keys) == 4 and all(len(scores) == 1 for scores in keys.values())
+    assert len({scores[0] for scores in keys.values()}) == 2
 
 
 def scalar_frame_from_segment(p1, p2):

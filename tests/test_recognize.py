@@ -21,7 +21,7 @@ from dualgraph.recognize import (
     recognize,
     seed_image_graph,
 )
-from dualgraph.scene import Primitive, Scene
+from dualgraph.scene import SCENE_RANGE, Primitive, Scene
 
 
 def _scene(fixture, target, jitter, seed, distractors=32, camera=None):
@@ -180,7 +180,7 @@ def _best_p(ig, target):
 
 def _moved(scene, linear, shift):
     """The scene under the similarity x -> linear @ x + shift."""
-    scale = abs(np.linalg.det(linear)) ** (1.0 / scene.dim)
+    scale = float(np.linalg.norm(linear[:, 0]))
     prims = [replace(p, p1=linear @ p.p1 + shift, p2=linear @ p.p2 + shift) if p.kind == "linseg"
              else replace(p, center=linear @ p.center + shift, radius=scale * p.radius)
              for p in scene.primitives]
@@ -191,7 +191,8 @@ def _moved(scene, linear, shift):
 def test_best_p_is_invariant_under_similarities(fixture, target):
     # a rotation, a scale in e^-1..e^1 and a shift within 50 per axis; and
     # at seed 3 scales by 1e80 and 1e-90, where squared products of
-    # coordinates overflow and underflow
+    # coordinates overflow and underflow, and by 1e150 or, where the scene
+    # would leave the scene range, the scale that takes it to 2**499
     rng = np.random.default_rng(6)
     for seed in (1, 2, 3):
         scene, model = _scene(fixture, target, 0.03, seed=seed, distractors=32)
@@ -202,7 +203,9 @@ def test_best_p_is_invariant_under_similarities(fixture, target):
             linear = math.exp(rng.uniform(-1.0, 1.0)) * random_rotation(rng, scene.dim)
             moves.append((linear, rng.uniform(-50.0, 50.0, scene.dim)))
         if seed == 3:
-            moves += [(scale * np.eye(scene.dim), np.zeros(scene.dim)) for scale in (1e80, 1e-90)]
+            top = max(float(np.abs(p.points()).max()) for p in scene.primitives)
+            moves += [(scale * np.eye(scene.dim), np.zeros(scene.dim))
+                      for scale in (1e80, 1e-90, min(1e150, 0.5 * SCENE_RANGE / top))]
         for linear, shift in moves:
             moved = _moved(scene, linear, shift)
             assert abs(_best_p(recognize(moved, model), target) - want) <= 1e-9
