@@ -128,26 +128,28 @@ def _operand_image_dir(mnode, op: str, group_frame: Frame):
     return out / n
 
 
-# Relations a projected scene reads along rows resolved through the group
-# frame, when there is one (relation_strain_projected).
+# Relations a projected scene reads along resolved rows, through the group
+# frame when there is one (contextual_relation_strain); the rest canonically.
 ROW_RESOLVED = frozenset(("size-ratio", "distance-ratio", "angle", "parallel"))
 
 
-def relation_strain_projected(rel: RelationSpec, mnode, frames, s_fail: float,
-                              group_frame=None) -> float:
-    """Relation strain in a projected scene.
+def contextual_relation_strain(rel: RelationSpec, mnode, frames,
+                               s_fail: float, projected: bool,
+                               group_frame=None) -> float:
+    """Relation strain: canonical (`relation_strain`) in a plain scene and
+    for a relation outside `ROW_RESOLVED`, row-resolved otherwise.
 
-    A frame's canonical primary (its longest axis) is not stable under an
-    affine camera: shear can swap which direction comes out longest. What
-    survives projection is the ratio of lengths along parallel directions,
-    so scalar and direction relations are read along resolved rows instead.
-    With a fitted group frame the operand's template direction is carried
-    into the image through it; before any fit exists the most favorable
-    row pairing stands in, which keeps screening permissive rather than
-    wrongly fatal.
+    In a projected scene a frame's canonical primary (its longest axis) is
+    not stable under an affine camera: shear can swap which direction comes
+    out longest. What survives projection is the ratio of lengths along
+    parallel directions, so scalar and direction relations are read along
+    resolved rows instead. With a fitted group frame the operand's template
+    direction is carried into the image through it; before any fit exists
+    the most favorable row pairing stands in, which keeps screening
+    permissive rather than wrongly fatal.
     """
     f = rel.function
-    if f not in ROW_RESOLVED:
+    if not projected or f not in ROW_RESOLVED:
         return relation_strain(rel, frames, s_fail)
     a, b = frames
     rows_a = rows_b = None
@@ -186,23 +188,15 @@ def relation_strain_projected(rel: RelationSpec, mnode, frames, s_fail: float,
     return float(best)
 
 
-def contextual_relation_strain(rel: RelationSpec, mnode, frames,
-                               s_fail: float, projected: bool,
-                               group_frame=None) -> float:
-    """Canonical strain in a plain scene, row-resolved in a projected one."""
-    if not projected:
-        return relation_strain(rel, frames, s_fail)
-    return relation_strain_projected(rel, mnode, frames, s_fail, group_frame)
-
-
 def relation_strains(ig, mnode, rels, frames, s_fail: float, group_frame=None):
     """Yield (rel, strain) for each relation of `rels` that can be scored in
     the scene of `ig`: the one path by which a relation is scored.
 
     A relation is scored when `relation_usable` accepts it for the viewing
     mode (`ig.projected`) and every operand has a frame in `frames` (a map
-    from slot name to frame); the others are skipped. A strain is infinite
-    where the evaluation degenerates, and is kept in the scene's memo
+    from slot name to frame); the others are skipped. A strain is scored by
+    `contextual_relation_strain`, infinite where the evaluation
+    degenerates, and kept in the scene's memo
     (`ig.strains`), keyed by the relation's `spec`, s_fail and its two
     operand frames. A frame hashes by identity and is never changed in
     place (`Frame`), so a node that moves gets a new key. A row-resolved
@@ -238,20 +232,15 @@ def relation_strains(ig, mnode, rels, frames, s_fail: float, group_frame=None):
         yield rel, s
 
 
-def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str,
-                     limit: float = math.inf) -> float:
+def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str) -> float:
     """How badly an observed frame sits in a predicted slot.
 
     Origin deviation is measured relative to the predicted primary length,
     size deviation on a log scale, angle between primary directions in
     radians; each against its own tolerance. Circles skip the angle term.
     Degenerate predictions and overflowing terms cost infinite strain.
-
-    A caller that only asks whether the strain is at most `limit` gets
-    inf, without the angle term, once the origin and size terms exceed it.
-    Every term is >= 0 and adding a float >= 0 never lowers a float sum, so
-    the full strain would exceed `limit` too; a strain within `limit` is
-    summed in the same order as without one, bit for bit.
+    Every term is >= 0, so the origin and size terms bound the strain from
+    below: `recognize._slot_gate` reads them in columns.
     """
     sigma_o, sigma_s, sigma_a = elasticity
     try:
@@ -263,8 +252,6 @@ def placement_strain(pred: Frame, obs: Frame, elasticity, sym: str,
     d = math.sqrt(float(diff @ diff))
     s = _square(d / (sigma_o * scale))
     s += _square(math.log(obs_scale / scale) / sigma_s)
-    if s > limit:
-        return math.inf
     if sym != "circle":
         s += _square(angle_between(pred, obs) / sigma_a)
     return float(s)

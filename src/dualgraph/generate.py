@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .belief import relation_strain
+from .config import Config
 from .errors import GenerationError
 from .geometry import AffineCamera, AffineMap, Frame, frame_onto
 from .model import ModelGraph, ModelNode, PartLink
@@ -82,24 +84,50 @@ def _choose_slots(node: ModelNode, preferred: set[str]) -> list[PartLink]:
     return chosen
 
 
+def _climb(model: ModelGraph, name: str) -> list[ModelNode]:
+    """The nodes from `name` up its first abstraction links to the first
+    node with parts or a builtin, in climb order."""
+    path = [model.node(name)]
+    while not path[-1].parts and path[-1].type_name not in ("linseg", "circle"):
+        if not path[-1].higher_loa:
+            raise GenerationError(f"type {path[-1].type_name!r} has no primitive realization")
+        path.append(model.node(path[-1].higher_loa[0]))
+        if len(path) > len(model.nodes) + 1:
+            raise GenerationError("abstraction climb did not terminate")
+    return path
+
+
 def _climb_to_substance(model: ModelGraph, name: str, transform: AffineMap) -> tuple[ModelNode, AffineMap]:
     """Follow abstraction upward until a node with parts or a builtin appears."""
-    node = model.node(name)
-    hops = 0
-    while not node.parts and node.type_name not in ("linseg", "circle"):
-        if not node.higher_loa:
-            raise GenerationError(f"type {node.type_name!r} has no primitive realization")
-        parent = model.node(node.higher_loa[0])
+    path = _climb(model, name)
+    for node, parent in zip(path, path[1:]):
         if node.type_name not in parent.specialize_relations:
             # A reshaped variant (a stretched box, say) pulls the parent's
             # parts onto its own template. A relation-tightened specialization
             # shares the parent's geometry outright, so no map applies.
             transform = transform.then(_slot_map(node.frame_template, parent.frame_template))
-        node = parent
-        hops += 1
-        if hops > len(model.nodes):
-            raise GenerationError("abstraction climb did not terminate")
-    return node, transform
+    return path[-1], transform
+
+
+def _check_screens(model: ModelGraph, target: str):
+    """Raise GenerationError when the climb from `target` passes a
+    relation-tightened specialization that fails its own screen.
+
+    Such a child shares its parent's geometry (`_climb_to_substance`), so
+    its instances are the parent's slot frames. A screen relation whose
+    strain on them exceeds s_fail, the rule recognition screens by, would
+    make every generated instance read as some other type.
+    """
+    s_fail = Config().s_fail
+    path = _climb(model, target)
+    for node, parent in zip(path, path[1:]):
+        frames = {slot.name: slot.frame for slot in parent.parts}
+        for rel in parent.specialize_relations.get(node.type_name, []):
+            s = relation_strain(rel, [frames[op] for op in rel.operands], s_fail)
+            if s > s_fail:
+                raise GenerationError(
+                    f"type {target!r} fails its screen {rel.function}{rel.operands} on the "
+                    f"geometry of {parent.type_name!r} it shares (strain {s:.3g} > {s_fail:g})")
 
 
 def _expand(model, node, transform, preferred, rng, jitter, path, out):
@@ -278,6 +306,7 @@ def _check_spec(spec: GeneratorSpec):
 def generate_scenes(spec: GeneratorSpec) -> list[Scene]:
     """Independent scenes, one fresh target instance each; seeded and reproducible."""
     _check_spec(spec)
+    _check_screens(spec.model, spec.target)
     scenes = []
     for i in range(spec.n_scenes):
         rng = np.random.default_rng([spec.seed, i])

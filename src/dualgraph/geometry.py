@@ -35,6 +35,10 @@ AFFINE_SAFE = {"parallel", "touch", "inside"}
 
 _ORTHO_TOL = 1e-9
 
+# Largest axis entry a frame read from a document may hold: the Gram product
+# `Frame` forms sums at most three squares, which stay below the float range.
+_AXIS_RANGE = 2.0 ** 511
+
 
 # The types of a JSON number as `json` loads it; a bool is not one
 _JSON_NUMBERS = frozenset((int, float))
@@ -146,13 +150,16 @@ class Frame:
     def from_json(obj) -> "Frame":
         """The frame of a JSON object with exactly the keys "origin", a list
         of numbers, and "axes", a list of such lists. TypeError for any
-        other document, ValueError for ragged rows, and `Frame`'s checks."""
+        other document, ValueError for ragged rows or an axis entry beyond
+        `_AXIS_RANGE` in magnitude, and `Frame`'s checks."""
         if not isinstance(obj, dict) or obj.keys() != {"origin", "axes"}:
             raise TypeError(f"a frame is an object of origin and axes, got {obj!r}")
         axes = obj["axes"]
         for row in [obj["origin"], *axes] if isinstance(axes, list) else [axes]:
             if not isinstance(row, list) or not set(map(type, row)) <= _JSON_NUMBERS:
                 raise TypeError(f"frame rows must be lists of numbers, got {row!r}")
+        if any(abs(v) > _AXIS_RANGE for row in axes for v in row):
+            raise ValueError(f"frame axis entries must lie within 2**511, got {axes!r}")
         return Frame(np.asarray(obj["origin"], float), np.asarray(axes, float))
 
 

@@ -403,19 +403,11 @@ def _distance(p, q) -> float:
 
 # -- lower bounds of the scalar strains ---------------------------------------------
 #
-# Each bound is at most the strain it stands in for, for every input, with
-# the slack inside the bound: a candidate whose bound already fails the gate
-# fails the exact gate too, so skipping it changes nothing.
-
-
-def _origin_bound(d, sigma_o, scale):
-    """Lower bound of placement_strain from the origin offset `d` alone.
-
-    placement_strain's origin term is (d / (sigma_o * canonical scale))^2,
-    and the canonical scale of every symmetry class is at most the
-    prediction's primary length `scale`; the other terms are nonnegative.
-    """
-    return (d / (sigma_o * scale)) ** 2 * (1.0 - _PREFILTER_SLACK)
+# Column bounds of the screening strains (`_screening_bound`); the slot gate
+# bounds the placement strain likewise. Each bound is at most the strain it
+# stands in for, for every input, with the slack inside the bound: a
+# candidate whose bound already fails the gate fails the exact gate too, so
+# skipping it changes nothing.
 
 
 def _gap_bound(observed, target, tolerance, margin):
@@ -800,8 +792,8 @@ class _Query(NamedTuple):
     fitting type within gate_radius predicted primary lengths of the
     predicted origin and their squared distances (`CandidateIndex.near`),
     which the rough matching ranks, and `gated`: those of the rows that the
-    slot gate of `_predict_slots` keeps, the only ones the gated matching
-    scores. Rows ascend."""
+    slot gate (`_slot_gate`) keeps, the only ones the gated matching looks
+    at; each still faces the exact radius and strain there. Rows ascend."""
 
     slot: object
     pred: Frame
@@ -895,7 +887,9 @@ def _slot_gate(index, slots, cfg, hits, points, slot_of, lengths):
     candidate's (`CandidateIndex.scales`); a candidate too flat for its
     class is dropped, since its strain is infinite. The bound gives up
     `_PREFILTER_SLACK` of each term, which covers every rounding difference
-    between the columns and the scalar kernel.
+    between the columns and the scalar kernel. It is the gated matching's
+    only prefilter: each row it keeps goes straight to the exact radius and
+    strain (`_gated_matching`).
     """
     counts = hits.stops[points] - hits.starts[points]
     owner = np.repeat(np.arange(len(points)), counts)
@@ -937,38 +931,28 @@ def _gated_matching(index, model, mnode, queries, cfg):
     further strain. The shortcut is exact: a slot binds only its own
     candidates.
 
-    Prefilter contract: only a query's gated rows are looked at, a superset
-    of those that can pass the exact gate (`_slot_gate`). A gated row's
-    candidate must lie within gate_radius predicted primary lengths by its
-    exact distance, and is scored by placement_strain only when its origin
-    bound (`_origin_bound`) is within s_fail; then it faces the exact gate,
-    whose placement_strain stops at s_fail (its `limit`).
+    Prefilter contract: the slot gate (`_slot_gate`) is the only prefilter;
+    only a query's gated rows, a superset of those that can pass the exact
+    gate, are looked at. A gated row's candidate is skipped when its exact
+    distance exceeds gate_radius predicted primary lengths, and is
+    otherwise scored by placement_strain and kept when within s_fail.
     """
     if queries is None or any(len(q.gated) < _need(q.slot) for q in queries):
         return None, {}
     gate, s_fail = cfg.gate_radius, cfg.s_fail
-    close = []
+    entries = []
     for q in sorted(queries, key=lambda q: not _need(q.slot)):
-        scale = q.pred.primary_length
-        nodes = []
+        slot, pred = q.slot, q.pred
+        reach = gate * pred.primary_length
+        passed = 0
         for row in q.gated.tolist():
             node = index.nodes[row]
-            d = _distance(node.frame.origin, q.pred.origin)
-            if d <= gate * scale and _origin_bound(d, q.slot.elasticity[0], scale) <= s_fail:
-                nodes.append(node)
-        if len(nodes) < _need(q.slot):
-            return None, {}
-        close.append((q, nodes))
-    entries = []
-    for q, nodes in close:
-        slot = q.slot
-        passed = 0
-        for node in nodes:
-            sym = model.node(node.model_type).symmetry_class
-            s = placement_strain(q.pred, node.frame, slot.elasticity, sym, s_fail)
-            if s <= s_fail:
-                entries.append((s, slot.name, node.key, None))
-                passed += 1
+            if _distance(node.frame.origin, pred.origin) <= reach:
+                sym = model.node(node.model_type).symmetry_class
+                s = placement_strain(pred, node.frame, slot.elasticity, sym)
+                if s <= s_fail:
+                    entries.append((s, slot.name, node.key, None))
+                    passed += 1
         if passed < _need(slot):
             return None, {}
     return _bind(mnode, entries)

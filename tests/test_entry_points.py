@@ -170,6 +170,13 @@ CASES = [
     # an int beyond the float range loaded, and recognize overflowed in placement_strain
     ("model-elasticity-int-beyond-float", load_model,
      _model(parts=[dict(PART, elasticity=[0.25, 10**400, 0.25])]), ModelFormatError),
+    # an axis entry whose square overflows: Frame's Gram product raised a raw
+    # RuntimeWarning
+    ("model-axis-beyond-gram-range", load_model,
+     dict(_model(), nodes=[{"type": "b", "frame": dict(FRAME, axes=[[1.35e154, 0], [0, 0]])},
+                           _model()["nodes"][1]]), ModelFormatError),
+    ("graph-axis-beyond-gram-range", ImageGraph.from_json,
+     _graph(frame=dict(FRAME, axes=[[0, 0], [0, -1.35e154]])), SceneFormatError),
     # dim only as the int 2 or 3: 2.0 loaded as 2
     ("model-dim-float", load_model, dict(_model(), dim=2.0), ModelFormatError),
     ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),

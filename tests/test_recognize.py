@@ -211,6 +211,25 @@ def test_best_p_is_invariant_under_similarities(fixture, target):
             assert abs(_best_p(recognize(moved, model), target) - want) <= 1e-9
 
 
+@pytest.mark.parametrize("seed", (1, 2))
+def test_every_3d_truck_p_is_invariant_under_binary_scales(seed):
+    # a power of two scales every coordinate exactly, so rounding cannot move
+    # a decision; far from 1 (2**-300, 2**300) p still moves, so some
+    # threshold of the 3D path is not scale-free
+    scene, model = _scene("truck.json", "truck1", 0.03, seed=seed, distractors=0)
+
+    def probabilities(ig):
+        return {key: (node.model_type, node.status, node.probability)
+                for key, node in ig.nodes.items()}
+
+    ig = recognize(scene, model)
+    assert _best_p(ig, "truck1") > 0.5
+    want = probabilities(ig)
+    for exponent in (-1, 1, 40):
+        moved = _moved(scene, 2.0**exponent * np.eye(3), np.zeros(3))
+        assert probabilities(recognize(moved, model)) == want
+
+
 WAVE_SCENES = [c[:5] for c in GOLDEN] + [
     ("truck_flat.json", "truck1", 0.03, "tiled", None), ("face.json", "face", 0.03, "tiled", None)]
 

@@ -1,5 +1,8 @@
 """Scene parsing and writing, and synthetic scene generation."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,21 @@ def test_truck_variants_share_edges_and_pick_their_trunk():
     np.testing.assert_allclose(pts1.max(axis=0), [3, 1, 1], atol=1e-12)
     np.testing.assert_allclose(pts2.min(axis=0), [-3, -1, -1], atol=1e-12)
     np.testing.assert_allclose(pts2.max(axis=0), [1.4, 1, 1], atol=1e-12)
+
+
+def test_a_specialization_that_fails_its_own_screen_is_not_generated():
+    # truck_flat's truck2 shares truck's geometry, whose trunk is twice the
+    # cab, but screens size-ratio(trunk, cab) = 1.2 +- 0.12: strain 44.4
+    doc = json.loads(Path(fixture_path("truck_flat.json")).read_bytes())
+    for n_scenes in (0, 1):  # checked once per spec, before any scene is drawn
+        with pytest.raises(GenerationError, match="truck2"):
+            generate_scenes(GeneratorSpec(model=load_model(doc), target="truck2",
+                                          n_scenes=n_scenes))
+    # within s_fail at a tolerance of 0.5: strain 2.56
+    (truck,) = [node for node in doc["nodes"] if node["type"] == "truck"]
+    truck["specialize"]["truck2"][0][4] = 0.5
+    (scene,) = generate_scenes(GeneratorSpec(model=load_model(doc), target="truck2"))
+    assert len(scene.primitives) == 7
 
 
 def test_face_expansion_mixes_circles_and_segments():
