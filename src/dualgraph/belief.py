@@ -17,18 +17,20 @@ and a hop budget.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from .config import Config
-from .errors import DegenerateFrameError, UnderConstrainedError
+from .errors import DegenerateFrameError
 from .geometry import (
     AFFINE_SAFE,
     Frame,
     angle_between,
     canonical_scale,
+    check_frames,
     eval_relation,
-    fit_similarity,
+    fit_similarities,
     frame_onto,
 )
 from .model import SCALAR_RELATIONS, RelationSpec
@@ -282,17 +284,18 @@ _PLACEMENT = "placement"
 
 class _GroupSlots:
     """A group's realized slots, gathered so they can be placed under any
-    frame of the group.
+    frame of the group (`_placement_strains`) and fitted (`_fitted_frames`).
 
     `frame` is the group's own frame; `members` maps each realized slot to
     its member node (the first group-member link per slot) and `frames` to
     that member's frame; `placed` holds per slot its name, its template
     frame, the member's frame, the slot elasticity and the member's
-    symmetry class; `memo` is the scene's strain memo (`ig.strains`).
-    In projected mode the group instance lives in 2D while the template is
-    3D; planar templates flatten to the view plane, which is exact for the
-    planar substructures whose ratios survive affine projection. A template
-    or slot frame that degenerates when flattened is None and costs infinite
+    symmetry class; `plan_key` names the group's fit plan (`_fit_plan`):
+    `flat` and each placed slot's name and symmetry class. In projected
+    mode the group instance lives in 2D while the template is 3D; planar
+    templates flatten to the view plane, which is exact for the planar
+    substructures whose ratios survive affine projection. A template or
+    slot frame that degenerates when flattened is None and costs infinite
     strain.
     """
 
@@ -305,7 +308,6 @@ class _GroupSlots:
                 self.members[gm.slot] = ig.nodes[gm.source]
         self.frames = {name: member.frame for name, member in self.members.items()}
         self.frame = group.frame
-        self.memo = ig.strains
         self.flat = ig.projected and group.frame.dim < mnode.frame_template.dim
         try:
             self.template = _flatten_frame(mnode.frame_template) if self.flat else mnode.frame_template
@@ -322,54 +324,79 @@ class _GroupSlots:
                     src = None
             self.placed.append((name, src, member.frame, mnode.part(name).elasticity,
                                 model.node(member.model_type).symmetry_class))
+        self.plan_key = (_FIT, self.flat, tuple((name, sym) for name, *_, sym in self.placed))
 
-    def placement_strains(self, group_frame: Frame) -> dict:
-        """Placement strain of every realized slot by name, for the given
-        group frame, in `placed` order (callers sum it in that order).
 
-        Each strain is kept in the scene's memo, keyed by `_PLACEMENT`, the
-        group's type and `flat` (which fix the slot's template frame and
-        elasticity), `group_frame`, the slot name, the member's frame and
-        the member's symmetry class. Frames hash by identity and are never
-        changed in place (`Frame`), so an entry holds as long as the memo.
-        Only the slots that miss are predicted, and a call that misses none
-        maps no frame. A slot whose template, slot frame or predicted frame
-        degenerates costs infinite strain.
-        """
-        head = (_PLACEMENT, self.mnode.type_name, self.flat, group_frame)
-        keys = [head + (name, obs, sym) for name, _, obs, _, sym in self.placed]
-        strains = [self.memo.get(key) for key in keys]
-        missing = [i for i, s in enumerate(strains) if s is None]
-        if missing:
-            T = None if self.template is None else frame_onto(self.template, group_frame,
-                                                              self.pinv)
-            for i in missing:
-                _, src, obs, elasticity, sym = self.placed[i]
-                try:
-                    pred = None if T is None or src is None else T.apply_frame(src)
-                except DegenerateFrameError:
-                    pred = None
-                s = math.inf if pred is None else placement_strain(pred, obs, elasticity, sym)
-                strains[i] = self.memo[keys[i]] = s
-        return {name: s for (name, *_), s in zip(self.placed, strains)}
+def _placement_strains(memo, pairs) -> list:
+    """Per (slots, group frame) pair of `pairs`, the placement strain of
+    every realized slot of the `_GroupSlots` by name, in `placed` order
+    (callers sum it in that order): the one path by which group placements
+    are scored.
+
+    Each strain is kept in `memo`, the scene's strain memo (`ig.strains`),
+    keyed by `_PLACEMENT`, the group's type and `flat` (which fix the
+    slot's template frame and elasticity), the group frame, the slot name,
+    the member's frame and the member's symmetry class. Frames hash by
+    identity and are never changed in place (`Frame`), so an entry holds as
+    long as the memo, and a key that several pairs share is scored once.
+
+    Only the slots that miss are predicted, all of them in one stacked step
+    per dimension: the map carrying each pair's template onto its frame
+    (`frame_onto`), then each slot frame under it, in matmuls of
+    `AffineMap.apply_frame`'s per-item shapes, as `apply_similarities`
+    does, so every prediction is bit for bit `apply_frame`'s; the stack is
+    checked once (`check_frames`). A slot whose template or slot frame
+    degenerates, or whose prediction `Frame` would reject, costs infinite
+    strain; the others are scored by `placement_strain`.
+    """
+    keys = []
+    stacks = {}  # dimension -> memo key -> (slots, group frame, placed row)
+    for slots, frame in pairs:
+        head = (_PLACEMENT, slots.mnode.type_name, slots.flat, frame)
+        own = [head + (name, obs, sym) for name, _, obs, _, sym in slots.placed]
+        keys.append(own)
+        for key, row in zip(own, slots.placed):
+            if key in memo:
+                continue
+            if slots.template is None or row[1] is None:
+                memo[key] = math.inf
+            else:
+                stacks.setdefault(frame.dim, {})[key] = (slots, frame, row)
+    for jobs in stacks.values():
+        maps = {}  # (slots, group frame) -> its map's row
+        of = [maps.setdefault((slots, frame), len(maps)) for slots, frame, _ in jobs.values()]
+        linear = (np.array([frame.axes for _, frame in maps]).transpose(0, 2, 1)
+                  @ np.array([slots.pinv for slots, _ in maps]))
+        offset = (np.array([frame.origin for _, frame in maps])
+                  - (linear @ np.array([slots.template.origin for slots, _ in maps])[..., None])[..., 0])
+        srcs = [src for _, _, (_, src, *_) in jobs.values()]
+        lin = linear[of]
+        origins = (lin @ np.array([src.origin for src in srcs])[..., None])[..., 0] + offset[of]
+        axes = np.array([src.axes for src in srcs]) @ lin.transpose(0, 2, 1)
+        ok, lengths = check_frames(origins, axes)
+        for i, (key, (_, _, (_, _, obs, elasticity, sym))) in enumerate(jobs.items()):
+            if ok[i]:
+                pred = Frame.from_checked(origins[i], axes[i], tuple(lengths[i].tolist()))
+                memo[key] = placement_strain(pred, obs, elasticity, sym)
+            else:
+                memo[key] = math.inf
+    return [{key[4]: memo[key] for key in own} for own in keys]
 
 
 def refresh_conditionals(ig, cfg: Config | None = None):
     """Re-derive every link conditional from the current frames.
 
     Relation and placement strains go through the scene's memo
-    (`ig.strains`, see `relation_strains` and
-    `_GroupSlots.placement_strains`), so a relation or a slot whose frames
-    have not been replaced since it was last scored is not scored again."""
+    (`ig.strains`, see `relation_strains` and `_placement_strains`), so a
+    relation or a slot whose frames have not been replaced since it was
+    last scored is not scored again. The placement strains of every group
+    are scored in one `_placement_strains` call."""
     cfg = cfg or Config()
-    model = ig.require_model()
-    for group in sorted(ig.active_nodes(), key=lambda n: n.key):
-        mnode = model.nodes.get(group.model_type)
-        if mnode is None or not mnode.parts:
-            continue
-        slots = _GroupSlots(ig, group)
+    groups = _groups(ig, ig.active_nodes())
+    placements = _placement_strains(ig.strains, [(slots, slots.frame) for _, slots in groups])
+    for (group, slots), s_slot in zip(groups, placements):
+        mnode = slots.mnode
         frames = slots.frames
-        s_slot = slots.placement_strains(group.frame)
         share = {name: 0.0 for name in slots.members}
         if slots.template is not None:
             for rel, s in relation_strains(ig, mnode, mnode.relations, frames, cfg.s_fail,
@@ -639,9 +666,82 @@ def _prune_node(ig, node, pruned_keys, removed):
 # -- relaxation --------------------------------------------------------------------
 
 
-def _fitted_frame(slots: _GroupSlots) -> Frame | None:
-    """The group frame that best places the realized slots on their members,
-    in closed form; None where the members cannot pin one.
+# First element of a fit plan's key in `ModelNode.pinv_cache`, whose pinv
+# keys are the bools `flat` (`_template_pinv`)
+_FIT = "fit"
+
+
+class _FitPlan(NamedTuple):
+    """What the closed-form fit of a group (`_fitted_frames`) reads from its
+    model type alone, for one `_GroupSlots.plan_key`.
+
+    `x` holds the slot origins, one row per placed slot, `offset` the
+    template origin less their mean; `line` is the longest slot origin
+    about the mean where the 3D slot origins lie on one line, else None,
+    and `along_line` those origins' products with it. `sigma_o` and
+    `sigma_s` are the slots' elasticities. Per nonzero template axis,
+    `units` holds the unit axis u, and `axes` the axis index, its length,
+    each slot origin's coordinate along u from the template origin, each
+    slot's size term along u (0 where the slot adds no size row), and
+    `rows`: where the design's rows sit among each slot's origin row
+    followed by its size row.
+    """
+
+    x: np.ndarray
+    offset: np.ndarray
+    line: np.ndarray | None
+    along_line: np.ndarray | None
+    sigma_o: np.ndarray
+    sigma_s: np.ndarray
+    units: np.ndarray
+    axes: list
+
+
+def _fit_plan(slots: _GroupSlots) -> _FitPlan | None:
+    """The fit plan of the group's type and `plan_key`, or None where the
+    slots cannot pin a fit (a template or slot frame that degenerates, or
+    fewer than two slots). Built on first use and cached on the model node
+    (`pinv_cache`, keyed by `plan_key`), since templates never change."""
+    cache = slots.mnode.pinv_cache
+    if slots.plan_key in cache:
+        return cache[slots.plan_key]
+    template = slots.template
+    srcs = [src for _, src, *_ in slots.placed]
+    plan = None
+    if template is not None and len(srcs) >= 2 and None not in srcs:
+        x = np.array([src.origin for src in srcs])
+        mean = x.mean(axis=0)
+        xc = x - mean
+        line = along_line = None
+        if x.shape[1] == 3 and np.linalg.matrix_rank(xc) < 2:
+            line = xc[np.argmax(np.einsum("ij,ij->i", xc, xc))]
+            along_line = xc @ line
+        units, axes = [], []
+        for k, length in enumerate(template.lengths):
+            if length <= 0.0:
+                continue
+            u = template.axes[k] / length
+            coords = [float(u @ (src.origin - template.origin)) for src in srcs]
+            sizes, rows = [], []
+            for j, (src, (*_, sym)) in enumerate(zip(srcs, slots.placed)):
+                along = abs(float(u @ src.primary_axis))
+                sized = (sym != "circle" and along >= (1.0 - 1e-9) * src.primary_length
+                         and np.count_nonzero(src.lengths == src.primary_length) == 1)
+                sizes.append(along if sized else 0.0)
+                rows += [2 * j, 2 * j + 1] if sized else [2 * j]
+            units.append(u)
+            axes.append((k, length, np.array(coords), np.array(sizes), np.array(rows)))
+        sigma_o, sigma_s = np.array([elasticity[:2] for *_, elasticity, _ in slots.placed]).T
+        plan = _FitPlan(x, template.origin - mean, line, along_line, sigma_o, sigma_s,
+                        np.array(units), axes)
+    cache[slots.plan_key] = plan
+    return plan
+
+
+def _fitted_frames(groups) -> list:
+    """Per `_GroupSlots` of `groups`, the group frame that best places its
+    realized slots on their members, in closed form; None where the
+    members cannot pin one.
 
     It minimizes the origin and size terms of `placement_strain` linearized:
     origin offsets over each member's canonical scale, log size ratios as
@@ -653,74 +753,125 @@ def _fitted_frame(slots: _GroupSlots) -> Frame | None:
     slot whose only longest axis lies along the template axis adds a size
     row. One weighted least-squares solve per axis gives (o, l); an axis
     these rows leave unpinned keeps the frame's current length.
+
+    The groups are fitted in stacks, one per fit plan (`_fit_plan`), which
+    holds what depends on the model alone: one `fit_similarities` call per
+    plan, whose rows do not depend on one another, so each is bit for bit
+    `fit_similarity`'s, then `_solved_frames`.
     """
-    template = slots.template
-    if template is None or any(src is None for _, src, *_ in slots.placed):
-        return None
-    try:
-        rows = [(src, obs, canonical_scale(obs, sym), sigma_o, sigma_s, sym)
-                for _, src, obs, (sigma_o, sigma_s, _), sym in slots.placed]
-    except DegenerateFrameError:  # a member too flat for its symmetry class
-        return None
-    x = np.array([src.origin for src, *_ in rows])
-    y = np.array([obs.origin for _, obs, *_ in rows])
-    try:
-        sim, _ = fit_similarity(x, y)
-    except UnderConstrainedError:  # slot origins that cannot pin a similarity
-        return None
-    xc, yc = x - x.mean(axis=0), y - y.mean(axis=0)
-    rot = sim.scale * sim.rotation
-    if x.shape[1] == 3 and np.linalg.matrix_rank(xc) < 2:
-        # slot origins on one line leave the spin about it free: keep the
-        # frame's own, turned the least way that lays its line on the members'
-        line = xc[np.argmax(np.einsum("ij,ij->i", xc, xc))]
-        current = frame_onto(template, slots.frame, slots.pinv).linear
-        have, want = current @ line, yc.T @ (xc @ line)
-        have, want = have / np.linalg.norm(have), want / np.linalg.norm(want)
-        skew = np.cross(np.eye(3), np.cross(have, want))
-        rot = (np.eye(3) + skew + skew @ skew / (1.0 + have @ want)) @ current
-        if not np.isfinite(rot).all():
-            return None
-    origin = y.mean(axis=0) + rot @ (template.origin - x.mean(axis=0))
-    axes = np.zeros_like(template.axes)
-    for k, length in enumerate(template.lengths):
-        if length <= 0.0:
+    out = [None] * len(groups)
+    stacks = {}  # (type, plan key) -> (plan, [(group index, member origins, scales)])
+    for i, slots in enumerate(groups):
+        plan = _fit_plan(slots)
+        if plan is None:
             continue
-        u = template.axes[k] / length
-        w = rot @ u / np.linalg.norm(rot @ u)
-        design, target = [], []
-        for src, obs, scale, sigma_o, sigma_s, sym in rows:
-            weight = 1.0 / (sigma_o * scale)
-            design.append((weight, weight * float(u @ (src.origin - template.origin)) / length))
-            target.append(weight * float(w @ obs.origin))
-            along = abs(float(u @ src.primary_axis))
-            if (sym != "circle" and along >= (1.0 - 1e-9) * src.primary_length
-                    and np.count_nonzero(src.lengths == src.primary_length) == 1):
-                design.append((0.0, along / (length * scale * sigma_s)))
-                target.append(1.0 / sigma_s)
-        design, target = np.array(design), np.array(target)
-        (o, l), _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
-        if rank < 2:
-            l = slots.frame.lengths[k]
-            (o,), *_ = np.linalg.lstsq(design[:, :1], target - design[:, 1] * l, rcond=None)
-        origin = origin + (o - float(w @ origin)) * w
-        axes[k] = l * w
-    return Frame(origin, axes)
+        try:
+            scales = [canonical_scale(obs, sym) for _, _, obs, _, sym in slots.placed]
+        except DegenerateFrameError:  # a member too flat for its symmetry class
+            continue
+        y = np.array([obs.origin for _, _, obs, *_ in slots.placed])
+        if y.shape == plan.x.shape:
+            stacks.setdefault((slots.mnode.type_name, slots.plan_key),
+                              (plan, []))[1].append((i, y, scales))
+    for plan, rows in stacks.values():
+        ys = np.array([y for _, y, _ in rows])
+        fit = fit_similarities(np.broadcast_to(plan.x, ys.shape), ys)
+        solved = []  # (group index, member origins, scales, scaled rotation)
+        for (i, y, scales), ok, scale, rotation in zip(rows, fit.ok.tolist(), fit.scales,
+                                                       fit.rotations):
+            if not ok:
+                continue
+            rot = float(scale) * rotation
+            if plan.line is not None:
+                rot = _line_rotation(groups[i], plan, y)
+            if rot is not None:
+                solved.append((i, y, scales, rot))
+        frames = _solved_frames(plan, [groups[i] for i, *_ in solved], [row[1:] for row in solved])
+        for (i, *_), frame in zip(solved, frames):
+            out[i] = frame
+    return out
+
+
+def _line_rotation(slots: _GroupSlots, plan: _FitPlan, y):
+    """The scaled rotation of a group whose slot origins lie on one line,
+    which leaves the spin about it free: the frame's own, turned the least
+    way that lays its line on the members'; None where that is not finite."""
+    current = frame_onto(slots.template, slots.frame, slots.pinv).linear
+    have, want = current @ plan.line, (y - y.mean(axis=0)).T @ plan.along_line
+    have, want = have / np.linalg.norm(have), want / np.linalg.norm(want)
+    skew = np.cross(np.eye(3), np.cross(have, want))
+    rot = (np.eye(3) + skew + skew @ skew / (1.0 + have @ want)) @ current
+    return rot if np.isfinite(rot).all() else None
+
+
+def _solved_frames(plan: _FitPlan, groups, rows) -> list:
+    """The fitted frames (`_fitted_frames`) of the groups of one plan, given
+    per group its member origins, their canonical scales and its scaled
+    rotation.
+
+    Each axis's design rows and targets are built for the whole stack, in
+    matmuls of the per-group shapes (`rot @ u`, `w @ origin` dot products)
+    and elementwise steps in the per-group order, so each group's rows are
+    bit for bit those it would build alone; the least-squares solves, which
+    numpy does not stack, and the frames are made per group.
+    """
+    if not rows:
+        return []
+    ys, scales, rots = (np.array(column) for column in zip(*rows))
+    turned = (rots[:, None] @ plan.units[None, :, :, None])[..., 0]
+    ws = turned / np.sqrt(turned[..., None, :] @ turned[..., :, None])[..., 0]
+    # (n, axes, k): each member origin's coordinate along each w
+    along_w = (ys[:, None, :, None, :] @ ws[:, :, None, :, None])[..., 0, 0]
+    weights = 1.0 / (plan.sigma_o * scales)
+    n, k = weights.shape
+    solves = []
+    for a, (_, length, coords, sizes, rows) in enumerate(plan.axes):
+        design = np.zeros((n, k, 2, 2))
+        design[:, :, 0, 0] = weights
+        design[:, :, 0, 1] = weights * coords / length
+        design[:, :, 1, 1] = sizes / (length * scales * plan.sigma_s)
+        target = np.empty((n, k, 2))
+        target[:, :, 0] = weights * along_w[:, a]
+        target[:, :, 1] = 1.0 / plan.sigma_s
+        solves.append((design.reshape(n, 2 * k, 2)[:, rows], target.reshape(n, 2 * k)[:, rows]))
+    out = []
+    for i, (slots, y, rot) in enumerate(zip(groups, ys, rots)):
+        origin = y.mean(axis=0) + rot @ plan.offset
+        axes = np.zeros_like(slots.template.axes)
+        for (k, *_), w, (design, target) in zip(plan.axes, ws[i], solves):
+            design, target = design[i], target[i]
+            (o, l), _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
+            if rank < 2:
+                l = slots.frame.lengths[k]
+                (o,), *_ = np.linalg.lstsq(design[:, :1], target - design[:, 1] * l, rcond=None)
+            origin = origin + (o - float(w @ origin)) * w
+            axes[k] = l * w
+        out.append(Frame(origin, axes))
+    return out
+
+
+def _groups(ig, nodes) -> list:
+    """(node, its `_GroupSlots`) for each node of `nodes`, in key order,
+    whose model type has parts."""
+    model = ig.require_model()
+    out = []
+    for node in sorted(nodes, key=lambda n: n.key):
+        mnode = model.nodes.get(node.model_type)
+        if mnode is not None and mnode.parts:
+            out.append((node, _GroupSlots(ig, node)))
+    return out
 
 
 def total_strain(ig, cfg: Config | None = None) -> float:
     """Placement strain of every realized slot plus every evaluable relation."""
     cfg = cfg or Config()
-    model = ig.model
+    groups = _groups(ig, ig.active_nodes())
+    placements = _placement_strains(ig.strains, [(slots, slots.frame) for _, slots in groups])
     total = 0.0
-    for group in sorted(ig.active_nodes(), key=lambda n: n.key):
-        mnode = model.nodes.get(group.model_type)
-        if mnode is None or not mnode.parts:
-            continue
-        slots = _GroupSlots(ig, group)
-        total += sum(slots.placement_strains(group.frame).values())
-        for _, s in relation_strains(ig, mnode, mnode.relations, slots.frames, cfg.s_fail,
-                                     group.frame):
+    for (group, slots), s_slot in zip(groups, placements):
+        total += sum(s_slot.values())
+        for _, s in relation_strains(ig, slots.mnode, slots.mnode.relations, slots.frames,
+                                     cfg.s_fail, group.frame):
             total += s
     return total
 
@@ -731,29 +882,29 @@ def relax_frames(ig, nodes):
 
     `nodes` are a wave's fresh nodes, which are members of no group: a wave
     binds only nodes of its snapshot, so a node's own slots hold every
-    strain its frame takes part in. It reads links and frames, never a
-    conditional, and runs before the wave's only refresh. One pass, in key
-    order, over the movable nodes: those neither primitive (primitives
-    anchor the data) nor shadow. A node takes its `_fitted_frame` only when
-    that raises exp(-s/2) of s, the summed `placement_strains` of its
-    slots, so s never rises, and a move too small to change that factor is
-    not made. Shadows among `nodes` then mirror their sources, and every
-    shadow of a node moved is among them.
+    strain its frame takes part in, and no move changes another node's
+    slots. It reads links and frames, never a conditional, and runs before
+    the wave's only refresh. The movable nodes are those neither primitive
+    (primitives anchor the data) nor shadow. The wave is relaxed in
+    stacks: every movable node's `_GroupSlots` is gathered first, all their
+    fits are made in one `_fitted_frames` call, and the placement strains
+    of every fitted and every kept frame are scored in one
+    `_placement_strains` call. A node takes its fit only when that raises
+    exp(-s/2) of s, the summed placement strains of its slots, so s never
+    rises, and a move too small to change that factor is not made. Shadows
+    among `nodes` then mirror their sources, and every shadow of a node
+    moved is among them.
     """
-    ig.require_model()
     nodes = sorted(nodes, key=lambda n: n.key)
-    for node in nodes:
-        if node.is_primitive or ig.links_from(node.key, "specializes"):
-            continue
-        mnode = ig.model.nodes.get(node.model_type)
-        if mnode is None or not mnode.parts:
-            continue
-        slots = _GroupSlots(ig, node)
-        fitted = _fitted_frame(slots)
-        if fitted is None:
-            continue
-        s_fitted, s_kept = (sum(slots.placement_strains(frame).values(), 0.0)
-                            for frame in (fitted, node.frame))
+    groups = _groups(ig, [node for node in nodes if not node.is_primitive
+                          and not ig.links_from(node.key, "specializes")])
+    fits = _fitted_frames([slots for _, slots in groups])
+    moves = [(node, slots, fitted) for (node, slots), fitted in zip(groups, fits)
+             if fitted is not None]
+    placements = _placement_strains(ig.strains, [(slots, frame) for _, slots, fitted in moves
+                                                 for frame in (fitted, slots.frame)])
+    for i, (node, _, fitted) in enumerate(moves):
+        s_fitted, s_kept = (sum(s_slot.values(), 0.0) for s_slot in placements[2 * i:2 * i + 2])
         if cond_probability(s_fitted) > cond_probability(s_kept):
             node.frame = fitted
     for node in nodes:

@@ -292,38 +292,6 @@ def canonical_scale(f: Frame, sym: str) -> float:
     return longest
 
 
-def symmetry_orbit(f: Frame, sym: str) -> list[Frame]:
-    """Every equivalent representation of the frame (2 for a segment, 48 for a box)."""
-    axes = f.axes
-    dim = f.dim
-    frames = []
-    if sym == "undirected-segment":
-        for s in (1.0, -1.0):
-            alt = axes.copy()
-            alt[0] = alt[0] * s
-            frames.append(Frame(f.origin.copy(), alt))
-        return frames
-    if sym == "rectangle":
-        for s1 in (1.0, -1.0):
-            for s2 in (1.0, -1.0):
-                alt = axes.copy()
-                alt[0] *= s1
-                alt[1] *= s2
-                frames.append(Frame(f.origin.copy(), alt))
-        return frames
-    if sym == "box":
-        import itertools
-
-        for perm in itertools.permutations(range(dim)):
-            for signs in itertools.product((1.0, -1.0), repeat=dim):
-                alt = np.array([axes[p] * s for p, s in zip(perm, signs)])
-                frames.append(Frame(f.origin.copy(), alt))
-        return frames
-    if sym == "circle":
-        return [canonicalize_frame(f, "circle")]
-    return [f.copy()]
-
-
 # -- relation functions -------------------------------------------------------
 
 

@@ -178,8 +178,8 @@ class ImageGraph:
     derived from the model and the node frames, and never serialized; nor
     is `strains`, the scene's strain memo: relation strains
     (`belief.relation_strains`) and group placement strains
-    (`belief._GroupSlots.placement_strains`), each a float keyed by the
-    frames it read (a `Frame` hashes by identity) and by strings.
+    (`belief._placement_strains`), each a float keyed by the frames it
+    read (a `Frame` hashes by identity) and by strings.
     """
 
     def __init__(self, scene_id: str = "", model=None, projected: bool = False):

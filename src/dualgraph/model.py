@@ -156,7 +156,8 @@ class ModelNode:
     lower_loa: list = field(default_factory=list)
     higher_loa: list = field(default_factory=list)
     specialize_relations: dict = field(default_factory=dict)
-    # pinv of the template axes by `flat`; filled lazily by belief._template_pinv
+    # pinv of the template axes by `flat` (belief._template_pinv), and the
+    # relaxation's fit plans by plan key (belief._fit_plan); filled lazily
     pinv_cache: dict = field(default_factory=dict, compare=False, repr=False)
 
     def part(self, slot_name: str) -> PartLink:

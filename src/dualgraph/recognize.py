@@ -307,7 +307,8 @@ class CandidateIndex:
     Relation and placement strains live in the scene's memo (`ig.strains`,
     keyed by the frames they read), which outlives the wave: screening, the
     relation check, specialization, and the wave's relaxation and refresh
-    share it.
+    share it. The relaxation and the refresh each score their placement
+    strains in one stacked call (`belief._placement_strains`).
     """
 
     def __init__(self, ig: ImageGraph):

@@ -28,7 +28,6 @@ from dualgraph.geometry import (
     frame_from_circle,
     frame_from_segment,
     project,
-    symmetry_orbit,
 )
 from conftest import random_frame, random_rotation
 
@@ -128,6 +127,37 @@ def test_circle_frame_is_radius_times_identity():
 
 
 # -- canonicalization ---------------------------------------------------------
+
+
+def symmetry_orbit(f: Frame, sym: str) -> list[Frame]:
+    """Every equivalent representation of the frame (2 for a segment, 48 for a box)."""
+    axes = f.axes
+    dim = f.dim
+    frames = []
+    if sym == "undirected-segment":
+        for s in (1.0, -1.0):
+            alt = axes.copy()
+            alt[0] = alt[0] * s
+            frames.append(Frame(f.origin.copy(), alt))
+        return frames
+    if sym == "rectangle":
+        for s1 in (1.0, -1.0):
+            for s2 in (1.0, -1.0):
+                alt = axes.copy()
+                alt[0] *= s1
+                alt[1] *= s2
+                frames.append(Frame(f.origin.copy(), alt))
+        return frames
+    if sym == "box":
+        for perm in itertools.permutations(range(dim)):
+            for signs in itertools.product((1.0, -1.0), repeat=dim):
+                alt = np.array([axes[p] * s for p, s in zip(perm, signs)])
+                frames.append(Frame(f.origin.copy(), alt))
+        return frames
+    if sym == "circle":
+        return [canonicalize_frame(f, "circle")]
+    return [f.copy()]
+
 
 def test_box_orbit_collapses_to_one_representative(rng):
     f = random_frame(rng, dim=3, lengths=[3.0, 2.0, 1.0])
