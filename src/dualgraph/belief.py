@@ -862,20 +862,6 @@ def _groups(ig, nodes) -> list:
     return out
 
 
-def total_strain(ig, cfg: Config | None = None) -> float:
-    """Placement strain of every realized slot plus every evaluable relation."""
-    cfg = cfg or Config()
-    groups = _groups(ig, ig.active_nodes())
-    placements = _placement_strains(ig.strains, [(slots, slots.frame) for _, slots in groups])
-    total = 0.0
-    for (group, slots), s_slot in zip(groups, placements):
-        total += sum(s_slot.values())
-        for _, s in relation_strains(ig, slots.mnode, slots.mnode.relations, slots.frames,
-                                     cfg.s_fail, group.frame):
-            total += s
-    return total
-
-
 def relax_frames(ig, nodes):
     """Move each group frame among `nodes` to its closed-form fit where that
     lowers the placement strain of the group's own slots.

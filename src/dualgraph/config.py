@@ -84,11 +84,10 @@ def make_config(base: Config | None = None, **overrides) -> Config:
     cfg = base or Config()
     values = dataclasses.asdict(cfg)
     for key, value in overrides.items():
-        if value is None:
-            continue
         if key not in _FIELDS:
             raise ConfigError(f"unknown configuration key: {key}")
-        values[key] = _coerce(key, value)
+        if value is not None:
+            values[key] = _coerce(key, value)
     for key, value in values.items():
         _check_bounds(key, value)
     return Config(**values)

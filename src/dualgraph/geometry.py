@@ -755,10 +755,6 @@ class SimilarityTransform:
     scale: float
     translation: np.ndarray
 
-    def apply_points(self, pts: np.ndarray) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(pts, float))
-        return (self.scale * (self.rotation @ pts.T)).T + self.translation
-
     def apply_frame(self, f: Frame) -> Frame:
         origin = self.scale * (self.rotation @ f.origin) + self.translation
         axes = self.scale * (f.axes @ self.rotation.T)

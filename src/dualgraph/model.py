@@ -174,10 +174,10 @@ class ModelNode:
 class ModelGraph:
     """Model nodes by type name, plus two lookup tables derived from them.
 
-    `_finish`, which `load_model` and `builtin_library` both end with, fills
-    the tables once, after the links are completed and validated: `abstract`
-    maps every type name to `abstract_types(name)`, and `midx` is the
-    `build_midx` index from abstract part-type pairs to group hypotheses.
+    `load_model`, the one way to make a graph, fills the tables once, after
+    the links are completed and validated: `abstract` maps every type name
+    to `abstract_types(name)`, and `midx` is the `build_midx` index from
+    abstract part-type pairs to group hypotheses.
     Recognition reads both and never rebuilds them.
     """
 
@@ -261,7 +261,7 @@ def _hierarchy_cycles(g: ModelGraph, edges_of, label: str) -> list:
 def validate(g: ModelGraph) -> list:
     """Check the structural invariants; returns a list of violation strings.
 
-    `_finish` runs it after `_complete_links` has made every LoA link
+    `load_model` runs it after `_complete_links` has made every LoA link
     two-sided, on nodes keyed by their own type names."""
     violations = []
     if not isinstance(g.root, str) or g.root not in g.nodes:
@@ -356,7 +356,8 @@ def _node_from_json(obj, dim: int) -> ModelNode:
 
 
 def load_model(data, path: Optional[str] = None) -> ModelGraph:
-    """Parse a model-graph document (bytes, text, or parsed dict) and validate it.
+    """Parse a model-graph document (bytes, text, or parsed dict), complete
+    its one-sided LoA links, validate it, and fill its lookup tables.
 
     A key outside DOCUMENT_KEYS, NODE_KEYS, PART_KEYS or a frame's origin
     and axes is rejected, and so is a number, flag or count that is not a
@@ -384,11 +385,7 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         # a field of the wrong JSON type or shape: frames, numbers, lists, maps
         raise ModelFormatError(f"malformed model document: {exc!r}", path=path) from exc
-    return _finish(ModelGraph(nodes=nodes, root=doc["root"], dim=dim))
-
-
-def _finish(g: ModelGraph) -> ModelGraph:
-    """Complete the one-sided links, validate, and fill the lookup tables."""
+    g = ModelGraph(nodes=nodes, root=doc["root"], dim=dim)
     _complete_links(g)
     violations = validate(g)
     if violations:
@@ -444,95 +441,3 @@ def build_midx(g: ModelGraph) -> dict:
 
 def midx_lookup(index: dict, type_a: str, type_b: str) -> list:
     return index.get(tuple(sorted((type_a, type_b))), [])
-
-
-# -- built-in shapes -----------------------------------------------------------
-
-def _seg_frame(dim=3):
-    axes = np.zeros((dim, dim))
-    axes[0, 0] = 1.0
-    return Frame(np.zeros(dim), axes)
-
-
-def _planar_frame(origin, ax, ay):
-    axes = np.zeros((3, 3))
-    axes[0] = ax
-    axes[1] = ay
-    return Frame(origin, axes)
-
-
-def builtin_library() -> ModelGraph:
-    """The innate shape vocabulary: segments, circles, and their simple groups.
-
-    Authored in 3 dimensions; planar shapes carry a zero third axis so they
-    embed directly in spatial scenes.
-    """
-    nodes = {}
-
-    nodes["linseg"] = ModelNode("linseg", _seg_frame(), "undirected-segment", lower_loa=["side"])
-    nodes["circle"] = ModelNode("circle", Frame(np.zeros(3), np.eye(3)), "circle")
-    nodes["side"] = ModelNode("side", _seg_frame(), "undirected-segment")
-
-    rect_parts = [
-        PartLink("side1", "side", _planar_frame([0, -0.6, 0], [1, 0, 0], [0, 0, 0])),
-        PartLink("side2", "side", _planar_frame([0, 0.6, 0], [1, 0, 0], [0, 0, 0])),
-        PartLink("side3", "side", _planar_frame([-1, 0, 0], [0, 0.6, 0], [0, 0, 0])),
-        PartLink("side4", "side", _planar_frame([1, 0, 0], [0, 0.6, 0], [0, 0, 0])),
-    ]
-    half_pi = float(np.pi / 2)
-    rect_relations = [
-        RelationSpec("parallel", ("side1", "side2"), True, 0.12),
-        RelationSpec("parallel", ("side3", "side4"), True, 0.12),
-        RelationSpec("size-ratio", ("side1", "side2"), 1.0, 0.15),
-        RelationSpec("size-ratio", ("side3", "side4"), 1.0, 0.15),
-        RelationSpec("angle", ("side1", "side3"), half_pi, 0.15),
-        RelationSpec("touch", ("side1", "side3"), True, 0.12),
-        RelationSpec("touch", ("side1", "side4"), True, 0.12),
-        RelationSpec("touch", ("side2", "side3"), True, 0.12),
-        RelationSpec("touch", ("side2", "side4"), True, 0.12),
-    ]
-    nodes["rectangle"] = ModelNode(
-        "rectangle", _planar_frame([0, 0, 0], [1, 0, 0], [0, 0.6, 0]), "rectangle",
-        parts=rect_parts, relations=rect_relations, lower_loa=["box-face"])
-
-    nodes["box-face"] = ModelNode(
-        "box-face", _planar_frame([0, 0, 0], [1, 0, 0], [0, 0.6, 0]), "rectangle")
-
-    box_parts = [
-        PartLink("face1", "box-face", _planar_frame([0, 0, -1], [1, 0, 0], [0, 1, 0])),
-        PartLink("face2", "box-face", _planar_frame([0, 0, 1], [1, 0, 0], [0, 1, 0])),
-        PartLink("face3", "box-face", _planar_frame([0, -1, 0], [1, 0, 0], [0, 0, 1])),
-        PartLink("face4", "box-face", _planar_frame([0, 1, 0], [1, 0, 0], [0, 0, 1])),
-        PartLink("face5", "box-face", _planar_frame([-1, 0, 0], [0, 1, 0], [0, 0, 1])),
-        PartLink("face6", "box-face", _planar_frame([1, 0, 0], [0, 1, 0], [0, 0, 1])),
-    ]
-    box_relations = [
-        RelationSpec("parallel", ("face1", "face2"), True, 0.15),
-        RelationSpec("parallel", ("face3", "face4"), True, 0.15),
-        RelationSpec("parallel", ("face5", "face6"), True, 0.15),
-        RelationSpec("size-ratio", ("face1", "face2"), 1.0, 0.2),
-        RelationSpec("size-ratio", ("face3", "face4"), 1.0, 0.2),
-        RelationSpec("size-ratio", ("face5", "face6"), 1.0, 0.2),
-        RelationSpec("touch", ("face1", "face3"), True, 0.12),
-        RelationSpec("touch", ("face1", "face5"), True, 0.12),
-        RelationSpec("touch", ("face3", "face5"), True, 0.12),
-        RelationSpec("touch", ("face2", "face4"), True, 0.12),
-        RelationSpec("touch", ("face2", "face6"), True, 0.12),
-        RelationSpec("touch", ("face4", "face6"), True, 0.12),
-    ]
-    nodes["box"] = ModelNode("box", Frame(np.zeros(3), np.eye(3)), "box",
-                             parts=box_parts, relations=box_relations)
-
-    pair_parts = [
-        PartLink("c_1", "circle", Frame([-0.5, 0, 0], np.eye(3) * 0.15)),
-        PartLink("c_2", "circle", Frame([0.5, 0, 0], np.eye(3) * 0.15)),
-    ]
-    pair_relations = [
-        RelationSpec("size-ratio", ("c_1", "c_2"), 1.0, 0.4),
-        RelationSpec("distance-ratio", ("c_1", "c_2"), 5.0, 3.0),
-    ]
-    nodes["circle_pair"] = ModelNode(
-        "circle_pair", _planar_frame([0, 0, 0], [0.65, 0, 0], [0, 0.15, 0]), "rectangle",
-        parts=pair_parts, relations=pair_relations)
-
-    return _finish(ModelGraph(nodes=nodes, root="box", dim=3))

@@ -24,16 +24,29 @@ SCENE_KEYS = ("dim", "primitives", "id")
 SCENE_RANGE = 2.0 ** 500
 
 
+def _point(value, where) -> np.ndarray:
+    """A primitive's point as a float vector of 2 or 3 entries."""
+    try:
+        point = np.asarray(value, float)
+    except (TypeError, ValueError):  # ragged, or not numbers
+        point = None
+    if point is None or point.ndim != 1 or point.size not in (2, 3):
+        raise SceneFormatError("a point must be a vector of 2 or 3 numbers", where)
+    return point
+
+
 @dataclass
 class Primitive:
     """One observed feature: a line segment or a circle.
 
     `strength` carries the detector's confidence in [0, 1]; a faint or partly
-    occluded feature enters inference with a weaker data prior. A primitive
-    outside the scene range (`SCENE_RANGE`) is rejected here, before any
-    frame is built: a coordinate or radius that is not finite or exceeds
-    2**500 in magnitude, and a nonzero extent below 2**-500. Coincident
-    segment endpoints and a zero radius are left to the parser.
+    occluded feature enters inference with a weaker data prior. Points are
+    1-D vectors of 2 or 3 entries, and a segment's endpoints have one
+    length. A primitive outside the scene range (`SCENE_RANGE`) is rejected
+    here, before any frame is built: a coordinate or radius that is not
+    finite or exceeds 2**500 in magnitude, and a nonzero extent below
+    2**-500. Coincident segment endpoints and a zero radius are left to the
+    parser.
     """
 
     kind: str
@@ -47,13 +60,15 @@ class Primitive:
         if self.kind not in PRIMITIVE_KINDS:
             raise SceneFormatError(f"unknown primitive kind {self.kind!r}")
         if self.kind == "linseg":
-            self.p1 = np.asarray(self.p1, float)
-            self.p2 = np.asarray(self.p2, float)
+            self.p1 = _point(self.p1, "p1")
+            self.p2 = _point(self.p2, "p2")
+            if self.p1.size != self.p2.size:
+                raise SceneFormatError("linseg endpoints must have one length")
             coords = self.p1.tolist() + self.p2.tolist()
             halves = [(b - a) / 2.0 for a, b in zip(self.p1.tolist(), self.p2.tolist())]
             extent = self.p1.tolist() != self.p2.tolist()
         else:
-            self.center = np.asarray(self.center, float)
+            self.center = _point(self.center, "center")
             self.radius = float(self.radius)
             coords = self.center.tolist() + [self.radius]
             halves = [self.radius]
@@ -87,11 +102,19 @@ class Primitive:
 
 @dataclass
 class Scene:
-    """A flat bag of primitives in one coordinate system."""
+    """A flat bag of primitives in one coordinate system: `dim` is the int 2
+    or 3, and every primitive has that dimension."""
 
     dim: int
     primitives: list[Primitive] = field(default_factory=list)
     id: str = ""
+
+    def __post_init__(self):
+        if type(self.dim) is not int or self.dim not in (2, 3):
+            raise SceneFormatError(f"dim must be the int 2 or 3, got {self.dim!r}", "dim")
+        for i, prim in enumerate(self.primitives):
+            if prim.dim != self.dim:
+                raise SceneFormatError(f"expected a {self.dim}D primitive", f"primitives[{i}]")
 
 
 def _check_vector(value, length, where):

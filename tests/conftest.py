@@ -1,7 +1,19 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from dualgraph.geometry import Frame
+from dualgraph.model import load_model_file
+
+SHAPES = Path(__file__).parent / "fixtures" / "shapes.json"
+
+
+def shape_library():
+    """The innate shape vocabulary (segments, circles and their simple
+    groups, authored in 3D), loaded fresh on every call: tests mutate
+    models, and a model fills its `pinv_cache` lazily."""
+    return load_model_file(str(SHAPES))
 
 
 def random_rotation(rng, dim):

@@ -22,10 +22,11 @@ from hypothesis import strategies as st
 
 import dualgraph
 import dualgraph.belief
-from conftest import random_rotation
+from conftest import random_rotation, shape_library
 from dualgraph.belief import (
     _fitted_frames,
     _flatten_frame,
+    _groups,
     _GroupSlots,
     _placement_strains,
     _template_pinv,
@@ -37,8 +38,8 @@ from dualgraph.belief import (
     prune,
     refresh_conditionals,
     relation_strain,
+    relation_strains,
     relax_frames,
-    total_strain,
 )
 from dualgraph.config import Config
 from dualgraph.errors import DegenerateFrameError, UnderConstrainedError
@@ -52,11 +53,9 @@ from dualgraph.geometry import (
     frame_onto,
 )
 from dualgraph.image import ImageGraph
-from dualgraph.model import RelationSpec, builtin_library, load_model, load_model_file
+from dualgraph.model import RelationSpec, fixture_path, load_model, load_model_file
 from dualgraph.recognize import recognize
 from test_recognize import _scene, _tiled_scene
-
-FIXTURES = "src/dualgraph/fixtures"
 
 
 def realize(ig, model, type_name, base, cfg, optionals=True):
@@ -144,7 +143,7 @@ def test_placement_strain_grows_with_offset():
 
 
 def test_rectangle_perfect_sides_settles_at_p0(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     settle(ig, cfg)
@@ -156,7 +155,7 @@ def test_rectangle_perfect_sides_settles_at_p0(cfg):
 
 
 def test_truck_chain_settles_at_p0(cfg):
-    model = load_model_file(f"{FIXTURES}/truck.json")
+    model = load_model_file(fixture_path("truck.json"))
     ig = ImageGraph(scene_id="t", model=model)
     truck = realize(ig, model, "truck", AffineMap.identity(3), cfg)
     settle(ig, cfg)
@@ -167,7 +166,7 @@ def test_truck_chain_settles_at_p0(cfg):
 
 def test_face_without_ears_settles_at_three_quarters(cfg):
     # 5 essential supports at 0.9 against a template weight of 6
-    model = load_model_file(f"{FIXTURES}/face.json")
+    model = load_model_file(fixture_path("face.json"))
     ig = ImageGraph(scene_id="t", model=model)
     face = realize(ig, model, "face", AffineMap.identity(2), cfg, optionals=False)
     assert face.template_weight == 6.0  # five essential + two halves
@@ -178,7 +177,7 @@ def test_face_without_ears_settles_at_three_quarters(cfg):
 
 def test_face_with_ears_saturates(cfg):
     # all 7 slots present: numerator 7 x 0.9 over the fixed weight 6, clamped
-    model = load_model_file(f"{FIXTURES}/face.json")
+    model = load_model_file(fixture_path("face.json"))
     ig = ImageGraph(scene_id="t", model=model)
     face = realize(ig, model, "face", AffineMap.identity(2), cfg, optionals=True)
     settle(ig, cfg)
@@ -186,7 +185,7 @@ def test_face_with_ears_saturates(cfg):
 
 
 def test_support_monotonicity_optional_part(cfg):
-    model = load_model_file(f"{FIXTURES}/face.json")
+    model = load_model_file(fixture_path("face.json"))
     ig = ImageGraph(scene_id="t", model=model)
     face = realize(ig, model, "face", AffineMap.identity(2), cfg, optionals=False)
     settle(ig, cfg)
@@ -205,7 +204,7 @@ def test_support_monotonicity_optional_part(cfg):
 
 
 def test_faint_isolated_segment_pruned(cfg):
-    ig = ImageGraph(scene_id="t", model=builtin_library())
+    ig = ImageGraph(scene_id="t", model=shape_library())
     f = Frame(np.array([0.0, 0.0, 0.0]),
               np.array([[1.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]))
     n = ig.add_node("linseg", frame=f, strength=0.15, prim_index=0)
@@ -216,7 +215,7 @@ def test_faint_isolated_segment_pruned(cfg):
 
 
 def test_node_with_no_links_and_no_spring_unchanged(cfg):
-    ig = ImageGraph(scene_id="t", model=builtin_library())
+    ig = ImageGraph(scene_id="t", model=shape_library())
     f = Frame(np.zeros(3), np.diag([1.0, 0.5, 0.25]))
     n = ig.add_node("box", frame=f, probability=0.42, template_weight=6.0)
     propagate(ig, ig.active_nodes(), cfg)
@@ -224,7 +223,7 @@ def test_node_with_no_links_and_no_spring_unchanged(cfg):
 
 
 def test_probabilities_stay_in_unit_interval(cfg):
-    model = load_model_file(f"{FIXTURES}/truck.json")
+    model = load_model_file(fixture_path("truck.json"))
     rng = np.random.default_rng(7)
     ig = ImageGraph(scene_id="t", model=model)
     realize(ig, model, "truck", AffineMap.identity(3), cfg)
@@ -240,7 +239,7 @@ def test_probabilities_stay_in_unit_interval(cfg):
 
 
 def test_fixed_point_reached_within_max_iters(cfg):
-    model = load_model_file(f"{FIXTURES}/truck.json")
+    model = load_model_file(fixture_path("truck.json"))
     ig = ImageGraph(scene_id="t", model=model)
     realize(ig, model, "truck", AffineMap.identity(3), cfg)
     refresh_conditionals(ig, cfg)
@@ -258,7 +257,7 @@ def test_fixed_point_reached_within_max_iters(cfg):
 def test_propagate_wave_respects_visited_set(cfg, monkeypatch):
     # one targeted wave updates each node at most once: the face moves to
     # 5*0.9/6 and is not revisited even though members receive backward flow
-    model = load_model_file(f"{FIXTURES}/face.json")
+    model = load_model_file(fixture_path("face.json"))
     ig = ImageGraph(scene_id="t", model=model)
     face = realize(ig, model, "face", AffineMap.identity(2), cfg, optionals=False)
     face.probability = 0.0
@@ -282,7 +281,7 @@ def test_propagate_wave_respects_visited_set(cfg, monkeypatch):
 
 def two_claim_graph(cfg, c_left=0.8, c_right=0.3):
     """One shared segment claimed by two rectangle instances."""
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     left = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     shift = AffineMap(np.eye(3), np.array([5.0, 0.0, 0.0]))
@@ -327,7 +326,7 @@ def test_close_claims_coexist(cfg):
 
 
 def test_nothing_removed_when_all_strong(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     settle(ig, cfg, sweeps=10)
@@ -336,7 +335,7 @@ def test_nothing_removed_when_all_strong(cfg):
 
 
 def test_weak_link_cuts_whole_bundle(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     settle(ig, cfg, sweeps=10)
@@ -351,7 +350,7 @@ def test_weak_link_cuts_whole_bundle(cfg):
 
 
 def test_group_prune_cascades_to_shadows(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     settle(ig, cfg, sweeps=10)
@@ -367,8 +366,22 @@ def test_group_prune_cascades_to_shadows(cfg):
 # -- relaxation -------------------------------------------------------------------
 
 
+def total_strain(ig, cfg) -> float:
+    """Placement strain of every realized slot plus every evaluable relation,
+    over every active group of the graph."""
+    groups = _groups(ig, ig.active_nodes())
+    placements = _placement_strains(ig.strains, [(slots, slots.frame) for _, slots in groups])
+    total = 0.0
+    for (group, slots), s_slot in zip(groups, placements):
+        total += sum(s_slot.values())
+        for _, s in relation_strains(ig, slots.mnode, slots.mnode.relations, slots.frames,
+                                     cfg.s_fail, group.frame):
+            total += s
+    return total
+
+
 def test_relax_exact_rectangle_is_noop(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     before = rect.frame.copy()
@@ -379,7 +392,7 @@ def test_relax_exact_rectangle_is_noop(cfg):
 
 
 def test_relax_jittered_rectangle_reduces_strain(cfg):
-    model = builtin_library()
+    model = shape_library()
     rng = np.random.default_rng(11)
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
@@ -392,7 +405,7 @@ def test_relax_jittered_rectangle_reduces_strain(cfg):
 
 
 def test_relax_moves_shadows_with_parents(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     rect.frame = Frame(rect.frame.origin + np.array([0.2, 0.0, 0.0]), rect.frame.axes)
@@ -406,7 +419,7 @@ def test_relax_moves_shadows_with_parents(cfg):
 def test_relax_rejects_degenerate_steps(cfg):
     # a 1-D valley whose continuation would collapse an axis: relax must
     # keep every frame finite and non-degenerate
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     rect.frame = Frame(rect.frame.origin, rect.frame.axes * 0.2)
@@ -436,7 +449,7 @@ def test_relax_fits_a_displaced_group_back_onto_its_members(case, seed):
     fixture, type_name, pinned = case
     cfg = Config()
     rng = np.random.default_rng(seed)
-    model = builtin_library() if fixture is None else load_model_file(f"{FIXTURES}/{fixture}")
+    model = shape_library() if fixture is None else load_model_file(fixture_path(fixture))
     dim = model.dim
     linear = rng.uniform(0.5, 2.0) * random_rotation(rng, dim) @ np.diag(rng.uniform(0.95, 1.05, dim))
     ig = ImageGraph(scene_id="t", model=model)
@@ -458,7 +471,7 @@ def test_fitted_frame_keeps_the_spin_about_a_line_of_members(cfg):
     # the 3D truck's cab and trunk origins lie on its x axis, so no member
     # origin pins a turn about that line: the fit keeps the frame's own
     rng = np.random.default_rng(31)
-    model = load_model_file(f"{FIXTURES}/truck.json")
+    model = load_model_file(fixture_path("truck.json"))
     ig = ImageGraph(scene_id="t", model=model)
     base = AffineMap(1.5 * random_rotation(rng, 3), np.array([1.0, -2.0, 0.5]))
     group = realize(ig, model, "truck", base, cfg)
@@ -474,7 +487,7 @@ def test_fitted_frame_keeps_the_spin_about_a_line_of_members(cfg):
 
 def test_relax_keeps_a_frame_its_members_cannot_pin(cfg):
     # one bound member gives one origin, too few to pin a rotation and scale
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     slot, member = next(iter(_GroupSlots(ig, rect).members.items()))
@@ -488,7 +501,7 @@ def test_relax_keeps_a_frame_its_members_cannot_pin(cfg):
 
 
 def test_relax_moves_only_the_listed_groups(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rects = [realize(ig, model, "rectangle", AffineMap(np.eye(3), np.array([x, 0.0, 0.0])), cfg)
              for x in (0.0, 10.0)]
@@ -535,7 +548,7 @@ print(len(moved), sorted(m for m in sys.modules if m == "scipy" or m.startswith(
 
 
 def test_refresh_conditionals_reflect_strain(cfg):
-    model = builtin_library()
+    model = shape_library()
     ig = ImageGraph(scene_id="t", model=model)
     rect = realize(ig, model, "rectangle", AffineMap.identity(3), cfg)
     member = next(n for n in ig.nodes.values() if n.is_primitive)

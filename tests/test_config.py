@@ -57,3 +57,8 @@ def test_uncoercible_value_is_rejected(key, value):
 def test_none_override_is_ignored():
     base = make_config(screen_min=0.2)
     assert make_config(base, screen_min=None, max_waves=None) == base
+
+
+def test_unknown_key_is_rejected_even_with_a_none_value():
+    with pytest.raises(ConfigError, match="unknown configuration key"):
+        make_config(bogus=None)

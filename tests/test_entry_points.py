@@ -311,6 +311,24 @@ CASES = [
     ("scene-circle-radius-1e-200", _recognize_parsed,
      _with_primitive({"kind": "circle", "center": [0.0, 0.0, 0.0], "radius": 1e-200}),
      SceneFormatError),
+    # hand-built scenes of mixed dimension: recognize raised a raw ValueError
+    # (an affine camera that does not map to the plane, an inhomogeneous
+    # stack), a segment with a 2D and a 3D endpoint was built and its frame
+    # raised a raw broadcast ValueError, and 2-D endpoints a raw TypeError
+    ("scene-3d-primitives-as-2d-built",
+     lambda prims: recognize(Scene(dim=2, primitives=prims), TRUCK_MODEL),
+     TRUCK_SCENE.primitives, SceneFormatError),
+    ("scene-2d-face-plus-3d-segment-built",
+     lambda prims: recognize(Scene(dim=2, primitives=prims), MODEL),
+     [*SCENE.primitives, Primitive("linseg", p1=[0.0, 0.0, 0.0], p2=[1.0, 1.0, 1.0])],
+     SceneFormatError),
+    ("linseg-endpoints-of-two-lengths-built", lambda kw: Primitive(**kw).frame(),
+     {"kind": "linseg", "p1": [0, 0], "p2": [1, 1, 1]}, SceneFormatError),
+    ("linseg-endpoints-2-d-built", lambda kw: Primitive(**kw),
+     {"kind": "linseg", "p1": [[0, 0]], "p2": [[1, 1]]}, SceneFormatError),
+    # a center of strings raised a raw ValueError
+    ("circle-center-strings-built", lambda kw: Primitive(**kw),
+     {"kind": "circle", "center": ["a", "b"], "radius": 1.0}, SceneFormatError),
     ("generate-n-scenes-string", generate_scenes, GeneratorSpec(MODEL, "face", n_scenes="3"),
      GenerationError),
     ("generate-distractors-float", generate_scenes,

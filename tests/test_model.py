@@ -2,12 +2,12 @@ import json
 
 import pytest
 
+from conftest import shape_library
 from dualgraph.errors import ModelFormatError, ModelValidationError
 from dualgraph.model import (
     PartLink,
     RelationSpec,
     build_midx,
-    builtin_library,
     fixture_path,
     load_model,
     load_model_file,
@@ -193,21 +193,21 @@ def test_empty_midx_for_partless_graph():
 
 @pytest.mark.parametrize("source", ["face.json", "truck.json", "truck_flat.json", "builtin"])
 def test_load_fills_the_lookup_tables(source):
-    g = builtin_library() if source == "builtin" else load_model_file(fixture_path(source))
+    g = shape_library() if source == "builtin" else load_model_file(fixture_path(source))
     assert g.midx and g.midx == build_midx(g)
     assert g.abstract == {name: g.abstract_types(name) for name in g.nodes}
 
 
-# -- builtin library -----------------------------------------------------------
+# -- the built-in shapes: tests/fixtures/shapes.json --------------------------
 
 def test_builtin_library_validates():
-    g = builtin_library()
+    g = shape_library()
     assert validate(g) == []
     assert set(g.nodes) == {"linseg", "circle", "side", "rectangle", "box-face", "box", "circle_pair"}
 
 
 def test_builtin_rectangle_shape():
-    g = builtin_library()
+    g = shape_library()
     rect = g.node("rectangle")
     assert len(rect.parts) == 4
     assert all(p.essential for p in rect.parts)
@@ -217,7 +217,7 @@ def test_builtin_rectangle_shape():
 
 
 def test_builtin_box_symmetry():
-    g = builtin_library()
+    g = shape_library()
     box = g.node("box")
     assert box.symmetry_class == "box"
     assert len(box.parts) == 6
@@ -225,7 +225,7 @@ def test_builtin_box_symmetry():
 
 
 def test_builtin_midx_uses_abstract_types():
-    g = builtin_library()
+    g = shape_library()
     index = build_midx(g)
     assert {e.hypothesis for e in midx_lookup(index, "rectangle", "rectangle")} == {"box"}
     assert {e.hypothesis for e in midx_lookup(index, "circle", "circle")} == {"circle_pair"}

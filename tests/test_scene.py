@@ -6,9 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import shape_library
 from dualgraph.errors import GenerationError, SceneFormatError
 from dualgraph.generate import GeneratorSpec, generate_scenes, sample_camera
-from dualgraph.model import builtin_library, fixture_path, load_model, load_model_file
+from dualgraph.model import fixture_path, load_model, load_model_file
 from dualgraph.scene import (
     Primitive,
     Scene,
@@ -104,7 +105,7 @@ def test_error_carries_field_path():
 
 
 def test_rectangle_zero_jitter_gives_exact_template_segments():
-    lib = builtin_library()
+    lib = shape_library()
     scene = generate_scenes(GeneratorSpec(model=lib, target="rectangle", jitter=0.0))[0]
     assert scene.dim == 3
     expected = {
@@ -117,7 +118,7 @@ def test_rectangle_zero_jitter_gives_exact_template_segments():
 
 
 def test_box_expands_to_twelve_cube_edges():
-    lib = builtin_library()
+    lib = shape_library()
     scene = generate_scenes(GeneratorSpec(model=lib, target="box", jitter=0.0))[0]
     edges = set()
     for span in range(3):
@@ -187,7 +188,7 @@ def test_seeded_determinism():
 
 
 def test_distractors_append_after_identical_instance():
-    lib = builtin_library()
+    lib = shape_library()
     plain = generate_scenes(GeneratorSpec(model=lib, target="rectangle", jitter=0.01, seed=5))[0]
     spiked = generate_scenes(
         GeneratorSpec(model=lib, target="rectangle", jitter=0.01, n_distractors=8, seed=5)
@@ -205,7 +206,7 @@ def test_distractors_append_after_identical_instance():
 
 
 def test_jitter_spreads_size_ratio_around_one():
-    lib = builtin_library()
+    lib = shape_library()
     scenes = generate_scenes(
         GeneratorSpec(model=lib, target="rectangle", n_scenes=120, jitter=0.05, seed=2)
     )
@@ -250,7 +251,7 @@ def test_sampled_cameras_are_well_conditioned(rng):
 
 
 def test_generation_errors():
-    lib = builtin_library()
+    lib = shape_library()
     with pytest.raises(GenerationError):
         generate_scenes(GeneratorSpec(model=lib, target="nope"))
     with pytest.raises(GenerationError):
