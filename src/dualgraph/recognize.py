@@ -59,7 +59,7 @@ from .geometry import (
 )
 from .image import ImageGraph
 from .model import ModelGraph, midx_lookup
-from .scene import Scene
+from .scene import Scene, check_scene_dim
 
 
 @dataclass
@@ -1296,6 +1296,7 @@ def recognize(scene: Scene, model: ModelGraph, cfg: Config | None = None) -> Ima
     pruned within a wave, and a wave binds only the nodes of its snapshot,
     never one it made itself."""
     cfg = cfg or Config()
+    check_scene_dim(scene)
     if scene.dim == 3 and model.dim == 2:
         raise SceneFormatError("cannot explain a 3D scene with a flat model")
     ig = seed_image_graph(scene, model, cfg)

@@ -110,11 +110,18 @@ class Scene:
     id: str = ""
 
     def __post_init__(self):
-        if type(self.dim) is not int or self.dim not in (2, 3):
-            raise SceneFormatError(f"dim must be the int 2 or 3, got {self.dim!r}", "dim")
-        for i, prim in enumerate(self.primitives):
-            if prim.dim != self.dim:
-                raise SceneFormatError(f"expected a {self.dim}D primitive", f"primitives[{i}]")
+        check_scene_dim(self)
+
+
+def check_scene_dim(scene: Scene) -> None:
+    """Raise SceneFormatError unless the scene's `dim` is the int 2 or 3 and
+    every primitive has that dimension. A scene is checked when built, and
+    `recognize` checks it again, since its fields can change after that."""
+    if type(scene.dim) is not int or scene.dim not in (2, 3):
+        raise SceneFormatError(f"dim must be the int 2 or 3, got {scene.dim!r}", "dim")
+    for i, prim in enumerate(scene.primitives):
+        if prim.dim != scene.dim:
+            raise SceneFormatError(f"expected a {scene.dim}D primitive", f"primitives[{i}]")
 
 
 def _check_vector(value, length, where):

@@ -69,6 +69,15 @@ FLAT_MODEL = load_model_file(fixture_path("truck_flat.json"))
                                               n_distractors=8, seed=3))
 
 
+def _changed_after_build(scene, dim=None, extra=()):
+    """A copy of `scene` whose `dim` is set and `extra` primitives appended
+    after it was built, past the checks of Scene's constructor."""
+    out = Scene(dim=scene.dim, primitives=list(scene.primitives), id=scene.id)
+    out.primitives.extend(extra)
+    out.dim = scene.dim if dim is None else dim
+    return out
+
+
 def _scaled(factor, scene=FLAT_SCENE):
     """The scene's document, truck_flat's by default, with every coordinate
     times `factor`; the scene range ends at 2**500 (about 3.3e150)."""
@@ -322,6 +331,13 @@ CASES = [
      lambda prims: recognize(Scene(dim=2, primitives=prims), MODEL),
      [*SCENE.primitives, Primitive("linseg", p1=[0.0, 0.0, 0.0], p2=[1.0, 1.0, 1.0])],
      SceneFormatError),
+    # the same mixed scenes made by changing a built scene, which recognize
+    # checks again
+    ("scene-2d-face-plus-3d-segment-appended",
+     lambda prim: recognize(_changed_after_build(SCENE, extra=[prim]), MODEL),
+     Primitive("linseg", p1=[0.0, 0.0, 0.0], p2=[1.0, 1.0, 1.0]), SceneFormatError),
+    ("scene-3d-truck-dim-set-to-2", lambda dim: recognize(_changed_after_build(
+        TRUCK_SCENE, dim=dim), TRUCK_MODEL), 2, SceneFormatError),
     ("linseg-endpoints-of-two-lengths-built", lambda kw: Primitive(**kw).frame(),
      {"kind": "linseg", "p1": [0, 0], "p2": [1, 1, 1]}, SceneFormatError),
     ("linseg-endpoints-2-d-built", lambda kw: Primitive(**kw),

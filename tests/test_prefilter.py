@@ -42,7 +42,6 @@ from dualgraph.belief import (
 from dualgraph.config import make_config
 from dualgraph.errors import DegenerateFrameError, UnderConstrainedError
 from dualgraph.geometry import (
-    _AXIS_RANGE,
     _ORTHO_TOL,
     AffineCamera,
     Frame,
@@ -1571,9 +1570,6 @@ def gate_scenes(draw):
         turn = Rotation.from_rotvec(draw(st.lists(st.floats(-3.0, 3.0), min_size=3,
                                                   max_size=3))).as_matrix()
         origin = pred.origin + direction / np.linalg.norm(direction) * offset
-        # past 2**511 an axis squares beyond the float range in Frame's Gram
-        # product; no document holds such a frame (Frame.from_json)
-        assume(lengths.max() <= _AXIS_RANGE)
         ig.add_node(t, frame=Frame(origin, np.diag(lengths) @ turn), status="verified")
     return model, transform, make_config(s_fail=s_fail), rec.CandidateIndex(ig)
 
