@@ -11,10 +11,11 @@ from .errors import ConfigError
 
 @dataclass
 class Config:
-    """All tunables in one flat namespace.
+    """All tunables in one flat namespace, each with a working default.
 
-    Every field has a working default; `make_config` builds a validated
-    instance with overrides.
+    The constructor owns every value rule: it coerces each field to its
+    type (a numeric string included) and checks it against `_BOUNDS`,
+    raising ConfigError. `make_config` adds only the rules of overrides.
     """
 
     # belief
@@ -31,29 +32,37 @@ class Config:
     gate_radius: float = 3.0        # match gate, in units of the part primary length
     max_waves: int = 10             # hypothesis wave cap
 
+    def __post_init__(self):
+        for name, (low, high, low_open) in _BOUNDS.items():
+            value = _coerce(name, getattr(self, name))
+            if not (math.isfinite(value) and low <= value and (high is None or value <= high)
+                    and not (low_open and value == low)):
+                raise ConfigError(f"{name}: {value} out of range")
+            setattr(self, name, value)
+
 
 _FIELDS = {f.name: f for f in dataclasses.fields(Config)}
 
-# (low, high, low_open, high_open) bounds; None means unbounded on that side
+# (low, high, low_open) per field: the value lies in [low, high], or in
+# (low, high] when low_open; a high of None means no upper bound
 _BOUNDS = {
-    "p0": (0.0, 1.0, True, False),
-    "drop_threshold": (0.0, 1.0, False, False),
-    "link_threshold": (0.0, 1.0, False, False),
-    "backward_depth": (0, None, False, False),
-    "s_fail": (0.0, None, True, False),
-    "competition_ratio": (0.0, 1.0, True, False),
-    "optional_weight": (0.0, 1.0, True, False),
-    "screen_min": (0.0, 1.0, False, False),
-    "gate_radius": (0.0, None, True, False),
-    "max_waves": (1, None, False, False),
+    "p0": (0.0, 1.0, True),
+    "drop_threshold": (0.0, 1.0, False),
+    "link_threshold": (0.0, 1.0, False),
+    "backward_depth": (0, None, False),
+    "s_fail": (0.0, None, True),
+    "competition_ratio": (0.0, 1.0, True),
+    "optional_weight": (0.0, 1.0, True),
+    "screen_min": (0.0, 1.0, False),
+    "gate_radius": (0.0, None, True),
+    "max_waves": (1, None, False),
 }
 
 
 def _coerce(name: str, value):
-    """The override as the field's type; ConfigError for a bool, a non-numeric
+    """The value as the field's type; ConfigError for a bool, a non-numeric
     string or a value that has no integer form (a fraction, NaN, +-inf)."""
-    field = _FIELDS[name]
-    is_int = field.type in ("int", int)
+    is_int = _FIELDS[name].type in ("int", int)
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ConfigError(f"{name}: expected {'an integer' if is_int else 'a number'}, got {value!r}")
     try:
@@ -66,28 +75,15 @@ def _coerce(name: str, value):
     return out
 
 
-def _check_bounds(name: str, value):
-    bounds = _BOUNDS.get(name)
-    if bounds is None or isinstance(value, bool):
-        return
-    if not math.isfinite(value):  # NaN would pass every comparison below
-        raise ConfigError(f"{name}: {value} is not finite")
-    low, high, low_open, high_open = bounds
-    if low is not None and (value < low or (low_open and value == low)):
-        raise ConfigError(f"{name}: {value} out of range")
-    if high is not None and (value > high or (high_open and value == high)):
-        raise ConfigError(f"{name}: {value} out of range")
-
-
 def make_config(base: Config | None = None, **overrides) -> Config:
-    """Build a Config from a base plus overrides, validating keys and bounds."""
-    cfg = base or Config()
-    values = dataclasses.asdict(cfg)
+    """A Config from a base (the defaults when None) plus overrides. Only
+    the rules of overrides are kept here: an unknown key is rejected, even
+    with the value None, and a None value keeps the base's. `Config`
+    checks every value."""
+    values = dataclasses.asdict(base or Config())
     for key, value in overrides.items():
-        if key not in _FIELDS:
+        if key not in values:
             raise ConfigError(f"unknown configuration key: {key}")
         if value is not None:
-            values[key] = _coerce(key, value)
-    for key, value in values.items():
-        _check_bounds(key, value)
+            values[key] = value
     return Config(**values)

@@ -31,7 +31,7 @@ class SceneFormatError(DualGraphError):
     """Raised when a scene file cannot be parsed or validated."""
 
     def __init__(self, message, path=""):
-        self.path = path
+        self.message, self.path = message, path
         super().__init__(f"{path}: {message}" if path else message)
 
 

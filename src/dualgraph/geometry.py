@@ -35,8 +35,8 @@ AFFINE_SAFE = {"parallel", "touch", "inside"}
 
 _ORTHO_TOL = 1e-9
 
-# Largest axis entry a frame read from a document may hold: the Gram product
-# `Frame` forms sums at most three squares, which stay below the float range.
+# Largest axis entry a frame may hold: the Gram product `Frame` forms sums at
+# most three squares, which stay below the float range.
 _AXIS_RANGE = 2.0 ** 511
 
 
@@ -52,14 +52,14 @@ def _is_number(value) -> bool:
 class Frame:
     """Oriented placement: origin plus orthogonal axes (rows), lengths = half-extents.
 
-    Construction checks that the origin is a 2- or 3-vector, that `axes` is
-    square of the same size, that every entry is finite, and that every pair
-    of axes is orthogonal to within `_ORTHO_TOL` of the product of their
-    lengths (or of 1, for short axes). The lengths and the pairwise dot
-    products come from one Gram product `axes @ axes.T`; its entries are bit
-    for bit the `row @ row` and `row_i @ row_j` products. Every frame is
-    checked, including frames that affine maps carry: a map that scales a
-    group's axes unevenly need not keep orthogonality.
+    Construction owns the frame rules, which `check_frames` applies to
+    stacks: a finite 2- or 3-vector origin; square `axes` of that size,
+    each entry within `_AXIS_RANGE` (2**511), checked before the Gram
+    product `axes @ axes.T` so that it cannot overflow; and every pair of
+    axes orthogonal to within `_ORTHO_TOL` of the product of their lengths
+    (or of 1, for short axes). The Gram entries, bit for bit the `row @ row`
+    and `row_i @ row_j` products, give lengths and dot products. Affine
+    maps' frames are checked too: uneven scaling need not keep orthogonality.
 
     `origin` and `axes` are never mutated in place after construction: the
     axis lengths are cached here, so code that moves a frame builds a new one,
@@ -79,8 +79,8 @@ class Frame:
         if self.axes.shape != (dim, dim):
             raise DegenerateFrameError(f"axes must be {dim}x{dim}, got {self.axes.shape}")
         if not (all(map(math.isfinite, self.origin.tolist()))
-                and all(map(math.isfinite, self.axes.ravel().tolist()))):
-            raise DegenerateFrameError("non-finite frame")
+                and all(abs(v) <= _AXIS_RANGE for v in self.axes.ravel().tolist())):
+            raise DegenerateFrameError("frame origin not finite, or an axis entry beyond 2**511")
         gram = (self.axes @ self.axes.T).tolist()
         lengths = tuple([math.sqrt(gram[i][i]) for i in range(dim)])
         for i in range(dim):
@@ -149,17 +149,15 @@ class Frame:
     @staticmethod
     def from_json(obj) -> "Frame":
         """The frame of a JSON object with exactly the keys "origin", a list
-        of numbers, and "axes", a list of such lists. TypeError for any
-        other document, ValueError for ragged rows or an axis entry beyond
-        `_AXIS_RANGE` in magnitude, and `Frame`'s checks."""
+        of numbers, and "axes", a list of such lists: TypeError for any
+        other document. Every value rule is `Frame`'s; numpy raises
+        ValueError for ragged rows, OverflowError for ints past the floats."""
         if not isinstance(obj, dict) or obj.keys() != {"origin", "axes"}:
             raise TypeError(f"a frame is an object of origin and axes, got {obj!r}")
         axes = obj["axes"]
         for row in [obj["origin"], *axes] if isinstance(axes, list) else [axes]:
             if not isinstance(row, list) or not set(map(type, row)) <= _JSON_NUMBERS:
                 raise TypeError(f"frame rows must be lists of numbers, got {row!r}")
-        if any(abs(v) > _AXIS_RANGE for row in axes for v in row):
-            raise ValueError(f"frame axis entries must lie within 2**511, got {axes!r}")
         return Frame(np.asarray(obj["origin"], float), np.asarray(axes, float))
 
 
@@ -168,16 +166,17 @@ def check_frames(origins: np.ndarray, axes: np.ndarray):
     (n, d, d) axis stack, run once per stack.
 
     Returns (ok, lengths): whether `Frame` would accept each row, and the
-    (n, d) axis lengths it would compute. A row is ok when its entries are
-    finite and every pair of its axes is orthogonal to within `_ORTHO_TOL`
-    of the product of their lengths (or of 1). Lengths and dot products
-    come from one stacked Gram product, whose entries are bit for bit the
-    per-frame `axes @ axes.T`. `Frame.from_checked` builds the rows that
-    pass.
+    (n, d) axis lengths it would compute. It owns no rule of its own: a row
+    is ok when its origin is finite, its axis entries lie within
+    `_AXIS_RANGE`, and every pair of its axes is orthogonal to within
+    `_ORTHO_TOL` of the product of their lengths (or of 1). Lengths and dot
+    products come from one stacked Gram product, whose entries are bit for
+    bit the per-frame `axes @ axes.T`. `Frame.from_checked` builds the rows
+    that pass.
     """
     n, dim = origins.shape
-    ok = np.isfinite(origins).all(axis=1) & np.isfinite(axes.reshape(n, -1)).all(axis=1)
-    # a non-finite row may overflow or meet inf - inf here; it is rejected
+    ok = np.isfinite(origins).all(axis=1) & (np.abs(axes.reshape(n, -1)) <= _AXIS_RANGE).all(axis=1)
+    # a row rejected above may overflow or meet inf - inf here; it stays rejected
     with np.errstate(all="ignore"):
         gram = axes @ axes.transpose(0, 2, 1)
         lengths = np.sqrt(np.diagonal(gram, axis1=1, axis2=2))

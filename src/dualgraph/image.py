@@ -35,7 +35,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import SceneFormatError
+from .errors import DegenerateFrameError, SceneFormatError
 from .geometry import Frame, _is_number
 
 NODE_STATUSES = ("hypothesized", "verified", "pruned")
@@ -346,9 +346,9 @@ class ImageGraph:
                     raise SceneFormatError(f"link slot must be a name, got {link.slot!r}")
                 if model is not None:
                     _check_link_fits(link, model)
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, DegenerateFrameError) as exc:
             # a field of the wrong JSON type or shape, an unhashable node key,
-            # or an unknown link kind (add_link's ValueError)
+            # an unknown link kind (add_link's ValueError) or a rejected frame
             raise SceneFormatError(f"bad image graph: {exc!r}") from exc
         dims = {n.frame.dim for n in ig.nodes.values()}
         if len(dims) > 1 or (model is not None and dims - {2, model.dim}):

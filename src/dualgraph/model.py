@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ModelFormatError, ModelValidationError
+from .errors import DegenerateFrameError, ModelFormatError, ModelValidationError
 from .geometry import (
     RELATION_FUNCTIONS,
     SYMMETRY_CLASSES,
@@ -382,8 +382,9 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
             if node.type_name in nodes:
                 raise ModelFormatError(f"duplicate node type {node.type_name!r}", path=path)
             nodes[node.type_name] = node
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        # a field of the wrong JSON type or shape: frames, numbers, lists, maps
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError,
+            DegenerateFrameError) as exc:
+        # a field of the wrong JSON type or shape, or a frame `Frame` rejects
         raise ModelFormatError(f"malformed model document: {exc!r}", path=path) from exc
     g = ModelGraph(nodes=nodes, root=doc["root"], dim=dim)
     _complete_links(g)

@@ -4,14 +4,16 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import SceneFormatError
-from .geometry import Frame, frame_from_circle, frame_from_segment
+from .geometry import Frame, _is_number, frame_from_circle, frame_from_segment
 
-PRIMITIVE_KINDS = ("linseg", "circle")
+# the kinds of primitive, each with the point and size keys it needs
+PRIMITIVE_KEYS = {"linseg": ("p1", "p2"), "circle": ("center", "radius")}
 # the keys of a scene document; parse_scene rejects any other
 SCENE_KEYS = ("dim", "primitives", "id")
 
@@ -22,12 +24,15 @@ SCENE_KEYS = ("dim", "primitives", "id")
 # range none of those squares overflows, and no squared extent falls below
 # the normal floats, where the extent solver's regularizer underflows to 0.
 SCENE_RANGE = 2.0 ** 500
+_RANGE_RULE = "coordinates must be finite and at most 2**500 in magnitude"
 
 
 def _point(value, where) -> np.ndarray:
     """A primitive's point as a float vector of 2 or 3 entries."""
     try:
         point = np.asarray(value, float)
+    except OverflowError:  # an int beyond the float range
+        raise SceneFormatError(_RANGE_RULE, where) from None
     except (TypeError, ValueError):  # ragged, or not numbers
         point = None
     if point is None or point.ndim != 1 or point.size not in (2, 3):
@@ -35,19 +40,32 @@ def _point(value, where) -> np.ndarray:
     return point
 
 
+def _real(value, where) -> float:
+    """A strength or a radius as a float: a real number, not a bool; an int
+    beyond the float range is inf, which no range admits."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SceneFormatError(f"{where} must be a real number, got {value!r}", where)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass
 class Primitive:
     """One observed feature: a line segment or a circle.
 
-    `strength` carries the detector's confidence in [0, 1]; a faint or partly
-    occluded feature enters inference with a weaker data prior. Points are
-    1-D vectors of 2 or 3 entries, and a segment's endpoints have one
-    length. A primitive outside the scene range (`SCENE_RANGE`) is rejected
-    here, before any frame is built: a coordinate or radius that is not
-    finite or exceeds 2**500 in magnitude, and a nonzero extent below
-    2**-500. Coincident segment endpoints and a zero radius are left to the
-    parser.
-    """
+    The constructor owns every value rule of a primitive and raises
+    SceneFormatError, whose path names the field at fault, if one; the
+    parser adds only the document's rules (`_parse_primitive`). `kind` is
+    "linseg" or "circle". Points are 1-D vectors of 2 or 3 entries, and a
+    segment's endpoints have one length; they may coincide (the generator
+    builds such segments). `strength`, the detector's confidence, is a real
+    number in [0, 1]: a faint feature enters inference with a weaker data
+    prior. A radius is a real, positive number. Nothing outside the scene
+    range (`SCENE_RANGE`) reaches a frame: a coordinate or radius that is
+    not finite or exceeds 2**500 in magnitude, or a nonzero extent below
+    2**-500."""
 
     kind: str
     p1: np.ndarray | None = None
@@ -57,8 +75,11 @@ class Primitive:
     strength: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in PRIMITIVE_KINDS:
-            raise SceneFormatError(f"unknown primitive kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in PRIMITIVE_KEYS:
+            raise SceneFormatError(f"unknown primitive kind {self.kind!r}", "kind")
+        self.strength = _real(self.strength, "strength")
+        if not 0.0 <= self.strength <= 1.0:
+            raise SceneFormatError("strength must lie in [0, 1]", "strength")
         if self.kind == "linseg":
             self.p1 = _point(self.p1, "p1")
             self.p2 = _point(self.p2, "p2")
@@ -69,14 +90,15 @@ class Primitive:
             extent = self.p1.tolist() != self.p2.tolist()
         else:
             self.center = _point(self.center, "center")
-            self.radius = float(self.radius)
+            self.radius = _real(self.radius, "radius")
+            if not self.radius > 0.0:
+                raise SceneFormatError("radius must be positive", "radius")
             coords = self.center.tolist() + [self.radius]
             halves = [self.radius]
-            extent = self.radius != 0.0
+            extent = True
         # NaN fails the comparison too
         if not all(abs(c) <= SCENE_RANGE for c in coords):
-            raise SceneFormatError(f"{self.kind} coordinates must be finite and at most "
-                                   "2**500 in magnitude")
+            raise SceneFormatError(f"{self.kind} {_RANGE_RULE}")
         if extent and sum(h * h for h in halves) < SCENE_RANGE ** -2:
             raise SceneFormatError(f"{self.kind} is too small: a nonzero extent must be at "
                                    "least 2**-500")
@@ -102,8 +124,9 @@ class Primitive:
 
 @dataclass
 class Scene:
-    """A flat bag of primitives in one coordinate system: `dim` is the int 2
-    or 3, and every primitive has that dimension."""
+    """A flat bag of primitives in one coordinate system. The constructor
+    owns the scene's rule (`check_scene_dim`): `dim` is the int 2 or 3, and
+    every primitive has that dimension."""
 
     dim: int
     primitives: list[Primitive] = field(default_factory=list)
@@ -124,60 +147,46 @@ def check_scene_dim(scene: Scene) -> None:
             raise SceneFormatError(f"expected a {scene.dim}D primitive", f"primitives[{i}]")
 
 
-def _check_vector(value, length, where):
-    if not isinstance(value, (list, tuple)) or len(value) != length:
-        raise SceneFormatError(f"expected a {length}-vector", where)
-    return [_finite(item, "coordinate", f"{where}[{i}]") for i, item in enumerate(value)]
-
-
-def _finite(value, what, where) -> float:
-    """A JSON number as a finite float; an int beyond the float range is
-    rejected like inf."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SceneFormatError(f"{what} must be a number", where)
-    try:
-        value = float(value)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise SceneFormatError(f"{what} is not finite", where)
-    return value
-
-
-def _parse_primitive(obj, dim, where) -> Primitive:
+def _parse_primitive(obj, where) -> Primitive:
+    """A primitive of a scene document. The parser owns the document's
+    rules: JSON types (a bool is not a number), keys and required fields,
+    the field path in its errors, and coincident segment endpoints, which
+    `Primitive` allows (the generator builds such segments). Every value
+    rule is `Primitive`'s."""
     if not isinstance(obj, dict):
         raise SceneFormatError("expected an object", where)
     kind = obj.get("kind")
-    if kind not in PRIMITIVE_KINDS:
-        raise SceneFormatError(f"unknown primitive kind {kind!r}", f"{where}.kind")
-    strength = _finite(obj.get("strength", 1.0), "strength", f"{where}.strength")
-    if not (0.0 <= strength <= 1.0):
-        raise SceneFormatError("strength must lie in [0, 1]", f"{where}.strength")
-    allowed = {"kind", "strength"}
-    allowed |= {"p1", "p2"} if kind == "linseg" else {"center", "radius"}
-    for key in obj:
-        if key not in allowed:
+    required = PRIMITIVE_KEYS.get(kind, ()) if isinstance(kind, str) else ()
+    # an unknown kind is named by `Primitive`, before any key that goes with it
+    fields = dict(obj, kind=kind) if required else {"kind": kind}
+    for key in fields:
+        if key not in ("kind", "strength", *required):
             raise SceneFormatError(f"unknown key {key!r}", f"{where}.{key}")
-    if kind == "linseg":
-        if "p1" not in obj or "p2" not in obj:
-            raise SceneFormatError("linseg needs p1 and p2", where)
-        p1 = _check_vector(obj["p1"], dim, f"{where}.p1")
-        p2 = _check_vector(obj["p2"], dim, f"{where}.p2")
-        if p1 == p2:
-            raise SceneFormatError("linseg endpoints coincide", where)
-        return Primitive("linseg", p1=p1, p2=p2, strength=strength)
-    if "center" not in obj or "radius" not in obj:
-        raise SceneFormatError("circle needs center and radius", where)
-    center = _check_vector(obj["center"], dim, f"{where}.center")
-    radius = _finite(obj["radius"], "radius", f"{where}.radius")
-    if radius <= 0:
-        raise SceneFormatError("radius must be positive", f"{where}.radius")
-    return Primitive("circle", center=center, radius=radius, strength=strength)
+    for key in required:
+        if key not in fields:
+            raise SceneFormatError(f"{kind} needs {' and '.join(required)}", where)
+    for key, value in fields.items():
+        if key in ("p1", "p2", "center") and not (isinstance(value, list)
+                                                 and all(map(_is_number, value))):
+            raise SceneFormatError("expected a list of numbers", f"{where}.{key}")
+        if key in ("radius", "strength") and not _is_number(value):
+            raise SceneFormatError(f"{key} must be a number", f"{where}.{key}")
+    try:
+        prim = Primitive(**fields)
+    except SceneFormatError as exc:
+        raise SceneFormatError(exc.message, ".".join(filter(None, (where, exc.path)))) from None
+    if kind == "linseg" and prim.p1.tolist() == prim.p2.tolist():
+        raise SceneFormatError("linseg endpoints coincide", where)
+    return prim
 
 
 def parse_scene(data) -> Scene:
-    """Parse a scene document (bytes, text, or an already-decoded dict):
-    the keys `dim` (the int 2 or 3), `primitives` and `id`, and no others."""
+    """Parse a scene document (bytes, text, or an already-decoded dict).
+
+    The parser owns the document's rules: JSON, the keys `dim`,
+    `primitives` and `id` and no others, and a string id; `Scene` owns the
+    rule that `dim` is the int 2 or 3 and every primitive has it, and
+    `_parse_primitive` says what a primitive's document must be."""
     if isinstance(data, (bytes, bytearray, str)):
         try:
             data = json.loads(data if isinstance(data, str) else data.decode("utf-8"))
@@ -188,19 +197,14 @@ def parse_scene(data) -> Scene:
     for key in data:
         if key not in SCENE_KEYS:
             raise SceneFormatError(f"unknown key {key!r}", key)
-    dim = data.get("dim")
-    if type(dim) is not int or dim not in (2, 3):
-        raise SceneFormatError("dim must be the int 2 or 3", "dim")
     prims_raw = data.get("primitives", [])
     if not isinstance(prims_raw, list):
         raise SceneFormatError("expected a list", "primitives")
     scene_id = data.get("id", "")
     if not isinstance(scene_id, str):
         raise SceneFormatError("id must be a string", "id")
-    prims = [
-        _parse_primitive(obj, dim, f"primitives[{i}]") for i, obj in enumerate(prims_raw)
-    ]
-    return Scene(dim=dim, primitives=prims, id=scene_id)
+    prims = [_parse_primitive(obj, f"primitives[{i}]") for i, obj in enumerate(prims_raw)]
+    return Scene(dim=data.get("dim"), primitives=prims, id=scene_id)
 
 
 def _num(x: float):

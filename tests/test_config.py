@@ -3,6 +3,10 @@ import pytest
 from dualgraph.config import Config, make_config
 from dualgraph.errors import ConfigError
 
+# Config owns every value rule, and make_config passes overrides to it, so
+# the two accept and reject the same values
+builds = pytest.mark.parametrize("build", [make_config, Config])
+
 
 def test_defaults_pass_their_own_bounds():
     assert make_config() == Config()
@@ -20,17 +24,20 @@ def test_unknown_key_is_rejected(key):
     ("drop_threshold", -0.1),  # closed bound: just past it is out
     ("max_waves", 0),
 ])
-def test_out_of_range_value_is_rejected(key, value):
+@builds
+def test_out_of_range_value_is_rejected(build, key, value):
     with pytest.raises(ConfigError, match="out of range"):
-        make_config(**{key: value})
+        build(**{key: value})
 
 
-def test_closed_bound_itself_is_accepted():
-    assert make_config(drop_threshold=0.0).drop_threshold == 0.0
+@builds
+def test_closed_bound_itself_is_accepted(build):
+    assert build(drop_threshold=0.0).drop_threshold == 0.0
 
 
-def test_strings_are_coerced():
-    cfg = make_config(max_waves="4", gate_radius="2.5")
+@builds
+def test_strings_are_coerced(build):
+    cfg = build(max_waves="4", gate_radius="2.5")
     assert cfg.max_waves == 4 and isinstance(cfg.max_waves, int)
     assert cfg.gate_radius == 2.5
 
@@ -49,9 +56,10 @@ def test_strings_are_coerced():
     ("s_fail", float("-inf")),
     pytest.param("p0", 10**400, id="p0-int-too-large-for-a-float"),
 ])
-def test_uncoercible_value_is_rejected(key, value):
+@builds
+def test_uncoercible_value_is_rejected(build, key, value):
     with pytest.raises(ConfigError):
-        make_config(**{key: value})
+        build(**{key: value})
 
 
 def test_none_override_is_ignored():

@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualgraph.belief import refresh_conditionals, relax_frames
+from dualgraph.config import Config
 from dualgraph.errors import (
+    ConfigError,
     DualGraphError,
     GenerationError,
     ModelFormatError,
@@ -186,6 +188,12 @@ CASES = [
                            _model()["nodes"][1]]), ModelFormatError),
     ("graph-axis-beyond-gram-range", ImageGraph.from_json,
      _graph(frame=dict(FRAME, axes=[[0, 0], [0, -1.35e154]])), SceneFormatError),
+    # a frame that Frame rejects for skewed axes is a format error too: it
+    # escaped as DegenerateFrameError
+    ("model-axes-not-orthogonal", load_model,
+     _model(parts=[dict(PART, frame=dict(FRAME, axes=[[1, 0], [0.5, 1]]))]), ModelFormatError),
+    ("graph-axes-not-orthogonal", ImageGraph.from_json,
+     _graph(frame=dict(FRAME, axes=[[1, 0], [0.5, 1]])), SceneFormatError),
     # dim only as the int 2 or 3: 2.0 loaded as 2
     ("model-dim-float", load_model, dict(_model(), dim=2.0), ModelFormatError),
     ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),
@@ -345,6 +353,22 @@ CASES = [
     # a center of strings raised a raw ValueError
     ("circle-center-strings-built", lambda kw: Primitive(**kw),
      {"kind": "circle", "center": ["a", "b"], "radius": 1.0}, SceneFormatError),
+    # Primitive owns the parser's strength and radius rules: these strengths
+    # were built, and recognized into a graph that did not reload; the radii
+    # raised a raw TypeError or were built, and the center a raw OverflowError
+    *((f"linseg-strength-{strength}-built", lambda kw: Primitive(**kw),
+       {"kind": "linseg", "p1": [0, 0], "p2": [1, 1], "strength": strength}, SceneFormatError)
+      for strength in (NAN, -3.0, 7.0, True)),
+    *((f"circle-radius-{radius}-built", lambda kw: Primitive(**kw),
+       {"kind": "circle", "center": [0, 0], "radius": radius}, SceneFormatError)
+      for radius in (None, [1.0], 0.0)),
+    ("circle-center-int-beyond-float-built", lambda kw: Primitive(**kw),
+     {"kind": "circle", "center": [0, 10**400], "radius": 1.0}, SceneFormatError),
+    # Config owns its bounds: s_fail -1 raised a raw ValueError in recognize,
+    # and p0 NaN found a face at p 1.0
+    *((f"recognize-config-{key}-{value}", lambda kw: recognize(SCENE, MODEL, Config(**kw)),
+       {key: value}, ConfigError)
+      for key, value in (("s_fail", -1.0), ("p0", NAN), ("max_waves", 2.5))),
     ("generate-n-scenes-string", generate_scenes, GeneratorSpec(MODEL, "face", n_scenes="3"),
      GenerationError),
     ("generate-distractors-float", generate_scenes,

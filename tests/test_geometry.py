@@ -22,6 +22,7 @@ from dualgraph.geometry import (
     angle_between,
     boundary_distance,
     canonicalize_frame,
+    check_frames,
     eval_relation,
     fit_affine,
     fit_similarity,
@@ -42,6 +43,22 @@ def test_frame_rejects_non_orthogonal_axes():
 def test_frame_rejects_non_finite():
     with pytest.raises(DegenerateFrameError):
         Frame([0.0, np.nan], np.eye(2))
+
+
+def test_frame_and_the_stacked_check_own_the_axis_range():
+    """An axis entry past 2**511 is rejected before the Gram product, whose
+    squares would overflow (under pytest a RuntimeWarning is an error);
+    an entry of exactly 2**511 passes both, with finite lengths."""
+    beyond = np.diag([1.399e154, 1e150, 1e150])
+    with pytest.raises(DegenerateFrameError):
+        Frame(np.zeros(3), beyond)
+    ok, _ = check_frames(np.zeros((1, 3)), beyond[None])
+    assert ok.tolist() == [False]
+    edge = np.array([[2.0**511, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 0.0]])
+    frame = Frame(np.zeros(3), edge)
+    ok, lengths = check_frames(np.zeros((1, 3)), edge[None])
+    assert ok.tolist() == [True] and np.isfinite(lengths).all()
+    assert frame._length_tuple == tuple(lengths[0].tolist()) == (2.0**511, 1.0, 0.0)
 
 
 TOL = 1e-9  # geometry._ORTHO_TOL

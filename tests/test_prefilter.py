@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
@@ -42,6 +42,7 @@ from dualgraph.belief import (
 from dualgraph.config import make_config
 from dualgraph.errors import DegenerateFrameError, UnderConstrainedError
 from dualgraph.geometry import (
+    _AXIS_RANGE,
     _ORTHO_TOL,
     AffineCamera,
     Frame,
@@ -1555,7 +1556,10 @@ def gate_scenes(draw):
     ig = ImageGraph(scene_id="gate", model=model)
     for _ in range(draw(st.integers(1, 12))):
         t = draw(st.sampled_from(sorted(GATE_TYPES)))
-        pred = transform.apply_frame(part_frames[t])
+        try:
+            pred = transform.apply_frame(part_frames[t])
+        except DegenerateFrameError:  # past the axis range: the test checks the stacked path
+            continue
         sigma_o, sigma_s, _ = model.node("g").part(f"p_{t}").elasticity
         reach = math.sqrt(s_fail)
         direction = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)))
@@ -1570,15 +1574,41 @@ def gate_scenes(draw):
         turn = Rotation.from_rotvec(draw(st.lists(st.floats(-3.0, 3.0), min_size=3,
                                                   max_size=3))).as_matrix()
         origin = pred.origin + direction / np.linalg.norm(direction) * offset
-        ig.add_node(t, frame=Frame(origin, np.diag(lengths) @ turn), status="verified")
+        axes = np.diag(lengths) @ turn
+        try:
+            frame = Frame(origin, axes)
+        except DegenerateFrameError:
+            # Frame owns the axis range, and rejects a candidate only past it
+            assert np.abs(axes).max() > _AXIS_RANGE
+            event("a candidate past the axis range is left out")
+            continue
+        ig.add_node(t, frame=frame, status="verified")
     return model, transform, make_config(s_fail=s_fail), rec.CandidateIndex(ig)
+
+
+def _beyond_axis_range(transform, frame):
+    """Whether `Frame` rejects the scalar prediction of `frame`, which it
+    may do only for an entry past the axis range."""
+    try:
+        transform.apply_frame(frame)
+    except DegenerateFrameError:
+        assert np.abs(transform.scale * (frame.axes @ transform.rotation.T)).max() > _AXIS_RANGE
+        return True
+    return False
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=gate_scenes())
 def test_every_candidate_that_passes_the_exact_gate_survives_the_slot_gate(case):
+    """The stacked path agrees with `Frame` on the axis range: a transform
+    with a slot prediction past it gets no queries. Scales up to 1e150 keep
+    the predictions inside it, but candidates can leave it."""
     model, transform, cfg, index = case
     (queries,) = rec._predict_slots(index, model, model.node("g"), [transform], cfg, False)
+    if any(_beyond_axis_range(transform, part.frame) for part in model.node("g").parts):
+        event("a slot prediction past the axis range")
+        assert queries is None
+        return
     assert queries is not None
     for q in queries:
         gated = q.gated.tolist()
