@@ -384,7 +384,9 @@ def _placement_strains(memo, pairs) -> list:
 
 
 def refresh_conditionals(ig, cfg: Config | None = None):
-    """Re-derive every link conditional from the current frames.
+    """Re-derive every link conditional from the current frames: the one
+    writer of the conditionals `verify` leaves at 1. A specialization
+    instance's link takes its screens' summed strains, each a residual.
 
     Relation and placement strains go through the scene's memo
     (`ig.strains`, see `relation_strains` and `_placement_strains`), so a
@@ -444,7 +446,7 @@ def bind_member(ig, group_key, slot_name: str, member_key):
     the slot's type mirrors the member: the member's claim on the group
     travels through the shadow (specializes up to the shadow, part-of into
     the group) while the direct group-member link only lets the group vouch
-    back for the member. Conditionals start at 1 until refreshed.
+    back for the member. Every link `verify` makes starts at 1 until refreshed.
 
     Returns the shadow node, or None when the types matched directly.
     """
@@ -871,15 +873,16 @@ def relax_frames(ig, nodes):
     strain its frame takes part in, and no move changes another node's
     slots. It reads links and frames, never a conditional, and runs before
     the wave's only refresh. The movable nodes are those neither primitive
-    (primitives anchor the data) nor shadow. The wave is relaxed in
+    (primitives anchor the data) nor the source of a `specializes` link
+    (a shadow or a specialization instance). The wave is relaxed in
     stacks: every movable node's `_GroupSlots` is gathered first, all their
     fits are made in one `_fitted_frames` call, and the placement strains
     of every fitted and every kept frame are scored in one
     `_placement_strains` call. A node takes its fit only when that raises
     exp(-s/2) of s, the summed placement strains of its slots, so s never
-    rises, and a move too small to change that factor is not made. Shadows
-    among `nodes` then mirror their sources, and every shadow of a node
-    moved is among them.
+    rises, and a move too small to change that factor is not made. Last,
+    each specialization instance takes its group's frame, which may have
+    moved, and each shadow its source's, a snapshot node that never moves.
     """
     nodes = sorted(nodes, key=lambda n: n.key)
     groups = _groups(ig, [node for node in nodes if not node.is_primitive
@@ -894,7 +897,7 @@ def relax_frames(ig, nodes):
         if cond_probability(s_fitted) > cond_probability(s_kept):
             node.frame = fitted
     for node in nodes:
-        shadows = ig.links_from(node.key, "specializes")
-        if shadows:
-            node.frame = ig.nodes[shadows[0].target].frame
+        up = ig.links_from(node.key, "specializes")
+        if up:
+            node.frame = ig.nodes[up[0].target].frame
     return ig

@@ -31,7 +31,7 @@ SCALAR_RELATIONS = ("size-ratio", "distance-ratio", "angle")
 DEFAULT_ELASTICITY = (0.25, 0.25, 0.25)
 
 # The keys a model document may hold: at its top level, in a node, in a part
-DOCUMENT_KEYS = ("root", "nodes", "dim")
+DOCUMENT_KEYS = ("nodes", "dim")
 NODE_KEYS = ("type", "frame", "symmetry", "parts", "relations", "specialize", "lower_loa",
              "higher_loa")
 PART_KEYS = ("name", "type", "variant", "frame", "multiplicity", "essential", "elasticity")
@@ -140,7 +140,6 @@ class PartLink:
 class MidxEntry:
     """One hypothesis-index row: an abstract type pair suggesting a group."""
 
-    key: tuple
     hypothesis: str
     slots: tuple
     screening: list
@@ -182,7 +181,6 @@ class ModelGraph:
     """
 
     nodes: dict
-    root: str
     dim: int = 2
     midx: dict = field(default_factory=dict, compare=False, repr=False)
     abstract: dict = field(default_factory=dict, compare=False, repr=False)
@@ -264,8 +262,6 @@ def validate(g: ModelGraph) -> list:
     `load_model` runs it after `_complete_links` has made every LoA link
     two-sided, on nodes keyed by their own type names."""
     violations = []
-    if not isinstance(g.root, str) or g.root not in g.nodes:
-        violations.append(f"root {g.root!r} does not name a node")
     for name in sorted(g.nodes):
         node = g.nodes[name]
         if node.symmetry_class not in SYMMETRY_CLASSES:
@@ -369,8 +365,8 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
             raise ModelFormatError(f"model file is not valid JSON: {exc}", path=path) from exc
     else:
         doc = data
-    if not isinstance(doc, dict) or "nodes" not in doc or "root" not in doc:
-        raise ModelFormatError("model document needs top-level 'root' and 'nodes'", path=path)
+    if not isinstance(doc, dict) or "nodes" not in doc:
+        raise ModelFormatError("model document needs top-level 'nodes'", path=path)
     _check_keys(doc, DOCUMENT_KEYS, "model document", path)
     dim = doc.get("dim", 2)
     if type(dim) is not int or dim not in (2, 3):
@@ -386,7 +382,7 @@ def load_model(data, path: Optional[str] = None) -> ModelGraph:
             DegenerateFrameError) as exc:
         # a field of the wrong JSON type or shape, or a frame `Frame` rejects
         raise ModelFormatError(f"malformed model document: {exc!r}", path=path) from exc
-    g = ModelGraph(nodes=nodes, root=doc["root"], dim=dim)
+    g = ModelGraph(nodes=nodes, dim=dim)
     _complete_links(g)
     violations = validate(g)
     if violations:
@@ -412,7 +408,9 @@ def build_midx(g: ModelGraph) -> dict:
     """Index hypothesis groups by unordered pairs of abstract part types.
 
     A slot pair is indexed only when at least one relation spec mentions both
-    slots, because those relations are what screens the hypothesis.
+    slots, because those relations are what screens the hypothesis. The
+    abstract types come from `g.abstract`, which `load_model` fills first,
+    each set walked in sorted order, so no row's order depends on hashing.
     """
     index = {}
     for node in g.sorted_nodes():
@@ -427,14 +425,10 @@ def build_midx(g: ModelGraph) -> dict:
                 ]
                 if not screening:
                     continue
-                type_a = node.part(slot_a).type_name
-                type_b = node.part(slot_b).type_name
-                for abs_a in sorted(g.abstract_types(type_a)):
-                    for abs_b in sorted(g.abstract_types(type_b)):
-                        key = tuple(sorted((abs_a, abs_b)))
-                        entry = MidxEntry(key=key, hypothesis=node.type_name,
-                                          slots=(slot_a, slot_b), screening=screening)
-                        index.setdefault(key, []).append(entry)
+                for abs_a in sorted(g.abstract[node.part(slot_a).type_name]):
+                    for abs_b in sorted(g.abstract[node.part(slot_b).type_name]):
+                        index.setdefault(tuple(sorted((abs_a, abs_b))), []).append(
+                            MidxEntry(node.type_name, (slot_a, slot_b), screening))
     for key in index:
         index[key].sort(key=lambda e: (e.hypothesis, e.slots))
     return index

@@ -1251,37 +1251,24 @@ def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: Candi
 
 
 def _specialize(ig, model, group, matched, cfg):
-    """Screen stored child relations on the matched parts; passing children
-    become specialization instances, failing ones are never added."""
-    created = []
+    """Add a specialization instance of the group, at its frame, for each
+    child type in its own `specialize_relations` with usable screens, all
+    on matched parts and each straining at most `s_fail`. Its `specializes`
+    link starts at 1 for `refresh_conditionals` to score. A child type's own
+    screens name its own parts: they apply when it is verified from them."""
     frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
-    group_mnode = model.node(group.model_type)
-    queue = [(group.model_type, group)]
-    while queue:
-        type_name, parent = queue.pop(0)
-        mnode = model.node(type_name)
-        for child_name in sorted(mnode.specialize_relations):
-            rels = mnode.specialize_relations[child_name]
-            usable = [r for r in rels if relation_usable(r, group_mnode, ig.projected)]
-            if not usable:
-                continue
-            if not all(all(op in frames for op in r.operands) for r in usable):
-                continue
-            total = 0.0
-            passed = True
-            for _, s in relation_strains(ig, group_mnode, usable, frames, cfg.s_fail,
-                                         group.frame):
-                if s > cfg.s_fail:
-                    passed = False
-                    break
-                total += s
-            if not passed:
-                continue
-            child = ig.add_node(child_name, frame=parent.frame, status="verified")
-            ig.add_link("specializes", child.key, parent.key,
-                        conditional=cond_probability(total))
-            created.append(child)
-            queue.append((child_name, child))
+    mnode = model.node(group.model_type)
+    created = []
+    for child_name, screens in sorted(mnode.specialize_relations.items()):
+        usable = [r for r in screens if relation_usable(r, mnode, ig.projected)]
+        if not usable or not all(op in frames for r in usable for op in r.operands):
+            continue
+        if any(s > cfg.s_fail for _, s in relation_strains(ig, mnode, usable, frames,
+                                                            cfg.s_fail, group.frame)):
+            continue
+        child = ig.add_node(child_name, frame=group.frame, status="verified")
+        ig.add_link("specializes", child.key, group.key)
+        created.append(child)
     return created
 
 

@@ -652,7 +652,7 @@ def _movable(ig):
 UNIT = {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}
 TILTED = {"origin": [-0.4, 0], "axes": [[0.3, 0.3], [-0.2, 0.2]]}
 LEVEL = {"origin": [0.5, 0], "axes": [[0.4, 0], [0, 0.2]]}
-SKEWED_MODEL = {"root": "top", "nodes": [
+SKEWED_MODEL = {"nodes": [
     {"type": "b", "symmetry": "rectangle", "frame": UNIT},
     {"type": "a", "symmetry": "rectangle", "frame": UNIT,
      "parts": [{"name": "p", "type": "b", "frame": TILTED},

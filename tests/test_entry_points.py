@@ -17,7 +17,6 @@ from dualgraph.errors import (
     DualGraphError,
     GenerationError,
     ModelFormatError,
-    ModelValidationError,
     SceneFormatError,
 )
 from dualgraph.generate import GeneratorSpec, generate_scenes
@@ -35,7 +34,7 @@ PART = {"name": "p", "type": "b", "frame": FRAME}
 def _model(**fields):
     """A valid model document, but for `fields` set on its group type "a"."""
     group = {"type": "a", "frame": FRAME, "parts": [PART, dict(PART, name="q")]}
-    return {"root": "a", "nodes": [{"type": "b", "frame": FRAME}, {**group, **fields}]}
+    return {"nodes": [{"type": "b", "frame": FRAME}, {**group, **fields}]}
 
 
 def _graph(**fields):
@@ -145,8 +144,8 @@ NAN = float("nan")
 CASES = [
     ("scene-bytes", parse_scene, b"\xff\xfe\x00", SceneFormatError),
     ("model-bytes", load_model, b"\xff\xfe\x00", ModelFormatError),
-    ("model-dim", load_model, {"root": "a", "nodes": [], "dim": "x"}, ModelFormatError),
-    ("model-nodes", load_model, {"root": "a", "nodes": 3}, ModelFormatError),
+    ("model-dim", load_model, {"nodes": [], "dim": "x"}, ModelFormatError),
+    ("model-nodes", load_model, {"nodes": 3}, ModelFormatError),
     ("model-frame", load_model, _model(frame={}), ModelFormatError),
     ("model-loa", load_model, _model(lower_loa=[[]]), ModelFormatError),
     ("model-part-type", load_model, _model(parts=[dict(PART, type=1.5)]), ModelFormatError),
@@ -196,8 +195,8 @@ CASES = [
      _graph(frame=dict(FRAME, axes=[[1, 0], [0.5, 1]])), SceneFormatError),
     # dim only as the int 2 or 3: 2.0 loaded as 2
     ("model-dim-float", load_model, dict(_model(), dim=2.0), ModelFormatError),
-    ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelValidationError),
-    ("model-root-unknown", load_model, dict(_model(), root="c"), ModelValidationError),
+    ("model-root-object", load_model, dict(_model(), root={"x": 1}), ModelFormatError),
+    ("model-root-unknown", load_model, dict(_model(), root="c"), ModelFormatError),
     ("graph-nodes", ImageGraph.from_json, {"nodes": 3}, SceneFormatError),
     ("graph-list", ImageGraph.from_json, [], SceneFormatError),
     ("graph-link-key", ImageGraph.from_json,

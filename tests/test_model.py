@@ -19,8 +19,7 @@ from dualgraph.model import (
 # -- loading -------------------------------------------------------------------
 
 def test_minimal_graph_is_valid():
-    g = load_model(json.dumps({"root": "top", "nodes": [{"type": "top"}]}))
-    assert g.root == "top"
+    g = load_model(json.dumps({"nodes": [{"type": "top"}]}))
     assert list(g.nodes) == ["top"]
     assert validate(g) == []
 
@@ -48,7 +47,6 @@ def test_face_fixture_loads():
 
 def test_dangling_part_reference_is_named():
     doc = {
-        "root": "truck1",
         "nodes": [
             {"type": "truck1",
              "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]},
@@ -63,7 +61,6 @@ def test_dangling_part_reference_is_named():
 
 def test_loa_cycle_detected():
     doc = {
-        "root": "a",
         "nodes": [
             {"type": "a", "lower_loa": ["b"], "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}},
             {"type": "b", "lower_loa": ["a"], "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}},
@@ -76,7 +73,6 @@ def test_loa_cycle_detected():
 
 def test_unknown_operand_detected():
     doc = {
-        "root": "truck",
         "nodes": [
             {"type": "cab", "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}},
             {"type": "truck",
@@ -93,7 +89,6 @@ def test_unknown_operand_detected():
 
 def test_part_and_loa_link_on_same_pair_rejected():
     doc = {
-        "root": "a",
         "nodes": [
             {"type": "b", "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}},
             {"type": "a",
@@ -185,7 +180,6 @@ def test_midx_entries_carry_screening_relations():
 
 def test_empty_midx_for_partless_graph():
     g = load_model(json.dumps({
-        "root": "only",
         "nodes": [{"type": "only", "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]}}],
     }))
     assert build_midx(g) == {}

@@ -1546,7 +1546,7 @@ def gate_scenes(draw):
         parts.append({"name": f"p_{t}", "type": t, "essential": False,
                       "frame": _frame_doc(frame), "elasticity": list(sigma)})
     unit = {"origin": [0, 0, 0], "axes": np.eye(3).tolist()}
-    model = load_model({"root": "g", "dim": 3, "nodes": [
+    model = load_model({"dim": 3, "nodes": [
         *({"type": t, "symmetry": sym, "frame": unit} for t, sym in GATE_TYPES.items()),
         {"type": "g", "symmetry": "none", "frame": unit, "parts": parts}]})
     rot = Rotation.from_rotvec(draw(st.lists(st.floats(-3.0, 3.0), min_size=3,
@@ -1676,7 +1676,7 @@ def test_screenings_that_read_their_clues_the_other_way_round_are_scored_apart(m
     spec, but (a, c)'s relation takes its operands in the other order, so
     on the same ordered clues the two score differently."""
     seg = {"origin": [0, 0], "axes": [[1, 0], [0, 0]]}
-    model = load_model({"root": "pair", "dim": 2, "nodes": [
+    model = load_model({"dim": 2, "nodes": [
         {"type": "linseg", "symmetry": "undirected-segment", "frame": seg},
         {"type": "pair", "symmetry": "none", "frame": {"origin": [0, 0], "axes": [[1, 0], [0, 1]]},
          "parts": [{"name": "a", "type": "linseg", "frame": seg},

@@ -9,7 +9,7 @@ import pytest
 import dualgraph.model
 import dualgraph.recognize
 from conftest import random_rotation
-from dualgraph.belief import refresh_conditionals
+from dualgraph.belief import cond_probability, refresh_conditionals, relation_strain
 from dualgraph.config import Config
 from dualgraph.generate import GeneratorSpec, generate_scenes
 from dualgraph.geometry import Frame
@@ -324,7 +324,6 @@ def _circle(origin, radius):
 # circles, so one wave can build a pair next to a trio whose `t` slot it
 # fits; midx indexes trio under (circle, circle) and (circle, pair)
 RISING_MODEL = {
-    "root": "trio",
     "nodes": [
         {"type": "circle", "symmetry": "circle", "frame": _circle([0, 0], 1)},
         {"type": "pair", "symmetry": "rectangle",
@@ -380,6 +379,76 @@ def test_a_wave_binds_only_nodes_of_its_snapshot(monkeypatch):
     assert pairs and all(born[key] == 1 for key in pairs)
     assert {(wave, slot) for wave, group, slot, member in bound if member in pairs} == {(2, "t")}
     assert (1, "trio", "a") in {(wave, group, slot) for wave, group, slot, _ in bound}
+
+
+def test_the_refresh_alone_scores_a_specialization_link(monkeypatch):
+    """verify links a passing specialization instance to its group at
+    conditional 1; the wave's refresh then scores it from the summed
+    strains of its screens on the group's member frames."""
+    scene, model = _scene("truck_flat.json", "truck1", 0.03, seed=5)
+    verify = dualgraph.recognize.verify
+    refresh = dualgraph.recognize.refresh_conditionals
+    made = []  # (group, specializes link) per instance, of the wave being verified
+    totals = []
+
+    def verifying(h, matching, model, cfg, index):
+        created = verify(h, matching, model, cfg, index)
+        for node in (created or [])[1:]:
+            if node.spec_slot is None:
+                (link,) = index.ig.links_from(node.key, "specializes")
+                assert (link.target, link.conditional, link.residuals) == (created[0].key, 1.0, {})
+                made.append((created[0], link))
+        return created
+
+    def refreshing(ig, cfg):
+        refresh(ig, cfg)
+        for group, link in made:
+            screens = model.node(group.model_type).specialize_relations[
+                ig.nodes[link.source].model_type]
+            frames = {l.slot: ig.nodes[l.source].frame
+                      for l in ig.links_to(group.key, "group-member")}
+            strains = {f"{rel.function}({','.join(rel.operands)})":
+                       relation_strain(rel, [frames[op] for op in rel.operands], cfg.s_fail)
+                       for rel in screens}
+            total = sum(strains.values(), 0.0)
+            assert link.conditional == cond_probability(total)
+            assert link.residuals == strains
+            totals.append(total)
+        made.clear()
+
+    monkeypatch.setattr(dualgraph.recognize, "verify", verifying)
+    monkeypatch.setattr(dualgraph.recognize, "refresh_conditionals", refreshing)
+    ig = recognize(scene, model)
+    assert _best_p(ig, "truck1") >= 0.5
+    # jitter strains every screen, so verify's own score would read below 1
+    assert totals and all(total > 0.0 for total in totals)
+
+
+def test_a_specialization_instance_is_not_specialized_again():
+    """`pair_a` re-declares the parts of `pair`, its parent, and screens a
+    child of its own on them. An instance of `pair_a` is made when a
+    `pair` verifies; its own screen applies only to a `pair_a` verified
+    from its parts, which has no relation to be hypothesized by."""
+    parts = [{"name": "c_1", "type": "circle", "frame": _circle([-0.5, 0], 0.4)},
+             {"name": "c_2", "type": "circle", "frame": _circle([0.5, 0], 0.4)}]
+    screen = [["size-ratio", "c_1", "c_2", 1.0, 0.2]]
+    model = load_model({"nodes": [
+        {"type": "circle", "symmetry": "circle", "frame": _circle([0, 0], 1)},
+        {"type": "pair", "symmetry": "rectangle",
+         "frame": {"origin": [0, 0], "axes": [[0.9, 0], [0, 0.4]]}, "parts": parts,
+         "relations": [["distance-ratio", "c_1", "c_2", 2.5, 0.1], *screen],
+         "lower_loa": ["pair_a"], "specialize": {"pair_a": screen}},
+        {"type": "pair_a", "symmetry": "rectangle",
+         "frame": {"origin": [0, 0], "axes": [[0.9, 0], [0, 0.4]]}, "parts": parts,
+         "lower_loa": ["pair_aa"], "specialize": {"pair_aa": screen}},
+        {"type": "pair_aa", "symmetry": "rectangle",
+         "frame": {"origin": [0, 0], "axes": [[0.9, 0], [0, 0.4]]}},
+    ]})
+    prims = [Primitive("circle", center=c, radius=0.4) for c in ((-0.5, 0), (0.5, 0))]
+    ig = recognize(Scene(dim=2, primitives=prims, id="nested"), model)
+    types = [n.model_type for n in ig.nodes.values()]
+    assert types.count("pair") == 1 and types.count("pair_a") == 1
+    assert "pair_aa" not in types
 
 
 def test_recognize_reads_the_model_tables_without_rebuilding(monkeypatch):

@@ -261,7 +261,7 @@ def test_generation_errors():
     face = load_model_file(fixture_path("face.json"))
     with pytest.raises(GenerationError):
         generate_scenes(GeneratorSpec(model=face, target="face", camera="random"))
-    ghost = load_model({"dim": 2, "root": "ghost", "nodes": [{"type": "ghost"}]})
+    ghost = load_model({"dim": 2, "nodes": [{"type": "ghost"}]})
     with pytest.raises(GenerationError):
         generate_scenes(GeneratorSpec(model=ghost, target="ghost"))
 
