@@ -286,17 +286,17 @@ class _GroupSlots:
     """A group's realized slots, gathered so they can be placed under any
     frame of the group (`_placement_strains`) and fitted (`_fitted_frames`).
 
-    `frame` is the group's own frame; `members` maps each realized slot to
-    its member node (the first group-member link per slot) and `frames` to
-    that member's frame; `placed` holds per slot its name, its template
-    frame, the member's frame, the slot elasticity and the member's
-    symmetry class; `plan_key` names the group's fit plan (`_fit_plan`):
-    `flat` and each placed slot's name and symmetry class. In projected
-    mode the group instance lives in 2D while the template is 3D; planar
-    templates flatten to the view plane, which is exact for the planar
-    substructures whose ratios survive affine projection. A template or
-    slot frame that degenerates when flattened is None and costs infinite
-    strain.
+    `frame` is the group's own frame; `members` maps slot name to its member
+    node (of the group-member links a graph built by hand may put in one
+    slot, the first) and `frames` to that member's frame; `placed` holds
+    per slot its name, its template frame, the member's frame, the slot
+    elasticity and the member's symmetry class; `plan_key` names the
+    group's fit plan (`_fit_plan`): `flat` and each placed slot's name and
+    symmetry class. In projected mode the group instance lives in 2D while
+    the template is 3D; planar templates flatten to the view plane, which
+    is exact for the planar substructures whose ratios survive affine
+    projection. A template or slot frame that degenerates when flattened is
+    None and costs infinite strain.
     """
 
     def __init__(self, ig, group):

@@ -156,14 +156,21 @@ def _checked_residuals(residuals) -> dict:
     return {name: float(value) for name, value in residuals.items()}
 
 
-def _check_link_fits(link: ImageLink, model):
-    """Both ends of a link are of model types, and its slot names a part of
-    its target's type."""
+def _check_link_fits(link: ImageLink, model, filled: set):
+    """Both ends of a link are of model types, its slot names a part of
+    its target's type, and a group-member link fills a slot that no link
+    before it filled (`filled`, the (target, slot) pairs so far): a slot
+    holds at most one member."""
     for model_type, _ in (link.source, link.target):
         if model_type not in model.nodes:
             raise SceneFormatError(f"linked node type {model_type!r} is not in the model")
     if link.slot is not None and link.slot not in model.node(link.target[0]).slot_names():
         raise SceneFormatError(f"link slot {link.slot!r} is not a part of {link.target[0]!r}")
+    if link.kind == "group-member":
+        if link.slot is None or (link.target, link.slot) in filled:
+            raise SceneFormatError(f"group-member link into {link.target} needs a slot of its own,"
+                                   f" got {link.slot!r}")
+        filled.add((link.target, link.slot))
 
 
 class ImageGraph:
@@ -320,6 +327,7 @@ class ImageGraph:
                 ig._counters[node.model_type] = max(
                     ig._counters.get(node.model_type, 0), node.instance
                 )
+            filled = set()
             for raw in obj.get("links", []):
                 _check_keys(raw, LINK_KEYS, "link")
                 ends = tuple(raw["from"]), tuple(raw["to"])
@@ -345,7 +353,7 @@ class ImageGraph:
                 if link.slot is not None and not isinstance(link.slot, str):
                     raise SceneFormatError(f"link slot must be a name, got {link.slot!r}")
                 if model is not None:
-                    _check_link_fits(link, model)
+                    _check_link_fits(link, model, filled)
         except (KeyError, TypeError, ValueError, OverflowError, DegenerateFrameError) as exc:
             # a field of the wrong JSON type or shape, an unhashable node key,
             # an unknown link kind (add_link's ValueError) or a rejected frame

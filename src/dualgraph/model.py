@@ -32,9 +32,8 @@ DEFAULT_ELASTICITY = (0.25, 0.25, 0.25)
 
 # The keys a model document may hold: at its top level, in a node, in a part
 DOCUMENT_KEYS = ("nodes", "dim")
-NODE_KEYS = ("type", "frame", "symmetry", "parts", "relations", "specialize", "lower_loa",
-             "higher_loa")
-PART_KEYS = ("name", "type", "variant", "frame", "multiplicity", "essential", "elasticity")
+NODE_KEYS = ("type", "frame", "symmetry", "parts", "relations", "specialize", "lower_loa")
+PART_KEYS = ("name", "type", "variant", "frame", "essential", "elasticity")
 
 
 def _check_keys(obj: dict, keys, where: str, path: str = ""):
@@ -84,7 +83,8 @@ class PartLink:
 
     `name` identifies the slot in relation specs; `type_name` is the model
     node filling it (defaults to the name when the file omits "type").
-    Variant-tagged slots are mutually exclusive alternatives.
+    A slot holds at most one member. Variant-tagged slots are mutually
+    exclusive alternatives.
     """
 
     name: str
@@ -92,7 +92,6 @@ class PartLink:
     frame: Frame
     essential: bool = True
     variant_tag: Optional[str] = None
-    multiplicity: tuple = (1, 1)
     elasticity: tuple = DEFAULT_ELASTICITY
 
     @staticmethod
@@ -107,16 +106,6 @@ class PartLink:
         if "frame" not in obj:
             raise ModelFormatError(f"{where}: part {name!r} has no frame")
         frame = Frame.from_json(obj["frame"])
-        mult = obj.get("multiplicity", 1)
-        if mult == "many":
-            multiplicity = (1, None)
-        elif type(mult) is int:
-            multiplicity = (mult, mult)
-        elif (isinstance(mult, list) and len(mult) == 2 and type(mult[0]) is int
-              and (mult[1] is None or type(mult[1]) is int)):
-            multiplicity = tuple(mult)
-        else:
-            raise ModelFormatError(f"{where}: bad multiplicity {mult!r} on part {name!r}")
         elasticity = tuple(obj.get("elasticity", DEFAULT_ELASTICITY))
         if len(elasticity) != 3 or any(not _is_number(e) or not 0 < e < np.inf
                                        for e in elasticity):
@@ -130,7 +119,6 @@ class PartLink:
             frame=frame,
             essential=essential,
             variant_tag=obj.get("variant"),
-            multiplicity=multiplicity,
             # an int beyond the float range raises OverflowError here
             elasticity=tuple(map(float, elasticity)),
         )
@@ -153,6 +141,7 @@ class ModelNode:
     parts: list = field(default_factory=list)
     relations: list = field(default_factory=list)
     lower_loa: list = field(default_factory=list)
+    # derived from the other nodes' lower_loa by `_complete_links`
     higher_loa: list = field(default_factory=list)
     specialize_relations: dict = field(default_factory=dict)
     # pinv of the template axes by `flat` (belief._template_pinv), and the
@@ -217,16 +206,12 @@ class ModelGraph:
 
 
 def _complete_links(g: ModelGraph) -> None:
-    """Fill in the reciprocal half of one-sided link declarations."""
+    """Derive each node's `higher_loa` from the document's `lower_loa` links."""
     for node in g.nodes.values():
         for child in node.lower_loa:
             other = g.nodes.get(child)
             if other is not None and node.type_name not in other.higher_loa:
                 other.higher_loa.append(node.type_name)
-        for parent in node.higher_loa:
-            other = g.nodes.get(parent)
-            if other is not None and node.type_name not in other.lower_loa:
-                other.lower_loa.append(node.type_name)
     for node in g.nodes.values():
         node.lower_loa = sorted(set(node.lower_loa))
         node.higher_loa = sorted(set(node.higher_loa))
@@ -281,17 +266,11 @@ def validate(g: ModelGraph) -> list:
             seen_slots.add(link.name)
             if link.type_name not in g.nodes:
                 violations.append(f"node {name}: part {link.name!r} references undefined type {link.type_name!r}")
-            lo, hi = link.multiplicity
-            if lo < 0 or (hi is not None and hi < lo):
-                violations.append(f"node {name}: part {link.name!r} has bad multiplicity {link.multiplicity}")
-            if link.essential and lo < 1:
-                violations.append(f"node {name}: essential part {link.name!r} needs multiplicity lower bound >= 1")
             if link.frame.dim != g.dim:
                 violations.append(f"node {name}: part {link.name!r} frame has wrong dimension")
-        for ref_list, rel_name in ((node.lower_loa, "lower-LoA"), (node.higher_loa, "higher-LoA")):
-            for ref in ref_list:
-                if ref not in g.nodes:
-                    violations.append(f"node {name}: {rel_name} reference {ref!r} is undefined")
+        for ref in node.lower_loa:
+            if ref not in g.nodes:
+                violations.append(f"node {name}: lower-LoA reference {ref!r} is undefined")
 
         for spec in node.relations:
             for operand in spec.operands:
@@ -346,18 +325,17 @@ def _node_from_json(obj, dim: int) -> ModelNode:
         parts=parts,
         relations=relations,
         lower_loa=_names(obj.get("lower_loa", []), where),
-        higher_loa=_names(obj.get("higher_loa", []), where),
         specialize_relations=specialize,
     )
 
 
 def load_model(data, path: Optional[str] = None) -> ModelGraph:
-    """Parse a model-graph document (bytes, text, or parsed dict), complete
-    its one-sided LoA links, validate it, and fill its lookup tables.
+    """Parse a model-graph document (bytes, text, or parsed dict), derive
+    its higher-LoA links, validate it, and fill its lookup tables.
 
     A key outside DOCUMENT_KEYS, NODE_KEYS, PART_KEYS or a frame's origin
-    and axes is rejected, and so is a number, flag or count that is not a
-    JSON number, boolean or int, and a `dim` that is not the int 2 or 3."""
+    and axes is rejected, and so is a number or flag that is not a JSON
+    number or boolean, and a `dim` that is not the int 2 or 3."""
     if isinstance(data, (bytes, str)):
         try:
             doc = json.loads(data)

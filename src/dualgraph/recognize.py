@@ -782,10 +782,9 @@ def generate_hypotheses(model: ModelGraph, frontier, cfg: Config,
 
 
 def _need(slot) -> int:
-    """How many members every match must bind to this slot by itself: its
-    multiplicity lower bound when it is essential and in no variant tag
-    (model validation makes that at least 1), else 0."""
-    return slot.multiplicity[0] if slot.essential and slot.variant_tag is None else 0
+    """How many members every match must bind to this slot by itself: 1
+    when it is essential and in no variant tag, else 0."""
+    return 1 if slot.essential and slot.variant_tag is None else 0
 
 
 class _Query(NamedTuple):
@@ -820,7 +819,7 @@ def _predict_slots(index, model, mnode, transforms, cfg, projected) -> list:
 
     A slot that every match must fill by itself (`_need`) is short
     when the query finds fewer instances of a fitting type within the gate
-    radius (with `_PREFILTER_SLACK`) than its lower bound. Neither matching
+    radius (with `_PREFILTER_SLACK`) than it needs. Neither matching
     could then fill it, since a slot binds only its own candidates within
     that radius, so no `_Query` is built for such a transform.
 
@@ -918,19 +917,18 @@ def _slot_gate(index, slots, cfg, hits, points, slot_of, lengths):
 def _gated_matching(index, model, mnode, queries, cfg):
     """The gated matching of one transform, `queries` as `_predict_slots`
     gives them: `_bind`'s (matched, strains), matched mapping slot name to
-    member keys and strains holding their placement strains, or (None, {})
-    when an essential slot cannot be filled. A candidate lies within the
-    tight radius of its slot and within s_fail of its predicted placement,
-    and ranks by placement strain.
+    its member key and strains to that member's placement strain, or
+    (None, {}) when an essential slot cannot be filled. A candidate lies
+    within the tight radius of its slot and within s_fail of its predicted
+    placement, and ranks by placement strain.
 
     Fail fast: `queries` None (a degenerate prediction, or an essential
     slot short within the gate radius) fails before any strain is scored,
-    and so does an essential slot (`_need`) with fewer gated rows
-    (`_Query.gated`) than its lower bound. The essential slots are then
-    scored first, and once one of them has fewer candidates passing the
-    exact gate than its lower bound, the matching fails and scores no
-    further strain. The shortcut is exact: a slot binds only its own
-    candidates.
+    and so does an essential slot (`_need`) with no gated rows
+    (`_Query.gated`). The essential slots are then scored first, and once
+    one of them has no candidate passing the exact gate, the matching
+    fails and scores no further strain. The shortcut is exact: a slot
+    binds only its own candidates.
 
     Prefilter contract: the slot gate (`_slot_gate`) is the only prefilter;
     only a query's gated rows, a superset of those that can pass the exact
@@ -961,11 +959,11 @@ def _gated_matching(index, model, mnode, queries, cfg):
 
 def _rough_matching(index, mnode, queries, cfg):
     """The rough matching of one transform, `queries` as `_predict_slots`
-    gives them: matched, mapping slot name to member keys, or None when an
-    essential slot cannot be filled. It only picks the members a refit is
-    fitted from, so it ranks and never scores: only the origin radius gate
-    applies (it tolerates the rotational slack of a rough transform), and a
-    candidate ranks by its origin offset over the predicted scale.
+    gives them: matched, mapping slot name to its member key, or None when
+    an essential slot cannot be filled. It only picks the members a refit
+    is fitted from, so it ranks and never scores: only the origin radius
+    gate applies (it tolerates the rotational slack of a rough transform),
+    and a candidate ranks by its origin offset over the predicted scale.
 
     A candidate waits in a `_Nearest` stream behind a lower bound of its
     rank and gets its exact rank only when it could bind next (see
@@ -1014,14 +1012,14 @@ class _Nearest:
 
 def _bind(mnode, candidates):
     """Greedy binding of (rank, slot name, key, pending) candidates in rank
-    order (ties by slot name, then key), one winner per variant tag: the
-    tagged slot with the best rank it bound. Then the essential-slot check,
-    which returns (None, {}) on failure. Returns (matched, ranks), each
-    mapping slot name to its bound keys and their ranks in binding order.
+    order (ties by slot name, then key), one member per slot and one winner
+    per variant tag: the tagged slot with the better rank. Then the
+    essential-slot check, which returns (None, {}) on failure. Returns
+    (matched, ranks), mapping slot name to its member key and to its rank.
 
     A pending candidate is the head (stream, pos) of a `_Nearest` stream and
     carries a lower bound of its rank. When it comes first while its slot
-    has room, the stream's next candidate joins the line and, unless its
+    is unbound, the stream's next candidate joins the line and, unless its
     key is bound already, it is resolved to its exact candidate, which
     rejoins the line (or is dropped when it fails its exact gate). Every
     candidate still in a stream ranks at or after its head, so candidates
@@ -1032,11 +1030,9 @@ def _bind(mnode, candidates):
     matched: dict = {}
     ranks: dict = {}
     used = set()
-    limits = {slot.name: slot.multiplicity for slot in mnode.parts}
     while candidates:
         rank, name, key, pending = heapq.heappop(candidates)
-        hi = limits[name][1]
-        if hi is not None and len(matched.get(name, [])) >= hi:
+        if name in matched:
             continue
         if pending is not None:
             stream, pos = pending
@@ -1049,8 +1045,8 @@ def _bind(mnode, candidates):
             continue
         if key in used:
             continue
-        matched.setdefault(name, []).append(key)
-        ranks.setdefault(name, []).append(rank)
+        matched[name] = key
+        ranks[name] = rank
         used.add(key)
 
     # one winner per variant tag: keep the best-ranked tagged slot
@@ -1061,24 +1057,16 @@ def _bind(mnode, candidates):
     for tag, names in sorted(tags.items()):
         if len(names) < 2:
             continue
-        keep = min(names, key=lambda n: (min(ranks[n]), n))
+        keep = min(names, key=lambda n: (ranks[n], n))
         for name in names:
             if name != keep:
                 matched.pop(name)
                 ranks.pop(name)
 
-    covered = set()
+    covered = {slot.variant_tag for slot in mnode.parts if slot.name in matched}
     for slot in mnode.parts:
-        if (slot.variant_tag is not None
-                and len(matched.get(slot.name, [])) >= slot.multiplicity[0]):
-            covered.add(slot.variant_tag)
-    for slot in mnode.parts:
-        have = len(matched.get(slot.name, []))
-        if slot.variant_tag is not None:
-            if slot.essential and slot.variant_tag not in covered:
-                return None, {}
-            continue
-        if slot.essential and have < slot.multiplicity[0]:
+        filled = slot.name in matched if slot.variant_tag is None else slot.variant_tag in covered
+        if slot.essential and not filled:
             return None, {}
     return matched, ranks
 
@@ -1087,14 +1075,14 @@ def _match_score(matched, strains):
     """Fuller matchings beat sparse ones; total strain breaks ties."""
     if matched is None:
         return (1, 0, math.inf)
-    total = sum(sum(v) for v in strains.values())
-    return (0, -sum(len(v) for v in matched.values()), total)
+    return (0, -len(matched), sum(strains.values()))
 
 
 def _refits(ig, model, keys, projected) -> list:
     """Per (group type, rough matching) key, the transform re-estimated from
-    every matched slot's origin (the first member of each slot), or None
-    when fewer than two slots are matched or the fit is degenerate.
+    the origin of every matched slot's member, the matching given as sorted
+    (slot name, member key) pairs, or None when fewer than two slots are
+    matched or the fit is degenerate.
 
     A two-clue fit can leave rotational slack (tied axes carry no
     direction); the matched set usually pins it down. The keys are fitted
@@ -1107,7 +1095,7 @@ def _refits(ig, model, keys, projected) -> list:
     for members in by_count.values():
         model_pts = np.array([[model.node(keys[c][0]).part(name).frame.origin
                                for name, _ in keys[c][1]] for c in members])
-        image_pts = np.array([[[ig.nodes[first].frame.origin for _, (first, *_) in keys[c][1]]]
+        image_pts = np.array([[[ig.nodes[key].frame.origin for _, key in keys[c][1]]]
                               for c in members])
         for c, fit in zip(members, _best_fits(model_pts, image_pts, projected)):
             out[c] = fit
@@ -1116,7 +1104,8 @@ def _refits(ig, model, keys, projected) -> list:
 
 def _match_wave(index, model: ModelGraph, hypotheses, cfg: Config) -> list:
     """Per hypothesis, the matching `verify` binds: (matched, strains,
-    transform), or None when no matching fills the essential slots.
+    transform), matched mapping slot name to its member key, or None when
+    no matching fills the essential slots.
 
     Each hypothesis's slots are predicted from the snapshot, one
     `_predict_slots` call per group type since one hypothesis predicts only
@@ -1153,7 +1142,7 @@ def _match_wave(index, model: ModelGraph, hypotheses, cfg: Config) -> list:
         rough = _rough_matching(index, mnode, q, cfg)
         key = None
         if rough:
-            key = (h.group_type, tuple((name, tuple(rough[name])) for name in sorted(rough)))
+            key = (h.group_type, tuple(sorted(rough.items())))
             refits[key] = None
         firsts.append((_gated_matching(index, model, mnode, q, cfg), key))
     keys = list(refits)
@@ -1180,7 +1169,7 @@ def _drop_relation_offenders(index, mnode, matched, cfg, group_frame):
     hypothesis of an object reads the same member pairs."""
     ig = index.ig
     while True:
-        frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
+        frames = {name: ig.nodes[key].frame for name, key in matched.items()}
         worst = None
         for rel, s in relation_strains(ig, mnode, mnode.relations, frames, cfg.s_fail,
                                        group_frame):
@@ -1235,17 +1224,15 @@ def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: Candi
         return None
     # the matched map may be shared with other hypotheses; unbind from a copy
     matched = _drop_relation_offenders(index, mnode, dict(matched), cfg, frame)
-    if matched is None or _has_group(ig, h.group_type,
-                                     frozenset(k for keys in matched.values() for k in keys)):
+    if matched is None or _has_group(ig, h.group_type, frozenset(matched.values())):
         return None
     group = ig.add_node(h.group_type, frame=frame, status="verified",
                         template_weight=group_weight(mnode, cfg.optional_weight))
     created = [group]
     for name in sorted(matched):
-        for key in matched[name]:
-            shadow = bind_member(ig, group.key, name, key)
-            if shadow is not None:
-                created.append(shadow)
+        shadow = bind_member(ig, group.key, name, matched[name])
+        if shadow is not None:
+            created.append(shadow)
     created.extend(_specialize(ig, model, group, matched, cfg))
     return created
 
@@ -1256,7 +1243,7 @@ def _specialize(ig, model, group, matched, cfg):
     on matched parts and each straining at most `s_fail`. Its `specializes`
     link starts at 1 for `refresh_conditionals` to score. A child type's own
     screens name its own parts: they apply when it is verified from them."""
-    frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
+    frames = {name: ig.nodes[key].frame for name, key in matched.items()}
     mnode = model.node(group.model_type)
     created = []
     for child_name, screens in sorted(mnode.specialize_relations.items()):

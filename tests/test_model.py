@@ -5,7 +5,6 @@ import pytest
 from conftest import shape_library
 from dualgraph.errors import ModelFormatError, ModelValidationError
 from dualgraph.model import (
-    PartLink,
     RelationSpec,
     build_midx,
     fixture_path,
@@ -106,16 +105,6 @@ def test_part_and_loa_link_on_same_pair_rejected():
 def test_malformed_json_reports_path():
     with pytest.raises(ModelFormatError):
         load_model(b"{not json", path="bad.json")
-
-
-def test_multiplicity_forms():
-    frame = {"origin": [0, 0], "axes": [[1, 0], [0, 0]]}
-    assert PartLink.from_json({"name": "s", "frame": frame}, "t").multiplicity == (1, 1)
-    assert PartLink.from_json({"name": "s", "frame": frame, "multiplicity": 4}, "t").multiplicity == (4, 4)
-    assert PartLink.from_json({"name": "s", "frame": frame, "multiplicity": [2, 5]}, "t").multiplicity == (2, 5)
-    assert PartLink.from_json({"name": "s", "frame": frame, "multiplicity": "many"}, "t").multiplicity == (1, None)
-    with pytest.raises(ModelFormatError):
-        PartLink.from_json({"name": "s", "frame": frame, "multiplicity": "lots"}, "t")
 
 
 def test_relation_spec_round_trip():

@@ -284,15 +284,11 @@ def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_ga
     matched = {}
     ranks = {}
     used = set()
-    limits = {slot.name: slot.multiplicity for slot in mnode.parts}
     for rank, name, key in candidates:
-        if key in used:
+        if key in used or name in matched:
             continue
-        lo, hi = limits[name]
-        if hi is not None and len(matched.get(name, [])) >= hi:
-            continue
-        matched.setdefault(name, []).append(key)
-        ranks.setdefault(name, []).append(rank)
+        matched[name] = key
+        ranks[name] = rank
         used.add(key)
     tags = {}
     for slot in mnode.parts:
@@ -301,30 +297,28 @@ def scalar_match_slots(index, model, mnode, transform, cfg, projected, strain_ga
     for tag, names in sorted(tags.items()):
         if len(names) < 2:
             continue
-        keep = min(names, key=lambda n: (min(ranks[n]), n))
+        keep = min(names, key=lambda n: (ranks[n], n))
         for name in names:
             if name != keep:
                 matched.pop(name)
                 ranks.pop(name)
     covered = set()
     for slot in mnode.parts:
-        if (slot.variant_tag is not None
-                and len(matched.get(slot.name, [])) >= slot.multiplicity[0]):
+        if slot.variant_tag is not None and slot.name in matched:
             covered.add(slot.variant_tag)
     for slot in mnode.parts:
-        have = len(matched.get(slot.name, []))
         if slot.variant_tag is not None:
             if slot.essential and slot.variant_tag not in covered:
                 return None, ranks
             continue
-        if slot.essential and have < slot.multiplicity[0]:
+        if slot.essential and slot.name not in matched:
             return None, ranks
     return matched, ranks
 
 
 def scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, group_frame=None):
     while True:
-        frames = {name: ig.nodes[keys[0]].frame for name, keys in matched.items()}
+        frames = {name: ig.nodes[key].frame for name, key in matched.items()}
         worst = None
         for rel, s in relation_strains(ImageGraph(projected=projected), mnode,
                                        mnode.relations, frames, cfg.s_fail, group_frame):
@@ -351,7 +345,7 @@ def scalar_refit(mnode, matched, ig, transform, projected):
     """The transform re-estimated from every matched slot's origin, one fit
     at a time; the original transform when the refit is degenerate."""
     mpts = np.array([mnode.part(name).frame.origin for name in sorted(matched)])
-    ipts = np.array([ig.nodes[matched[name][0]].frame.origin for name in sorted(matched)])
+    ipts = np.array([ig.nodes[matched[name]].frame.origin for name in sorted(matched)])
     if len(mpts) < 2:
         return transform
     try:
@@ -391,7 +385,7 @@ def scalar_verify(h, model, cfg, index):
     matched = scalar_drop_relation_offenders(ig, mnode, matched, cfg, projected, frame)
     if matched is None:
         return None
-    member_set = frozenset(k for keys in matched.values() for k in keys)
+    member_set = frozenset(matched.values())
     for node in ig.nodes.values():
         if node.model_type != h.group_type or node.status == "pruned":
             continue
@@ -402,10 +396,9 @@ def scalar_verify(h, model, cfg, index):
                         template_weight=group_weight(mnode, cfg.optional_weight))
     created = [group]
     for name in sorted(matched):
-        for key in matched[name]:
-            shadow = bind_member(ig, group.key, name, key)
-            if shadow is not None:
-                created.append(shadow)
+        shadow = bind_member(ig, group.key, name, matched[name])
+        if shadow is not None:
+            created.append(shadow)
     created.extend(rec._specialize(ig, model, group, matched, cfg))
     return created
 
@@ -798,8 +791,8 @@ def test_a_refit_that_falls_back_is_not_kept(monkeypatch):
     model, mnode, index = _face_scene(with_segments=True)
     cfg = make_config()
     rough = _rough(model, mnode, index)
-    head = ("head", tuple(rough["head"]))
-    full = tuple((name, tuple(rough[name])) for name in sorted(rough))
+    head = ("head", rough["head"])
+    full = tuple(sorted(rough.items()))
     keys = [("face", (head,)), ("face", (("eye_1", head[1]), head)), ("face", full)]
     one, coincident, usable = rec._refits(index.ig, model, keys, False)
     assert one is None and coincident is None and usable is not None
@@ -844,10 +837,10 @@ def test_a_rough_matching_keeps_its_best_ranked_variant():
                                                                   strain("trunk-b", near))
     assert strain("trunk-b", near) < cfg.s_fail
     (matched, _), rough = _match(index, model, mnode, identity, cfg, False)
-    assert rough == {"cab": [cab.key], "trunk-a": [near.key]}
+    assert rough == {"cab": cab.key, "trunk-a": near.key}
     assert rough == scalar_match_slots(index, model, mnode, identity, cfg, False,
                                        strain_gate=False)[0]
-    assert matched == {"cab": [cab.key], "trunk-b": [fit.key]}
+    assert matched == {"cab": cab.key, "trunk-b": fit.key}
 
 
 @pytest.mark.parametrize("fixture, target", [("face.json", "face"), ("truck_flat.json", "truck1")])
@@ -1472,7 +1465,7 @@ def test_every_batched_prediction_is_the_scalar_one(monkeypatch, fixture, target
                 continue
             short = [slot for slot, pred in want if len(scalar_rows(
                 index, model, slot, pred, cfg.gate_radius
-            )) < (slot.multiplicity[0] if slot.essential and slot.variant_tag is None else 0)]
+            )) < (1 if slot.essential and slot.variant_tag is None else 0)]
             seen["short"] += bool(short)
             if short:
                 assert queries is None
