@@ -24,7 +24,6 @@ import numpy as np
 from .config import Config
 from .errors import DegenerateFrameError
 from .geometry import (
-    AFFINE_SAFE,
     Frame,
     angle_between,
     canonical_scale,
@@ -43,33 +42,6 @@ def cond_probability(strain: float) -> float:
             return 0.0
         raise ValueError(f"strain must be nonnegative, got {strain}")
     return math.exp(-strain / 2.0)
-
-
-def relation_usable(rel: RelationSpec, mnode, projected: bool) -> bool:
-    """Whether a relation can be trusted for the current viewing mode.
-
-    In a projected scene (a 3D model seen through an unknown affine camera)
-    only affine-invariant measurements hold: topological relations always,
-    parallelism always, a zero-angle target, and ratios along parallel model
-    directions. Everything else is skipped rather than mis-scored.
-    """
-    if not projected:
-        return True
-    if rel.function in AFFINE_SAFE:
-        return True
-    if rel.function == "angle":
-        return abs(float(rel.target)) < 1e-9
-    if rel.function in ("size-ratio", "distance-ratio"):
-        fa = mnode.part(rel.operands[0]).frame
-        fb = mnode.part(rel.operands[1]).frame
-        da = fa.primary_axis
-        db = fb.primary_axis if rel.function == "size-ratio" else fb.origin - fa.origin
-        na = float(np.linalg.norm(da))
-        nb = float(np.linalg.norm(db))
-        if na < 1e-12 or nb < 1e-12:
-            return False
-        return abs(float(da @ db)) / (na * nb) > 1.0 - 1e-6
-    return False
 
 
 def _square(x: float) -> float:
@@ -194,13 +166,13 @@ def relation_strains(ig, mnode, rels, frames, s_fail: float, group_frame=None):
     """Yield (rel, strain) for each relation of `rels` that can be scored in
     the scene of `ig`: the one path by which a relation is scored.
 
-    A relation is scored when `relation_usable` accepts it for the viewing
-    mode (`ig.projected`) and every operand has a frame in `frames` (a map
-    from slot name to frame); the others are skipped. A strain is scored by
-    `contextual_relation_strain`, infinite where the evaluation
-    degenerates, and kept in the scene's memo
-    (`ig.strains`), keyed by the relation's `spec`, s_fail and its two
-    operand frames. A frame hashes by identity and is never changed in
+    A relation is scored when every operand has a frame in `frames` (a map
+    from slot name to frame) and, in a projected scene (`ig.projected`),
+    the model has it survive an affine view (`RelationSpec.affine_invariant`);
+    the others are skipped. A strain is scored by
+    `contextual_relation_strain`, infinite where the evaluation degenerates,
+    and kept in the scene's memo (`ig.strains`), keyed by the relation's
+    `spec`, s_fail and its two operand frames. A frame hashes by identity and is never changed in
     place (`Frame`), so a node that moves gets a new key. A row-resolved
     relation in a projected scene given a group frame also reads that
     frame, the group's type and the relation's operands
@@ -212,7 +184,7 @@ def relation_strains(ig, mnode, rels, frames, s_fail: float, group_frame=None):
     projected = ig.projected
     memo = ig.strains
     for rel in rels:
-        if not relation_usable(rel, mnode, projected):
+        if projected and not rel.affine_invariant:
             continue
         try:
             a, b = operand_frames = [frames[op] for op in rel.operands]
@@ -457,9 +429,7 @@ def bind_member(ig, group_key, slot_name: str, member_key):
     if slot.type_name == member.model_type:
         ig.add_link("group-member", member.key, group.key, slot=slot_name, carries_up=True)
         return None
-    shadow = ig.add_node(
-        slot.type_name, frame=member.frame, spec_slot=slot_name, status=group.status
-    )
+    shadow = ig.add_node(slot.type_name, frame=member.frame, spec_slot=slot_name)
     ig.add_link("specializes", shadow.key, member.key)
     ig.add_link("part-of", shadow.key, group.key, slot=slot_name)
     ig.add_link("group-member", member.key, group.key, slot=slot_name, carries_up=False)

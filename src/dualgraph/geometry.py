@@ -28,11 +28,6 @@ RELATION_FUNCTIONS = (
     "inside",
 )
 
-# Relations whose truth survives an affine view of the scene. The ratio
-# relations only do so along parallel directions; the recognizer checks that
-# separately before trusting them in a projected scene.
-AFFINE_SAFE = {"parallel", "touch", "inside"}
-
 _ORTHO_TOL = 1e-9
 
 # Largest axis entry a frame may hold: the Gram product `Frame` forms sums at

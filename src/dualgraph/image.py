@@ -1,7 +1,9 @@
 """The image graph: recognized structure built over one scene.
 
 Nodes are typed instances (a particular rectangle, a particular truck) with a
-frame, a probability, and a lifecycle status. Links carry conditional
+frame, a probability, and a status: ``verified``, as recognition makes every
+node, or ``pruned`` once belief has dropped it (a pruned node has no links).
+A node loaded without a status is verified. Links carry conditional
 probabilities between instances:
 
 - ``part-of``: child supports a group instance (upward flow only).
@@ -38,7 +40,7 @@ from dataclasses import dataclass, field
 from .errors import DegenerateFrameError, SceneFormatError
 from .geometry import Frame, _is_number
 
-NODE_STATUSES = ("hypothesized", "verified", "pruned")
+NODE_STATUSES = ("verified", "pruned")
 LINK_KINDS = ("part-of", "group-member", "specializes")
 
 # The keys of the serialized form, each object's in the order `to_bytes` writes them
@@ -85,7 +87,7 @@ class ImageNode:
     instance: int
     frame: Frame
     probability: float = 0.0
-    status: str = "hypothesized"
+    status: str = "verified"
     template_weight: float = 1.0
     strength: float = 0.0
     prim_index: int | None = None
@@ -310,7 +312,7 @@ class ImageGraph:
                     instance=instance,
                     frame=Frame.from_json(raw["frame"]),
                     probability=_number(raw, "p", 0.0, "node"),
-                    status=raw.get("status", "hypothesized"),
+                    status=raw.get("status", "verified"),
                     template_weight=_number(raw, "weight", 1.0, "node"),
                     strength=_number(raw, "strength", 0.0, "node"),
                     prim_index=raw.get("prim"),

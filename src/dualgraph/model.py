@@ -50,12 +50,35 @@ class RelationSpec:
     operands: tuple
     target: float | bool
     tolerance: float
+    # the template frames of the two operand slots, attached by `_node_from_json`
+    operand_frames: tuple = field(default=(), compare=False, repr=False)
 
     @cached_property
     def spec(self) -> tuple:
         """(function, target, tolerance): equal for relations that score
         equal strains on equal operand frames."""
         return self.function, self.target, self.tolerance
+
+    @cached_property
+    def affine_invariant(self) -> bool:
+        """Whether the relation still holds when its model is seen through an
+        unknown affine camera, so a projected scene can score it.
+
+        A boolean relation always does, an angle only with a zero target,
+        and a ratio only along parallel model directions of its operands'
+        template frames. Decided once per relation, on first read."""
+        if self.function in BOOLEAN_RELATIONS:
+            return True
+        if self.function == "angle":
+            return abs(float(self.target)) < 1e-9
+        fa, fb = self.operand_frames
+        da = fa.primary_axis
+        db = fb.primary_axis if self.function == "size-ratio" else fb.origin - fa.origin
+        na = float(np.linalg.norm(da))
+        nb = float(np.linalg.norm(db))
+        if na < 1e-12 or nb < 1e-12:
+            return False
+        return abs(float(da @ db)) / (na * nb) > 1.0 - 1e-6
 
     @staticmethod
     def from_json(row, where: str) -> "RelationSpec":
@@ -318,6 +341,10 @@ def _node_from_json(obj, dim: int) -> ModelNode:
         child: [RelationSpec.from_json(r, f"{where} specialize {child}") for r in rows]
         for child, rows in obj.get("specialize", {}).items()
     }
+    frames = {link.name: link.frame for link in parts}
+    for rel in relations + [rel for rows in specialize.values() for rel in rows]:
+        # an operand that names no part gets None; `validate` rejects it
+        rel.operand_frames = tuple(map(frames.get, rel.operands))
     return ModelNode(
         type_name=name,
         frame_template=frame,

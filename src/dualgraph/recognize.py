@@ -37,7 +37,6 @@ from .belief import (
     prune,
     refresh_conditionals,
     relation_strains,
-    relation_usable,
     relax_frames,
 )
 from .config import Config
@@ -92,8 +91,7 @@ def seed_image_graph(scene: Scene, model: ModelGraph,
         frame = prim.frame()
         if not (prim.kind == "linseg" and sym == "undirected-segment"):
             frame = canonicalize_frame(frame, sym)
-        ig.add_node(prim.kind, frame=frame, status="verified",
-                    strength=prim.strength, prim_index=i,
+        ig.add_node(prim.kind, frame=frame, strength=prim.strength, prim_index=i,
                     probability=min(1.0, cfg.p0 * prim.strength))
     return ig
 
@@ -285,7 +283,9 @@ class _Columns(NamedTuple):
 class CandidateIndex:
     """Per-wave snapshot of the candidate nodes, for cheap radius queries and
     column prefilters; the one place that decides what a candidate is: a
-    node that is neither a shadow (`spec_slot`) nor pruned.
+    node that is neither a shadow (`spec_slot`) nor pruned, of a type the
+    model has (a scene primitive of a kind the model lacks, such as a
+    circle before a model of segments, stays an unlinked seed node).
 
     Holds the candidates in key order and their frames' `_Columns`, taken
     once the graph has settled (after relax and prune). Frames and statuses
@@ -313,10 +313,10 @@ class CandidateIndex:
 
     def __init__(self, ig: ImageGraph):
         self.ig = ig
-        self.nodes = [n for n in ig.sorted_nodes()
-                      if n.spec_slot is None and n.status != "pruned"]
-        self.cols = _Columns.of([n.frame for n in self.nodes])
         model = ig.require_model()
+        self.nodes = [n for n in ig.sorted_nodes() if n.spec_slot is None
+                      and n.status != "pruned" and n.model_type in model.nodes]
+        self.cols = _Columns.of([n.frame for n in self.nodes])
         syms = [model.node(n.model_type).symmetry_class for n in self.nodes]
         self.circles = np.array([sym == "circle" for sym in syms], dtype=bool)
         self.scales = np.array([_canonical_scale_or_nan(n.frame, sym)
@@ -676,16 +676,14 @@ def _screen_type_pair(index, model, cfg, projected, types, entries, pairs, group
 
 
 def _screening_signature(entry, projected: bool) -> tuple:
-    """What a screening score reads besides its two ordered clue frames:
-    the group type and, per screening relation in order, its spec and the
-    clue each operand takes (0 for the entry's first slot, 1 for its
-    second); in projected mode also the operand names, since
-    `relation_usable` reads those slots' model frames. Entries of equal
-    signature score equal on equal clues (`_screening_score`)."""
+    """What a screening score reads besides its two ordered clue frames: per
+    screening relation the view can score, in order, its spec and the clue
+    each operand takes (0 for the entry's first slot, 1 for its second).
+    Entries of equal signature score equal on equal clues
+    (`_screening_score`), whatever their group types."""
     first = entry.slots[0]
-    return (entry.hypothesis, *(
-        rel.spec + tuple(int(op != first) for op in rel.operands)
-        + (rel.operands if projected else ()) for rel in entry.screening))
+    return tuple(rel.spec + tuple(int(op != first) for op in rel.operands)
+                 for rel in entry.screening if not projected or rel.affine_invariant)
 
 
 def _screening_score(mnode, entry, ca, cb, cfg, index) -> float:
@@ -1226,7 +1224,7 @@ def verify(h: Hypothesis, matching, model: ModelGraph, cfg: Config, index: Candi
     matched = _drop_relation_offenders(index, mnode, dict(matched), cfg, frame)
     if matched is None or _has_group(ig, h.group_type, frozenset(matched.values())):
         return None
-    group = ig.add_node(h.group_type, frame=frame, status="verified",
+    group = ig.add_node(h.group_type, frame=frame,
                         template_weight=group_weight(mnode, cfg.optional_weight))
     created = [group]
     for name in sorted(matched):
@@ -1247,13 +1245,13 @@ def _specialize(ig, model, group, matched, cfg):
     mnode = model.node(group.model_type)
     created = []
     for child_name, screens in sorted(mnode.specialize_relations.items()):
-        usable = [r for r in screens if relation_usable(r, mnode, ig.projected)]
+        usable = [r for r in screens if not ig.projected or r.affine_invariant]
         if not usable or not all(op in frames for r in usable for op in r.operands):
             continue
         if any(s > cfg.s_fail for _, s in relation_strains(ig, mnode, usable, frames,
                                                             cfg.s_fail, group.frame)):
             continue
-        child = ig.add_node(child_name, frame=group.frame, status="verified")
+        child = ig.add_node(child_name, frame=group.frame)
         ig.add_link("specializes", child.key, group.key)
         created.append(child)
     return created

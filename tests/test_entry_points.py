@@ -249,6 +249,9 @@ CASES = [
      SceneFormatError),
     ("graph-frame-list", ImageGraph.from_json, _graph(frame=[[0, 0], [[1, 0], [0, 1]]]),
      SceneFormatError),
+    # no run writes "hypothesized": recognition makes every node verified
+    ("graph-status-hypothesized", ImageGraph.from_json, _graph(status="hypothesized"),
+     SceneFormatError),
     ("graph-link-conditional-nan", ImageGraph.from_json, _linked(conditional=NAN),
      SceneFormatError),
     ("graph-link-conditional-above-one", ImageGraph.from_json, _linked(conditional=1.5),

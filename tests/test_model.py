@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from conftest import shape_library
@@ -117,6 +118,57 @@ def test_relation_spec_round_trip():
         RelationSpec.from_json(["touch", "a", "b", 1.0, 0.1], "t")
     with pytest.raises(ModelFormatError):
         RelationSpec.from_json(["size-ratio", "a", "b", 2.0, -0.1], "t")
+
+
+def relation_usable(rel: RelationSpec, mnode, projected: bool) -> bool:
+    """Reference rule for `RelationSpec.affine_invariant`, worked out per
+    call from the slot frames of `mnode`: whether a relation can be trusted
+    for the viewing mode. In a projected scene only topological relations,
+    parallelism, a zero-angle target and ratios along parallel model
+    directions hold."""
+    if not projected:
+        return True
+    if rel.function in {"parallel", "touch", "inside"}:
+        return True
+    if rel.function == "angle":
+        return abs(float(rel.target)) < 1e-9
+    if rel.function in ("size-ratio", "distance-ratio"):
+        fa = mnode.part(rel.operands[0]).frame
+        fb = mnode.part(rel.operands[1]).frame
+        da = fa.primary_axis
+        db = fb.primary_axis if rel.function == "size-ratio" else fb.origin - fa.origin
+        na = float(np.linalg.norm(da))
+        nb = float(np.linalg.norm(db))
+        if na < 1e-12 or nb < 1e-12:
+            return False
+        return abs(float(da @ db)) / (na * nb) > 1.0 - 1e-6
+    return False
+
+
+def test_the_model_decides_affine_invariance_by_the_per_call_rule():
+    """Every relation and specialization screen of the packaged fixtures, the
+    shape library and a pair of crossed segments: the flag the model keeps
+    equals the per-call rule on the node's slot frames. Each ratio and the
+    angle fall on both sides of it."""
+    seg = {"origin": [0, 0], "axes": [[1, 0], [0, 0]]}
+    crossed = load_model({"nodes": [
+        {"type": "linseg", "symmetry": "undirected-segment", "frame": seg},
+        {"type": "cross", "parts": [
+            {"name": "a", "type": "linseg", "frame": seg},
+            {"name": "b", "type": "linseg", "frame": {"origin": [3, 0], "axes": [[0, 2], [0, 0]]}}],
+         "relations": [["size-ratio", "a", "b", 0.5, 0.1], ["distance-ratio", "a", "b", 3.0, 0.1],
+                       ["angle", "a", "b", 0.0, 0.1]]}]})
+    graphs = [load_model_file(fixture_path(name))
+              for name in ("face.json", "truck.json", "truck_flat.json")]
+    seen = {}
+    for g in graphs + [shape_library(), crossed]:
+        for mnode in g.nodes.values():
+            screens = [r for rows in mnode.specialize_relations.values() for r in rows]
+            for rel in mnode.relations + screens:
+                assert rel.affine_invariant == relation_usable(rel, mnode, True), rel
+                assert relation_usable(rel, mnode, False)
+                seen.setdefault(rel.function, set()).add(rel.affine_invariant)
+    assert seen["size-ratio"] == seen["distance-ratio"] == seen["angle"] == {True, False}
 
 
 # -- link completion -----------------------------------------------------------

@@ -35,6 +35,7 @@ from dualgraph.belief import (
     ROW_RESOLVED,
     bind_member,
     cond_probability,
+    contextual_relation_strain,
     group_weight,
     placement_strain,
     relation_strains,
@@ -70,6 +71,7 @@ from dualgraph.model import (
 from dualgraph.scene import Primitive, Scene
 
 from conftest import random_frame
+from test_model import relation_usable
 from test_recognize import GOLDEN, _scene, _tiled_scene
 
 # -- the scalar steps ------------------------------------------------------------
@@ -904,19 +906,20 @@ def test_projected_row_resolved_strains_are_kept_per_group_frame(monkeypatch):
     crossed = {"side1": "side3", "side2": "side4", "side3": "side1", "side4": "side2"}
     rng = np.random.default_rng(11)
     differ = {"group frame": 0, "operands": 0, "group type": 0}
-    for rel in [r for r in mnode.relations
-                if r.function in ROW_RESOLVED and belief.relation_usable(r, mnode, True)]:
-        # the same spec on a side that crosses the second operand
+    for rel in [r for r in mnode.relations if r.function in ROW_RESOLVED and r.affine_invariant]:
+        # the same spec on a side that crosses the second operand, its flag
+        # decided by the model's rule on those two slots' template frames
         first, second = rel.operands
         crossing = RelationSpec(rel.function, (first, crossed[second]), rel.target,
-                                rel.tolerance)
+                                rel.tolerance, (mnode.part(first).frame,
+                                                mnode.part(crossed[second]).frame))
         for _ in range(20):
             a, b, group_frame, other_frame = (_planar_frame(rng) for _ in range(4))
             cases = {"screening": (mnode, rel, None), "base": (mnode, rel, group_frame),
                      "group frame": (mnode, rel, other_frame),
                      "operands": (mnode, crossing, group_frame),
                      "group type": (other_type, rel, group_frame)}
-            if not belief.relation_usable(crossing, mnode, True):
+            if not crossing.affine_invariant:
                 del cases["operands"]  # a relation projection spoils is never scored
             ig, got = ImageGraph(projected=True), {}
             for name, (node, r, g) in cases.items():
@@ -1611,20 +1614,31 @@ def test_every_candidate_that_passes_the_exact_gate_survives_the_slot_gate(case)
 
 def _scored_once(monkeypatch, scene, model):
     """Recognize `scene`, checking that generate_hypotheses scores a
-    screening once per wave for each signature and ordered clue pair, and
-    that every screening that shares the score has the score of its own
-    entry, scored without the memo. Returns, per wave and distinct key, the
-    per-entry scores of its screenings."""
+    screening once per wave for each signature and ordered clue pair, that
+    the signature holds, per relation the per-call rule lets the view score,
+    its spec and operand sides, and that every screening that shares the
+    score has the score of its own entry, scored without the memo by that
+    rule. Returns, per wave and distinct key, the per-entry scores of its
+    screenings."""
     screened, score = rec._screened, rec._screening_score
     waves = []
     scored = []  # per wave: the number of _screening_score calls
 
+    def usable(entry, projected):
+        mnode = model.node(entry.hypothesis)
+        return [rel for rel in entry.screening if relation_usable(rel, mnode, projected)]
+
     def per_entry(index, entry, ca, cb, cfg):
-        s1, s2 = entry.slots
+        projected = index.ig.projected
+        frames = {entry.slots[0]: ca.frame, entry.slots[1]: cb.frame}
         out = 1.0
-        for _, s in relation_strains(ImageGraph(projected=index.ig.projected),
-                                     model.node(entry.hypothesis), entry.screening,
-                                     {s1: ca.frame, s2: cb.frame}, cfg.s_fail):
+        for rel in usable(entry, projected):
+            try:
+                s = contextual_relation_strain(rel, model.node(entry.hypothesis),
+                                               [frames[op] for op in rel.operands],
+                                               cfg.s_fail, projected)
+            except DegenerateFrameError:
+                s = math.inf
             out *= cond_probability(min(s, 1e6))
         return out
 
@@ -1632,6 +1646,9 @@ def _scored_once(monkeypatch, scene, model):
         waves.append({})
         scored.append(0)
         for entry, (ca, cb), signature in screened(index, model, pairs, cfg, projected):
+            assert signature == tuple(rel.spec + tuple(int(op != entry.slots[0])
+                                                       for op in rel.operands)
+                                      for rel in usable(entry, projected))
             want = per_entry(index, entry, ca, cb, cfg)
             waves[-1].setdefault((signature, ca.key, cb.key), []).append(want)
             yield entry, (ca, cb), signature
@@ -1683,6 +1700,29 @@ def test_screenings_that_read_their_clues_the_other_way_round_are_scored_apart(m
     (keys,) = _scored_once(monkeypatch, scene, model)[:1]
     assert len(keys) == 4 and all(len(scores) == 1 for scores in keys.values())
     assert len({scores[0] for scores in keys.values()}) == 2
+
+
+def test_screenings_of_different_group_types_share_one_score(monkeypatch):
+    """Groups `pair` and `wide` screen their two segments by the same
+    size-ratio spec in the same operand order, so on the same ordered clues
+    their screenings share one signature and one score, equal to each
+    entry's own product: two keys, each scored once for both groups."""
+    seg = {"origin": [0, 0], "axes": [[1, 0], [0, 0]]}
+
+    def group(name, width):
+        return {"type": name, "frame": {"origin": [0, 0], "axes": [[width, 0], [0, 1]]},
+                "parts": [{"name": "a", "type": "linseg", "frame": seg},
+                          {"name": "b", "type": "linseg",
+                           "frame": {"origin": [0, width], "axes": [[0.5, 0], [0, 0]]}}],
+                "relations": [["size-ratio", "a", "b", 2.0, 2.0]]}
+
+    model = load_model({"dim": 2, "nodes": [
+        {"type": "linseg", "symmetry": "undirected-segment", "frame": seg},
+        group("pair", 1), group("wide", 2)]})
+    scene = Scene(dim=2, primitives=[Primitive("linseg", p1=[0.0, 0.0], p2=[2.0, 0.0]),
+                                     Primitive("linseg", p1=[0.0, 1.0], p2=[1.0, 1.0])])
+    (keys,) = _scored_once(monkeypatch, scene, model)[:1]
+    assert len(keys) == 2 and all(len(scores) == 2 for scores in keys.values())
 
 
 def scalar_frame_from_segment(p1, p2):

@@ -565,3 +565,22 @@ def test_index_sees_added_pruned_and_moved_nodes(seeded):
     index = CandidateIndex(ig)
     assert mover.key in _keys_near(index, moved, 1e-6)
     assert mover.key not in _keys_near(index, old, 1e-6)
+
+
+def test_a_primitive_of_a_kind_the_model_lacks_stays_an_unlinked_seed():
+    """truck_flat has no circle type: a circle added to a truck_flat scene
+    is seeded, but no candidate, so the graph is the circle-free one plus an
+    unlinked circle node, and truck1 is still found. The index raised a
+    raw KeyError for the circle's missing type before."""
+    scene, model = _scene("truck_flat.json", "truck1", 0.0, seed=5, distractors=0)
+    center = np.vstack([p.points() for p in scene.primitives]).mean(axis=0)
+    with_circle = replace(scene, primitives=list(scene.primitives)
+                          + [Primitive("circle", center=center, radius=0.5)])
+    ig = recognize(with_circle, model)
+    circle = ig.nodes.pop(("circle", 1))
+    assert circle.prim_index == len(scene.primitives) and circle.status == "verified"
+    assert not ig.incident(circle.key)
+    assert not [n for n in ig.nodes.values() if n.model_type == "circle"]
+    assert ig.to_bytes() == recognize(scene, model).to_bytes()
+    assert any(n.model_type == "truck1" and n.status != "pruned" and n.probability >= 0.5
+               for n in ig.nodes.values())
